@@ -15,6 +15,7 @@ mismatch, unknown outcome label, bad argument syntax).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -22,7 +23,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     IncompleteSet,
-    InvalidProjectorSet,
     NotHermitian,
     ParseError,
     QmeasureError,
@@ -38,15 +38,17 @@ from .fileio import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    hermitian_eig,
     hermiticity_residual,
+    lowest_eigenvalue,
     scale_of,
     unitarity_residuals,
+    vector_norm,
     within_tol,
 )
 from .measurement import (
     MeasurementOperatorSet,
     Povm,
+    ProjectorResiduals,
     ProjectorSet,
     QuantumState,
     apply_outcome,
@@ -119,7 +121,8 @@ def _load_unitary(path: str, tol: float) -> UnitaryOperator:
 
 def _load_state(path: str, warnings: list[str]) -> QuantumState:
     vec = load_state_file(path).amplitudes
-    norm = float(np.linalg.norm(vec))
+    scale, norm = vector_norm(vec)
+    norm *= scale
     if abs(norm - 1.0) > NORM_WARN:
         warnings.append(f"input state renormalized (norm was {format_float(norm)})")
     return QuantumState(vec, normalize=True)
@@ -194,26 +197,14 @@ def _validate_measurement_set(mats, tol):
 
 
 def _validate_projector_set(mats, tol):
-    herm = max(hermiticity_residual(p) for p in mats)
-    n = mats[0].shape[0]
-    total = np.zeros((n, n), dtype=np.complex128)
-    pair = 0.0
-    for i, p in enumerate(mats):
-        total += p
-        for j, q in enumerate(mats):
-            delta = p @ q - (p if i == j else 0.0)
-            pair = max(pair, float(np.linalg.norm(delta)) / max(1.0, float(np.linalg.norm(p)) * float(np.linalg.norm(q))))
-    completeness = float(np.linalg.norm(total - np.eye(n)))
+    res = ProjectorResiduals(mats)
     residuals = {
-        "hermiticity_max": herm,
-        "orthogonality_max": pair,
-        "completeness": completeness,
+        "hermiticity_max": float(np.max(res.hermiticity)),
+        "orthogonality_max": float(np.max(res.pairs / res.pair_scales)),
+        "completeness": res.completeness,
     }
-    try:
-        ProjectorSet(mats, tol=tol)
-    except InvalidProjectorSet as exc:
-        return False, residuals, [str(exc)]
-    return True, residuals, []
+    failure = res.failure(tol)
+    return failure is None, residuals, [] if failure is None else [failure]
 
 
 def _validate_povm(mats, tol):
@@ -226,13 +217,11 @@ def _validate_povm(mats, tol):
         povm = Povm(mats, tol=tol)
     except (NotHermitian, IncompleteSet, ValueError) as exc:
         return False, residuals, [str(exc)]
-    residuals["min_eigenvalue"] = min(
-        hermitian_eig(e, tol)[0][0] for e in povm.elements
-    )
+    residuals["min_eigenvalue"] = min(lowest_eigenvalue(e) for e in povm.elements)
     return True, residuals, []
 
 
-def _validate_unitary(mats, tol, path):
+def _validate_unitary(mats, tol):
     u = mats[0]
     left, right = unitarity_residuals(u)
     residuals = {"unitarity_left": left, "unitarity_right": right}
@@ -242,7 +231,7 @@ def _validate_unitary(mats, tol, path):
     return passed, residuals, notes
 
 
-def _validate_observable(mats, tol, path):
+def _validate_observable(mats, tol):
     a = mats[0]
     herm = hermiticity_residual(a)
     residuals = {"hermiticity": herm}
@@ -256,25 +245,21 @@ def _validate_observable(mats, tol, path):
     return True, residuals, []
 
 
+_VALIDATORS = {
+    "measurement_set": _validate_measurement_set,
+    "projector_set": _validate_projector_set,
+    "povm": _validate_povm,
+    "unitary": _validate_unitary,
+    "observable": _validate_observable,
+}
+
+
 def cmd_validate(args) -> dict:
     doc = load_operator_file(args.file)
     mats = doc.matrices()
-    details: list[str] = []
-    if doc.kind == "measurement_set":
-        passed, residuals, notes = _validate_measurement_set(mats, args.tol)
-    elif doc.kind == "projector_set":
-        passed, residuals, notes = _validate_projector_set(mats, args.tol)
-    elif doc.kind == "povm":
-        passed, residuals, notes = _validate_povm(mats, args.tol)
-    elif doc.kind == "unitary":
-        passed, residuals, notes = _validate_unitary(mats, args.tol, args.file)
-        if len(mats) != 1:
-            raise ParseError(f"{args.file}: unitary file must hold exactly one operator")
-    else:  # observable
-        if len(mats) != 1:
-            raise ParseError(f"{args.file}: observable file must hold exactly one operator")
-        passed, residuals, notes = _validate_observable(mats, args.tol, args.file)
-    details.extend(notes)
+    if doc.kind in ("unitary", "observable") and len(mats) != 1:
+        raise ParseError(f"{args.file}: {doc.kind} file must hold exactly one operator")
+    passed, residuals, notes = _VALIDATORS[doc.kind](mats, args.tol)
     report = {
         "command": "validate",
         "verdict": "pass" if passed else "fail",
@@ -283,7 +268,7 @@ def cmd_validate(args) -> dict:
         "n_operators": len(mats),
         "residuals": residuals,
     }
-    return _finish(report, details)
+    return _finish(report, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -316,13 +301,17 @@ def cmd_measure(args) -> dict:
     warnings: list[str] = []
     psi = _load_state(args.state, warnings)
     probs = outcome_probabilities(opset, psi, tol=args.tol)
+    prob_sum = float(abs(probs.sum() - 1.0))
+    passed = within_tol(prob_sum, args.tol)
+    if not passed:
+        warnings.append(f"probability_sum exceeds tolerance {format_float(args.tol)}")
     report = {
         "command": "measure",
-        "verdict": "pass",
+        "verdict": "pass" if passed else "fail",
         "dim": opset.dim,
         "n_operators": len(opset),
         "residuals": {"completeness": opset.completeness_residual,
-                      "probability_sum": float(abs(probs.sum() - 1.0))},
+                      "probability_sum": prob_sum},
         "probabilities": [float(p) for p in probs],
     }
     if args.outcome is not None:
@@ -477,8 +466,19 @@ def cmd_bell(args) -> dict:
 # ---------------------------------------------------------------------------
 # parser / entry point
 
+def parse_tolerance(text: str) -> float:
+    """``--tol`` value: a finite positive number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL,
+    sub.add_argument("--tol", type=parse_tolerance, default=DEFAULT_TOL,
                      help="residual tolerance (default 1e-10)")
     sub.add_argument("--format", choices=("human", "machine"), default="human",
                      help="output format")

@@ -1,9 +1,9 @@
 """Dense complex linear algebra primitives used by every other module.
 
-All matrices and vectors are numpy ``complex128`` arrays. Values entering
-the package go through :func:`as_matrix` / :func:`as_vector`, which reject
-NaN/Inf so non-finite entries never reach downstream algebra. Intended
-scale is dense desk-size problems (n <= 64).
+All matrices and vectors are numpy ``complex128`` arrays. Matrices entering
+the package go through :func:`as_matrix` and state vectors through
+:func:`vector_norm`; both reject NaN/Inf so non-finite entries never reach
+downstream algebra. Intended scale is dense desk-size problems (n <= 64).
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 # tol * max(1, Frobenius norm of the reference).
 DEFAULT_TOL = 1e-10
 
-_JACOBI_MAX_SWEEPS = 60
-_JACOBI_OFF_EPS = 1e-14  # off-diagonal Frobenius target, relative to scale
 _EXPM_TERM_EPS = 1e-16  # stop the Taylor series once a term drops below this
 _EXPM_HALF_NORM = 0.5  # halve the input until its Frobenius norm is <= this
 
@@ -35,12 +33,10 @@ def as_matrix(a) -> np.ndarray:
 
 
 def as_vector(a) -> np.ndarray:
-    """Coerce to a 1-D complex128 array with finite entries."""
+    """Coerce to a 1-D complex128 array; :func:`vector_norm` checks finiteness."""
     arr = np.array(a, dtype=np.complex128)
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("vector entries must be finite")
     return arr
 
 
@@ -134,87 +130,49 @@ def hermiticity_residual(a) -> float:
     return float(np.linalg.norm(a - a.conj().T))
 
 
-def _offdiag_norm(w: np.ndarray) -> float:
-    off = w - np.diag(np.diag(w))
-    return float(np.linalg.norm(off))
-
-
-def _jacobi_rotate(w: np.ndarray, v: np.ndarray, p: int, q: int,
-                   c: float, sp: complex) -> None:
-    # One two-sided rotation W <- V^dag W V with
-    # V[p,p]=V[q,q]=c, V[q,p]=sp, V[p,q]=-conj(sp); V accumulated into v.
-    col_p = w[:, p].copy()
-    col_q = w[:, q].copy()
-    w[:, p] = c * col_p + sp * col_q
-    w[:, q] = -np.conj(sp) * col_p + c * col_q
-    row_p = w[p, :].copy()
-    row_q = w[q, :].copy()
-    w[p, :] = c * row_p + np.conj(sp) * row_q
-    w[q, :] = -sp * row_p + c * row_q
-    w[p, q] = 0.0
-    w[q, p] = 0.0
-    w[p, p] = w[p, p].real
-    w[q, q] = w[q, q].real
-    vcol_p = v[:, p].copy()
-    vcol_q = v[:, q].copy()
-    v[:, p] = c * vcol_p + sp * vcol_q
-    v[:, q] = -np.conj(sp) * vcol_p + c * vcol_q
-
-
 def hermitian_eig(a, tol: float = DEFAULT_TOL) -> list[tuple[float, np.ndarray]]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
 
-    Each sweep annihilates every off-diagonal entry in turn with a complex
-    plane rotation; convergence is quadratic and robust at this scale.
-    Returns ``[(eigenvalue, eigenvector), ...]`` with real eigenvalues in
-    ascending order (ties keep first-seen eigenvector order) and an
-    orthonormal set of eigenvectors.
+    The admissible asymmetry is averaged away before the solver sees the
+    matrix. Returns ``[(eigenvalue, eigenvector), ...]`` with real
+    eigenvalues in ascending order and an orthonormal set of eigenvectors.
 
-    Raises ``NotHermitian`` when ``||a - a^dag|| > tol * max(1, ||a||)`` and
-    ``ConvergenceFailure`` if the sweep budget is exhausted.
+    Raises ``NotHermitian`` when ``||a - a^dag|| > tol * max(1, ||a||)``.
     """
     a = as_matrix(a)
     _require_square(a, "hermitian_eig input")
-    scale = scale_of(a)
-    if hermiticity_residual(a) > tol * scale:
+    resid = hermiticity_residual(a)
+    if resid > tol * scale_of(a):
         raise NotHermitian(
-            f"matrix is not Hermitian within {tol:g} (residual "
-            f"{hermiticity_residual(a):.3e})"
+            f"matrix is not Hermitian within {tol:g} (residual {resid:.3e})"
         )
-    n = a.shape[0]
-    w = (a + a.conj().T) / 2.0  # kill the admissible asymmetry up front
-    v = identity(n)
-    target = _JACOBI_OFF_EPS * scale
-    skip = target / (2.0 * n)
-    converged = False
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(w) <= target:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                r = abs(w[p, q])
-                if r <= skip:
-                    continue
-                phase = w[p, q] / r
-                tau = (w[p, p].real - w[q, q].real) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                _jacobi_rotate(w, v, p, q, c, s * np.conj(phase))
-    else:
-        converged = _offdiag_norm(w) <= target
-    if not converged:
-        raise ConvergenceFailure(
-            f"Jacobi iteration did not reach off-diagonal norm {target:.3e} "
-            f"in {_JACOBI_MAX_SWEEPS} sweeps"
-        )
-    vals = np.diag(w).real.copy()
-    order = np.argsort(vals, kind="stable")
-    return [(float(vals[k]), v[:, k].copy()) for k in order]
+    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return [(float(vals[k]), vecs[:, k].copy()) for k in range(len(vals))]
+
+
+def lowest_eigenvalue(a: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part of a square matrix."""
+    return float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
+
+
+def vector_norm(v: np.ndarray) -> tuple[float, float]:
+    """2-norm of a complex vector as ``(scale, norm)``, ``||v|| = scale * norm``.
+
+    A finite positive plain norm (which proves every entry finite) comes back
+    with scale 1. Only when it overflows to inf or underflows to 0 is ``v``
+    divided by its largest real or imaginary part first. Scale 0 means ``v``
+    is zero; non-finite entries raise ``ValueError``.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if 0.0 < norm < math.inf:
+        return 1.0, norm
+    if not np.isfinite(v).all():
+        raise ValueError("vector entries must be finite")
+    peak = max(float(np.abs(v.real).max()), float(np.abs(v.imag).max()))
+    if peak == 0.0:
+        return 0.0, 0.0
+    return peak, float(np.linalg.norm(v / peak))
 
 
 def expm_oracle(a) -> np.ndarray:

@@ -10,7 +10,8 @@ POVMs (E_m = M_m^dag M_m) are the two classical special views.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+import math
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -48,14 +49,16 @@ class QuantumState:
 
     def __post_init__(self, normalize: bool):
         amps = as_vector(self.amplitudes)
-        norm = float(np.linalg.norm(amps))
-        if norm <= 0.0:
+        scale, norm = linalg.vector_norm(amps)
+        if scale == 0.0:
             raise ValueError("state vector must be nonzero")
         if normalize:
+            if scale != 1.0:
+                amps = amps / scale
             amps = amps / norm
-        elif abs(norm - 1.0) > NORM_TOL:
+        elif abs(scale * norm - 1.0) > NORM_TOL:
             raise ValueError(
-                f"state vector norm {norm!r} differs from 1 by more than "
+                f"state vector norm {scale * norm!r} differs from 1 by more than "
                 f"{NORM_TOL:g}; pass normalize=True to rescale"
             )
         object.__setattr__(self, "amplitudes", freeze(amps))
@@ -96,7 +99,7 @@ class DensityMatrix:
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {trace!r} is not 1")
-        lowest = linalg.hermitian_eig(mat, tol)[0][0]
+        lowest = linalg.lowest_eigenvalue(mat)
         if lowest < PSD_FLOOR:
             raise ValueError(
                 f"density matrix has negative eigenvalue {lowest:.3e}"
@@ -268,6 +271,63 @@ def sample_histogram(opset: MeasurementOperatorSet, psi: QuantumState,
 
 
 @dataclass(frozen=True, eq=False)
+class ProjectorResiduals:
+    """Every residual a projector set is judged on, each computed once, when
+    first read. Each passes when at most ``tol`` times its scale:
+    ``pair_scales`` for ``pairs``, max(1, ||P_k||_F) for hermiticity and
+    max(1, ||I||_F) for completeness."""
+
+    projectors: tuple[np.ndarray, ...]  # square, one dimension
+
+    @cached_property
+    def norms(self) -> np.ndarray:  # ||P_k||_F
+        return np.array([np.linalg.norm(p) for p in self.projectors])
+
+    @cached_property
+    def hermiticity(self) -> np.ndarray:  # ||P_k - P_k^dag||_F
+        return np.array([np.linalg.norm(p - p.conj().T) for p in self.projectors])
+
+    @cached_property
+    def pairs(self) -> np.ndarray:  # ||P_i P_j - delta_ij P_i||_F
+        out = np.empty((len(self.projectors), len(self.projectors)))
+        for i, pi in enumerate(self.projectors):
+            for j, pj in enumerate(self.projectors):
+                prod = pi @ pj
+                if i == j:
+                    prod -= pi
+                out[i, j] = np.linalg.norm(prod)
+        return out
+
+    @cached_property
+    def pair_scales(self) -> np.ndarray:  # max(1, ||P_i||_F ||P_j||_F)
+        return np.maximum(1.0, np.outer(self.norms, self.norms))
+
+    @cached_property
+    def completeness(self) -> float:  # ||sum_k P_k - I||_F
+        dim = self.projectors[0].shape[0]
+        return float(np.linalg.norm(sum(self.projectors) - identity(dim)))
+
+    def failure(self, tol: float) -> str | None:
+        """The first violated requirement, in hermiticity, pair, completeness
+        order, or None when the set passes at ``tol``; stops computing at
+        the first failing group."""
+        for k, resid in enumerate(self.hermiticity):
+            if not resid <= tol * max(1.0, self.norms[k]):
+                return f"projector {k} is not Hermitian (residual {resid:.3e})"
+        bad = np.argwhere(~(self.pairs <= tol * self.pair_scales))
+        if len(bad):
+            i, j = (int(x) for x in bad[0])
+            kind = "idempotence" if i == j else "orthogonality"
+            return (f"projectors ({i}, {j}) violate {kind} "
+                    f"(residual {self.pairs[i, j]:.3e})")
+        dim = self.projectors[0].shape[0]
+        if not self.completeness <= tol * max(1.0, math.sqrt(dim)):
+            return (f"projectors do not sum to the identity "
+                    f"(residual {self.completeness:.3e})")
+        return None
+
+
+@dataclass(frozen=True, eq=False)
 class ProjectorSet:
     """Complete set of orthogonal projectors: each P_m Hermitian and
     idempotent, P_m P_m' = delta_mm' P_m, and sum_m P_m = I."""
@@ -276,30 +336,10 @@ class ProjectorSet:
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol: float):
-        projs, dim = _coerce_square_family(self.projectors, "projector set")
-        for k, p in enumerate(projs):
-            resid = linalg.hermiticity_residual(p)
-            if not linalg.within_tol(resid, tol, p):
-                raise InvalidProjectorSet(
-                    f"projector {k} is not Hermitian (residual {resid:.3e})"
-                )
-        for i, pi in enumerate(projs):
-            for j, pj in enumerate(projs):
-                expected = pi if i == j else np.zeros_like(pi)
-                resid = linalg.frobenius_distance(pi @ pj, expected)
-                scale = max(1.0, linalg.frobenius_norm(pi) * linalg.frobenius_norm(pj))
-                if resid > tol * scale:
-                    kind = "idempotence" if i == j else "orthogonality"
-                    raise InvalidProjectorSet(
-                        f"projectors ({i}, {j}) violate {kind} "
-                        f"(residual {resid:.3e})"
-                    )
-        total = sum(projs)
-        resid = linalg.frobenius_distance(total, identity(dim))
-        if not linalg.within_tol(resid, tol, identity(dim)):
-            raise InvalidProjectorSet(
-                f"projectors do not sum to the identity (residual {resid:.3e})"
-            )
+        projs, _ = _coerce_square_family(self.projectors, "projector set")
+        failure = ProjectorResiduals(projs).failure(tol)
+        if failure is not None:
+            raise InvalidProjectorSet(failure)
         object.__setattr__(self, "projectors", projs)
 
     @property
@@ -325,6 +365,7 @@ class Observable:
     matrix: np.ndarray
     spectrum: tuple[tuple[float, np.ndarray], ...]
     tol: InitVar[float] = DEFAULT_TOL
+    _projector_set: ProjectorSet = field(init=False, repr=False)
 
     def __post_init__(self, tol: float):
         mat = as_matrix(self.matrix)
@@ -342,9 +383,10 @@ class Observable:
                 f"spectrum does not reconstruct the observable "
                 f"(residual {resid:.3e})"
             )
-        ProjectorSet(tuple(p for _, p in spectrum), tol=tol)
+        pset = ProjectorSet(tuple(p for _, p in spectrum), tol=tol)
         object.__setattr__(self, "matrix", freeze(mat))
         object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "_projector_set", pset)
 
     @property
     def dim(self) -> int:
@@ -355,36 +397,29 @@ class Observable:
         return tuple(lam for lam, _ in self.spectrum)
 
     def projector_set(self) -> ProjectorSet:
-        return ProjectorSet(tuple(p for _, p in self.spectrum))
+        """The eigenspace projectors, as validated at construction."""
+        return self._projector_set
 
 
 def spectral_decompose(a, tol: float = DEFAULT_TOL,
                        cluster_tol: float = CLUSTER_TOL) -> Observable:
     """Spectral decomposition of a Hermitian matrix into eigenspaces.
 
+    The eigenpairs come from :func:`linalg.hermitian_eig` (LAPACK ``eigh``).
     Eigenvalues whose consecutive gap is at most ``cluster_tol`` are merged
-    into one eigenspace whose projector is the sum of the clustered rank-1
-    projectors, so a fully degenerate spectrum yields a single projector
-    (the identity when all eigenvalues agree).
+    into one eigenspace, valued at their mean, whose projector is V V^dag
+    over the clustered eigenvectors V, so a fully degenerate spectrum yields
+    a single projector (the identity when all eigenvalues agree).
     """
     a = as_matrix(a)
     pairs = linalg.hermitian_eig(a, tol)
-    spectrum: list[tuple[float, np.ndarray]] = []
-    members: list[tuple[float, np.ndarray]] = [pairs[0]]
-    for lam, vec in pairs[1:]:
-        if lam - members[-1][0] <= cluster_tol:
-            members.append((lam, vec))
-        else:
-            spectrum.append(_collapse_cluster(members))
-            members = [(lam, vec)]
-    spectrum.append(_collapse_cluster(members))
-    return Observable(matrix=a, spectrum=tuple(spectrum), tol=tol)
-
-
-def _collapse_cluster(members: list[tuple[float, np.ndarray]]) -> tuple[float, np.ndarray]:
-    lam = sum(val for val, _ in members) / len(members)
-    proj = sum(np.outer(vec, vec.conj()) for _, vec in members)
-    return (lam, proj)
+    vals = np.array([lam for lam, _ in pairs])
+    vecs = np.column_stack([vec for _, vec in pairs])
+    groups = np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > cluster_tol) + 1)
+    spectrum = tuple(
+        (float(np.mean(vals[g])), vecs[:, g] @ vecs[:, g].conj().T) for g in groups
+    )
+    return Observable(matrix=a, spectrum=spectrum, tol=tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,7 +437,7 @@ class Povm:
                 raise NotHermitian(
                     f"POVM element {k} is not Hermitian (residual {resid:.3e})"
                 )
-            lowest = linalg.hermitian_eig(e, tol)[0][0]
+            lowest = linalg.lowest_eigenvalue(e)
             if lowest < PSD_FLOOR:
                 raise ValueError(
                     f"POVM element {k} has negative eigenvalue {lowest:.3e}"

@@ -1,11 +1,74 @@
-"""Shared random-instance generators for the test suite.
+"""Shared random-instance generators and oracles for the test suite.
 
-numpy's own linear algebra (qr, eigh) is used here on purpose: the tests
-cross-check the package's hand-rolled routines against an independent
-implementation instead of trusting them to test themselves.
+numpy's QR builds the random unitaries. The package diagonalizes with
+LAPACK (numpy's ``eigh``), so its eigensolver is checked against
+:func:`jacobi_eig`, a cyclic complex Jacobi solver that shares no code
+with LAPACK, instead of against itself.
 """
 
+import math
+
 import numpy as np
+
+JACOBI_MAX_SWEEPS = 60
+JACOBI_OFF_EPS = 1e-14  # off-diagonal Frobenius target, relative to ||a||_F
+
+
+def _jacobi_rotate(w, v, p, q, c, sp):
+    # One two-sided rotation W <- V^dag W V with
+    # V[p,p]=V[q,q]=c, V[q,p]=sp, V[p,q]=-conj(sp); V accumulated into v.
+    col_p = w[:, p].copy()
+    col_q = w[:, q].copy()
+    w[:, p] = c * col_p + sp * col_q
+    w[:, q] = -np.conj(sp) * col_p + c * col_q
+    row_p = w[p, :].copy()
+    row_q = w[q, :].copy()
+    w[p, :] = c * row_p + np.conj(sp) * row_q
+    w[q, :] = -sp * row_p + c * row_q
+    w[p, q] = 0.0
+    w[q, p] = 0.0
+    w[p, p] = w[p, p].real
+    w[q, q] = w[q, q].real
+    vcol_p = v[:, p].copy()
+    vcol_q = v[:, q].copy()
+    v[:, p] = c * vcol_p + sp * vcol_q
+    v[:, q] = -np.conj(sp) * vcol_p + c * vcol_q
+
+
+def _offdiag_norm(w):
+    return float(np.linalg.norm(w - np.diag(np.diag(w))))
+
+
+def jacobi_eig(a):
+    """Eigenvalues (ascending) and eigenvector columns of a Hermitian matrix
+    by cyclic Jacobi rotations, each sweep annihilating every off-diagonal
+    entry in turn with a complex plane rotation."""
+    w = np.array(a, dtype=np.complex128)
+    w = (w + w.conj().T) / 2.0
+    n = w.shape[0]
+    v = np.eye(n, dtype=np.complex128)
+    target = JACOBI_OFF_EPS * max(1.0, float(np.linalg.norm(w)))
+    skip = target / (2.0 * n)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if _offdiag_norm(w) <= target:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                r = abs(w[p, q])
+                if r <= skip:
+                    continue
+                phase = w[p, q] / r
+                tau = (w[p, p].real - w[q, q].real) / (2.0 * r)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                _jacobi_rotate(w, v, p, q, c, t * c * np.conj(phase))
+    assert _offdiag_norm(w) <= target, "Jacobi oracle did not converge"
+    vals = np.diag(w).real.copy()
+    order = np.argsort(vals, kind="stable")
+    return vals[order], v[:, order]
 
 
 def random_state(rng, n):

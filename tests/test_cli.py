@@ -244,3 +244,45 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["measure"])  # missing positional arguments
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "banana"])
+def test_bad_tol_exits_2_at_parse_time(tol, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "corpus/projectors_n2.json", "--tol", tol])
+    assert info.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+def test_measure_normalizes_huge_amplitudes(tmp_path, capsys):
+    # the plain norm of [1e308, 1e308] overflows to inf
+    from qmeasure.fileio import save_state_file
+    path = tmp_path / "huge.json"
+    save_state_file(path, np.array([1e308, 1e308], dtype=complex))
+    code, out, _ = run_cli(
+        ["measure", "corpus/projectors_n2.json", str(path), "--format", "machine"],
+        capsys,
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "pass"
+    assert doc["probabilities"] == pytest.approx([0.5, 0.5], abs=1e-15)
+    assert doc["residuals"]["probability_sum"] <= 1e-15
+    assert "renormalized (norm was 1.41421356237309" in doc["details"]
+    assert doc["details"].endswith("e+308)")
+
+
+def test_measure_verdict_follows_probability_sum(tmp_path, capsys):
+    # completeness residual 1.2e-10 passes at tol * sqrt(2), but the
+    # probabilities of |0> sum to 1 + 1.2e-10, off by more than tol
+    from qmeasure.fileio import save_operator_file, save_state_file
+    ops = tmp_path / "ops.json"
+    save_operator_file(ops, "measurement_set",
+                       [np.diag([np.sqrt(1.0 + 1.2e-10), 0.0]), np.diag([0.0, 1.0])])
+    state = tmp_path / "zero.json"
+    save_state_file(state, np.array([1.0, 0.0], dtype=complex))
+    code, out, _ = run_cli(["measure", str(ops), str(state), "--tol", "1e-10",
+                            "--format", "machine"], capsys)
+    doc = json.loads(out)
+    assert code == 1 and doc["verdict"] == "fail"
+    assert doc["residuals"]["probability_sum"] > 1e-10
+    assert "probability_sum" in doc["details"]

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_hermitian
+from helpers import jacobi_eig, random_hermitian
 from qmeasure import linalg
 from qmeasure.errors import ConvergenceFailure, DimensionMismatch, NotHermitian
+from qmeasure.measurement import spectral_decompose
 
 RT2 = 1.0 / math.sqrt(2.0)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -90,12 +91,12 @@ def test_hermitian_eig_ascending_and_orthonormal():
         assert np.linalg.norm(recon - a) < 1e-12 * max(1.0, np.linalg.norm(a))
 
 
-def test_hermitian_eig_matches_numpy_reference():
+def test_hermitian_eig_matches_jacobi_oracle():
     rng = np.random.default_rng(23)
     for n in (2, 4, 8, 16):
         a = random_hermitian(rng, n)
         vals = np.array([v for v, _ in linalg.hermitian_eig(a)])
-        ref = np.sort(np.linalg.eigvalsh(a))
+        ref = jacobi_eig(a)[0]
         assert np.abs(vals - ref).max() < 1e-10
 
 
@@ -103,8 +104,54 @@ def test_hermitian_eig_degenerate_input():
     rng = np.random.default_rng(5)
     a = random_hermitian(rng, 6, degenerate=True)
     vals = np.array([v for v, _ in linalg.hermitian_eig(a)])
-    ref = np.sort(np.linalg.eigvalsh(a))
+    ref = jacobi_eig(a)[0]
     assert np.abs(vals - ref).max() < 1e-10
+
+
+def _exact_eigenvalues(a):
+    # 150 digits resolve eigenvalues down to 1e-100 of ||a|| exactly
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(150):
+        vals = mpmath.eighe(mpmath.matrix(a.tolist()), eigvals_only=True)
+        return np.array(sorted(float(x) for x in vals))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_graded_family_eigh_keeps_relative_accuracy(k):
+    # D A D with D = diag(10^(-k i)) and A well conditioned positive
+    # definite: eigenvalues span 10^(-2k(n-1)). Jacobi with an absolute
+    # off-diagonal target (the oracle) is only absolutely accurate there;
+    # LAPACK eigh also resolves the small eigenvalues to relative accuracy.
+    rng = np.random.default_rng(100 + k)
+    n = 8
+    for _ in range(3):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        d = 10.0 ** (-k * np.arange(n))
+        a = d[:, None] * (g @ g.conj().T + n * np.eye(n)) * d[None, :]
+        exact = _exact_eigenvalues(a)
+        eigh_vals = np.array([v for v, _ in linalg.hermitian_eig(a)])
+        jacobi_vals = jacobi_eig(a)[0]
+        scale = np.linalg.norm(a)
+        assert np.abs(eigh_vals - exact).max() <= 1e-14 * scale
+        assert np.abs(jacobi_vals - exact).max() <= 1e-14 * scale
+        eigh_rel = np.max(np.abs(eigh_vals - exact) / exact)
+        jacobi_rel = np.max(np.abs(jacobi_vals - exact) / exact)
+        assert eigh_rel <= 1e-10
+        assert eigh_rel <= jacobi_rel
+
+
+@pytest.mark.parametrize("n", [6, 8, 16])
+def test_half_degenerate_family_eigh_matches_jacobi(n):
+    rng = np.random.default_rng(200 + n)
+    a = random_hermitian(rng, n, degenerate=True)
+    exact = _exact_eigenvalues(a)
+    eigh_vals = np.array([v for v, _ in linalg.hermitian_eig(a)])
+    jacobi_vals = jacobi_eig(a)[0]
+    scale = np.linalg.norm(a)
+    assert np.abs(eigh_vals - exact).max() <= 1e-14 * scale
+    assert np.abs(jacobi_vals - exact).max() <= 1e-14 * scale
+    # the n/2 copies of the repeated eigenvalue merge into one eigenspace
+    assert len(spectral_decompose(a).spectrum) == n - n // 2 + 1
 
 
 def test_hermitian_eig_accepts_already_diagonal():

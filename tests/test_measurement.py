@@ -21,6 +21,7 @@ from qmeasure.measurement import (
     MeasurementOperatorSet,
     MeasurementRecord,
     Povm,
+    ProjectorResiduals,
     ProjectorSet,
     QuantumState,
     apply_outcome,
@@ -67,6 +68,27 @@ def test_state_normalize_flag_rescales():
 def test_state_rejects_zero_vector():
     with pytest.raises(ValueError):
         QuantumState(np.zeros(2, dtype=complex), normalize=True)
+
+
+@pytest.mark.parametrize("base,scale", [
+    ([1.0, 1.0], 1e308),              # plain norm overflows
+    ([1.7 + 1.7j, 1.7], 1e308),       # |a_0| alone overflows
+    ([1.0, 1.0j], 1e-200),            # plain norm underflows to 0
+])
+def test_state_normalize_survives_extreme_amplitudes(base, scale):
+    base = np.array(base, dtype=complex)
+    amps = base * scale
+    psi = QuantumState(amps, normalize=True)
+    assert np.abs(psi.amplitudes - base / np.linalg.norm(base)).max() < 1e-15
+    with pytest.raises(ValueError, match="differs from 1"):
+        QuantumState(amps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_state_rejects_non_finite_amplitudes(bad):
+    for normalize in (False, True):
+        with pytest.raises(ValueError, match="finite"):
+            QuantumState(np.array([bad, 1.0], dtype=complex), normalize=normalize)
 
 
 def test_state_amplitudes_are_read_only():
@@ -278,6 +300,38 @@ def test_projector_set_accepts_plus_minus_basis():
     assert pset.dim == 2 and len(pset) == 2
 
 
+def test_projector_set_names_first_violation():
+    with pytest.raises(InvalidProjectorSet, match=r"\(0, 0\) violate idempotence"):
+        ProjectorSet((0.5 * np.eye(2, dtype=complex), 0.5 * np.eye(2, dtype=complex)))
+    p0 = np.diag([1.0, 0.0]).astype(complex)
+    with pytest.raises(InvalidProjectorSet, match=r"\(0, 1\) violate orthogonality"):
+        ProjectorSet((p0, 0.5 * np.ones((2, 2), dtype=complex)))
+    with pytest.raises(InvalidProjectorSet, match="do not sum to the identity"):
+        ProjectorSet((p0,))
+    res = ProjectorResiduals((np.array([[0, 1], [0, 0]], dtype=complex),))
+    assert "projector 0 is not Hermitian" in res.failure(1e-10)
+    assert "pairs" not in vars(res)  # no pair products once hermiticity fails
+
+
+def test_projector_residuals_match_pairwise_definition():
+    rng = np.random.default_rng(8)
+    u = random_unitary(rng, 5)
+    projs = [np.outer(u[:, k], u[:, k].conj()) for k in range(5)]
+    res = ProjectorResiduals(tuple(projs))
+    for i, pi in enumerate(projs):
+        assert res.hermiticity[i] == np.linalg.norm(pi - pi.conj().T)
+        for j, pj in enumerate(projs):
+            delta = pi @ pj - (pi if i == j else 0.0)
+            assert res.pairs[i, j] == np.linalg.norm(delta)
+    assert res.completeness == np.linalg.norm(sum(projs) - np.eye(5))
+    assert np.max(res.pairs / res.pair_scales) == max(
+        np.linalg.norm(pi @ pj - (pi if i == j else 0.0))
+        / max(1.0, np.linalg.norm(pi) * np.linalg.norm(pj))
+        for i, pi in enumerate(projs) for j, pj in enumerate(projs))
+    assert res.failure(1e-10) is None
+    assert np.max(res.pairs) < 1e-14
+
+
 def test_identity_alone_is_a_valid_projector_set():
     pset = ProjectorSet((np.eye(3, dtype=complex),))
     assert len(pset) == 1
@@ -322,6 +376,15 @@ def test_observable_reconstruction_random():
         recon = sum(lam * p for lam, p in obs.spectrum)
         assert np.linalg.norm(recon - a) < 1e-10 * max(1.0, np.linalg.norm(a))
         obs.projector_set()  # eigenprojectors form a valid complete set
+
+
+def test_observable_keeps_its_validated_projector_set():
+    obs = spectral_decompose(np.diag([1.0, 1.0, 3.0]).astype(complex))
+    pset = obs.projector_set()
+    assert pset is obs.projector_set()
+    assert len(pset) == 2
+    for (_, p), q in zip(obs.spectrum, pset.projectors):
+        assert np.array_equal(p, q)
 
 
 # ---------------------------------------------------------------------------
