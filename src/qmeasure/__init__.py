@@ -7,7 +7,6 @@ probabilities; and the compute/uncompute truth protocol.
 """
 
 from .errors import (
-    CompletenessViolation,
     ConvergenceFailure,
     DimensionMismatch,
     IncompleteSet,
@@ -83,7 +82,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QmeasureError", "DimensionMismatch", "NotHermitian", "ConvergenceFailure",
-    "IncompleteSet", "CompletenessViolation", "ZeroProbabilityOutcome",
+    "IncompleteSet", "ZeroProbabilityOutcome",
     "UnknownOutcome", "NotUnitary", "OrthogonalityViolation",
     "PhaseNotUnimodular", "InvalidProjectorSet", "NotBellCompatible",
     "ParseError",

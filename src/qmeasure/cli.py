@@ -22,8 +22,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    IncompleteSet,
-    NotHermitian,
+    NotUnitary,
     ParseError,
     QmeasureError,
     UnknownOutcome,
@@ -36,19 +35,10 @@ from .fileio import (
     load_state_file,
     save_operator_file,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    hermiticity_residual,
-    lowest_eigenvalue,
-    scale_of,
-    unitarity_residuals,
-    vector_norm,
-    within_tol,
-)
+from .linalg import DEFAULT_TOL, hermiticity_residual, vector_norm, within_tol
 from .measurement import (
     MeasurementOperatorSet,
-    Povm,
-    ProjectorResiduals,
+    OperatorResiduals,
     ProjectorSet,
     QuantumState,
     apply_outcome,
@@ -197,7 +187,7 @@ def _validate_measurement_set(mats, tol):
 
 
 def _validate_projector_set(mats, tol):
-    res = ProjectorResiduals(mats)
+    res = OperatorResiduals(mats)
     residuals = {
         "hermiticity_max": float(np.max(res.hermiticity)),
         "orthogonality_max": float(np.max(res.pairs / res.pair_scales)),
@@ -208,39 +198,34 @@ def _validate_projector_set(mats, tol):
 
 
 def _validate_povm(mats, tol):
-    herm = max(hermiticity_residual(e) for e in mats)
-    n = mats[0].shape[0]
-    total = sum(mats)
-    completeness = float(np.linalg.norm(total - np.eye(n)))
-    residuals = {"hermiticity_max": herm, "completeness": completeness}
-    try:
-        povm = Povm(mats, tol=tol)
-    except (NotHermitian, IncompleteSet, ValueError) as exc:
-        return False, residuals, [str(exc)]
-    residuals["min_eigenvalue"] = min(lowest_eigenvalue(e) for e in povm.elements)
+    res = OperatorResiduals(mats)
+    residuals = {"hermiticity_max": float(np.max(res.hermiticity)),
+                 "completeness": res.completeness}
+    failure = res.povm_failure(tol)
+    if failure is not None:
+        return False, residuals, [str(failure)]
+    residuals["min_eigenvalue"] = float(np.min(res.lowest))
     return True, residuals, []
 
 
 def _validate_unitary(mats, tol):
-    u = mats[0]
-    left, right = unitarity_residuals(u)
-    residuals = {"unitarity_left": left, "unitarity_right": right}
-    scale = scale_of(np.eye(u.shape[0]))
-    passed = left <= tol * scale and right <= tol * scale
-    notes = [] if passed else ["operator is not unitary at this tolerance"]
-    return passed, residuals, notes
+    try:
+        left, right = UnitaryOperator(mats[0], tol=tol).residuals
+        notes = []
+    except NotUnitary as exc:
+        left, right = exc.left, exc.right
+        notes = ["operator is not unitary at this tolerance"]
+    return not notes, {"unitarity_left": left, "unitarity_right": right}, notes
 
 
 def _validate_observable(mats, tol):
     a = mats[0]
-    herm = hermiticity_residual(a)
-    residuals = {"hermiticity": herm}
+    residuals = {"hermiticity": hermiticity_residual(a)}
     try:
         obs = spectral_decompose(a, tol=tol)
-    except (NotHermitian, QmeasureError, ValueError) as exc:
+    except (QmeasureError, ValueError) as exc:
         return False, residuals, [str(exc)]
-    recon = sum(val * proj for val, proj in obs.spectrum)
-    residuals["reconstruction"] = float(np.linalg.norm(recon - a))
+    residuals["reconstruction"] = obs.reconstruction_residual
     residuals["n_eigenspaces"] = len(obs.spectrum)
     return True, residuals, []
 
@@ -359,7 +344,7 @@ def cmd_mirror_build(args) -> dict:
     else:
         raise ParseError("mirror build needs --theta/--alpha or --phases/--angles")
     u = mirror.unitary.matrix
-    left, right = unitarity_residuals(u)
+    left, right = mirror.unitary.residuals
     if args.out is not None:
         save_operator_file(args.out, "unitary", [u])
     report = {
@@ -420,8 +405,8 @@ def cmd_truth(args) -> dict:
     psi = _load_state(args.state, details)
     transcript = truth_protocol(unit, psi, tol=args.tol)
     passed = (
-        transcript.fidelity >= 1.0 - args.tol
-        and within_tol(transcript.identity_residual, args.tol, np.eye(unit.dim))
+        within_tol(1.0 - transcript.fidelity, args.tol)
+        and within_tol(transcript.identity_residual, args.tol, math.sqrt(unit.dim))
     )
     report = {
         "command": "truth",
@@ -442,8 +427,8 @@ def cmd_bell(args) -> dict:
     unit = _load_unitary(args.mirror, args.tol)
     comparison = bell_comparison(args.index, unit, tol=args.tol)
     passed = (
-        within_tol(comparison.external_sum_residual, args.tol, np.eye(4))
-        and abs(comparison.internal_probability - 1.0) <= args.tol
+        within_tol(comparison.external_sum_residual, args.tol, math.sqrt(4))
+        and within_tol(abs(comparison.internal_probability - 1.0), args.tol)
         and comparison.preservation.within(args.tol)
     )
     report = {

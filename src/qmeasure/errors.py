@@ -25,10 +25,6 @@ class IncompleteSet(QmeasureError):
     """A measurement operator set does not resolve the identity."""
 
 
-class CompletenessViolation(QmeasureError):
-    """Operator superposition requested on a set that is not complete."""
-
-
 class ZeroProbabilityOutcome(QmeasureError):
     """Requested outcome has (numerically) zero probability; the
     post-measurement state is undefined."""
@@ -39,7 +35,16 @@ class UnknownOutcome(QmeasureError):
 
 
 class NotUnitary(QmeasureError):
-    """A matrix required to be unitary is not, within tolerance."""
+    """A matrix required to be unitary is not, within tolerance; carries the
+    residuals (||U^dag U - I||_F, ||U U^dag - I||_F) it was judged on."""
+
+    def __init__(self, tol: float, left: float, right: float):
+        self.left = left
+        self.right = right
+        super().__init__(
+            f"matrix is not unitary within {tol:g} "
+            f"(residuals {left:.3e}, {right:.3e})"
+        )
 
 
 class OrthogonalityViolation(QmeasureError):

@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 
-# Uniform tolerance policy: a residual passes when it is at most
-# tol * max(1, Frobenius norm of the reference).
 DEFAULT_TOL = 1e-10
 
 _EXPM_TERM_EPS = 1e-16  # stop the Taylor series once a term drops below this
@@ -51,23 +49,22 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
 
 
-def zeros(rows: int, cols: int | None = None) -> np.ndarray:
-    return np.zeros((rows, rows if cols is None else cols), dtype=np.complex128)
-
-
 def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
+    """||a||_F; inf when the sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(np.asarray(a)))
 
 
-def scale_of(a) -> float:
-    """Normalization factor for residual checks: max(1, ||a||_F)."""
-    return max(1.0, frobenius_norm(a))
-
-
-def within_tol(residual: float, tol: float, reference=None) -> bool:
-    """Apply the uniform tolerance policy to a raw Frobenius residual."""
-    scale = 1.0 if reference is None else scale_of(reference)
-    return residual <= tol * scale
+def within_tol(residual, tol: float, scale=1.0):
+    """The tolerance rule of every check: pass iff
+    ``residual <= tol * max(1, scale) < inf``, so NaN or infinite residuals
+    and overflowed scales fail. ``scale`` is the Frobenius norm of the
+    reference (sqrt(n) for the identity); elementwise when it is an array."""
+    if isinstance(scale, np.ndarray):
+        threshold = tol * np.maximum(scale, 1.0)
+        return (residual <= threshold) & (threshold < math.inf)
+    threshold = tol * max(scale, 1.0)  # max(nan, 1.0) keeps the nan
+    return residual <= threshold < math.inf
 
 
 def _require_square(a: np.ndarray, what: str) -> None:
@@ -117,17 +114,19 @@ def unitarity_residuals(u) -> tuple[float, float]:
     _require_square(u, "unitarity check operand")
     eye = identity(u.shape[0])
     ud = u.conj().T
-    return (
-        float(np.linalg.norm(ud @ u - eye)),
-        float(np.linalg.norm(u @ ud - eye)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            float(np.linalg.norm(ud @ u - eye)),
+            float(np.linalg.norm(u @ ud - eye)),
+        )
 
 
 def hermiticity_residual(a) -> float:
     """||a - a^dag||_F."""
     a = as_matrix(a)
     _require_square(a, "hermiticity check operand")
-    return float(np.linalg.norm(a - a.conj().T))
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(a - a.conj().T))
 
 
 def hermitian_eig(a, tol: float = DEFAULT_TOL) -> list[tuple[float, np.ndarray]]:
@@ -137,12 +136,12 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> list[tuple[float, np.ndarray]]
     matrix. Returns ``[(eigenvalue, eigenvector), ...]`` with real
     eigenvalues in ascending order and an orthonormal set of eigenvectors.
 
-    Raises ``NotHermitian`` when ``||a - a^dag|| > tol * max(1, ||a||)``.
+    Raises ``NotHermitian`` unless ``within_tol(||a - a^dag||, tol, ||a||)``.
     """
     a = as_matrix(a)
     _require_square(a, "hermitian_eig input")
     resid = hermiticity_residual(a)
-    if resid > tol * scale_of(a):
+    if not within_tol(resid, tol, frobenius_norm(a)):
         raise NotHermitian(
             f"matrix is not Hermitian within {tol:g} (residual {resid:.3e})"
         )

@@ -94,7 +94,8 @@ class DensityMatrix:
         mat = as_matrix(self.matrix)
         if mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {mat.shape}")
-        if not linalg.within_tol(linalg.hermiticity_residual(mat), tol, mat):
+        resid = linalg.hermiticity_residual(mat)
+        if not linalg.within_tol(resid, tol, linalg.frobenius_norm(mat)):
             raise NotHermitian("density matrix is not Hermitian within tolerance")
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
@@ -171,7 +172,7 @@ def validate_completeness(opset: MeasurementOperatorSet,
                           tol: float = DEFAULT_TOL) -> CompletenessReport:
     """Check the identity resolution sum_m M_m^dag M_m = I."""
     residual = opset.completeness_residual
-    passed = linalg.within_tol(residual, tol, identity(opset.dim))
+    passed = linalg.within_tol(residual, tol, math.sqrt(opset.dim))
     return CompletenessReport(
         passed=passed,
         residual=residual,
@@ -271,27 +272,30 @@ def sample_histogram(opset: MeasurementOperatorSet, psi: QuantumState,
 
 
 @dataclass(frozen=True, eq=False)
-class ProjectorResiduals:
-    """Every residual a projector set is judged on, each computed once, when
-    first read. Each passes when at most ``tol`` times its scale:
-    ``pair_scales`` for ``pairs``, max(1, ||P_k||_F) for hermiticity and
-    max(1, ||I||_F) for completeness."""
+class OperatorResiduals:
+    """Every residual a projector set or a POVM is judged on, each computed
+    once, when first read. Each passes :func:`linalg.within_tol` at ``tol``
+    against its own scale: ``pair_scales`` for ``pairs``, ||P_k||_F for
+    hermiticity and sqrt(dim) for completeness. ``lowest`` eigenvalues pass
+    at or above ``PSD_FLOOR``."""
 
-    projectors: tuple[np.ndarray, ...]  # square, one dimension
+    operators: tuple[np.ndarray, ...]  # square, one dimension
 
     @cached_property
     def norms(self) -> np.ndarray:  # ||P_k||_F
-        return np.array([np.linalg.norm(p) for p in self.projectors])
+        with np.errstate(over="ignore"):
+            return np.array([np.linalg.norm(p) for p in self.operators])
 
     @cached_property
     def hermiticity(self) -> np.ndarray:  # ||P_k - P_k^dag||_F
-        return np.array([np.linalg.norm(p - p.conj().T) for p in self.projectors])
+        with np.errstate(over="ignore"):
+            return np.array([np.linalg.norm(p - p.conj().T) for p in self.operators])
 
     @cached_property
     def pairs(self) -> np.ndarray:  # ||P_i P_j - delta_ij P_i||_F
-        out = np.empty((len(self.projectors), len(self.projectors)))
-        for i, pi in enumerate(self.projectors):
-            for j, pj in enumerate(self.projectors):
+        out = np.empty((len(self.operators), len(self.operators)))
+        for i, pi in enumerate(self.operators):
+            for j, pj in enumerate(self.operators):
                 prod = pi @ pj
                 if i == j:
                     prod -= pi
@@ -304,26 +308,47 @@ class ProjectorResiduals:
 
     @cached_property
     def completeness(self) -> float:  # ||sum_k P_k - I||_F
-        dim = self.projectors[0].shape[0]
-        return float(np.linalg.norm(sum(self.projectors) - identity(dim)))
+        dim = self.operators[0].shape[0]
+        return float(np.linalg.norm(sum(self.operators) - identity(dim)))
+
+    @cached_property
+    def lowest(self) -> np.ndarray:  # smallest eigenvalue of each P_k
+        return np.array([linalg.lowest_eigenvalue(p) for p in self.operators])
 
     def failure(self, tol: float) -> str | None:
-        """The first violated requirement, in hermiticity, pair, completeness
-        order, or None when the set passes at ``tol``; stops computing at
-        the first failing group."""
-        for k, resid in enumerate(self.hermiticity):
-            if not resid <= tol * max(1.0, self.norms[k]):
-                return f"projector {k} is not Hermitian (residual {resid:.3e})"
-        bad = np.argwhere(~(self.pairs <= tol * self.pair_scales))
+        """The first violated projector-set requirement, in hermiticity,
+        pair, completeness order, or None when the set passes at ``tol``;
+        stops computing at the first failing group."""
+        bad = np.flatnonzero(~linalg.within_tol(self.hermiticity, tol, self.norms))
+        if len(bad):
+            return (f"projector {bad[0]} is not Hermitian "
+                    f"(residual {self.hermiticity[bad[0]]:.3e})")
+        bad = np.argwhere(~linalg.within_tol(self.pairs, tol, self.pair_scales))
         if len(bad):
             i, j = (int(x) for x in bad[0])
             kind = "idempotence" if i == j else "orthogonality"
             return (f"projectors ({i}, {j}) violate {kind} "
                     f"(residual {self.pairs[i, j]:.3e})")
-        dim = self.projectors[0].shape[0]
-        if not self.completeness <= tol * max(1.0, math.sqrt(dim)):
+        if not linalg.within_tol(self.completeness, tol, math.sqrt(len(self.operators[0]))):
             return (f"projectors do not sum to the identity "
                     f"(residual {self.completeness:.3e})")
+        return None
+
+    def povm_failure(self, tol: float) -> Exception | None:
+        """The exception for the first violated POVM requirement, in
+        hermiticity, positivity, completeness order, or None when the
+        elements pass at ``tol``; stops computing at the first failing group."""
+        bad = np.flatnonzero(~linalg.within_tol(self.hermiticity, tol, self.norms))
+        if len(bad):
+            return NotHermitian(f"POVM element {bad[0]} is not Hermitian "
+                                f"(residual {self.hermiticity[bad[0]]:.3e})")
+        bad = np.flatnonzero(self.lowest < PSD_FLOOR)
+        if len(bad):
+            return ValueError(f"POVM element {bad[0]} has negative eigenvalue "
+                              f"{self.lowest[bad[0]]:.3e}")
+        if not linalg.within_tol(self.completeness, tol, math.sqrt(len(self.operators[0]))):
+            return IncompleteSet(f"POVM elements do not sum to the identity "
+                                 f"(residual {self.completeness:.3e})")
         return None
 
 
@@ -337,7 +362,7 @@ class ProjectorSet:
 
     def __post_init__(self, tol: float):
         projs, _ = _coerce_square_family(self.projectors, "projector set")
-        failure = ProjectorResiduals(projs).failure(tol)
+        failure = OperatorResiduals(projs).failure(tol)
         if failure is not None:
             raise InvalidProjectorSet(failure)
         object.__setattr__(self, "projectors", projs)
@@ -359,17 +384,20 @@ class Observable:
 
     ``spectrum`` pairs each distinct eigenvalue (ascending) with the
     projector onto its eigenspace; the projectors form a valid
-    :class:`ProjectorSet`.
+    :class:`ProjectorSet`, judged with ``reconstruction_residual``
+    ||A - sum_m lambda_m P_m||_F.
     """
 
     matrix: np.ndarray
     spectrum: tuple[tuple[float, np.ndarray], ...]
     tol: InitVar[float] = DEFAULT_TOL
+    reconstruction_residual: float = field(init=False)
     _projector_set: ProjectorSet = field(init=False, repr=False)
 
     def __post_init__(self, tol: float):
         mat = as_matrix(self.matrix)
-        if not linalg.within_tol(linalg.hermiticity_residual(mat), tol, mat):
+        scale = linalg.frobenius_norm(mat)
+        if not linalg.within_tol(linalg.hermiticity_residual(mat), tol, scale):
             raise NotHermitian("observable matrix is not Hermitian within tolerance")
         spectrum = tuple(
             (float(lam), freeze(as_matrix(p))) for lam, p in self.spectrum
@@ -378,7 +406,7 @@ class Observable:
             raise ValueError("observable needs a nonempty spectrum")
         recon = sum(lam * p for lam, p in spectrum)
         resid = linalg.frobenius_distance(mat, recon)
-        if not linalg.within_tol(resid, tol, mat):
+        if not linalg.within_tol(resid, tol, scale):
             raise ValueError(
                 f"spectrum does not reconstruct the observable "
                 f"(residual {resid:.3e})"
@@ -386,6 +414,7 @@ class Observable:
         pset = ProjectorSet(tuple(p for _, p in spectrum), tol=tol)
         object.__setattr__(self, "matrix", freeze(mat))
         object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "reconstruction_residual", resid)
         object.__setattr__(self, "_projector_set", pset)
 
     @property
@@ -430,24 +459,10 @@ class Povm:
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol: float):
-        elems, dim = _coerce_square_family(self.elements, "POVM")
-        for k, e in enumerate(elems):
-            resid = linalg.hermiticity_residual(e)
-            if not linalg.within_tol(resid, tol, e):
-                raise NotHermitian(
-                    f"POVM element {k} is not Hermitian (residual {resid:.3e})"
-                )
-            lowest = linalg.lowest_eigenvalue(e)
-            if lowest < PSD_FLOOR:
-                raise ValueError(
-                    f"POVM element {k} has negative eigenvalue {lowest:.3e}"
-                )
-        total = sum(elems)
-        resid = linalg.frobenius_distance(total, identity(dim))
-        if not linalg.within_tol(resid, tol, identity(dim)):
-            raise IncompleteSet(
-                f"POVM elements do not sum to the identity (residual {resid:.3e})"
-            )
+        elems, _ = _coerce_square_family(self.elements, "POVM")
+        failure = OperatorResiduals(elems).povm_failure(tol)
+        if failure is not None:
+            raise failure
         object.__setattr__(self, "elements", elems)
 
     @property
@@ -500,7 +515,7 @@ def classify_measurement(opset: MeasurementOperatorSet,
         pass
     if len(opset) == 1:
         left, right = linalg.unitarity_residuals(opset.operators[0])
-        eye_scale = linalg.scale_of(identity(opset.dim))
-        if left <= tol * eye_scale and right <= tol * eye_scale:
+        scale = math.sqrt(opset.dim)
+        if linalg.within_tol(left, tol, scale) and linalg.within_tol(right, tol, scale):
             return MeasurementKind.UNITARY_SINGLETON
     return MeasurementKind.GENERAL

@@ -11,6 +11,7 @@ element U^dag U stays the identity.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,7 @@ def commutation_residuals(u, pset: ProjectorSet) -> tuple[float, ...]:
     if unit.dim != pset.dim:
         raise DimensionMismatch(f"unitary dim {unit.dim} vs projector dim {pset.dim}")
     return tuple(
-        linalg.frobenius_norm(commutator(unit.matrix, p)) for p in pset.projectors
+        float(np.linalg.norm(commutator(unit.matrix, p))) for p in pset.projectors
     )
 
 
@@ -100,8 +101,7 @@ def is_mirror(u, pset: ProjectorSet,
     unit = _as_unitary(u, tol)
     residuals = commutation_residuals(unit, pset)
     worst = int(np.argmax(residuals))
-    scale = linalg.scale_of(identity(unit.dim))
-    if residuals[worst] <= tol * scale:
+    if linalg.within_tol(residuals[worst], tol, math.sqrt(unit.dim)):
         return MirrorUnitary(
             unitary=unit,
             reference_projectors=pset,
@@ -124,7 +124,7 @@ class PreservationReport:
     max_deviation: float
 
     def within(self, tol: float) -> bool:
-        return self.max_deviation <= tol
+        return linalg.within_tol(self.max_deviation, tol)
 
 
 def verify_probability_preservation(u, pset: ProjectorSet, psi: QuantumState,
@@ -245,9 +245,6 @@ def bell_comparison(bell_index: int, mirror,
     ext = povm_probabilities(Povm((e0, e1), tol=tol), rho, tol)
     internal = irm_povm(unit, tol)
     internal_prob = float(povm_probabilities(internal, rho, tol)[0])
-    identity_residual = linalg.frobenius_distance(
-        adjoint(unit.matrix) @ unit.matrix, identity(4)
-    )
     preservation = verify_probability_preservation(unit, comp, bell, tol)
     return BellComparisonReport(
         bell_index=bell_index,
@@ -256,7 +253,7 @@ def bell_comparison(bell_index: int, mirror,
         external_probabilities=(float(ext[0]), float(ext[1])),
         external_sum_residual=sum_residual,
         internal_probability=internal_prob,
-        internal_identity_residual=identity_residual,
+        internal_identity_residual=unit.residuals[0],
         preservation=preservation,
     )
 
@@ -289,12 +286,11 @@ def truth_protocol(u, psi: QuantumState,
         adjoint(unit.matrix) @ computed.amplitudes, normalize=True
     )
     element = adjoint(unit.matrix) @ unit.matrix
-    residual = linalg.frobenius_distance(element, identity(unit.dim))
     return TruthProtocolTranscript(
         initial=psi,
         computed=computed,
         restored=restored,
         fidelity=fidelity(psi, restored),
         povm_element=linalg.freeze(element),
-        identity_residual=residual,
+        identity_residual=unit.residuals[0],
     )

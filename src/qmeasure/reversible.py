@@ -12,25 +12,25 @@ e^{iA} for the observable A with those eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+import math
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .errors import (
-    CompletenessViolation,
     DimensionMismatch,
     NotUnitary,
     OrthogonalityViolation,
     PhaseNotUnimodular,
 )
-from .linalg import DEFAULT_TOL, adjoint, as_matrix, freeze, identity
+from .linalg import DEFAULT_TOL, adjoint, as_matrix, freeze, within_tol
 from .measurement import (
     MeasurementOperatorSet,
     Observable,
     Povm,
     ProjectorSet,
-    validate_completeness,
+    _require_complete,
 )
 
 UNIMODULAR_TOL = 1e-12  # ||alpha|^2 - 1| admitted for phase coefficients
@@ -38,23 +38,23 @@ UNIMODULAR_TOL = 1e-12  # ||alpha|^2 - 1| admitted for phase coefficients
 
 @dataclass(frozen=True, eq=False)
 class UnitaryOperator:
-    """Square matrix with U^dag U = U U^dag = I within tolerance."""
+    """Square matrix with U^dag U = U U^dag = I within tolerance, judged
+    with ``residuals`` (||U^dag U - I||_F, ||U U^dag - I||_F)."""
 
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
+    residuals: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self, tol: float):
         mat = as_matrix(self.matrix)
         if mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"unitary must be square, got {mat.shape}")
         left, right = linalg.unitarity_residuals(mat)
-        scale = linalg.scale_of(identity(mat.shape[0]))
-        if left > tol * scale or right > tol * scale:
-            raise NotUnitary(
-                f"matrix is not unitary within {tol:g} "
-                f"(residuals {left:.3e}, {right:.3e})"
-            )
+        scale = math.sqrt(mat.shape[0])
+        if not (within_tol(left, tol, scale) and within_tol(right, tol, scale)):
+            raise NotUnitary(tol, left, right)
         object.__setattr__(self, "matrix", freeze(mat))
+        object.__setattr__(self, "residuals", (left, right))
 
     @property
     def dim(self) -> int:
@@ -114,12 +114,12 @@ def _check_pairwise_orthogonality(ops, tol: float) -> None:
         for j, mj in enumerate(ops):
             if i == j:
                 continue
-            scale = max(1.0, ni * linalg.frobenius_norm(mj))
+            scale = ni * linalg.frobenius_norm(mj)
             left = linalg.frobenius_norm(adjoint(mi) @ mj)
-            if left > tol * scale:
+            if not within_tol(left, tol, scale):
                 raise OrthogonalityViolation(i, j, left)
             right = linalg.frobenius_norm(mi @ adjoint(mj))
-            if right > tol * scale:
+            if not within_tol(right, tol, scale):
                 raise OrthogonalityViolation(i, j, right)
 
 
@@ -138,11 +138,7 @@ def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,
             f"{len(phases)} phases for {len(opset)} operators"
         )
     _check_pairwise_orthogonality(opset.operators, tol)
-    report = validate_completeness(opset, tol)
-    if not report.passed:
-        raise CompletenessViolation(
-            f"operator family is not complete (residual {report.residual:.3e})"
-        )
+    _require_complete(opset, tol)
     combined = sum(
         alpha * m for alpha, m in zip(phases.phases, opset.operators)
     )

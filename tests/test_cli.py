@@ -8,13 +8,22 @@ Regenerate after an intentional change with:
 
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
 from qmeasure.cli import main, parse_complex, parse_complex_list
-from qmeasure.errors import ParseError
-from qmeasure.fileio import format_float, load_operator_file
+from qmeasure.errors import ParseError, QmeasureError
+from qmeasure.fileio import format_float, load_operator_file, save_operator_file
+from qmeasure.measurement import (
+    MeasurementOperatorSet,
+    Povm,
+    ProjectorSet,
+    classify_measurement,
+    spectral_decompose,
+)
+from qmeasure.reversible import UnitaryOperator
 
 GOLDEN_CASES = [
     ("validate_projectors_n2", ["validate", "corpus/projectors_n2.json"], 0),
@@ -286,3 +295,84 @@ def test_measure_verdict_follows_probability_sum(tmp_path, capsys):
     assert code == 1 and doc["verdict"] == "fail"
     assert doc["residuals"]["probability_sum"] > 1e-10
     assert "probability_sum" in doc["details"]
+
+
+# ---------------------------------------------------------------------------
+# the CLI verdict is the library's verdict
+
+# ||A - A^dag||_F and ||A||_F both overflow to inf
+OVERFLOW_OBSERVABLE = [[0, 1e200], [0, 0]]
+# U^dag U overflows to inf - inf = NaN
+OVERFLOW_UNITARY = [[1e200, 1e200], [1e200, -1e200]]
+
+# One failing input per kind, plus the two whose residuals overflow. The
+# incomplete POVM misses the identity by 1e-6, so it passes at --tol 1e-3.
+FAILING_INPUTS = {
+    "non_hermitian_projector": ("projector_set", [[[1, 1], [0, 0]], [[0, -1], [0, 1]]]),
+    "povm_not_psd": ("povm", [np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])]),
+    "povm_incomplete": ("povm", [np.diag([0.5, 0.5]), np.diag([0.5, 0.5 - 1e-6])]),
+    "non_unitary": ("unitary", [[[1, 1], [0, 1]]]),
+    "non_hermitian_observable": ("observable", [[[0, 1], [0, 0]]]),
+    "overflow_observable": ("observable", [OVERFLOW_OBSERVABLE]),
+    "overflow_unitary": ("unitary", [OVERFLOW_UNITARY]),
+}
+
+# The library call that accepts (returns) or rejects (raises) each kind.
+LIBRARY_JUDGES = {
+    "measurement_set": lambda mats, tol: classify_measurement(MeasurementOperatorSet(mats), tol),
+    "projector_set": lambda mats, tol: ProjectorSet(mats, tol=tol),
+    "povm": lambda mats, tol: Povm(mats, tol=tol),
+    "unitary": lambda mats, tol: UnitaryOperator(mats[0], tol=tol),
+    "observable": lambda mats, tol: spectral_decompose(mats[0], tol=tol),
+}
+
+CORPUS_OPERATOR_FILES = sorted(
+    path.name for path in (pathlib.Path(__file__).resolve().parent.parent / "corpus").glob("*.json")
+    if '"operators"' in path.read_text()
+)
+
+
+def write_input(tmp_path, name) -> pathlib.Path:
+    kind, mats = FAILING_INPUTS[name]
+    path = tmp_path / f"{name}.json"
+    save_operator_file(path, kind, [np.array(m, dtype=complex) for m in mats])
+    return path
+
+
+@pytest.mark.parametrize("tol", ["1e-10", "1e-3"])
+@pytest.mark.parametrize("source", CORPUS_OPERATOR_FILES + sorted(FAILING_INPUTS))
+def test_validate_verdict_agrees_with_library(source, tol, tmp_path, capsys):
+    if source in FAILING_INPUTS:
+        path = write_input(tmp_path, source)
+    else:
+        path = pathlib.Path("corpus", source)
+    doc = load_operator_file(path)
+    try:
+        LIBRARY_JUDGES[doc.kind](doc.matrices(), float(tol))
+        accepted = True
+    except (QmeasureError, ValueError):
+        accepted = False
+    code, out, _ = run_cli(["validate", str(path), "--tol", tol], capsys)
+    assert code == (0 if accepted else 1)
+    assert f"verdict: {'pass' if accepted else 'fail'}" in out
+
+
+def test_validate_fails_observable_with_overflowing_residual(tmp_path, capsys):
+    code, out, _ = run_cli(["validate", str(write_input(tmp_path, "overflow_observable"))],
+                           capsys)
+    assert code == 1
+    assert "verdict: fail" in out
+    assert "not Hermitian" in out
+
+
+def test_validate_and_truth_fail_unitary_with_nan_residuals(tmp_path, capsys):
+    path = str(write_input(tmp_path, "overflow_unitary"))
+    code, out, err = run_cli(["validate", path], capsys)
+    assert code == 1
+    assert "verdict: fail" in out
+    assert "Traceback" not in err
+    code, out, err = run_cli(["truth", path, "corpus/state_zero.json"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: matrix is not unitary")
+    assert "Traceback" not in err

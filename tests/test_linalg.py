@@ -212,7 +212,7 @@ def test_within_tol_policy_uses_reference_scale():
     assert linalg.within_tol(1e-11, 1e-10)
     assert not linalg.within_tol(2e-10, 1e-10)
     big = 100.0 * np.eye(4)
-    assert linalg.within_tol(1e-9, 1e-10, big)
+    assert linalg.within_tol(1e-9, 1e-10, np.linalg.norm(big))
 
 
 @settings(max_examples=30, deadline=None)

@@ -20,8 +20,9 @@ from qmeasure.measurement import (
     MeasurementKind,
     MeasurementOperatorSet,
     MeasurementRecord,
+    Observable,
+    OperatorResiduals,
     Povm,
-    ProjectorResiduals,
     ProjectorSet,
     QuantumState,
     apply_outcome,
@@ -308,7 +309,7 @@ def test_projector_set_names_first_violation():
         ProjectorSet((p0, 0.5 * np.ones((2, 2), dtype=complex)))
     with pytest.raises(InvalidProjectorSet, match="do not sum to the identity"):
         ProjectorSet((p0,))
-    res = ProjectorResiduals((np.array([[0, 1], [0, 0]], dtype=complex),))
+    res = OperatorResiduals((np.array([[0, 1], [0, 0]], dtype=complex),))
     assert "projector 0 is not Hermitian" in res.failure(1e-10)
     assert "pairs" not in vars(res)  # no pair products once hermiticity fails
 
@@ -317,7 +318,7 @@ def test_projector_residuals_match_pairwise_definition():
     rng = np.random.default_rng(8)
     u = random_unitary(rng, 5)
     projs = [np.outer(u[:, k], u[:, k].conj()) for k in range(5)]
-    res = ProjectorResiduals(tuple(projs))
+    res = OperatorResiduals(tuple(projs))
     for i, pi in enumerate(projs):
         assert res.hermiticity[i] == np.linalg.norm(pi - pi.conj().T)
         for j, pj in enumerate(projs):
@@ -367,6 +368,15 @@ def test_spectral_decompose_rejects_non_hermitian():
         spectral_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def test_observable_rejects_overflowing_hermiticity_residual():
+    # ||A - A^dag||_F and its scale ||A||_F both overflow to inf
+    a = np.array([[0, 1e200], [0, 0]], dtype=complex)
+    with pytest.raises(NotHermitian):
+        spectral_decompose(a)
+    with pytest.raises(NotHermitian):
+        Observable(a, ((0.0, np.eye(2, dtype=complex)),))
+
+
 def test_observable_reconstruction_random():
     rng = np.random.default_rng(17)
     for n in (2, 3, 6):
@@ -375,6 +385,7 @@ def test_observable_reconstruction_random():
         obs = spectral_decompose(a)
         recon = sum(lam * p for lam, p in obs.spectrum)
         assert np.linalg.norm(recon - a) < 1e-10 * max(1.0, np.linalg.norm(a))
+        assert obs.reconstruction_residual == np.linalg.norm(a - recon)
         obs.projector_set()  # eigenprojectors form a valid complete set
 
 
@@ -418,6 +429,21 @@ def test_povm_rejects_non_hermitian():
     e = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
     with pytest.raises(NotHermitian):
         Povm((e, np.eye(2, dtype=complex) - e))
+
+
+def test_povm_first_violation_messages_and_lazy_eigenvalues():
+    e = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
+    res = OperatorResiduals((e, np.eye(2, dtype=complex) - e))
+    failure = res.povm_failure(1e-10)
+    assert isinstance(failure, NotHermitian)
+    assert str(failure) == "POVM element 0 is not Hermitian (residual 7.071e-01)"
+    assert "lowest" not in vars(res)  # no eigenvalues once hermiticity fails
+    with pytest.raises(ValueError, match=r"^POVM element 1 has negative eigenvalue -5.000e-01$"):
+        Povm((np.diag([1.5, 0.0]).astype(complex), np.diag([-0.5, 1.0]).astype(complex)))
+    with pytest.raises(IncompleteSet,
+                       match=r"^POVM elements do not sum to the identity \(residual 7.071e-01\)$"):
+        Povm((np.diag([0.5, 0.5]).astype(complex),))
+    assert OperatorResiduals((np.eye(2, dtype=complex),)).povm_failure(1e-10) is None
 
 
 def test_povm_dim_mismatch_against_state():

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from helpers import orthogonal_family, random_phases, random_state, random_unitary
 from qmeasure import linalg
 from qmeasure.errors import (
-    CompletenessViolation,
     DimensionMismatch,
+    IncompleteSet,
     NotUnitary,
     OrthogonalityViolation,
     PhaseNotUnimodular,
@@ -48,6 +48,21 @@ def test_unitary_accepts_hadamard():
 def test_unitary_rejects_non_unitary():
     with pytest.raises(NotUnitary):
         UnitaryOperator(np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+def test_unitary_rejects_overflowing_products():
+    # U^dag U overflows to inf - inf = NaN, and a NaN residual must fail
+    with pytest.raises(NotUnitary) as info:
+        UnitaryOperator(np.array([[1e200, 1e200], [1e200, -1e200]], dtype=complex))
+    assert math.isnan(info.value.left) and math.isnan(info.value.right)
+
+
+def test_unitary_keeps_the_residuals_it_was_judged_on():
+    assert UnitaryOperator(HADAMARD).residuals == linalg.unitarity_residuals(HADAMARD)
+    double = 2.0 * np.eye(2, dtype=complex)
+    with pytest.raises(NotUnitary) as info:
+        UnitaryOperator(double)
+    assert (info.value.left, info.value.right) == linalg.unitarity_residuals(double)
 
 
 def test_unitary_rejects_non_square():
@@ -139,7 +154,7 @@ def test_superpose_rejects_non_orthogonal_family():
 def test_superpose_rejects_incomplete_family():
     opset = MeasurementOperatorSet((np.diag([1.0, 0.0]).astype(complex),
                                     np.diag([0.0, 0.5]).astype(complex)))
-    with pytest.raises(CompletenessViolation):
+    with pytest.raises(IncompleteSet):
         superpose_operators(opset, PhaseVector([1.0, 1.0]))
 
 
