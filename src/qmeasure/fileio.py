@@ -18,6 +18,7 @@ State file::
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,13 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _json_float(x: float) -> str:
+    """A float as JSON: its 17-digit form, or the string "nan", "inf" or
+    "-inf", which JSON has no number for."""
+    text = format_float(x)
+    return text if math.isfinite(x) else json.dumps(text)
+
+
 def _dump(value, indent: int, out: list[str]) -> None:
     pad = "  " * indent
     if isinstance(value, dict):
@@ -62,7 +70,7 @@ def _dump(value, indent: int, out: list[str]) -> None:
         flat = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
         if flat:
             body = ", ".join(
-                str(v) if isinstance(v, int) else format_float(v) for v in value
+                str(v) if isinstance(v, int) else _json_float(v) for v in value
             )
             out.append(f"[{body}]")
         else:
@@ -77,7 +85,7 @@ def _dump(value, indent: int, out: list[str]) -> None:
     elif isinstance(value, int):
         out.append(str(value))
     elif isinstance(value, float):
-        out.append(format_float(value))
+        out.append(_json_float(value))
     elif isinstance(value, str):
         out.append(json.dumps(value))
     elif value is None:

@@ -18,6 +18,7 @@ DEFAULT_TOL = 1e-10
 
 _EXPM_TERM_EPS = 1e-16  # stop the Taylor series once a term drops below this
 _EXPM_HALF_NORM = 0.5  # halve the input until its Frobenius norm is <= this
+_STACK_ENTRIES = 8192  # complex128 entries (128 KiB) in one stacked temporary
 
 
 def as_matrix(a) -> np.ndarray:
@@ -53,6 +54,35 @@ def frobenius_norm(a) -> float:
     """||a||_F; inf when the sum of squares overflows."""
     with np.errstate(over="ignore"):
         return float(np.linalg.norm(np.asarray(a)))
+
+
+def stack_size(n: int) -> int:
+    """How many n x n complex matrices one stacked temporary holds: as many
+    as fit in 128 KiB, and at least one."""
+    return max(1, _STACK_ENTRIES // (n * n))
+
+
+def stacks(mats):
+    """Consecutive blocks ``(lo, stack)`` of a sequence of n x n matrices:
+    ``stack`` is ``mats[lo:lo + len(stack)]`` as one C-ordered array of at
+    most ``stack_size(n)`` matrices."""
+    size = stack_size(len(mats[0]))
+    for lo in range(0, len(mats), size):
+        yield lo, np.array(mats[lo:lo + size])
+
+
+def frobenius_norms(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each matrix in a complex ``(k, n, n)`` stack,
+    bit for bit: sqrt(re.re + im.im) over the row-major real and imaginary
+    parts, each dot product taken by the BLAS call ``np.linalg.norm`` makes.
+    (``einsum`` sums in another order.) The stack is read in row-major
+    order, which is the order ``np.linalg.norm`` reads a C-ordered matrix."""
+    if len(stack) == 1:  # the same dot products, without the batched set-up
+        return np.array([np.linalg.norm(stack.reshape(-1))])
+    flat = stack.reshape(len(stack), 1, -1)
+    re, im = flat.real, flat.imag
+    squares = np.matmul(re, re.transpose(0, 2, 1)) + np.matmul(im, im.transpose(0, 2, 1))
+    return np.sqrt(squares.reshape(-1))
 
 
 def within_tol(residual, tol: float, scale=1.0):

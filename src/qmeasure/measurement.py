@@ -154,9 +154,11 @@ class MeasurementOperatorSet:
 
     @cached_property
     def completeness_residual(self) -> float:
-        """||sum_m M_m^dag M_m - I||_F."""
-        total = sum(adjoint(m) @ m for m in self.operators)
-        return linalg.frobenius_distance(total, identity(self.dim))
+        """||sum_m M_m^dag M_m - I||_F; inf when the sum overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = sum(adjoint(m) @ m for m in self.operators)
+            residual = float(np.linalg.norm(total - identity(self.dim)))
+        return math.inf if math.isnan(residual) else residual
 
 
 @dataclass(frozen=True)
@@ -274,32 +276,50 @@ def sample_histogram(opset: MeasurementOperatorSet, psi: QuantumState,
 @dataclass(frozen=True, eq=False)
 class OperatorResiduals:
     """Every residual a projector set or a POVM is judged on, each computed
-    once, when first read. Each passes :func:`linalg.within_tol` at ``tol``
-    against its own scale: ``pair_scales`` for ``pairs``, ||P_k||_F for
-    hermiticity and sqrt(dim) for completeness. ``lowest`` eigenvalues pass
-    at or above ``PSD_FLOOR``."""
+    once, when first read (norms and hermiticity together). Norms come from
+    stacks of at most 128 KiB and equal a per-matrix ``np.linalg.norm`` bit
+    for bit. Each passes :func:`linalg.within_tol` at ``tol`` against its
+    own scale: ``pair_scales`` for ``pairs``, ||P_k||_F for hermiticity and
+    sqrt(dim) for completeness. ``lowest`` eigenvalues pass at or above
+    ``PSD_FLOOR``."""
 
     operators: tuple[np.ndarray, ...]  # square, one dimension
 
     @cached_property
-    def norms(self) -> np.ndarray:  # ||P_k||_F
+    def _norms_and_hermiticity(self) -> tuple[np.ndarray, np.ndarray]:
+        norms, hermiticity = [], []
         with np.errstate(over="ignore"):
-            return np.array([np.linalg.norm(p) for p in self.operators])
+            for _, s in linalg.stacks(self.operators):
+                norms.append(linalg.frobenius_norms(s))
+                hermiticity.append(linalg.frobenius_norms(s - s.conj().transpose(0, 2, 1)))
+        if len(norms) == 1:  # one stack: no copies to join
+            return norms[0], hermiticity[0]
+        return np.concatenate(norms), np.concatenate(hermiticity)
 
-    @cached_property
+    @property
+    def norms(self) -> np.ndarray:  # ||P_k||_F
+        return self._norms_and_hermiticity[0]
+
+    @property
     def hermiticity(self) -> np.ndarray:  # ||P_k - P_k^dag||_F
-        with np.errstate(over="ignore"):
-            return np.array([np.linalg.norm(p - p.conj().T) for p in self.operators])
+        return self._norms_and_hermiticity[1]
 
     @cached_property
     def pairs(self) -> np.ndarray:  # ||P_i P_j - delta_ij P_i||_F
-        out = np.empty((len(self.operators), len(self.operators)))
-        for i, pi in enumerate(self.operators):
-            for j, pj in enumerate(self.operators):
-                prod = pi @ pj
-                if i == j:
-                    prod -= pi
-                out[i, j] = np.linalg.norm(prod)
+        ops = self.operators
+        count, n = len(ops), len(ops[0])
+        rows = max(1, linalg.stack_size(n) // count)  # keeps each tile of products in budget
+        out = np.empty((count, count))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo, right in linalg.stacks(ops):  # outermost, so each is built once
+                for top in range(0, count, rows):
+                    # one tile holds every row when one stack holds every operator
+                    left = right if rows >= count else np.array(ops[top:top + rows])
+                    prods = left[:, None] @ right
+                    for i in range(max(top, lo), min(top + len(left), lo + len(right))):
+                        prods[i - top, i - lo] -= left[i - top]  # the pair (i, i)
+                    out[top:top + len(left), lo:lo + len(right)] = linalg.frobenius_norms(
+                        prods.reshape(-1, n, n)).reshape(prods.shape[:2])
         return out
 
     @cached_property

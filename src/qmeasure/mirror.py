@@ -23,7 +23,7 @@ from .errors import (
     PhaseNotUnimodular,
     QmeasureError,
 )
-from .linalg import DEFAULT_TOL, adjoint, commutator, identity
+from .linalg import DEFAULT_TOL, adjoint, identity
 from .measurement import (
     DensityMatrix,
     Povm,
@@ -85,9 +85,10 @@ def commutation_residuals(u, pset: ProjectorSet) -> tuple[float, ...]:
     unit = _as_unitary(u)
     if unit.dim != pset.dim:
         raise DimensionMismatch(f"unitary dim {unit.dim} vs projector dim {pset.dim}")
-    return tuple(
-        float(np.linalg.norm(commutator(unit.matrix, p))) for p in pset.projectors
-    )
+    m = unit.matrix
+    return tuple(np.concatenate([
+        linalg.frobenius_norms(m @ s - s @ m) for _, s in linalg.stacks(pset.projectors)
+    ]).tolist())
 
 
 def is_mirror(u, pset: ProjectorSet,

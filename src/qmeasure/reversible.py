@@ -109,18 +109,33 @@ def unitary_as_measurement(u, tol: float = DEFAULT_TOL) -> MeasurementOperatorSe
 
 
 def _check_pairwise_orthogonality(ops, tol: float) -> None:
-    for i, mi in enumerate(ops):
-        ni = linalg.frobenius_norm(mi)
-        for j, mj in enumerate(ops):
-            if i == j:
-                continue
-            scale = ni * linalg.frobenius_norm(mj)
-            left = linalg.frobenius_norm(adjoint(mi) @ mj)
-            if not within_tol(left, tol, scale):
-                raise OrthogonalityViolation(i, j, left)
-            right = linalg.frobenius_norm(mi @ adjoint(mj))
-            if not within_tol(right, tol, scale):
-                raise OrthogonalityViolation(i, j, right)
+    """Raise ``OrthogonalityViolation`` for the first pair i != j, in
+    row-major order, whose ||M_i^dag M_j||_F, or else ||M_i M_j^dag||_F,
+    fails ``within_tol`` against ||M_i||_F ||M_j||_F. Pairs are formed in
+    row-major tiles, and none after the first tile holding a violation."""
+    count, n = len(ops), len(ops[0])
+    rows = max(1, linalg.stack_size(n) // count)  # keeps each tile of products in budget
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.concatenate([linalg.frobenius_norms(s) for _, s in linalg.stacks(ops)])
+        for top in range(0, count, rows):
+            left = np.array(ops[top:top + rows])
+            left_dag = np.conjugate(left.transpose(0, 2, 1), order="C")
+            for lo, right in linalg.stacks(ops):
+                right_dag = np.conjugate(right.transpose(0, 2, 1), order="C")
+                shape = (len(left), len(right))
+                lefts = linalg.frobenius_norms(
+                    (left_dag[:, None] @ right).reshape(-1, n, n)).reshape(shape)
+                rights = linalg.frobenius_norms(
+                    (left[:, None] @ right_dag).reshape(-1, n, n)).reshape(shape)
+                scale = np.outer(norms[top:top + len(left)], norms[lo:lo + len(right)])
+                left_ok = within_tol(lefts, tol, scale)
+                bad = ~(left_ok & within_tol(rights, tol, scale))
+                i, j = np.indices(shape)
+                bad &= i + top != j + lo
+                if bad.any():
+                    a, b = np.argwhere(bad)[0]
+                    residual = rights[a, b] if left_ok[a, b] else lefts[a, b]
+                    raise OrthogonalityViolation(int(top + a), int(lo + b), float(residual))
 
 
 def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,

@@ -9,6 +9,7 @@ Regenerate after an intentional change with:
 import json
 import os
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +305,8 @@ def test_measure_verdict_follows_probability_sum(tmp_path, capsys):
 OVERFLOW_OBSERVABLE = [[0, 1e200], [0, 0]]
 # U^dag U overflows to inf - inf = NaN
 OVERFLOW_UNITARY = [[1e200, 1e200], [1e200, -1e200]]
+# sum_m M_m^dag M_m overflows to inf
+OVERFLOW_MEASUREMENT_SET = [[1e200, 0], [0, 1]]
 
 # One failing input per kind, plus the two whose residuals overflow. The
 # incomplete POVM misses the identity by 1e-6, so it passes at --tol 1e-3.
@@ -315,6 +318,7 @@ FAILING_INPUTS = {
     "non_hermitian_observable": ("observable", [[[0, 1], [0, 0]]]),
     "overflow_observable": ("observable", [OVERFLOW_OBSERVABLE]),
     "overflow_unitary": ("unitary", [OVERFLOW_UNITARY]),
+    "overflow_measurement_set": ("measurement_set", [OVERFLOW_MEASUREMENT_SET]),
 }
 
 # The library call that accepts (returns) or rejects (raises) each kind.
@@ -376,3 +380,32 @@ def test_validate_and_truth_fail_unitary_with_nan_residuals(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: matrix is not unitary")
     assert "Traceback" not in err
+
+
+def test_machine_format_writes_non_finite_residuals_as_strings(tmp_path, capsys):
+    path = str(write_input(tmp_path, "overflow_unitary"))
+    code, out, _ = run_cli(["validate", path, "--format", "machine"], capsys)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["residuals"] == {"unitarity_left": "nan", "unitarity_right": "nan"}
+    code, out, _ = run_cli(["validate", path], capsys)
+    assert "unitarity_left: nan" in out
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "measure"])
+def test_overflowing_measurement_set_fails_completeness(command, tmp_path, capsys):
+    argv = [command, str(write_input(tmp_path, "overflow_measurement_set"))]
+    if command == "measure":
+        argv.append("corpus/state_plus.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv + ["--format", "machine"], capsys)
+    assert code == 1
+    assert "finite" not in err and "Traceback" not in err
+    if command == "validate":
+        doc = json.loads(out)
+        assert doc["verdict"] == "fail"
+        assert doc["residuals"] == {"completeness": "inf"}
+    else:
+        assert out == ""
+        assert err.startswith("error: operator set fails completeness (residual inf)")

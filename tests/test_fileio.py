@@ -75,6 +75,13 @@ def test_dumps_document_is_valid_json():
     assert parsed["operators"][0]["matrix"][0][0] == [1, 0]
 
 
+def test_dumps_document_writes_non_finite_floats_as_strings():
+    doc = {"a": math.inf, "b": [-math.inf, 1.5, math.nan], "c": {"d": math.nan}}
+    text = dumps_document(doc)
+    assert json.loads(text) == {"a": "inf", "b": ["-inf", 1.5, "nan"], "c": {"d": "nan"}}
+    assert json.loads(text, parse_constant=pytest.fail)
+
+
 def test_labels_are_ordered_on_load(tmp_path):
     doc = operator_document("measurement_set",
                             [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])

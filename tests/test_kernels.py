@@ -1,0 +1,178 @@
+"""The stacked residual kernels against the per-matrix loops they replaced.
+
+Every residual must equal its loop definition bit for bit (``==``, with NaN
+matching NaN), because the goldens and the first-violation messages print
+those bits. The loops below are the reference implementations.
+"""
+
+import tracemalloc
+import types
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import orthogonal_family, random_phases, random_unitary
+from qmeasure import linalg
+from qmeasure.errors import InvalidProjectorSet, OrthogonalityViolation
+from qmeasure.measurement import MeasurementOperatorSet, OperatorResiduals, ProjectorSet
+from qmeasure.mirror import commutation_residuals
+from qmeasure.reversible import PhaseVector, UnitaryOperator, superpose_operators
+
+DIMS = list(range(1, 10)) + [32, 64]
+SCALES = [1e-150, 1.0, 1e150]
+
+
+def loop_pairs(ops):
+    out = np.empty((len(ops), len(ops)))
+    for i, pi in enumerate(ops):
+        for j, pj in enumerate(ops):
+            prod = pi @ pj
+            if i == j:
+                prod -= pi
+            out[i, j] = np.linalg.norm(prod)
+    return out
+
+
+def loop_two_sided(ops, tol):
+    """First (i, j, residual) of the two-sided check, or None."""
+    for i, mi in enumerate(ops):
+        ni = linalg.frobenius_norm(mi)
+        for j, mj in enumerate(ops):
+            if i == j:
+                continue
+            scale = ni * linalg.frobenius_norm(mj)
+            left = linalg.frobenius_norm(linalg.adjoint(mi) @ mj)
+            if not linalg.within_tol(left, tol, scale):
+                return i, j, left
+            right = linalg.frobenius_norm(mi @ linalg.adjoint(mj))
+            if not linalg.within_tol(right, tol, scale):
+                return i, j, right
+    return None
+
+
+def rank1_projectors(rng, n):
+    u = random_unitary(rng, n)
+    return [np.outer(u[:, k], u[:, k].conj()) for k in range(n)]
+
+
+@st.composite
+def families(draw):
+    """A (k, n, n) stack: Gaussian or rank-1 projectors, scaled, and either
+    C-ordered or a strided (non-contiguous) view into a larger array."""
+    n = draw(st.sampled_from(DIMS))
+    k = draw(st.integers(min_value=1, max_value=9))
+    scale = draw(st.sampled_from(SCALES))
+    strided = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if draw(st.booleans()):
+        mats = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+    else:
+        projs = rank1_projectors(rng, n)
+        mats = np.array([projs[m % n] for m in range(k)])
+    mats = mats * scale
+    if not strided:
+        return mats
+    big = np.zeros((k, 2 * n, 3 * n), dtype=complex)
+    big[:, ::2, 1::3] = mats
+    return big[:, ::2, 1::3]
+
+
+@settings(max_examples=80, deadline=None)
+@given(families(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_stacked_kernels_equal_the_per_matrix_loops(stack, seed):
+    ops = tuple(stack)
+    n = stack.shape[1]
+    u = UnitaryOperator(random_unitary(np.random.default_rng(seed), n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.array([np.linalg.norm(p) for p in ops])
+        hermiticity = np.array([np.linalg.norm(p - p.conj().T) for p in ops])
+        pairs = loop_pairs(ops)
+        commutators = np.array([np.linalg.norm(linalg.commutator(u.matrix, p)) for p in ops])
+        stacked = linalg.frobenius_norms(stack)
+        mirror = commutation_residuals(u, types.SimpleNamespace(projectors=ops, dim=n))
+    res = OperatorResiduals(ops)
+    np.testing.assert_array_equal(stacked, norms, strict=True)
+    np.testing.assert_array_equal(res.norms, norms, strict=True)
+    np.testing.assert_array_equal(res.hermiticity, hermiticity, strict=True)
+    np.testing.assert_array_equal(res.pairs, pairs, strict=True)
+    np.testing.assert_array_equal(np.array(mirror), commutators, strict=True)
+    assert all(type(r) is float for r in mirror)
+
+
+def test_planted_bad_pair_gives_the_loop_violation():
+    for n in (3, 9, 32):
+        u = random_unitary(np.random.default_rng(n), n)
+        projs = [np.outer(u[:, k], u[:, k].conj()) for k in range(n)]
+        # tilt vector n-1 towards vector 1: still a rank-1 projector
+        v = np.cos(1e-4) * u[:, n - 1] + np.sin(1e-4) * u[:, 1]
+        projs[n - 1] = np.outer(v, v.conj())
+        pairs = loop_pairs(projs)
+        bad = np.argwhere(~linalg.within_tol(
+            pairs, 1e-10, OperatorResiduals(tuple(projs)).pair_scales))
+        i, j = bad[0]
+        assert (i, j) == (1, n - 1)
+        with pytest.raises(InvalidProjectorSet) as exc:
+            ProjectorSet(tuple(projs))
+        assert str(exc.value) == (f"projectors ({i}, {j}) violate orthogonality "
+                                  f"(residual {pairs[i, j]:.3e})")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([2, 3, 5, 8, 32]),
+       st.sampled_from(["none", "both", "right_only"]))
+def test_two_sided_check_raises_the_loop_violation(seed, n, plant):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, min(n, 9) + 1))
+    family = orthogonal_family(rng, n, k)
+    a, b = (int(x) for x in rng.choice(k, size=2, replace=False))
+    if plant == "both":
+        family[a] = family[a] + 1e-6 * family[b]
+    elif plant == "right_only":
+        # rows of M_a gain a component along the rows of M_b; columns do not
+        x = random_unitary(rng, n)
+        family[a] = family[a] + 1e-6 * (family[a] @ x @ family[b].conj().T @ family[b])
+    expected = loop_two_sided(family, 1e-10)
+    opset = MeasurementOperatorSet(tuple(family))
+    phases = PhaseVector(random_phases(rng, k))
+    if expected is None:
+        superpose_operators(opset, phases)
+        return
+    with pytest.raises(OrthogonalityViolation) as exc:
+        superpose_operators(opset, phases)
+    assert (exc.value.i, exc.value.j, exc.value.residual) == expected
+    assert type(exc.value.residual) is float
+
+
+def test_residuals_of_a_32_projector_family_stay_within_budget():
+    rng = np.random.default_rng(32)
+    projs = tuple(rank1_projectors(rng, 32))
+    unit = UnitaryOperator(random_unitary(rng, 32))
+    pset = ProjectorSet(projs)
+    opset = MeasurementOperatorSet(projs)
+    phases = PhaseVector(random_phases(rng, 32))
+    tracemalloc.start()
+    try:
+        res = OperatorResiduals(projs)
+        assert res.failure(1e-10) is None
+        res.lowest
+        commutation_residuals(unit, pset)
+        superpose_operators(opset, phases)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
+def test_a_pair_larger_than_the_stack_budget_still_validates():
+    rng = np.random.default_rng(128)
+    v = random_unitary(rng, 128)[:, :64]
+    p = v @ v.conj().T
+    projs = (p, np.eye(128) - p)
+    assert linalg.stack_size(128) == 1
+    res = OperatorResiduals(projs)
+    np.testing.assert_array_equal(res.pairs, loop_pairs(projs), strict=True)
+    assert len(ProjectorSet(projs)) == 2
+    superpose_operators(MeasurementOperatorSet(projs), PhaseVector([1.0, -1.0]))
