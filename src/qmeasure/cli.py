@@ -29,6 +29,7 @@ from .errors import (
 )
 from .fileio import (
     OperatorFile,
+    complex_pairs,
     dumps_document,
     format_float,
     load_operator_file,
@@ -116,14 +117,6 @@ def _load_state(path: str, warnings: list[str]) -> QuantumState:
     if abs(norm - 1.0) > NORM_WARN:
         warnings.append(f"input state renormalized (norm was {format_float(norm)})")
     return QuantumState(vec, normalize=True)
-
-
-def _pairs(array: np.ndarray) -> list:
-    """Matrix or vector as nested [re, im] pairs for report payloads."""
-    arr = np.asarray(array, dtype=np.complex128)
-    if arr.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in arr]
-    return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +296,7 @@ def cmd_measure(args) -> dict:
         record = apply_outcome(opset, psi, args.outcome, tol=args.tol)
         report["outcome"] = record.outcome
         report["probability"] = record.probability
-        report["post_state"] = _pairs(record.post_state.amplitudes)
+        report["post_state"] = complex_pairs(record.post_state.amplitudes)
     elif args.shots is not None:
         if args.seed is None:
             raise ParseError("--shots requires --seed")
@@ -357,7 +350,7 @@ def cmd_mirror_build(args) -> dict:
             "unitarity_left": left,
             "unitarity_right": right,
         },
-        "matrix": _pairs(u),
+        "matrix": complex_pairs(u),
     }
     details = [] if args.out is None else [f"unitary written to {args.out}"]
     return _finish(report, details)
@@ -417,8 +410,8 @@ def cmd_truth(args) -> dict:
             "fidelity_deficit": max(0.0, 1.0 - transcript.fidelity),
             "identity_residual": transcript.identity_residual,
         },
-        "computed_state": _pairs(transcript.computed.amplitudes),
-        "restored_state": _pairs(transcript.restored.amplitudes),
+        "computed_state": complex_pairs(transcript.computed.amplitudes),
+        "restored_state": complex_pairs(transcript.restored.amplitudes),
     }
     return _finish(report, details)
 

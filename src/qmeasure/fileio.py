@@ -102,10 +102,12 @@ def dumps_document(doc: dict) -> str:
     return "".join(out)
 
 
-def _matrix_to_pairs(mat: np.ndarray) -> list[list[list[float]]]:
-    return [
-        [[float(entry.real), float(entry.imag)] for entry in row] for row in mat
-    ]
+def complex_pairs(array) -> list:
+    """A complex vector or matrix as nested ``[re, im]`` pairs of floats."""
+    arr = np.asarray(array, dtype=np.complex128)
+    if arr.ndim == 1:
+        return [[float(z.real), float(z.imag)] for z in arr]
+    return [complex_pairs(row) for row in arr]
 
 
 def _pairs_to_complex(node, what: str) -> complex:
@@ -206,7 +208,7 @@ def operator_document(kind: str, matrices, labels=None) -> dict:
         "kind": kind,
         "dim": dim,
         "operators": [
-            {"label": int(label), "matrix": _matrix_to_pairs(mat)}
+            {"label": int(label), "matrix": complex_pairs(mat)}
             for label, mat in zip(labels, mats)
         ],
     }
@@ -217,7 +219,7 @@ def state_document(amplitudes) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "dim": int(amps.shape[0]),
-        "amplitudes": [[float(a.real), float(a.imag)] for a in amps],
+        "amplitudes": complex_pairs(amps),
     }
 
 

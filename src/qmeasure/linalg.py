@@ -40,10 +40,13 @@ def as_vector(a) -> np.ndarray:
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
-    """Return a read-only copy; domain types store only frozen arrays."""
-    out = arr.copy()
-    out.setflags(write=False)
-    return out
+    """Mark ``arr`` read-only and return it; domain types store only frozen
+    arrays. It does not copy, so pass only an array nothing else holds:
+    every caller freezes one it has just made (``as_matrix``, ``as_vector``
+    and ``np.array`` always copy their input), so no writable alias of a
+    stored array is left."""
+    arr.setflags(write=False)
+    return arr
 
 
 def identity(n: int) -> np.ndarray:
@@ -83,6 +86,28 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     re, im = flat.real, flat.imag
     squares = np.matmul(re, re.transpose(0, 2, 1)) + np.matmul(im, im.transpose(0, 2, 1))
     return np.sqrt(squares.reshape(-1))
+
+
+def orthogonality_residuals(lefts, rights) -> np.ndarray:
+    """The ``(len(lefts), len(rights))`` array of ||L_i R_j - delta_ij L_i||_F
+    over two sequences of n x n matrices, each entry equal to
+    ``np.linalg.norm(L_i @ R_j - delta_ij L_i)`` bit for bit; inf or NaN
+    where a product overflows. Products are formed on tiles of at most
+    128 KiB: the column stacks of ``rights`` are the outer loop, so each is
+    built once, and the rows of ``lefts`` are cut to fit beside them."""
+    n = len(rights[0])
+    rows = max(1, stack_size(n) // len(rights))  # keeps each tile of products in budget
+    out = np.empty((len(lefts), len(rights)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, right in stacks(rights):
+            for top in range(0, len(lefts), rows):
+                left = np.array(lefts[top:top + rows])
+                prods = left[:, None] @ right
+                for i in range(max(top, lo), min(top + len(left), lo + len(right))):
+                    prods[i - top, i - lo] -= left[i - top]  # the pair (i, i)
+                out[top:top + len(left), lo:lo + len(right)] = frobenius_norms(
+                    prods.reshape(-1, n, n)).reshape(prods.shape[:2])
+    return out
 
 
 def within_tol(residual, tol: float, scale=1.0):

@@ -306,21 +306,7 @@ class OperatorResiduals:
 
     @cached_property
     def pairs(self) -> np.ndarray:  # ||P_i P_j - delta_ij P_i||_F
-        ops = self.operators
-        count, n = len(ops), len(ops[0])
-        rows = max(1, linalg.stack_size(n) // count)  # keeps each tile of products in budget
-        out = np.empty((count, count))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo, right in linalg.stacks(ops):  # outermost, so each is built once
-                for top in range(0, count, rows):
-                    # one tile holds every row when one stack holds every operator
-                    left = right if rows >= count else np.array(ops[top:top + rows])
-                    prods = left[:, None] @ right
-                    for i in range(max(top, lo), min(top + len(left), lo + len(right))):
-                        prods[i - top, i - lo] -= left[i - top]  # the pair (i, i)
-                    out[top:top + len(left), lo:lo + len(right)] = linalg.frobenius_norms(
-                        prods.reshape(-1, n, n)).reshape(prods.shape[:2])
-        return out
+        return linalg.orthogonality_residuals(self.operators, self.operators)
 
     @cached_property
     def pair_scales(self) -> np.ndarray:  # max(1, ||P_i||_F ||P_j||_F)
@@ -450,12 +436,11 @@ class Observable:
         return self._projector_set
 
 
-def spectral_decompose(a, tol: float = DEFAULT_TOL,
-                       cluster_tol: float = CLUSTER_TOL) -> Observable:
+def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     """Spectral decomposition of a Hermitian matrix into eigenspaces.
 
     The eigenpairs come from :func:`linalg.hermitian_eig` (LAPACK ``eigh``).
-    Eigenvalues whose consecutive gap is at most ``cluster_tol`` are merged
+    Eigenvalues whose consecutive gap is at most ``CLUSTER_TOL`` are merged
     into one eigenspace, valued at their mean, whose projector is V V^dag
     over the clustered eigenvectors V, so a fully degenerate spectrum yields
     a single projector (the identity when all eigenvalues agree).
@@ -464,7 +449,7 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL,
     pairs = linalg.hermitian_eig(a, tol)
     vals = np.array([lam for lam, _ in pairs])
     vecs = np.column_stack([vec for _, vec in pairs])
-    groups = np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > cluster_tol) + 1)
+    groups = np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > CLUSTER_TOL) + 1)
     spectrum = tuple(
         (float(np.mean(vals[g])), vecs[:, g] @ vecs[:, g].conj().T) for g in groups
     )
@@ -528,11 +513,8 @@ def classify_measurement(opset: MeasurementOperatorSet,
     for a lone unitary; GENERAL otherwise. A singleton {I} satisfies both
     special cases and is reported as PROJECTIVE, the stricter one."""
     _require_complete(opset, tol)
-    try:
-        ProjectorSet(opset.operators, tol=tol)
+    if OperatorResiduals(opset.operators).failure(tol) is None:
         return MeasurementKind.PROJECTIVE
-    except InvalidProjectorSet:
-        pass
     if len(opset) == 1:
         left, right = linalg.unitarity_residuals(opset.operators[0])
         scale = math.sqrt(opset.dim)

@@ -111,31 +111,20 @@ def unitary_as_measurement(u, tol: float = DEFAULT_TOL) -> MeasurementOperatorSe
 def _check_pairwise_orthogonality(ops, tol: float) -> None:
     """Raise ``OrthogonalityViolation`` for the first pair i != j, in
     row-major order, whose ||M_i^dag M_j||_F, or else ||M_i M_j^dag||_F,
-    fails ``within_tol`` against ||M_i||_F ||M_j||_F. Pairs are formed in
-    row-major tiles, and none after the first tile holding a violation."""
-    count, n = len(ops), len(ops[0])
-    rows = max(1, linalg.stack_size(n) // count)  # keeps each tile of products in budget
+    fails ``within_tol`` against ||M_i||_F ||M_j||_F."""
+    adjoints = [np.conjugate(m.T, order="C") for m in ops]
+    lefts = linalg.orthogonality_residuals(adjoints, ops)
+    rights = linalg.orthogonality_residuals(ops, adjoints)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.concatenate([linalg.frobenius_norms(s) for _, s in linalg.stacks(ops)])
-        for top in range(0, count, rows):
-            left = np.array(ops[top:top + rows])
-            left_dag = np.conjugate(left.transpose(0, 2, 1), order="C")
-            for lo, right in linalg.stacks(ops):
-                right_dag = np.conjugate(right.transpose(0, 2, 1), order="C")
-                shape = (len(left), len(right))
-                lefts = linalg.frobenius_norms(
-                    (left_dag[:, None] @ right).reshape(-1, n, n)).reshape(shape)
-                rights = linalg.frobenius_norms(
-                    (left[:, None] @ right_dag).reshape(-1, n, n)).reshape(shape)
-                scale = np.outer(norms[top:top + len(left)], norms[lo:lo + len(right)])
-                left_ok = within_tol(lefts, tol, scale)
-                bad = ~(left_ok & within_tol(rights, tol, scale))
-                i, j = np.indices(shape)
-                bad &= i + top != j + lo
-                if bad.any():
-                    a, b = np.argwhere(bad)[0]
-                    residual = rights[a, b] if left_ok[a, b] else lefts[a, b]
-                    raise OrthogonalityViolation(int(top + a), int(lo + b), float(residual))
+        scale = np.outer(norms, norms)
+        left_ok = within_tol(lefts, tol, scale)
+        bad = ~(left_ok & within_tol(rights, tol, scale))
+    np.fill_diagonal(bad, False)  # the diagonal holds no orthogonality pair
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        residual = rights[i, j] if left_ok[i, j] else lefts[i, j]
+        raise OrthogonalityViolation(int(i), int(j), float(residual))
 
 
 def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,
@@ -182,11 +171,9 @@ def exp_observable(obs: Observable, tol: float = DEFAULT_TOL) -> UnitaryOperator
     Built from the spectral data directly; ``linalg.expm_oracle`` on i*A is
     the independent cross-check exercised by the test suite.
     """
-    phases = PhaseVector.from_angles(obs.eigenvalues)
-    combined = sum(
-        alpha * p for alpha, (_, p) in zip(phases.phases, obs.spectrum)
+    return phase_superpose_projectors(
+        obs.projector_set(), PhaseVector.from_angles(obs.eigenvalues), tol
     )
-    return UnitaryOperator(combined, tol=tol)
 
 
 def irm_povm(u, tol: float = DEFAULT_TOL) -> Povm:

@@ -89,14 +89,22 @@ def test_stacked_kernels_equal_the_per_matrix_loops(stack, seed):
         norms = np.array([np.linalg.norm(p) for p in ops])
         hermiticity = np.array([np.linalg.norm(p - p.conj().T) for p in ops])
         pairs = loop_pairs(ops)
+        adjoint_lefts = np.array([[np.linalg.norm(mi.conj().T @ mj) for mj in ops] for mi in ops])
+        adjoint_rights = np.array([[np.linalg.norm(mi @ mj.conj().T) for mj in ops] for mi in ops])
         commutators = np.array([np.linalg.norm(linalg.commutator(u.matrix, p)) for p in ops])
         stacked = linalg.frobenius_norms(stack)
         mirror = commutation_residuals(u, types.SimpleNamespace(projectors=ops, dim=n))
+    adjoints = [np.conjugate(m.T, order="C") for m in ops]
+    off = ~np.eye(len(ops), dtype=bool)
     res = OperatorResiduals(ops)
     np.testing.assert_array_equal(stacked, norms, strict=True)
     np.testing.assert_array_equal(res.norms, norms, strict=True)
     np.testing.assert_array_equal(res.hermiticity, hermiticity, strict=True)
     np.testing.assert_array_equal(res.pairs, pairs, strict=True)
+    np.testing.assert_array_equal(
+        linalg.orthogonality_residuals(adjoints, ops)[off], adjoint_lefts[off], strict=True)
+    np.testing.assert_array_equal(
+        linalg.orthogonality_residuals(ops, adjoints)[off], adjoint_rights[off], strict=True)
     np.testing.assert_array_equal(np.array(mirror), commutators, strict=True)
     assert all(type(r) is float for r in mirror)
 
@@ -153,6 +161,8 @@ def test_residuals_of_a_32_projector_family_stay_within_budget():
     pset = ProjectorSet(projs)
     opset = MeasurementOperatorSet(projs)
     phases = PhaseVector(random_phases(rng, 32))
+    # every product of the failing family is formed before its violation is found
+    failing = MeasurementOperatorSet(projs[:-1] + (projs[-1] + 1e-6 * projs[0],))
     tracemalloc.start()
     try:
         res = OperatorResiduals(projs)
@@ -160,6 +170,8 @@ def test_residuals_of_a_32_projector_family_stay_within_budget():
         res.lowest
         commutation_residuals(unit, pset)
         superpose_operators(opset, phases)
+        with pytest.raises(OrthogonalityViolation):
+            superpose_operators(failing, phases)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -36,6 +36,7 @@ from qmeasure.measurement import (
     spectral_decompose,
     validate_completeness,
 )
+from qmeasure.reversible import PhaseVector, UnitaryOperator
 
 RT2 = 1.0 / math.sqrt(2.0)
 PLUS = QuantumState(np.array([RT2, RT2], dtype=complex))
@@ -92,9 +93,47 @@ def test_state_rejects_non_finite_amplitudes(bad):
             QuantumState(np.array([bad, 1.0], dtype=complex), normalize=normalize)
 
 
-def test_state_amplitudes_are_read_only():
-    with pytest.raises(ValueError):
-        PLUS.amplitudes[0] = 1.0
+def _diag(*entries):
+    return np.diag(entries).astype(complex)
+
+
+def _observable_arrays(z, p_up, p_down):
+    obs = Observable(z, ((-1.0, p_down), (1.0, p_up)))
+    return [obs.matrix, *(p for _, p in obs.spectrum), *obs.projector_set().projectors]
+
+
+# (fresh inputs, the arrays a domain object built from them stores)
+STORED_ARRAY_CASES = [
+    (lambda: [np.array([0.6, 0.8j])], lambda v: [QuantumState(v).amplitudes]),
+    (lambda: [np.array([3.0, 4.0j])],
+     lambda v: [QuantumState(v, normalize=True).amplitudes]),
+    (lambda: [_diag(0.5, 0.5)], lambda rho: [DensityMatrix(rho).matrix]),
+    (lambda: [np.array(m) for m in GENERAL_SET.operators],
+     lambda *ms: list(MeasurementOperatorSet(ms).operators)),
+    (lambda: [_diag(1.0, 0.0), _diag(0.0, 1.0)],
+     lambda *ps: list(ProjectorSet(ps).projectors)),
+    (lambda: [_diag(0.5, 0.5), _diag(0.5, 0.5)], lambda *es: list(Povm(es).elements)),
+    (lambda: [_diag(1.0, -1.0), _diag(1.0, 0.0), _diag(0.0, 1.0)], _observable_arrays),
+    (lambda: [np.array(gates.HADAMARD)], lambda u: [UnitaryOperator(u).matrix]),
+    (lambda: [np.array([1.0, -1j])], lambda a: [PhaseVector(a).phases]),
+]
+
+
+def test_stored_arrays_are_read_only():
+    """Every stored array is read-only, and writing to the caller's input
+    after construction leaves it unchanged."""
+    for inputs, build in STORED_ARRAY_CASES:
+        args = inputs()
+        stored = build(*args)
+        kept = [s.copy() for s in stored]
+        for s in stored:
+            assert not s.flags.writeable
+            with pytest.raises(ValueError):
+                s[(0,) * s.ndim] = 7.0
+        for a in args:
+            a[...] = 7.0
+        for s, k in zip(stored, kept):
+            np.testing.assert_array_equal(s, k, strict=True)
 
 
 def test_state_inner_and_fidelity():
