@@ -114,8 +114,11 @@ def _pairs_to_complex(node, what: str) -> complex:
     if (not isinstance(node, list) or len(node) != 2
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node)):
         raise ParseError(f"{what} must be a two-element [re, im] array")
-    value = complex(float(node[0]), float(node[1]))
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+    try:
+        value = complex(float(node[0]), float(node[1]))
+    except OverflowError:  # an integer literal beyond the float range is infinite
+        value = complex(math.inf)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise ParseError(f"{what} must be finite")
     return value
 

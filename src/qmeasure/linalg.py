@@ -94,14 +94,18 @@ def orthogonality_residuals(lefts, rights) -> np.ndarray:
     ``np.linalg.norm(L_i @ R_j - delta_ij L_i)`` bit for bit; inf or NaN
     where a product overflows. Products are formed on tiles of at most
     128 KiB: the column stacks of ``rights`` are the outer loop, so each is
-    built once, and the rows of ``lefts`` are cut to fit beside them."""
+    built once, and the rows of ``lefts`` are cut to fit beside them (when
+    ``lefts is rights``, a tile of the same rows as a column stack is that
+    stack)."""
     n = len(rights[0])
     rows = max(1, stack_size(n) // len(rights))  # keeps each tile of products in budget
     out = np.empty((len(lefts), len(rights)))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, right in stacks(rights):
             for top in range(0, len(lefts), rows):
-                left = np.array(lefts[top:top + rows])
+                tile = lefts[top:top + rows]
+                same = lefts is rights and (top, len(tile)) == (lo, len(right))
+                left = right if same else np.array(tile)  # reuse the stack of these rows
                 prods = left[:, None] @ right
                 for i in range(max(top, lo), min(top + len(left), lo + len(right))):
                     prods[i - top, i - lo] -= left[i - top]  # the pair (i, i)
@@ -184,23 +188,21 @@ def hermiticity_residual(a) -> float:
         return float(np.linalg.norm(a - a.conj().T))
 
 
-def hermitian_eig(a, tol: float = DEFAULT_TOL) -> list[tuple[float, np.ndarray]]:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (``numpy.linalg.eigh``).
-
-    The admissible asymmetry is averaged away before the solver sees the
-    matrix. Returns ``[(eigenvalue, eigenvector), ...]`` with real
-    eigenvalues in ascending order and an orthonormal set of eigenvectors.
-
-    Raises ``NotHermitian`` unless ``within_tol(||a - a^dag||, tol, ||a||)``.
-    """
-    a = as_matrix(a)
+def guarded_eigh(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors (columns) of the
+    Hermitian part (a + a^dag)/2 of an ``as_matrix`` array, by LAPACK
+    (``numpy.linalg.eigh``). Raises ``NotHermitian`` unless
+    ``within_tol(||a - a^dag||, tol, ||a||)``."""
     _require_square(a, "hermitian_eig input")
     resid = hermiticity_residual(a)
     if not within_tol(resid, tol, frobenius_norm(a)):
-        raise NotHermitian(
-            f"matrix is not Hermitian within {tol:g} (residual {resid:.3e})"
-        )
-    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+        raise NotHermitian(f"matrix is not Hermitian within {tol:g} (residual {resid:.3e})")
+    return np.linalg.eigh((a + a.conj().T) / 2.0)
+
+
+def hermitian_eig(a, tol: float = DEFAULT_TOL) -> list[tuple[float, np.ndarray]]:
+    """:func:`guarded_eigh` as ``[(eigenvalue, eigenvector), ...]``."""
+    vals, vecs = guarded_eigh(as_matrix(a), tol)
     return [(float(vals[k]), vecs[:, k].copy()) for k in range(len(vals))]
 
 

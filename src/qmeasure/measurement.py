@@ -384,14 +384,31 @@ class ProjectorSet:
         return MeasurementOperatorSet(self.projectors)
 
 
+def _store(obj, **fields):
+    """Set validated ``fields`` on a frozen dataclass instance; returns it.
+    ``_store(object.__new__(cls), ...)`` skips ``cls.__post_init__``."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _reconstruction_residual(mat: np.ndarray, spectrum, tol: float, scale: float) -> float:
+    """||A - sum_m lambda_m P_m||_F, which must pass at ``tol`` against ||A||_F."""
+    resid = float(np.linalg.norm(mat - sum(lam * p for lam, p in spectrum)))
+    if not linalg.within_tol(resid, tol, scale):
+        raise ValueError(f"spectrum does not reconstruct the observable (residual {resid:.3e})")
+    return resid
+
+
 @dataclass(frozen=True, eq=False)
 class Observable:
     """Hermitian operator with spectral data A = sum_m lambda_m P_m.
 
     ``spectrum`` pairs each distinct eigenvalue (ascending) with the
-    projector onto its eigenspace; the projectors form a valid
-    :class:`ProjectorSet`, judged with ``reconstruction_residual``
-    ||A - sum_m lambda_m P_m||_F.
+    projector onto its eigenspace, judged with ``reconstruction_residual``
+    ||A - sum_m lambda_m P_m||_F. This constructor checks the projectors as
+    a :class:`ProjectorSet`; :func:`spectral_decompose` certifies them from
+    the eigenvectors instead.
     """
 
     matrix: np.ndarray
@@ -410,18 +427,10 @@ class Observable:
         )
         if not spectrum:
             raise ValueError("observable needs a nonempty spectrum")
-        recon = sum(lam * p for lam, p in spectrum)
-        resid = linalg.frobenius_distance(mat, recon)
-        if not linalg.within_tol(resid, tol, scale):
-            raise ValueError(
-                f"spectrum does not reconstruct the observable "
-                f"(residual {resid:.3e})"
-            )
+        resid = _reconstruction_residual(mat, spectrum, tol, scale)
         pset = ProjectorSet(tuple(p for _, p in spectrum), tol=tol)
-        object.__setattr__(self, "matrix", freeze(mat))
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "reconstruction_residual", resid)
-        object.__setattr__(self, "_projector_set", pset)
+        _store(self, matrix=freeze(mat), spectrum=spectrum,
+               reconstruction_residual=resid, _projector_set=pset)
 
     @property
     def dim(self) -> int:
@@ -439,21 +448,37 @@ class Observable:
 def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     """Spectral decomposition of a Hermitian matrix into eigenspaces.
 
-    The eigenpairs come from :func:`linalg.hermitian_eig` (LAPACK ``eigh``).
-    Eigenvalues whose consecutive gap is at most ``CLUSTER_TOL`` are merged
-    into one eigenspace, valued at their mean, whose projector is V V^dag
-    over the clustered eigenvectors V, so a fully degenerate spectrum yields
-    a single projector (the identity when all eigenvalues agree).
+    :func:`linalg.guarded_eigh` judges ||A - A^dag||_F and runs LAPACK
+    ``eigh``. Eigenvalues at most ``CLUSTER_TOL`` apart share an eigenspace,
+    valued at their mean, with projector P_g = V_g V_g^dag over its
+    eigenvectors V_g. ||A - sum_g lambda_g P_g||_F must pass at ``tol``.
+
+    The projectors are certified by g = ||V^dag V - I||_F alone, not by the
+    N^2 products of :class:`ProjectorSet`. As P_i P_j - delta_ij P_i =
+    V_i (G_ij - delta_ij I) V_j^dag with G = V^dag V and ||V||_2^2 <= 1 + g,
+    each pair residual is at most g (1 + g), the completeness residual
+    ||V V^dag - I||_F is g and each hermiticity residual 0, plus rounding of
+    at most eps_n = 4 n^(3/2) eps times the residual's scale s >= 1 (to first
+    order). So g <= tau, tau (1 + tau) = tol - eps_n, implies that
+    ``ProjectorSet`` accepts the projectors at ``tol``; otherwise
+    ``InvalidProjectorSet`` names g and tau. ``eigh`` gives g < 1e-14 at n = 32.
     """
     a = as_matrix(a)
-    pairs = linalg.hermitian_eig(a, tol)
-    vals = np.array([lam for lam, _ in pairs])
-    vecs = np.column_stack([vec for _, vec in pairs])
+    vals, vecs = linalg.guarded_eigh(a, tol)
+    gram = float(np.linalg.norm(vecs.conj().T @ vecs - identity(len(vals))))
+    budget = tol - 4.0 * len(vals) ** 1.5 * np.finfo(float).eps  # tol - eps_n
+    tau = 2.0 * budget / (1.0 + math.sqrt(1.0 + 4.0 * max(budget, 0.0)))  # NaN for tol NaN or inf
+    if not gram <= tau:
+        raise InvalidProjectorSet(f"eigenvector Gram residual {gram:.3e} exceeds "
+                                  f"its threshold {tau:.3e} at tol {tol:g}")
     groups = np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > CLUSTER_TOL) + 1)
     spectrum = tuple(
-        (float(np.mean(vals[g])), vecs[:, g] @ vecs[:, g].conj().T) for g in groups
+        (float(np.mean(vals[g])), freeze(vecs[:, g] @ vecs[:, g].conj().T)) for g in groups
     )
-    return Observable(matrix=a, spectrum=spectrum, tol=tol)
+    resid = _reconstruction_residual(a, spectrum, tol, linalg.frobenius_norm(a))
+    pset = _store(object.__new__(ProjectorSet), projectors=tuple(p for _, p in spectrum))
+    return _store(object.__new__(Observable), matrix=freeze(a), spectrum=spectrum,
+                  reconstruction_residual=resid, _projector_set=pset)
 
 
 @dataclass(frozen=True, eq=False)

@@ -113,6 +113,28 @@ def test_exit_2_on_malformed_file(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+HUGE_INTEGER = "1" + "0" * 400  # 10^400, a JSON integer literal beyond the float range
+
+
+def test_exit_2_on_state_amplitude_too_large_for_a_float(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text('{"schema_version": "1", "dim": 2, '
+                     f'"amplitudes": [[{HUGE_INTEGER}, 0], [0, 0]]}}')
+    code, out, err = run_cli(["measure", "corpus/projectors_n2.json", str(state)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {state}: amplitudes[0] must be finite\n"
+
+
+def test_exit_2_on_matrix_entry_too_large_for_a_float(tmp_path, capsys):
+    path = tmp_path / "set.json"
+    matrix = f"[[[1, 0], [0, 0]], [[0, 0], [0, -{HUGE_INTEGER}]]]"
+    path.write_text('{"schema_version": "1", "kind": "projector_set", "dim": 2, '
+                    f'"operators": [{{"label": 0, "matrix": {matrix}}}]}}')
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: operators[0].matrix[1][1] must be finite\n"
+
+
 def test_exit_2_on_dimension_mismatch(capsys):
     code, _, err = run_cli(
         ["measure", "corpus/projectors_n2.json", "corpus/state_00.json"], capsys

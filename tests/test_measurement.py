@@ -1,12 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import orthogonal_family, random_state, random_unitary
-from qmeasure import gates, measurement
+from helpers import orthogonal_family, random_hermitian, random_state, random_unitary
+from qmeasure import gates, linalg, measurement
 from qmeasure.errors import (
     DimensionMismatch,
     IncompleteSet,
@@ -102,6 +103,11 @@ def _observable_arrays(z, p_up, p_down):
     return [obs.matrix, *(p for _, p in obs.spectrum), *obs.projector_set().projectors]
 
 
+def _spectral_arrays(a):
+    obs = spectral_decompose(a)
+    return [obs.matrix, *(p for _, p in obs.spectrum), *obs.projector_set().projectors]
+
+
 # (fresh inputs, the arrays a domain object built from them stores)
 STORED_ARRAY_CASES = [
     (lambda: [np.array([0.6, 0.8j])], lambda v: [QuantumState(v).amplitudes]),
@@ -114,6 +120,7 @@ STORED_ARRAY_CASES = [
      lambda *ps: list(ProjectorSet(ps).projectors)),
     (lambda: [_diag(0.5, 0.5), _diag(0.5, 0.5)], lambda *es: list(Povm(es).elements)),
     (lambda: [_diag(1.0, -1.0), _diag(1.0, 0.0), _diag(0.0, 1.0)], _observable_arrays),
+    (lambda: [_diag(1.0, 1.0, 3.0)], _spectral_arrays),
     (lambda: [np.array(gates.HADAMARD)], lambda u: [UnitaryOperator(u).matrix]),
     (lambda: [np.array([1.0, -1j])], lambda a: [PhaseVector(a).phases]),
 ]
@@ -426,6 +433,135 @@ def test_observable_reconstruction_random():
         assert np.linalg.norm(recon - a) < 1e-10 * max(1.0, np.linalg.norm(a))
         assert obs.reconstruction_residual == np.linalg.norm(a - recon)
         obs.projector_set()  # eigenprojectors form a valid complete set
+
+
+def gram_threshold(n, tol):
+    """tau with tau (1 + tau) = tol - 4 n^(3/2) eps, as spectral_decompose states it."""
+    budget = tol - 4.0 * n ** 1.5 * np.finfo(float).eps
+    return 2.0 * budget / (1.0 + math.sqrt(1.0 + 4.0 * max(budget, 0.0)))
+
+
+def planted_eigenpairs(rng, n, degenerate, plant, gram_target):
+    """Eigenvalues (ascending, half of them equal when ``degenerate``) and a
+    Haar V, perturbed so that ||V^dag V - I||_F is about ``gram_target``:
+    "tilt" adds x v_0 to v_1 (G_01 = x), "stretch" scales v_0 (G_00 =
+    (1 + d)^2, the worst case for idempotence) and "random" multiplies V by
+    I + d S for a unit Hermitian S."""
+    half = n // 2 if degenerate else 0
+    vals = np.sort(np.concatenate([np.full(half, rng.normal()), rng.normal(size=n - half)]))
+    vecs = random_unitary(rng, n)
+    if plant == "tilt" and n > 1:
+        vecs[:, 1] += gram_target / math.sqrt(2.0) * vecs[:, 0]
+    elif plant in ("tilt", "stretch"):
+        vecs[:, 0] *= math.sqrt(1.0 + gram_target)
+    elif plant == "random":
+        s = random_hermitian(rng, n)
+        vecs = vecs @ (np.eye(n) + gram_target / 2.0 * s / np.linalg.norm(s))
+    return vals, vecs
+
+
+def decompose_planted(vals, vecs, tol):
+    """spectral_decompose of V diag(vals) V^dag with ``guarded_eigh``
+    returning the planted (vals, V)."""
+    a = (vecs * vals) @ vecs.conj().T
+    with mock.patch.object(linalg, "guarded_eigh", return_value=(vals, vecs)):
+        return spectral_decompose(a, tol=tol)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from(list(range(1, 10)) + [32, 64]),
+       degenerate=st.booleans(),
+       plant=st.sampled_from([None, "tilt", "stretch", "random"]),
+       ratio=st.floats(min_value=0.5, max_value=2.0),
+       log_tol=st.floats(min_value=-12.0, max_value=-6.0),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_gram_certificate_implies_the_generic_projector_check(n, degenerate, plant, ratio,
+                                                              log_tol, seed):
+    """Whenever the factored path accepts, the generic pair check (the old
+    path, the oracle here) accepts the same projectors at the same tol."""
+    tol = 10.0 ** log_tol
+    tau = gram_threshold(n, tol)
+    vals, vecs = planted_eigenpairs(np.random.default_rng(seed), n, degenerate, plant,
+                                    ratio * tau)
+    gram = np.linalg.norm(vecs.conj().T @ vecs - np.eye(n))
+    try:
+        obs = decompose_planted(vals, vecs, tol)
+    except InvalidProjectorSet as exc:
+        assert gram > tau
+        assert f"Gram residual {gram:.3e}" in str(exc)
+        assert f"threshold {tau:.3e}" in str(exc)
+        return
+    assert gram <= tau
+    projectors = obs.projector_set().projectors
+    assert OperatorResiduals(projectors).failure(tol) is None
+    ProjectorSet(projectors, tol=tol)
+
+
+@pytest.mark.parametrize("plant", ["tilt", "stretch", "random"])
+def test_gram_certificate_decides_at_its_threshold(plant):
+    rng = np.random.default_rng(29)
+    tol = 1e-9
+    tau = gram_threshold(8, tol)
+    vals, vecs = planted_eigenpairs(rng, 8, False, plant, 0.9 * tau)
+    obs = decompose_planted(vals, vecs, tol)
+    assert OperatorResiduals(obs.projector_set().projectors).failure(tol) is None
+    vals, vecs = planted_eigenpairs(rng, 8, False, plant, 1.1 * tau)
+    with pytest.raises(InvalidProjectorSet, match="Gram residual"):
+        decompose_planted(vals, vecs, tol)
+
+
+def test_gram_certificate_rejects_a_tilt_that_tol_sqrt_n_would_accept():
+    """G_01 = 3 tol at n = 32: g = 4.2 tol is below tol sqrt(n) = 5.7 tol,
+    yet the pair (0, 1) fails the generic check at 3 tol."""
+    tol, n = 1e-10, 32
+    vals, vecs = planted_eigenpairs(np.random.default_rng(31), n, False, "tilt",
+                                    math.sqrt(2.0) * 3 * tol)
+    gram = np.linalg.norm(vecs.conj().T @ vecs - np.eye(n))
+    assert 4.2e-10 < gram < tol * math.sqrt(n)
+    with pytest.raises(InvalidProjectorSet) as exc:
+        decompose_planted(vals, vecs, tol)
+    assert str(exc.value) == (f"eigenvector Gram residual {gram:.3e} exceeds "
+                              f"its threshold {gram_threshold(n, tol):.3e} at tol 1e-10")
+    projectors = [vecs[:, [k]] @ vecs[:, [k]].conj().T for k in range(n)]
+    assert "projectors (0, 1) violate orthogonality (residual 3.0" in \
+        OperatorResiduals(projectors).failure(tol)
+
+
+def test_no_decomposition_is_certified_below_the_rounding_allowance():
+    """At tol <= 4 n^(3/2) eps the threshold is negative, so even exact
+    eigenvectors (g = 0) are rejected."""
+    with pytest.raises(InvalidProjectorSet, match="residual 0.000e.00 exceeds its threshold -"):
+        spectral_decompose(np.diag([1.0, 2.0]).astype(complex), tol=1e-15)
+
+
+def test_spectral_decompose_judges_hermiticity_once_and_forms_no_pairs(monkeypatch):
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return linalg.frobenius_norm(a - a.conj().T)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the factored path runs no generic family check")
+
+    monkeypatch.setattr(linalg, "hermiticity_residual", counted)
+    monkeypatch.setattr(measurement, "OperatorResiduals", forbidden)
+    monkeypatch.setattr(measurement, "_coerce_square_family", forbidden)
+    spectral_decompose(random_hermitian(np.random.default_rng(37), 8, degenerate=True))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_spectral_projectors_are_the_eigenvector_products(degenerate):
+    a = random_hermitian(np.random.default_rng(41), 32, degenerate=degenerate)
+    obs = spectral_decompose(a)
+    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+    groups = np.split(np.arange(32), np.flatnonzero(np.diff(vals) > measurement.CLUSTER_TOL) + 1)
+    assert len(obs.spectrum) == len(groups) == (17 if degenerate else 32)
+    for (lam, p), q, g in zip(obs.spectrum, obs.projector_set().projectors, groups):
+        assert p is q and not p.flags.writeable
+        assert np.array_equal(p, vecs[:, g] @ vecs[:, g].conj().T)
+        assert lam == np.mean(vals[g])
 
 
 def test_observable_keeps_its_validated_projector_set():
