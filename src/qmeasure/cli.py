@@ -99,11 +99,15 @@ def _load_kind(path: str, kinds: tuple[str, ...]) -> OperatorFile:
     return doc
 
 
-def _load_unitary(path: str, tol: float) -> UnitaryOperator:
-    doc = _load_kind(path, ("unitary",))
+def _single_matrix(doc: OperatorFile, path: str) -> np.ndarray:
     if len(doc.operators) != 1:
         raise ParseError(f"{path}: expected exactly one operator, found {len(doc.operators)}")
-    return UnitaryOperator(doc.operators[0][1], tol=tol)
+    return doc.operators[0][1]
+
+
+def _load_unitary(path: str, tol: float) -> UnitaryOperator:
+    doc = _load_kind(path, ("unitary",))
+    return UnitaryOperator(_single_matrix(doc, path), tol=tol)
 
 
 def _load_state(path: str, warnings: list[str]) -> QuantumState:
@@ -118,16 +122,22 @@ def _load_state(path: str, warnings: list[str]) -> QuantumState:
 # ---------------------------------------------------------------------------
 # report rendering
 
-def _fmt_value(value) -> str:
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt_value(v) for v in value) + "]"
+def _fmt_scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return format_float(value)
+    if isinstance(value, int):
+        return str(value)
     if value is None:
         return "null"
     return str(value)
+
+
+def _fmt_value(value) -> str:
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_fmt_value(v) for v in value) + "]"
+    return _fmt_scalar(value)
 
 
 def render_human(report: dict) -> str:
@@ -246,7 +256,7 @@ def cmd_classify(args) -> dict:
     doc = _load_kind(args.file, ("measurement_set", "projector_set", "unitary"))
     opset = MeasurementOperatorSet(doc.matrices())
     kind = classify_measurement(opset, tol=args.tol)
-    return {
+    report = {
         "command": "classify",
         "verdict": "pass",
         "kind": doc.kind,
@@ -255,6 +265,7 @@ def cmd_classify(args) -> dict:
         "residuals": {"completeness": opset.completeness_residual},
         "classification": kind.value,
     }
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +361,9 @@ def cmd_mirror_check(args) -> dict:
     pdoc = _load_kind(args.projectors, ("projector_set",))
     pset = ProjectorSet(pdoc.matrices(), tol=args.tol)
     result = is_mirror(unit, pset, tol=args.tol)
-    residuals = {f"commutator_{m}": r for m, r in enumerate(result.commutation_residuals)}
+    residuals = {
+        f"commutator_{m}": r for m, r in enumerate(result.commutation_residuals)
+    }
     residuals["commutation_max"] = result.worst_residual
     report = {
         "command": "mirror check",
@@ -411,7 +424,7 @@ def cmd_bell(args) -> dict:
         and within_tol(abs(comparison.internal_probability - 1.0), args.tol)
         and comparison.preservation.within(args.tol)
     )
-    return {
+    report = {
         "command": "bell",
         "verdict": "pass" if passed else "fail",
         "bell_index": comparison.bell_index,
@@ -425,6 +438,7 @@ def cmd_bell(args) -> dict:
         },
         "details": comparison.grouping,
     }
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +455,7 @@ def parse_tolerance(text: str) -> float:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser, handler) -> None:
-    """The options every command takes, and the function that runs it."""
-    sub.set_defaults(handler=handler)
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=parse_tolerance, default=DEFAULT_TOL,
                      help="residual tolerance (default 1e-10)")
     sub.add_argument("--format", choices=("human", "machine"), default="human",
@@ -459,11 +471,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="check an operator file against its kind's invariants")
     p.add_argument("file")
-    _add_common(p, cmd_validate)
+    _add_common(p)
+    p.set_defaults(handler=cmd_validate)
 
     p = subs.add_parser("classify", help="classify a complete measurement set")
     p.add_argument("file")
-    _add_common(p, cmd_classify)
+    _add_common(p)
+    p.set_defaults(handler=cmd_classify)
 
     p = subs.add_parser("measure", help="outcome probabilities, post-states, sampling")
     p.add_argument("set", help="measurement set file")
@@ -472,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="apply this outcome and report the post-state")
     p.add_argument("--shots", type=int, default=None, help="sample a histogram")
     p.add_argument("--seed", type=int, default=None, help="PRNG seed (required with --shots)")
-    _add_common(p, cmd_measure)
+    _add_common(p)
+    p.set_defaults(handler=cmd_measure)
 
     p = subs.add_parser("mirror", help="build or check probability-preserving unitaries")
     mirror_subs = p.add_subparsers(dest="mirror_command", required=True)
@@ -484,23 +499,27 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--angles", default=None, help="comma-separated phase angles (radians)")
     pb.add_argument("--projectors", default=None, help="projector set file for --phases/--angles")
     pb.add_argument("--out", default=None, help="write the unitary to this file")
-    _add_common(pb, cmd_mirror_build)
+    _add_common(pb)
+    pb.set_defaults(handler=cmd_mirror_build)
 
     pc = mirror_subs.add_parser("check", help="certify commutation with a projector set")
     pc.add_argument("unitary", help="unitary file")
     pc.add_argument("projectors", help="projector set file")
     pc.add_argument("--state", default=None, help="also verify probability preservation")
-    _add_common(pc, cmd_mirror_check)
+    _add_common(pc)
+    pc.set_defaults(handler=cmd_mirror_check)
 
     p = subs.add_parser("truth", help="compute/uncompute restoration protocol")
     p.add_argument("unitary", help="unitary file")
     p.add_argument("state", help="state file")
-    _add_common(p, cmd_truth)
+    _add_common(p)
+    p.set_defaults(handler=cmd_truth)
 
     p = subs.add_parser("bell", help="external vs internal measurement on a Bell state")
     p.add_argument("--index", type=int, required=True, help="Bell state index 0..3")
     p.add_argument("--mirror", required=True, help="mirror unitary file (dim 4)")
-    _add_common(p, cmd_bell)
+    _add_common(p)
+    p.set_defaults(handler=cmd_bell)
 
     return parser
 
@@ -510,7 +529,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
-    except (ParseError, DimensionMismatch, UnknownOutcome, OSError, ValueError) as exc:
+    except (ParseError, DimensionMismatch, UnknownOutcome, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QmeasureError as exc:

@@ -94,18 +94,14 @@ def orthogonality_residuals(lefts, rights) -> np.ndarray:
     ``np.linalg.norm(L_i @ R_j - delta_ij L_i)`` bit for bit; inf or NaN
     where a product overflows. Products are formed on tiles of at most
     128 KiB: the column stacks of ``rights`` are the outer loop, so each is
-    built once, and the rows of ``lefts`` are cut to fit beside them (when
-    ``lefts is rights``, a tile of the same rows as a column stack is that
-    stack)."""
+    built once, and the rows of ``lefts`` are cut to fit beside them."""
     n = len(rights[0])
     rows = max(1, stack_size(n) // len(rights))  # keeps each tile of products in budget
     out = np.empty((len(lefts), len(rights)))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, right in stacks(rights):
             for top in range(0, len(lefts), rows):
-                tile = lefts[top:top + rows]
-                same = lefts is rights and (top, len(tile)) == (lo, len(right))
-                left = right if same else np.array(tile)  # reuse the stack of these rows
+                left = np.array(lefts[top:top + rows])
                 prods = left[:, None] @ right
                 for i in range(max(top, lo), min(top + len(left), lo + len(right))):
                     prods[i - top, i - lo] -= left[i - top]  # the pair (i, i)
@@ -196,7 +192,9 @@ def guarded_eigh(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, n
     _require_square(a, "hermitian_eig input")
     resid = hermiticity_residual(a)
     if not within_tol(resid, tol, frobenius_norm(a)):
-        raise NotHermitian(f"matrix is not Hermitian within {tol:g} (residual {resid:.3e})")
+        raise NotHermitian(
+            f"matrix is not Hermitian within {tol:g} (residual {resid:.3e})"
+        )
     return np.linalg.eigh((a + a.conj().T) / 2.0)
 
 

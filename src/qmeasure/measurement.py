@@ -384,17 +384,9 @@ class ProjectorSet:
         return MeasurementOperatorSet(self.projectors)
 
 
-def _store(obj, **fields):
-    """Set validated ``fields`` on a frozen dataclass instance; returns it.
-    ``_store(object.__new__(cls), ...)`` skips ``cls.__post_init__``."""
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def _reconstruction_residual(mat: np.ndarray, spectrum, tol: float, scale: float) -> float:
     """||A - sum_m lambda_m P_m||_F, which must pass at ``tol`` against ||A||_F."""
-    resid = float(np.linalg.norm(mat - sum(lam * p for lam, p in spectrum)))
+    resid = linalg.frobenius_distance(mat, sum(lam * p for lam, p in spectrum))
     if not linalg.within_tol(resid, tol, scale):
         raise ValueError(f"spectrum does not reconstruct the observable (residual {resid:.3e})")
     return resid
@@ -429,8 +421,10 @@ class Observable:
             raise ValueError("observable needs a nonempty spectrum")
         resid = _reconstruction_residual(mat, spectrum, tol, scale)
         pset = ProjectorSet(tuple(p for _, p in spectrum), tol=tol)
-        _store(self, matrix=freeze(mat), spectrum=spectrum,
-               reconstruction_residual=resid, _projector_set=pset)
+        object.__setattr__(self, "matrix", freeze(mat))
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "reconstruction_residual", resid)
+        object.__setattr__(self, "_projector_set", pset)
 
     @property
     def dim(self) -> int:
@@ -445,6 +439,16 @@ class Observable:
         return self._projector_set
 
 
+def _gram_threshold(n: int, tol: float) -> float:
+    """tau = b / (1 + b) for b = tol - eps_n, eps_n = 4 n^(3/2) eps, so
+    tau (1 + tau) <= b:
+    an eigenvector Gram residual g <= tau certifies n-dimensional projectors
+    at ``tol`` (see :func:`spectral_decompose`). Negative for tol <= eps_n,
+    NaN for an infinite or NaN tol, so that no g passes."""
+    budget = tol - 4.0 * n ** 1.5 * np.finfo(float).eps
+    return budget / (1.0 + budget)
+
+
 def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     """Spectral decomposition of a Hermitian matrix into eigenspaces.
 
@@ -453,32 +457,36 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     valued at their mean, with projector P_g = V_g V_g^dag over its
     eigenvectors V_g. ||A - sum_g lambda_g P_g||_F must pass at ``tol``.
 
-    The projectors are certified by g = ||V^dag V - I||_F alone, not by the
-    N^2 products of :class:`ProjectorSet`. As P_i P_j - delta_ij P_i =
+    The projectors are certified by g = ||V^dag V - I||_F, not by the N^2
+    products of :class:`ProjectorSet`. As P_i P_j - delta_ij P_i =
     V_i (G_ij - delta_ij I) V_j^dag with G = V^dag V and ||V||_2^2 <= 1 + g,
     each pair residual is at most g (1 + g), the completeness residual
     ||V V^dag - I||_F is g and each hermiticity residual 0, plus rounding of
     at most eps_n = 4 n^(3/2) eps times the residual's scale s >= 1 (to first
-    order). So g <= tau, tau (1 + tau) = tol - eps_n, implies that
-    ``ProjectorSet`` accepts the projectors at ``tol``; otherwise
-    ``InvalidProjectorSet`` names g and tau. ``eigh`` gives g < 1e-14 at n = 32.
+    order). So g <= :func:`_gram_threshold` implies that ``ProjectorSet``
+    accepts the projectors at ``tol``; ``eigh`` gives g < 1e-14 at n = 32.
+    A larger g is inconclusive: the projectors then get the ``ProjectorSet``
+    check, and ``InvalidProjectorSet`` names g, the threshold and the failure.
     """
     a = as_matrix(a)
     vals, vecs = linalg.guarded_eigh(a, tol)
-    gram = float(np.linalg.norm(vecs.conj().T @ vecs - identity(len(vals))))
-    budget = tol - 4.0 * len(vals) ** 1.5 * np.finfo(float).eps  # tol - eps_n
-    tau = 2.0 * budget / (1.0 + math.sqrt(1.0 + 4.0 * max(budget, 0.0)))  # NaN for tol NaN or inf
-    if not gram <= tau:
-        raise InvalidProjectorSet(f"eigenvector Gram residual {gram:.3e} exceeds "
-                                  f"its threshold {tau:.3e} at tol {tol:g}")
     groups = np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > CLUSTER_TOL) + 1)
     spectrum = tuple(
         (float(np.mean(vals[g])), freeze(vecs[:, g] @ vecs[:, g].conj().T)) for g in groups
     )
     resid = _reconstruction_residual(a, spectrum, tol, linalg.frobenius_norm(a))
-    pset = _store(object.__new__(ProjectorSet), projectors=tuple(p for _, p in spectrum))
-    return _store(object.__new__(Observable), matrix=freeze(a), spectrum=spectrum,
-                  reconstruction_residual=resid, _projector_set=pset)
+    projs = tuple(p for _, p in spectrum)
+    gram = float(np.linalg.norm(vecs.conj().T @ vecs - identity(len(vals))))
+    tau = _gram_threshold(len(vals), tol)
+    failure = None if gram <= tau else OperatorResiduals(projs).failure(tol)
+    if failure is not None:
+        raise InvalidProjectorSet(f"eigenvector Gram residual {gram:.3e} exceeds its "
+                                  f"threshold {tau:.3e} at tol {tol:g}, and {failure}")
+    pset, obs = object.__new__(ProjectorSet), object.__new__(Observable)  # no __post_init__
+    vars(pset).update(projectors=projs)
+    vars(obs).update(matrix=freeze(a), spectrum=spectrum, reconstruction_residual=resid,
+                     _projector_set=pset)
+    return obs
 
 
 @dataclass(frozen=True, eq=False)

@@ -141,11 +141,14 @@ def verify_probability_preservation(u, pset: ProjectorSet, psi: QuantumState,
         raise DimensionMismatch(
             f"dims differ: unitary {unit.dim}, projectors {pset.dim}, state {psi.dim}"
         )
-    def probabilities(v):
-        return tuple(float(np.vdot(v, p @ v).real) for p in pset.projectors)
-
-    before = probabilities(psi.amplitudes)
-    after = probabilities(unit.matrix @ psi.amplitudes)
+    moved = unit.matrix @ psi.amplitudes
+    before = tuple(
+        float(np.vdot(psi.amplitudes, p @ psi.amplitudes).real)
+        for p in pset.projectors
+    )
+    after = tuple(
+        float(np.vdot(moved, p @ moved).real) for p in pset.projectors
+    )
     deviation = max(abs(b - a) for a, b in zip(before, after))
     return PreservationReport(
         probabilities_before=before,

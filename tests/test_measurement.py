@@ -435,12 +435,6 @@ def test_observable_reconstruction_random():
         obs.projector_set()  # eigenprojectors form a valid complete set
 
 
-def gram_threshold(n, tol):
-    """tau with tau (1 + tau) = tol - 4 n^(3/2) eps, as spectral_decompose states it."""
-    budget = tol - 4.0 * n ** 1.5 * np.finfo(float).eps
-    return 2.0 * budget / (1.0 + math.sqrt(1.0 + 4.0 * max(budget, 0.0)))
-
-
 def planted_eigenpairs(rng, n, degenerate, plant, gram_target):
     """Eigenvalues (ascending, half of them equal when ``degenerate``) and a
     Haar V, perturbed so that ||V^dag V - I||_F is about ``gram_target``:
@@ -460,6 +454,13 @@ def planted_eigenpairs(rng, n, degenerate, plant, gram_target):
     return vals, vecs
 
 
+def eigenspace_projectors(vals, vecs):
+    """V_g V_g^dag over the clusters of ``vals``, as spectral_decompose forms them."""
+    groups = np.split(np.arange(len(vals)),
+                      np.flatnonzero(np.diff(vals) > measurement.CLUSTER_TOL) + 1)
+    return [vecs[:, g] @ vecs[:, g].conj().T for g in groups]
+
+
 def decompose_planted(vals, vecs, tol):
     """spectral_decompose of V diag(vals) V^dag with ``guarded_eigh``
     returning the planted (vals, V)."""
@@ -477,37 +478,44 @@ def decompose_planted(vals, vecs, tol):
        seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_gram_certificate_implies_the_generic_projector_check(n, degenerate, plant, ratio,
                                                               log_tol, seed):
-    """Whenever the factored path accepts, the generic pair check (the old
-    path, the oracle here) accepts the same projectors at the same tol."""
+    """A Gram residual within its threshold implies that the generic pair
+    check (the old path, the oracle here) passes the same projectors at the
+    same tol, and the factored path's verdict is always the oracle's."""
     tol = 10.0 ** log_tol
-    tau = gram_threshold(n, tol)
+    tau = measurement._gram_threshold(n, tol)
     vals, vecs = planted_eigenpairs(np.random.default_rng(seed), n, degenerate, plant,
                                     ratio * tau)
     gram = np.linalg.norm(vecs.conj().T @ vecs - np.eye(n))
+    oracle = OperatorResiduals(eigenspace_projectors(vals, vecs)).failure(tol)
+    if gram <= tau:
+        assert oracle is None
     try:
         obs = decompose_planted(vals, vecs, tol)
     except InvalidProjectorSet as exc:
-        assert gram > tau
-        assert f"Gram residual {gram:.3e}" in str(exc)
-        assert f"threshold {tau:.3e}" in str(exc)
+        assert gram > tau and oracle is not None
+        assert str(exc) == (f"eigenvector Gram residual {gram:.3e} exceeds its threshold "
+                            f"{tau:.3e} at tol {tol:g}, and {oracle}")
         return
-    assert gram <= tau
-    projectors = obs.projector_set().projectors
-    assert OperatorResiduals(projectors).failure(tol) is None
-    ProjectorSet(projectors, tol=tol)
+    assert oracle is None
+    ProjectorSet(obs.projector_set().projectors, tol=tol)
 
 
 @pytest.mark.parametrize("plant", ["tilt", "stretch", "random"])
-def test_gram_certificate_decides_at_its_threshold(plant):
+def test_gram_certificate_skips_the_pair_check_only_within_its_threshold(plant):
     rng = np.random.default_rng(29)
     tol = 1e-9
-    tau = gram_threshold(8, tol)
-    vals, vecs = planted_eigenpairs(rng, 8, False, plant, 0.9 * tau)
-    obs = decompose_planted(vals, vecs, tol)
-    assert OperatorResiduals(obs.projector_set().projectors).failure(tol) is None
-    vals, vecs = planted_eigenpairs(rng, 8, False, plant, 1.1 * tau)
-    with pytest.raises(InvalidProjectorSet, match="Gram residual"):
-        decompose_planted(vals, vecs, tol)
+    tau = measurement._gram_threshold(8, tol)
+    for ratio, pair_checks in ((0.9, 0), (1.1, 1)):
+        vals, vecs = planted_eigenpairs(rng, 8, False, plant, ratio * tau)
+        oracle = OperatorResiduals(eigenspace_projectors(vals, vecs)).failure(tol)
+        with mock.patch.object(measurement, "OperatorResiduals",
+                               wraps=OperatorResiduals) as spy:
+            if oracle is None:
+                decompose_planted(vals, vecs, tol)
+            else:
+                with pytest.raises(InvalidProjectorSet, match="Gram residual"):
+                    decompose_planted(vals, vecs, tol)
+        assert spy.call_count == pair_checks
 
 
 def test_gram_certificate_rejects_a_tilt_that_tol_sqrt_n_would_accept():
@@ -520,18 +528,24 @@ def test_gram_certificate_rejects_a_tilt_that_tol_sqrt_n_would_accept():
     assert 4.2e-10 < gram < tol * math.sqrt(n)
     with pytest.raises(InvalidProjectorSet) as exc:
         decompose_planted(vals, vecs, tol)
-    assert str(exc.value) == (f"eigenvector Gram residual {gram:.3e} exceeds "
-                              f"its threshold {gram_threshold(n, tol):.3e} at tol 1e-10")
-    projectors = [vecs[:, [k]] @ vecs[:, [k]].conj().T for k in range(n)]
-    assert "projectors (0, 1) violate orthogonality (residual 3.0" in \
-        OperatorResiduals(projectors).failure(tol)
+    tau = measurement._gram_threshold(n, tol)
+    assert str(exc.value).startswith(
+        f"eigenvector Gram residual {gram:.3e} exceeds its threshold {tau:.3e} at tol 1e-10, "
+        "and projectors (0, 1) violate orthogonality (residual 3.0")
 
 
-def test_no_decomposition_is_certified_below_the_rounding_allowance():
-    """At tol <= 4 n^(3/2) eps the threshold is negative, so even exact
-    eigenvectors (g = 0) are rejected."""
-    with pytest.raises(InvalidProjectorSet, match="residual 0.000e.00 exceeds its threshold -"):
-        spectral_decompose(np.diag([1.0, 2.0]).astype(complex), tol=1e-15)
+def test_spectral_decompose_falls_back_to_the_pair_check_below_the_rounding_allowance():
+    """At tol <= 4 n^(3/2) eps the threshold is negative, so no Gram residual
+    certifies; the projectors get the generic check, which exact ones pass."""
+    assert measurement._gram_threshold(2, 1e-15) < 0
+    obs = spectral_decompose(np.diag([1.0, 2.0]).astype(complex), tol=1e-15)
+    assert obs.eigenvalues == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("projector", [[[1.0]], np.eye(3)])
+def test_observable_rejects_projectors_of_another_dimension(projector):
+    with pytest.raises(DimensionMismatch):
+        Observable(np.ones((2, 2)), [(1.0, projector)])
 
 
 def test_spectral_decompose_judges_hermiticity_once_and_forms_no_pairs(monkeypatch):
@@ -558,9 +572,10 @@ def test_spectral_projectors_are_the_eigenvector_products(degenerate):
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
     groups = np.split(np.arange(32), np.flatnonzero(np.diff(vals) > measurement.CLUSTER_TOL) + 1)
     assert len(obs.spectrum) == len(groups) == (17 if degenerate else 32)
-    for (lam, p), q, g in zip(obs.spectrum, obs.projector_set().projectors, groups):
+    for (lam, p), q, g, r in zip(obs.spectrum, obs.projector_set().projectors, groups,
+                                 eigenspace_projectors(vals, vecs)):
         assert p is q and not p.flags.writeable
-        assert np.array_equal(p, vecs[:, g] @ vecs[:, g].conj().T)
+        assert np.array_equal(p, r)
         assert lam == np.mean(vals[g])
 
 
