@@ -38,6 +38,7 @@ from .fileio import (
 )
 from .linalg import DEFAULT_TOL, hermiticity_residual, vector_norm, within_tol
 from .measurement import (
+    NORM_TOL,
     MeasurementOperatorSet,
     OperatorResiduals,
     ProjectorSet,
@@ -58,8 +59,6 @@ from .mirror import (
     verify_probability_preservation,
 )
 from .reversible import PhaseVector, UnitaryOperator
-
-NORM_WARN = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +113,7 @@ def _load_state(path: str, warnings: list[str]) -> QuantumState:
     vec = load_state_file(path).amplitudes
     scale, norm = vector_norm(vec)
     norm *= scale
-    if abs(norm - 1.0) > NORM_WARN:
+    if abs(norm - 1.0) > NORM_TOL:
         warnings.append(f"input state renormalized (norm was {format_float(norm)})")
     return QuantumState(vec, normalize=True)
 
@@ -127,8 +126,6 @@ def _fmt_scalar(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format_float(value)
-    if isinstance(value, int):
-        return str(value)
     if value is None:
         return "null"
     return str(value)
@@ -235,8 +232,8 @@ _VALIDATORS = {
 def cmd_validate(args) -> dict:
     doc = load_operator_file(args.file)
     mats = doc.matrices()
-    if doc.kind in ("unitary", "observable") and len(mats) != 1:
-        raise ParseError(f"{args.file}: {doc.kind} file must hold exactly one operator")
+    if doc.kind in ("unitary", "observable"):
+        mats = (_single_matrix(doc, args.file),)
     passed, residuals, notes = _VALIDATORS[doc.kind](mats, args.tol)
     report = {
         "command": "validate",
@@ -529,10 +526,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
-    except (ParseError, DimensionMismatch, UnknownOutcome, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ParseError, DimensionMismatch, UnknownOutcome, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QmeasureError as exc:

@@ -105,9 +105,7 @@ def dumps_document(doc: dict) -> str:
 def complex_pairs(array) -> list:
     """A complex vector or matrix as nested ``[re, im]`` pairs of floats."""
     arr = np.asarray(array, dtype=np.complex128)
-    if arr.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in arr]
-    return [complex_pairs(row) for row in arr]
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def _pairs_to_complex(node, what: str) -> complex:
@@ -129,7 +127,7 @@ def _load_json(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, text not UTF-8, an integer past the digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
@@ -198,21 +196,19 @@ def load_state_file(path: str) -> StateFile:
     return StateFile(dim=dim, amplitudes=amps)
 
 
-def operator_document(kind: str, matrices, labels=None) -> dict:
-    """Build the serializable document for an operator file."""
+def operator_document(kind: str, matrices) -> dict:
+    """Build the serializable document for an operator file, labeled 0..N-1."""
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"kind must be one of {OPERATOR_KINDS}, got {kind!r}")
     mats = [np.asarray(m, dtype=np.complex128) for m in matrices]
     dim = mats[0].shape[0]
-    if labels is None:
-        labels = range(len(mats))
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "dim": dim,
         "operators": [
-            {"label": int(label), "matrix": complex_pairs(mat)}
-            for label, mat in zip(labels, mats)
+            {"label": label, "matrix": complex_pairs(mat)}
+            for label, mat in enumerate(mats)
         ],
     }
 
@@ -226,8 +222,8 @@ def state_document(amplitudes) -> dict:
     }
 
 
-def save_operator_file(path: str, kind: str, matrices, labels=None) -> None:
-    text = dumps_document(operator_document(kind, matrices, labels))
+def save_operator_file(path: str, kind: str, matrices) -> None:
+    text = dumps_document(operator_document(kind, matrices))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

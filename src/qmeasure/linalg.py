@@ -80,8 +80,6 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     parts, each dot product taken by the BLAS call ``np.linalg.norm`` makes.
     (``einsum`` sums in another order.) The stack is read in row-major
     order, which is the order ``np.linalg.norm`` reads a C-ordered matrix."""
-    if len(stack) == 1:  # the same dot products, without the batched set-up
-        return np.array([np.linalg.norm(stack.reshape(-1))])
     flat = stack.reshape(len(stack), 1, -1)
     re, im = flat.real, flat.imag
     squares = np.matmul(re, re.transpose(0, 2, 1)) + np.matmul(im, im.transpose(0, 2, 1))
@@ -184,17 +182,20 @@ def hermiticity_residual(a) -> float:
         return float(np.linalg.norm(a - a.conj().T))
 
 
+def _require_hermitian(a, tol: float) -> None:
+    """The hermiticity rule of every single matrix: raise ``NotHermitian``
+    unless ``within_tol(||a - a^dag||_F, tol, ||a||_F)``."""
+    resid = hermiticity_residual(a)
+    if not within_tol(resid, tol, frobenius_norm(a)):
+        raise NotHermitian(f"matrix is not Hermitian within {tol:g} (residual {resid:.3e})")
+
+
 def guarded_eigh(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors (columns) of the
     Hermitian part (a + a^dag)/2 of an ``as_matrix`` array, by LAPACK
-    (``numpy.linalg.eigh``). Raises ``NotHermitian`` unless
-    ``within_tol(||a - a^dag||, tol, ||a||)``."""
+    (``numpy.linalg.eigh``), after :func:`_require_hermitian`."""
     _require_square(a, "hermitian_eig input")
-    resid = hermiticity_residual(a)
-    if not within_tol(resid, tol, frobenius_norm(a)):
-        raise NotHermitian(
-            f"matrix is not Hermitian within {tol:g} (residual {resid:.3e})"
-        )
+    _require_hermitian(a, tol)
     return np.linalg.eigh((a + a.conj().T) / 2.0)
 
 

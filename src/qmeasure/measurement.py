@@ -94,9 +94,7 @@ class DensityMatrix:
         mat = as_matrix(self.matrix)
         if mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"density matrix must be square, got {mat.shape}")
-        resid = linalg.hermiticity_residual(mat)
-        if not linalg.within_tol(resid, tol, linalg.frobenius_norm(mat)):
-            raise NotHermitian("density matrix is not Hermitian within tolerance")
+        linalg._require_hermitian(mat, tol)
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {trace!r} is not 1")
@@ -116,7 +114,7 @@ class DensityMatrix:
         return psi.density_matrix()
 
 
-def _coerce_square_family(mats, what: str) -> tuple[tuple[np.ndarray, ...], int]:
+def _coerce_square_family(mats, what: str) -> tuple[np.ndarray, ...]:
     arrays = tuple(as_matrix(m) for m in mats)
     if not arrays:
         raise ValueError(f"{what} needs at least one operator")
@@ -126,7 +124,7 @@ def _coerce_square_family(mats, what: str) -> tuple[tuple[np.ndarray, ...], int]
             raise DimensionMismatch(
                 f"{what} operator {k} has shape {m.shape}, expected ({dim}, {dim})"
             )
-    return tuple(freeze(m) for m in arrays), dim
+    return tuple(freeze(m) for m in arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +140,7 @@ class MeasurementOperatorSet:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops, _ = _coerce_square_family(self.operators, "measurement set")
+        ops = _coerce_square_family(self.operators, "measurement set")
         object.__setattr__(self, "operators", ops)
 
     @property
@@ -165,9 +163,6 @@ class MeasurementOperatorSet:
 class CompletenessReport:
     passed: bool
     residual: float
-    tol: float
-    dim: int
-    n_operators: int
 
 
 def validate_completeness(opset: MeasurementOperatorSet,
@@ -175,13 +170,7 @@ def validate_completeness(opset: MeasurementOperatorSet,
     """Check the identity resolution sum_m M_m^dag M_m = I."""
     residual = opset.completeness_residual
     passed = linalg.within_tol(residual, tol, math.sqrt(opset.dim))
-    return CompletenessReport(
-        passed=passed,
-        residual=residual,
-        tol=tol,
-        dim=opset.dim,
-        n_operators=len(opset),
-    )
+    return CompletenessReport(passed=passed, residual=residual)
 
 
 def _require_complete(opset: MeasurementOperatorSet, tol: float) -> None:
@@ -292,8 +281,6 @@ class OperatorResiduals:
             for _, s in linalg.stacks(self.operators):
                 norms.append(linalg.frobenius_norms(s))
                 hermiticity.append(linalg.frobenius_norms(s - s.conj().transpose(0, 2, 1)))
-        if len(norms) == 1:  # one stack: no copies to join
-            return norms[0], hermiticity[0]
         return np.concatenate(norms), np.concatenate(hermiticity)
 
     @property
@@ -367,7 +354,7 @@ class ProjectorSet:
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol: float):
-        projs, _ = _coerce_square_family(self.projectors, "projector set")
+        projs = _coerce_square_family(self.projectors, "projector set")
         failure = OperatorResiduals(projs).failure(tol)
         if failure is not None:
             raise InvalidProjectorSet(failure)
@@ -384,10 +371,10 @@ class ProjectorSet:
         return MeasurementOperatorSet(self.projectors)
 
 
-def _reconstruction_residual(mat: np.ndarray, spectrum, tol: float, scale: float) -> float:
+def _reconstruction_residual(mat: np.ndarray, spectrum, tol: float) -> float:
     """||A - sum_m lambda_m P_m||_F, which must pass at ``tol`` against ||A||_F."""
     resid = linalg.frobenius_distance(mat, sum(lam * p for lam, p in spectrum))
-    if not linalg.within_tol(resid, tol, scale):
+    if not linalg.within_tol(resid, tol, linalg.frobenius_norm(mat)):
         raise ValueError(f"spectrum does not reconstruct the observable (residual {resid:.3e})")
     return resid
 
@@ -411,15 +398,13 @@ class Observable:
 
     def __post_init__(self, tol: float):
         mat = as_matrix(self.matrix)
-        scale = linalg.frobenius_norm(mat)
-        if not linalg.within_tol(linalg.hermiticity_residual(mat), tol, scale):
-            raise NotHermitian("observable matrix is not Hermitian within tolerance")
+        linalg._require_hermitian(mat, tol)
         spectrum = tuple(
             (float(lam), freeze(as_matrix(p))) for lam, p in self.spectrum
         )
         if not spectrum:
             raise ValueError("observable needs a nonempty spectrum")
-        resid = _reconstruction_residual(mat, spectrum, tol, scale)
+        resid = _reconstruction_residual(mat, spectrum, tol)
         pset = ProjectorSet(tuple(p for _, p in spectrum), tol=tol)
         object.__setattr__(self, "matrix", freeze(mat))
         object.__setattr__(self, "spectrum", spectrum)
@@ -474,7 +459,7 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     spectrum = tuple(
         (float(np.mean(vals[g])), freeze(vecs[:, g] @ vecs[:, g].conj().T)) for g in groups
     )
-    resid = _reconstruction_residual(a, spectrum, tol, linalg.frobenius_norm(a))
+    resid = _reconstruction_residual(a, spectrum, tol)
     projs = tuple(p for _, p in spectrum)
     gram = float(np.linalg.norm(vecs.conj().T @ vecs - identity(len(vals))))
     tau = _gram_threshold(len(vals), tol)
@@ -497,7 +482,7 @@ class Povm:
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol: float):
-        elems, _ = _coerce_square_family(self.elements, "POVM")
+        elems = _coerce_square_family(self.elements, "POVM")
         failure = OperatorResiduals(elems).povm_failure(tol)
         if failure is not None:
             raise failure

@@ -20,7 +20,6 @@ from . import gates, linalg
 from .errors import (
     DimensionMismatch,
     NotBellCompatible,
-    PhaseNotUnimodular,
     QmeasureError,
 )
 from .linalg import DEFAULT_TOL, adjoint, identity
@@ -161,12 +160,11 @@ def build_qubit_mirror(theta: float, alpha: complex,
                        tol: float = DEFAULT_TOL) -> MirrorUnitary:
     """Diagonal qubit mirror e^{i theta} (alpha P_0 + conj(alpha) P_1).
 
-    ``alpha`` must be unimodular; theta is a global phase with no effect on
-    probabilities. Certified against the computational projectors.
+    ``alpha`` must pass :class:`PhaseVector`; theta is a global phase with no
+    effect on probabilities. Certified against the computational projectors.
     """
     alpha = complex(alpha)
-    if abs(abs(alpha) ** 2 - 1.0) > 1e-12:
-        raise PhaseNotUnimodular(f"|alpha| = {abs(alpha)!r} is not 1")
+    PhaseVector([alpha])  # raises unless alpha is unimodular
     front = cmath.exp(1j * float(theta))
     matrix = np.diag([front * alpha, front * alpha.conjugate()])
     result = is_mirror(UnitaryOperator(matrix, tol=tol),
@@ -267,7 +265,6 @@ class TruthProtocolTranscript:
     computed: QuantumState
     restored: QuantumState
     fidelity: float
-    povm_element: np.ndarray
     identity_residual: float
 
 
@@ -286,12 +283,10 @@ def truth_protocol(u, psi: QuantumState,
     restored = QuantumState(
         adjoint(unit.matrix) @ computed.amplitudes, normalize=True
     )
-    element = adjoint(unit.matrix) @ unit.matrix
     return TruthProtocolTranscript(
         initial=psi,
         computed=computed,
         restored=restored,
         fidelity=fidelity(psi, restored),
-        povm_element=linalg.freeze(element),
         identity_residual=unit.residuals[0],
     )

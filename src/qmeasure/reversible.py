@@ -153,8 +153,6 @@ def phase_superpose_projectors(pset: ProjectorSet, phases: PhaseVector,
                                tol: float = DEFAULT_TOL) -> UnitaryOperator:
     """Unitary P_hat = sum_m alpha_m P_m over a complete orthogonal
     projector set; diagonal in the eigenbasis of the generating observable."""
-    if not isinstance(pset, ProjectorSet):
-        pset = ProjectorSet(tuple(pset), tol=tol)
     if len(phases) != len(pset):
         raise DimensionMismatch(
             f"{len(phases)} phases for {len(pset)} projectors"

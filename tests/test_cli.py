@@ -135,6 +135,27 @@ def test_exit_2_on_matrix_entry_too_large_for_a_float(tmp_path, capsys):
     assert err == f"error: {path}: operators[0].matrix[1][1] must be finite\n"
 
 
+OVERSIZED_INTEGER = "1" * 5001  # past Python's 4300-digit limit for int(str)
+
+
+@pytest.mark.parametrize("command,text,reason", [
+    (["measure", "corpus/projectors_n2.json"],
+     f'{{"schema_version": "1", "dim": 2, "amplitudes": [[{OVERSIZED_INTEGER}, 0], [0, 0]]}}',
+     "Exceeds the limit (4300 digits)"),
+    (["validate"],
+     '{"schema_version": "1", "kind": "unitary", "dim": 1, '
+     f'"operators": [{{"label": {OVERSIZED_INTEGER}, "matrix": [[[1, 0]]]}}]}}',
+     "Exceeds the limit (4300 digits)"),
+    (["validate"], '{"schema_version": "1", "kind": "\xff"}', "'utf-8' codec can't decode"),
+], ids=["state_amplitude_past_digit_limit", "operator_label_past_digit_limit", "not_utf8"])
+def test_exit_2_naming_the_file_on_undecodable_json(command, text, reason, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(text.encode("latin-1"))
+    code, out, err = run_cli(command + [str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not valid JSON: {reason}")
+
+
 def test_exit_2_on_dimension_mismatch(capsys):
     code, _, err = run_cli(
         ["measure", "corpus/projectors_n2.json", "corpus/state_00.json"], capsys
@@ -188,6 +209,15 @@ def test_exit_2_on_povm_where_measurement_expected(capsys):
     )
     assert code == 2
     assert "kind" in err
+
+
+@pytest.mark.parametrize("kind", ["unitary", "observable"])
+def test_exit_2_on_more_than_one_operator_in_a_single_operator_file(kind, tmp_path, capsys):
+    path = tmp_path / "two.json"
+    save_operator_file(path, kind, [np.eye(2), np.eye(2)])
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: expected exactly one operator, found 2\n"
 
 
 def test_mirror_build_writes_reparsable_unitary(tmp_path, capsys):
@@ -276,6 +306,29 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["measure"])  # missing positional arguments
     assert info.value.code == 2
+
+
+MEASURE_PLUS = ["measure", "corpus/projectors_n2.json", "corpus/state_plus.json"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["mirror", "build", "--theta", "0", "--alpha", "1", "--angles", "0,1",
+      "--projectors", "corpus/projectors_n2.json"],
+     "give either --theta/--alpha or --phases/--angles, not both"),
+    (["mirror", "build", "--theta", "0"], "qubit mirror needs both --theta and --alpha"),
+    (["mirror", "build", "--angles", "0,1"], "--phases/--angles need --projectors FILE"),
+    (["mirror", "build", "--phases", "1,1", "--angles", "0,1",
+      "--projectors", "corpus/projectors_n2.json"],
+     "--phases and --angles are mutually exclusive"),
+    (["mirror", "build"], "mirror build needs --theta/--alpha or --phases/--angles"),
+    (MEASURE_PLUS + ["--outcome", "0", "--shots", "10", "--seed", "1"],
+     "--outcome and --shots are mutually exclusive"),
+    (MEASURE_PLUS + ["--shots", "10"], "--shots requires --seed"),
+], ids=["both_mirror_forms", "theta_without_alpha", "angles_without_projectors",
+        "phases_with_angles", "no_mirror_form", "outcome_with_shots", "shots_without_seed"])
+def test_argument_rules_exit_2(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "banana"])

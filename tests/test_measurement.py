@@ -414,6 +414,18 @@ def test_spectral_decompose_rejects_non_hermitian():
         spectral_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.parametrize("build", [
+    DensityMatrix,
+    lambda a: Observable(a, ((0.0, np.eye(2, dtype=complex)),)),
+    spectral_decompose,
+], ids=["DensityMatrix", "Observable", "spectral_decompose"])
+def test_hermiticity_guard_names_tol_and_residual(build):
+    # ||A - A^dag||_F = sqrt(2)
+    with pytest.raises(NotHermitian) as exc:
+        build(np.array([[0, 1], [0, 0]], dtype=complex))
+    assert str(exc.value) == "matrix is not Hermitian within 1e-10 (residual 1.414e+00)"
+
+
 def test_observable_rejects_overflowing_hermiticity_residual():
     # ||A - A^dag||_F and its scale ||A||_F both overflow to inf
     a = np.array([[0, 1e200], [0, 0]], dtype=complex)

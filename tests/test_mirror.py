@@ -113,6 +113,15 @@ def test_build_qubit_mirror_rejects_non_unimodular_alpha():
         build_qubit_mirror(0.0, 0.5)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 0.6 + 0.9j])
+def test_build_qubit_mirror_judges_alpha_as_phase_vector_does(alpha):
+    with pytest.raises(PhaseNotUnimodular) as expected:
+        PhaseVector([alpha])
+    with pytest.raises(PhaseNotUnimodular) as exc:
+        build_qubit_mirror(0.0, alpha)
+    assert str(exc.value) == str(expected.value)
+
+
 # ---------------------------------------------------------------------------
 # extended mirrors
 
