@@ -120,9 +120,10 @@ def within_tol(residual, tol: float, scale=1.0):
     return residual <= threshold < math.inf
 
 
-def _require_square(a: np.ndarray, what: str) -> None:
+def _require_square(a: np.ndarray) -> None:
+    """The squareness rule of every single matrix."""
     if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{what} must be square, got {a.shape}")
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
 
 
 def mat_mul(a, b) -> np.ndarray:
@@ -154,8 +155,8 @@ def commutator(a, b) -> np.ndarray:
     """a @ b - b @ a for square matrices of equal dimension."""
     a = as_matrix(a)
     b = as_matrix(b)
-    _require_square(a, "commutator operand")
-    _require_square(b, "commutator operand")
+    _require_square(a)
+    _require_square(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     return a @ b - b @ a
@@ -164,7 +165,7 @@ def commutator(a, b) -> np.ndarray:
 def unitarity_residuals(u) -> tuple[float, float]:
     """Frobenius residuals (||U^dag U - I||, ||U U^dag - I||)."""
     u = as_matrix(u)
-    _require_square(u, "unitarity check operand")
+    _require_square(u)
     eye = identity(u.shape[0])
     ud = u.conj().T
     with np.errstate(over="ignore", invalid="ignore"):
@@ -177,7 +178,7 @@ def unitarity_residuals(u) -> tuple[float, float]:
 def hermiticity_residual(a) -> float:
     """||a - a^dag||_F."""
     a = as_matrix(a)
-    _require_square(a, "hermiticity check operand")
+    _require_square(a)
     with np.errstate(over="ignore"):
         return float(np.linalg.norm(a - a.conj().T))
 
@@ -194,7 +195,6 @@ def guarded_eigh(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, n
     """Ascending eigenvalues and orthonormal eigenvectors (columns) of the
     Hermitian part (a + a^dag)/2 of an ``as_matrix`` array, by LAPACK
     (``numpy.linalg.eigh``), after :func:`_require_hermitian`."""
-    _require_square(a, "hermitian_eig input")
     _require_hermitian(a, tol)
     return np.linalg.eigh((a + a.conj().T) / 2.0)
 
@@ -240,7 +240,7 @@ def expm_oracle(a) -> np.ndarray:
     exponentials built elsewhere.
     """
     a = as_matrix(a)
-    _require_square(a, "expm_oracle input")
+    _require_square(a)
     n = a.shape[0]
     nrm = frobenius_norm(a)
     squarings = 0

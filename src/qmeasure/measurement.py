@@ -92,8 +92,6 @@ class DensityMatrix:
 
     def __post_init__(self, tol: float):
         mat = as_matrix(self.matrix)
-        if mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch(f"density matrix must be square, got {mat.shape}")
         linalg._require_hermitian(mat, tol)
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
@@ -226,7 +224,8 @@ def apply_outcome(opset: MeasurementOperatorSet, psi: QuantumState, m: int,
             "its post-measurement state is undefined"
         )
     post = QuantumState(mapped / np.sqrt(p), normalize=True)
-    return MeasurementRecord(outcome=m, probability=p, post_state=post)
+    # completeness at tol admits p slightly above 1; report the record's clamp
+    return MeasurementRecord(outcome=m, probability=min(p, 1.0), post_state=post)
 
 
 def _inverse_cdf(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -302,7 +301,8 @@ class OperatorResiduals:
     @cached_property
     def completeness(self) -> float:  # ||sum_k P_k - I||_F
         dim = self.operators[0].shape[0]
-        return float(np.linalg.norm(sum(self.operators) - identity(dim)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.linalg.norm(sum(self.operators) - identity(dim)))
 
     @cached_property
     def lowest(self) -> np.ndarray:  # smallest eigenvalue of each P_k
@@ -503,8 +503,7 @@ def povm_from_operators(opset: MeasurementOperatorSet,
     return Povm(tuple(adjoint(m) @ m for m in opset.operators), tol=tol)
 
 
-def povm_probabilities(povm: Povm, rho: DensityMatrix,
-                       tol: float = DEFAULT_TOL) -> np.ndarray:
+def povm_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:
     """Outcome statistics p(m) = tr(E_m rho)."""
     if povm.dim != rho.dim:
         raise DimensionMismatch(f"POVM dim {povm.dim} vs state dim {rho.dim}")

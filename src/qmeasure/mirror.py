@@ -160,17 +160,15 @@ def build_qubit_mirror(theta: float, alpha: complex,
                        tol: float = DEFAULT_TOL) -> MirrorUnitary:
     """Diagonal qubit mirror e^{i theta} (alpha P_0 + conj(alpha) P_1).
 
-    ``alpha`` must pass :class:`PhaseVector`; theta is a global phase with no
-    effect on probabilities. Certified against the computational projectors.
+    Its phases e^{i theta} alpha and e^{i theta} conj(alpha) must pass
+    :class:`PhaseVector`; theta is a global phase with no effect on
+    probabilities. Built and certified by :func:`extend_mirror` over the
+    computational projectors.
     """
     alpha = complex(alpha)
-    PhaseVector([alpha])  # raises unless alpha is unimodular
     front = cmath.exp(1j * float(theta))
-    matrix = np.diag([front * alpha, front * alpha.conjugate()])
-    result = is_mirror(UnitaryOperator(matrix, tol=tol),
-                       computational_projector_set(2), tol)
-    assert isinstance(result, MirrorUnitary)  # diagonal against diagonal
-    return result
+    return extend_mirror(PhaseVector([front * alpha, front * alpha.conjugate()]),
+                         computational_projector_set(2), tol)
 
 
 def extend_mirror(phases: PhaseVector, pset: ProjectorSet,
@@ -241,9 +239,9 @@ def bell_comparison(bell_index: int, mirror,
     e1 = p[1] + p[2]
     sum_residual = linalg.frobenius_distance(e0 + e1, identity(4))
     rho = DensityMatrix.from_state(bell)
-    ext = povm_probabilities(Povm((e0, e1), tol=tol), rho, tol)
+    ext = povm_probabilities(Povm((e0, e1), tol=tol), rho)
     internal = irm_povm(unit, tol)
-    internal_prob = float(povm_probabilities(internal, rho, tol)[0])
+    internal_prob = float(povm_probabilities(internal, rho)[0])
     preservation = verify_probability_preservation(unit, comp, bell, tol)
     return BellComparisonReport(
         bell_index=bell_index,
@@ -261,7 +259,6 @@ def bell_comparison(bell_index: int, mirror,
 class TruthProtocolTranscript:
     """Record of one compute/uncompute round trip."""
 
-    initial: QuantumState
     computed: QuantumState
     restored: QuantumState
     fidelity: float
@@ -284,7 +281,6 @@ def truth_protocol(u, psi: QuantumState,
         adjoint(unit.matrix) @ computed.amplitudes, normalize=True
     )
     return TruthProtocolTranscript(
-        initial=psi,
         computed=computed,
         restored=restored,
         fidelity=fidelity(psi, restored),

@@ -47,8 +47,6 @@ class UnitaryOperator:
 
     def __post_init__(self, tol: float):
         mat = as_matrix(self.matrix)
-        if mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch(f"unitary must be square, got {mat.shape}")
         left, right = linalg.unitarity_residuals(mat)
         scale = math.sqrt(mat.shape[0])
         if not (within_tol(left, tol, scale) and within_tol(right, tol, scale)):

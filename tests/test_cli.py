@@ -296,10 +296,25 @@ def test_parse_complex_forms():
     assert parse_complex("0.5+0.5i") == 0.5 + 0.5j
     assert parse_complex("2j") == 2j
     assert parse_complex_list("1,-1,i") == [1.0, -1.0, 1j]
+    assert parse_complex("inf") == complex(np.inf, 0.0)
+    assert parse_complex("-inf") == complex(-np.inf, 0.0)
+    assert parse_complex("2I") == 2j
+    assert parse_complex("1e3i") == 1000j
     with pytest.raises(ParseError):
         parse_complex("banana")
     with pytest.raises(ParseError):
         parse_complex("")
+
+
+@pytest.mark.parametrize("argv", [
+    ["mirror", "build", "--theta", "0", "--alpha", "inf"],
+    ["mirror", "build", "--theta", "0", "--alpha", "nan"],
+    ["mirror", "build", "--theta", "inf", "--alpha", "1"],
+    ["mirror", "build", "--phases", "1,inf", "--projectors", "corpus/projectors_n2.json"],
+], ids=["alpha_inf", "alpha_nan", "theta_inf", "phases_inf"])
+def test_non_finite_phase_exits_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", "error: phases must be finite\n")
 
 
 def test_usage_error_exits_2(capsys):
@@ -373,6 +388,25 @@ def test_measure_verdict_follows_probability_sum(tmp_path, capsys):
     assert "probability_sum" in doc["details"]
 
 
+def test_measure_outcome_on_a_complete_set_reports_the_clamped_probability(tmp_path, capsys):
+    # the set of test_measure_verdict_follows_probability_sum passes completeness,
+    # so --outcome 0 runs: p(0) = 1 + 1.2e-10 is reported as 1 and the
+    # verdict still fails on probability_sum (exit 1, not 2)
+    from qmeasure.fileio import save_operator_file, save_state_file
+    ops = tmp_path / "ops.json"
+    save_operator_file(ops, "measurement_set",
+                       [np.diag([np.sqrt(1.0 + 1.2e-10), 0.0]), np.diag([0.0, 1.0])])
+    state = tmp_path / "zero.json"
+    save_state_file(state, np.array([1.0, 0.0], dtype=complex))
+    code, out, err = run_cli(["measure", str(ops), str(state), "--outcome", "0",
+                              "--format", "machine"], capsys)
+    doc = json.loads(out)
+    assert (code, err) == (1, "")
+    assert doc["verdict"] == "fail"
+    assert doc["probability"] == 1
+    assert "probability_sum" in doc["details"]
+
+
 # ---------------------------------------------------------------------------
 # the CLI verdict is the library's verdict
 
@@ -382,8 +416,10 @@ OVERFLOW_OBSERVABLE = [[0, 1e200], [0, 0]]
 OVERFLOW_UNITARY = [[1e200, 1e200], [1e200, -1e200]]
 # sum_m M_m^dag M_m overflows to inf
 OVERFLOW_MEASUREMENT_SET = [[1e200, 0], [0, 1]]
+# sum_k P_k overflows in the addition; each ||P_k||_F overflows too
+OVERFLOW_DIAGONALS = [np.diag([1e308, 0.0]), np.diag([1e308, 1.0])]
 
-# One failing input per kind, plus the two whose residuals overflow. The
+# One failing input per kind, plus those whose residuals overflow. The
 # incomplete POVM misses the identity by 1e-6, so it passes at --tol 1e-3.
 FAILING_INPUTS = {
     "non_hermitian_projector": ("projector_set", [[[1, 1], [0, 0]], [[0, -1], [0, 1]]]),
@@ -394,6 +430,8 @@ FAILING_INPUTS = {
     "overflow_observable": ("observable", [OVERFLOW_OBSERVABLE]),
     "overflow_unitary": ("unitary", [OVERFLOW_UNITARY]),
     "overflow_measurement_set": ("measurement_set", [OVERFLOW_MEASUREMENT_SET]),
+    "overflow_projector_set": ("projector_set", OVERFLOW_DIAGONALS),
+    "overflow_povm": ("povm", OVERFLOW_DIAGONALS),
 }
 
 # The library call that accepts (returns) or rejects (raises) each kind.

@@ -1,8 +1,9 @@
 """Source hygiene of ``src/qmeasure``, checked with ``ast`` alone.
 
 Every name a module imports is used in that module (``__init__.py`` is
-exempt: it imports to re-export), and every name in ``qmeasure.__all__``
-resolves.
+exempt: it imports to re-export), every parameter of every function is read
+in its body (the receivers ``self`` and ``cls`` are exempt: Python binds
+them, not the caller), and every name in ``qmeasure.__all__`` resolves.
 """
 
 import ast
@@ -14,6 +15,8 @@ import qmeasure
 
 PACKAGE = pathlib.Path(qmeasure.__file__).resolve().parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
+RECEIVERS = {"self", "cls"}
 
 
 def imported_names(tree: ast.AST) -> set[str]:
@@ -42,6 +45,26 @@ def used_names(tree: ast.AST) -> set[str]:
 def test_every_import_is_used(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     assert sorted(imported_names(tree) - used_names(tree)) == []
+
+
+def unread_parameters(tree: ast.AST) -> list[str]:
+    """``function:parameter`` for each parameter its function body never reads."""
+    unread = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            reads = {n.id for stmt in node.body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{node.name}:{p}" for p in params if p not in reads | RECEIVERS]
+    return unread
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_every_parameter_is_read(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert unread_parameters(tree) == []
 
 
 def test_every_exported_name_resolves():

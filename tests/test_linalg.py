@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from helpers import jacobi_eig, random_hermitian
 from qmeasure import linalg
 from qmeasure.errors import ConvergenceFailure, DimensionMismatch, NotHermitian
-from qmeasure.measurement import spectral_decompose
+from qmeasure.measurement import DensityMatrix, Observable, spectral_decompose
+from qmeasure.reversible import UnitaryOperator
 
 RT2 = 1.0 / math.sqrt(2.0)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -205,6 +206,29 @@ def test_hermiticity_residual_values():
     assert linalg.hermiticity_residual(
         np.array([[0, 1], [0, 0]], dtype=complex)
     ) == pytest.approx(math.sqrt(2.0))
+
+
+NON_SQUARE = np.ones((2, 3))
+
+# Every entry point that takes one matrix reaches linalg._require_square.
+SINGLE_MATRIX_ENTRY_POINTS = {
+    "hermitian_eig": linalg.hermitian_eig,
+    "spectral_decompose": spectral_decompose,
+    "DensityMatrix": DensityMatrix,
+    "Observable": lambda a: Observable(a, ((0.0, np.eye(2)),)),
+    "UnitaryOperator": UnitaryOperator,
+    "unitarity_residuals": linalg.unitarity_residuals,
+    "hermiticity_residual": linalg.hermiticity_residual,
+    "commutator": lambda a: linalg.commutator(a, a),
+    "expm_oracle": linalg.expm_oracle,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_MATRIX_ENTRY_POINTS))
+def test_one_squareness_rule_for_every_single_matrix(name):
+    with pytest.raises(DimensionMismatch) as exc:
+        SINGLE_MATRIX_ENTRY_POINTS[name](NON_SQUARE)
+    assert str(exc.value) == "expected a square matrix, got shape (2, 3)"
 
 
 def test_within_tol_policy_uses_reference_scale():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_state, random_unitary
 from qmeasure.errors import (
@@ -113,6 +115,23 @@ def test_build_qubit_mirror_rejects_non_unimodular_alpha():
         build_qubit_mirror(0.0, 0.5)
 
 
+finite_angles = st.floats(allow_nan=False, allow_infinity=False)
+unit_alphas = st.one_of(st.sampled_from([1, -1, 1j, -1j]),
+                        finite_angles.map(lambda phi: cmath.exp(1j * phi)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_angles, unit_alphas)
+def test_build_qubit_mirror_is_the_diagonal_bit_for_bit(theta, alpha):
+    # Bits compared after "+ 0.0", which maps -0.0 to +0.0 and keeps every
+    # other value: the sum over projectors cannot carry the sign of a zero
+    # product (theta 0, alpha -1 gives np.diag a -0.0 imaginary part).
+    front = cmath.exp(1j * theta)
+    expected = np.diag([front * alpha, front * complex(alpha).conjugate()])
+    got = build_qubit_mirror(theta, alpha).unitary.matrix
+    assert np.array_equal((got + 0.0).view(np.uint64), (expected + 0.0).view(np.uint64))
+
+
 @pytest.mark.parametrize("alpha", [0.5, 2.0, 0.6 + 0.9j])
 def test_build_qubit_mirror_judges_alpha_as_phase_vector_does(alpha):
     with pytest.raises(PhaseNotUnimodular) as expected:
@@ -120,6 +139,32 @@ def test_build_qubit_mirror_judges_alpha_as_phase_vector_does(alpha):
     with pytest.raises(PhaseNotUnimodular) as exc:
         build_qubit_mirror(0.0, alpha)
     assert str(exc.value) == str(expected.value)
+
+
+def test_build_qubit_mirror_judges_its_phases_once():
+    # |alpha|^2 - 1 within a few ulps of UNIMODULAR_TOL: rotating alpha by
+    # e^{i theta} moves the deviation across the bound in either direction,
+    # so a second check on alpha alone would disagree with this one
+    rng = np.random.default_rng(2024)
+    verdicts = set()
+    for _ in range(200):
+        size = math.sqrt(1.0 + 1e-12 * (1.0 + rng.uniform(-3e-4, 3e-4)))
+        alpha = size * cmath.exp(1j * rng.uniform(-4.0, 4.0))
+        theta = rng.uniform(-4.0, 4.0)
+        front = cmath.exp(1j * theta)
+        try:
+            PhaseVector([front * alpha, front * alpha.conjugate()])
+            expected = None
+        except PhaseNotUnimodular as exc:
+            expected = str(exc)
+        try:
+            build_qubit_mirror(theta, alpha)
+            got = None
+        except PhaseNotUnimodular as exc:
+            got = str(exc)
+        assert got == expected
+        verdicts.add(got is None)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
