@@ -181,12 +181,12 @@ def _validate_measurement_set(mats, tol):
 
 def _validate_projector_set(mats, tol):
     res = OperatorResiduals(mats)
-    residuals = {
-        "hermiticity_max": float(np.max(res.hermiticity)),
-        "orthogonality_max": float(np.max(res.pairs / res.pair_scales)),
-        "completeness": res.completeness,
-    }
-    failure = res.failure(tol)
+    residuals = {"hermiticity_max": float(np.max(res.hermiticity))}
+    failure = res.hermiticity_failure(tol, "projector")
+    if failure is None:  # pairs are formed only from Hermitian projectors
+        residuals["orthogonality_max"] = float(np.max(res.pairs / res.pair_scales))
+        failure = res.failure(tol)
+    residuals["completeness"] = res.completeness
     return failure is None, residuals, [] if failure is None else [failure]
 
 

@@ -59,37 +59,22 @@ def _json_float(x: float) -> str:
 
 def _dump(value, indent: int, out: list[str]) -> None:
     pad = "  " * indent
-    if isinstance(value, dict):
-        out.append("{\n")
-        for k, (key, item) in enumerate(value.items()):
-            out.append(f"{pad}  {json.dumps(key)}: ")
+    if isinstance(value, (list, tuple)) and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
+        body = ", ".join(str(v) if isinstance(v, int) else _json_float(v) for v in value)
+        out.append(f"[{body}]")
+    elif isinstance(value, (dict, list, tuple)):
+        keyed = isinstance(value, dict)
+        out.append("{\n" if keyed else "[\n")
+        for k, (key, item) in enumerate(value.items() if keyed else enumerate(value)):
+            out.append(f"{pad}  {json.dumps(key)}: " if keyed else pad + "  ")
             _dump(item, indent + 1, out)
             out.append(",\n" if k < len(value) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
-        flat = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-        if flat:
-            body = ", ".join(
-                str(v) if isinstance(v, int) else _json_float(v) for v in value
-            )
-            out.append(f"[{body}]")
-        else:
-            out.append("[\n")
-            for k, item in enumerate(value):
-                out.append(pad + "  ")
-                _dump(item, indent + 1, out)
-                out.append(",\n" if k < len(value) - 1 else "\n")
-            out.append(pad + "]")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, int):
-        out.append(str(value))
+        out.append(pad + ("}" if keyed else "]"))
     elif isinstance(value, float):
         out.append(_json_float(value))
-    elif isinstance(value, str):
+    elif value is None or isinstance(value, (bool, int, str)):
         out.append(json.dumps(value))
-    elif value is None:
-        out.append("null")
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
@@ -121,10 +106,12 @@ def _pairs_to_complex(node, what: str) -> complex:
     return value
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> tuple[dict, bool]:
+    """The document, and whether its text may hold a JSON boolean."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            text = fh.read()
+        doc = json.loads(text)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON, text not UTF-8, an integer past the digit limit
@@ -136,23 +123,35 @@ def _load_json(path: str) -> dict:
             f"{path}: schema_version must be {SCHEMA_VERSION!r}, "
             f"got {doc.get('schema_version')!r}"
         )
-    return doc
+    return doc, "true" in text or "false" in text
 
 
-def _parse_matrix(node, dim: int, what: str) -> np.ndarray:
-    if not isinstance(node, list) or len(node) != dim:
-        raise ParseError(f"{what} must have {dim} rows")
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for i, row in enumerate(node):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ParseError(f"{what} row {i} must have {dim} entries")
-        for j, entry in enumerate(row):
-            mat[i, j] = _pairs_to_complex(entry, f"{what}[{i}][{j}]")
-    return mat
+def _parse_pairs(node: list, shape: tuple[int, ...], what: str, booleans: bool) -> np.ndarray:
+    """A list of ``shape[0]`` rows or ``[re, im]`` entries as a complex array
+    of ``shape``. One numpy conversion reads a node of finite numbers: strings
+    and null infer dtype kind U or O, and ragged nesting raises. Any other
+    node, and every node of a text that may hold a boolean (numpy reads it as
+    1 or 0), is walked row by row and entry by entry; the first bad one raises."""
+    try:
+        arr = None if booleans else np.array(node)
+    except ValueError:  # ragged or too deep nesting
+        arr = None
+    if (arr is not None and arr.dtype.kind in "iuf" and arr.shape == (*shape, 2)
+            and np.isfinite(arr).all()):
+        return arr.astype(np.float64, copy=False).view(np.complex128).reshape(shape)
+    out = np.zeros(shape, dtype=np.complex128)
+    for i, item in enumerate(node):
+        if len(shape) == 1:
+            out[i] = _pairs_to_complex(item, f"{what}[{i}]")
+        elif not isinstance(item, list) or len(item) != shape[1]:
+            raise ParseError(f"{what} row {i} must have {shape[1]} entries")
+        else:
+            out[i] = _parse_pairs(item, shape[1:], f"{what}[{i}]", booleans)
+    return out
 
 
 def load_operator_file(path: str) -> OperatorFile:
-    doc = _load_json(path)
+    doc, booleans = _load_json(path)
     kind = doc.get("kind")
     if kind not in OPERATOR_KINDS:
         raise ParseError(f"{path}: kind must be one of {OPERATOR_KINDS}, got {kind!r}")
@@ -171,9 +170,10 @@ def load_operator_file(path: str) -> OperatorFile:
             raise ParseError(f"{path}: operators[{k}].label must be an integer")
         if label in seen:
             raise ParseError(f"{path}: duplicate label {label}")
-        seen[label] = _parse_matrix(
-            raw.get("matrix"), dim, f"{path}: operators[{k}].matrix"
-        )
+        matrix, what = raw.get("matrix"), f"{path}: operators[{k}].matrix"
+        if not isinstance(matrix, list) or len(matrix) != dim:
+            raise ParseError(f"{what} must have {dim} rows")
+        seen[label] = _parse_pairs(matrix, (dim, dim), what, booleans)
     if sorted(seen) != list(range(len(seen))):
         raise ParseError(f"{path}: labels must be the consecutive integers 0..N-1")
     operators = tuple((label, seen[label]) for label in range(len(seen)))
@@ -181,16 +181,14 @@ def load_operator_file(path: str) -> OperatorFile:
 
 
 def load_state_file(path: str) -> StateFile:
-    doc = _load_json(path)
+    doc, booleans = _load_json(path)
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ParseError(f"{path}: dim must be a positive integer")
     raw = doc.get("amplitudes")
     if not isinstance(raw, list) or len(raw) != dim:
         raise ParseError(f"{path}: amplitudes must be an array of length {dim}")
-    amps = np.zeros(dim, dtype=np.complex128)
-    for k, entry in enumerate(raw):
-        amps[k] = _pairs_to_complex(entry, f"{path}: amplitudes[{k}]")
+    amps = _parse_pairs(raw, (dim,), f"{path}: amplitudes", booleans)
     if not amps.any():  # exact, where a norm can overflow or underflow
         raise ParseError(f"{path}: amplitudes form the zero vector")
     return StateFile(dim=dim, amplitudes=amps)

@@ -120,6 +120,12 @@ def within_tol(residual, tol: float, scale=1.0):
     return residual <= threshold < math.inf
 
 
+def residual_note(residual: float, scale: float) -> str:
+    """A failed check's residual, naming an overflowed scale (threshold inf)."""
+    overflow = "" if math.isfinite(scale) else "; its norm overflowed, so the threshold is inf"
+    return f"residual {residual:.3e}{overflow}"
+
+
 def _require_square(a: np.ndarray) -> None:
     """The squareness rule of every single matrix."""
     if a.shape[0] != a.shape[1]:
@@ -186,9 +192,9 @@ def hermiticity_residual(a) -> float:
 def _require_hermitian(a, tol: float) -> None:
     """The hermiticity rule of every single matrix: raise ``NotHermitian``
     unless ``within_tol(||a - a^dag||_F, tol, ||a||_F)``."""
-    resid = hermiticity_residual(a)
-    if not within_tol(resid, tol, frobenius_norm(a)):
-        raise NotHermitian(f"matrix is not Hermitian within {tol:g} (residual {resid:.3e})")
+    resid, scale = hermiticity_residual(a), frobenius_norm(a)
+    if not within_tol(resid, tol, scale):
+        raise NotHermitian(f"matrix is not Hermitian within {tol:g} ({residual_note(resid, scale)})")
 
 
 def guarded_eigh(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -308,14 +308,21 @@ class OperatorResiduals:
     def lowest(self) -> np.ndarray:  # smallest eigenvalue of each P_k
         return np.array([linalg.lowest_eigenvalue(p) for p in self.operators])
 
+    def hermiticity_failure(self, tol: float, what: str) -> str | None:
+        """Why the first ``what`` k fails hermiticity at ``tol``, or None."""
+        bad = np.flatnonzero(~linalg.within_tol(self.hermiticity, tol, self.norms))
+        if not len(bad):
+            return None
+        note = linalg.residual_note(self.hermiticity[bad[0]], self.norms[bad[0]])
+        return f"{what} {bad[0]} is not Hermitian ({note})"
+
     def failure(self, tol: float) -> str | None:
         """The first violated projector-set requirement, in hermiticity,
         pair, completeness order, or None when the set passes at ``tol``;
         stops computing at the first failing group."""
-        bad = np.flatnonzero(~linalg.within_tol(self.hermiticity, tol, self.norms))
-        if len(bad):
-            return (f"projector {bad[0]} is not Hermitian "
-                    f"(residual {self.hermiticity[bad[0]]:.3e})")
+        failure = self.hermiticity_failure(tol, "projector")
+        if failure is not None:
+            return failure
         bad = np.argwhere(~linalg.within_tol(self.pairs, tol, self.pair_scales))
         if len(bad):
             i, j = (int(x) for x in bad[0])
@@ -331,10 +338,9 @@ class OperatorResiduals:
         """The exception for the first violated POVM requirement, in
         hermiticity, positivity, completeness order, or None when the
         elements pass at ``tol``; stops computing at the first failing group."""
-        bad = np.flatnonzero(~linalg.within_tol(self.hermiticity, tol, self.norms))
-        if len(bad):
-            return NotHermitian(f"POVM element {bad[0]} is not Hermitian "
-                                f"(residual {self.hermiticity[bad[0]]:.3e})")
+        failure = self.hermiticity_failure(tol, "POVM element")
+        if failure is not None:
+            return NotHermitian(failure)
         bad = np.flatnonzero(self.lowest < PSD_FLOOR)
         if len(bad):
             return ValueError(f"POVM element {bad[0]} has negative eigenvalue "

@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from qmeasure import linalg
 from qmeasure.cli import main, parse_complex, parse_complex_list
 from qmeasure.errors import ParseError, QmeasureError
 from qmeasure.fileio import format_float, load_operator_file, save_operator_file
@@ -480,6 +481,30 @@ def test_validate_fails_observable_with_overflowing_residual(tmp_path, capsys):
     assert code == 1
     assert "verdict: fail" in out
     assert "not Hermitian" in out
+
+
+@pytest.mark.parametrize("name,subject", [("overflow_projector_set", "projector"),
+                                          ("overflow_povm", "POVM element")])
+def test_validate_names_an_overflowed_scale(name, subject, tmp_path, capsys):
+    code, out, err = run_cli(["validate", str(write_input(tmp_path, name))], capsys)
+    assert code == 1
+    assert (f"details: {subject} 0 is not Hermitian (residual 0.000e+00; "
+            "its norm overflowed, so the threshold is inf)\n") in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("name", ["non_hermitian_projector", "overflow_projector_set"])
+def test_validate_forms_no_pairs_for_a_non_hermitian_projector_file(name, tmp_path, capsys,
+                                                                    monkeypatch):
+    def formed(*args):
+        raise AssertionError("pair products formed for a set that failed hermiticity")
+
+    monkeypatch.setattr(linalg, "orthogonality_residuals", formed)
+    code, out, err = run_cli(["validate", str(write_input(tmp_path, name))], capsys)
+    assert code == 1
+    assert "verdict: fail" in out and "is not Hermitian" in out
+    assert "orthogonality_max" not in out and "nan" not in out
+    assert err == ""
 
 
 def test_validate_and_truth_fail_unitary_with_nan_residuals(tmp_path, capsys):

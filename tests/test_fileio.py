@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import pathlib
@@ -5,9 +6,10 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qmeasure import fileio
 from qmeasure.errors import ParseError
 from qmeasure.fileio import (
     dumps_document,
@@ -206,3 +208,167 @@ def test_corpus_files_all_parse(corpus):
             kinds.add(load_operator_file(path).kind)
     assert {"measurement_set", "projector_set", "povm",
             "unitary", "observable"} <= kinds
+
+
+# ---------------------------------------------------------------------------
+# the one-conversion parser against the per-entry walk
+
+def walk_entry(node, what):
+    """The per-entry reference parse of one ``[re, im]`` entry."""
+    if (not isinstance(node, list) or len(node) != 2
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in node)):
+        raise ParseError(f"{what} must be a two-element [re, im] array")
+    try:
+        value = complex(float(node[0]), float(node[1]))
+    except OverflowError:
+        value = complex(math.inf)
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ParseError(f"{what} must be finite")
+    return value
+
+
+def walk_matrix(node, dim, what):
+    if not isinstance(node, list) or len(node) != dim:
+        raise ParseError(f"{what} must have {dim} rows")
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for i, row in enumerate(node):
+        if not isinstance(row, list) or len(row) != dim:
+            raise ParseError(f"{what} row {i} must have {dim} entries")
+        for j, entry in enumerate(row):
+            mat[i, j] = walk_entry(entry, f"{what}[{i}][{j}]")
+    return mat
+
+
+def walk_load(path, doc):
+    """The reference loader: every matrix or amplitude walked entry by entry."""
+    dim = doc["dim"]
+    if "amplitudes" in doc:
+        raw = doc["amplitudes"]
+        if not isinstance(raw, list) or len(raw) != dim:
+            raise ParseError(f"{path}: amplitudes must be an array of length {dim}")
+        return [np.array([walk_entry(e, f"{path}: amplitudes[{k}]")
+                          for k, e in enumerate(raw)], dtype=np.complex128)]
+    return [walk_matrix(op["matrix"], dim, f"{path}: operators[{k}].matrix")
+            for k, op in enumerate(doc["operators"])]
+
+
+def load_all(path):
+    if "amplitudes" in json.loads(pathlib.Path(path).read_text()):
+        return [load_state_file(path).amplitudes]
+    return list(load_operator_file(path).matrices())
+
+
+# Valid JSON numbers at the edges of the float range and of exact integers.
+EDGE_NUMBERS = [0, 1, -1, 0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                -1.7976931348623157e308, 2**53 + 1, -(2**53 + 1), 2**63 + 1, -(2**63 + 1),
+                2**64 + 1, 10**300, -(10**300), 0.1, 1 / 3]
+# Values no entry may hold; json.dumps writes the floats as NaN, Infinity
+# and -Infinity, and 10**400 digit for digit.
+BAD_VALUES = [True, False, "1", None, math.nan, math.inf, -math.inf, 10**400,
+              [1], [1, 2, 3], [[1, 0], 0], {}]
+
+
+@st.composite
+def loader_cases(draw):
+    """A seeded operator or state file, with up to two bad values planted in
+    a component, an entry, a row or a whole matrix, and maybe a boolean in
+    the text outside every matrix."""
+    dim = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 32]))
+    state = draw(st.booleans())
+    count = 1 if state else draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 2 * dim * dim * count
+    pool = iter((rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)).tolist())
+
+    def number():
+        pick = rng.integers(4)
+        if pick == 0:
+            return EDGE_NUMBERS[rng.integers(len(EDGE_NUMBERS))]
+        if pick == 1:
+            return int(rng.integers(-2**62, 2**62))
+        return next(pool)
+
+    def pair():
+        return [number(), number()]
+
+    if state:
+        doc = {"schema_version": "1", "dim": dim, "amplitudes": [pair() for _ in range(dim)]}
+        doc["amplitudes"][0] = [1, 0]  # never the zero vector
+        lists = [doc["amplitudes"]]
+    else:
+        mats = [[[pair() for _ in range(dim)] for _ in range(dim)] for _ in range(count)]
+        doc = {"schema_version": "1", "kind": "measurement_set", "dim": dim,
+               "operators": [{"label": k, "matrix": m} for k, m in enumerate(mats)]}
+        lists = mats
+    for _ in range(draw(st.integers(0, 2))):
+        bad = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+        k = draw(st.integers(0, len(lists) - 1))
+        i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+        c = draw(st.integers(0, 1))
+        where = draw(st.sampled_from(["whole", "row", "entry", "component"]))
+        rows = lists[k]
+        if where == "whole" and state:
+            doc["amplitudes"] = bad
+        elif where == "whole":
+            doc["operators"][k]["matrix"] = bad
+        elif where == "row" or (state and where == "entry"):
+            rows[i] = bad
+        elif not isinstance(rows[i], list):
+            continue  # this row or entry went to an earlier plant
+        elif state:
+            rows[i][c] = bad
+        elif where == "entry":
+            rows[i][j] = bad
+        elif isinstance(rows[i][j], list):
+            rows[i][j][c] = bad
+    if draw(st.booleans()):
+        doc["comment"] = draw(st.sampled_from([True, False, "true", "false"]))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(loader_cases())
+@example({"schema_version": "1", "kind": "povm", "dim": 1, "comment": True,
+          "operators": [{"label": 0, "matrix": [[[1, 0]]]}]})  # walked, and accepted
+def test_loaders_agree_bit_for_bit_with_the_per_entry_walk(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "case.json"
+        path.write_text(json.dumps(doc))
+        reparsed = json.loads(path.read_text())
+        try:
+            expected = walk_load(path, reparsed)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                load_all(path)
+            assert str(got.value) == str(exc)
+            return
+        got = load_all(path)
+    assert len(got) == len(expected)
+    for mine, theirs in zip(got, expected):
+        assert mine.dtype == np.complex128 and mine.shape == theirs.shape
+        assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
+
+
+def test_valid_files_take_one_conversion_per_matrix(corpus, tmp_path, monkeypatch):
+    """Every corpus file and a saved n = 32 projector set and state parse
+    with one conversion per matrix or state; none enters the per-entry walk."""
+    calls = []
+    parse = fileio._parse_pairs
+
+    def counted(node, shape, what, booleans):
+        calls.append(what)
+        return parse(node, shape, what, booleans)
+
+    def walked(node, what):
+        raise AssertionError(f"{what} went to the per-entry walk")
+
+    monkeypatch.setattr(fileio, "_parse_pairs", counted)
+    monkeypatch.setattr(fileio, "_pairs_to_complex", walked)
+    rng = np.random.default_rng(44)
+    q, _ = np.linalg.qr(rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32)))
+    save_operator_file(tmp_path / "projectors.json", "projector_set",
+                       [np.outer(v, v.conj()) for v in q.T])
+    save_state_file(tmp_path / "state.json", q[:, 0])
+    paths = sorted(corpus.glob("*.json")) + [tmp_path / "projectors.json", tmp_path / "state.json"]
+    loaded = sum(len(load_all(path)) for path in paths)  # matrices and states
+    assert len(calls) == loaded

@@ -426,6 +426,29 @@ def test_hermiticity_guard_names_tol_and_residual(build):
     assert str(exc.value) == "matrix is not Hermitian within 1e-10 (residual 1.414e+00)"
 
 
+OVERFLOW_NOTE = "residual 0.000e+00; its norm overflowed, so the threshold is inf"
+
+
+@pytest.mark.parametrize("build", [
+    DensityMatrix,
+    lambda a: Observable(a, ((0.0, np.eye(2, dtype=complex)),)),
+    spectral_decompose,
+], ids=["DensityMatrix", "Observable", "spectral_decompose"])
+def test_hermiticity_guard_names_an_overflowed_scale(build):
+    # Hermitian with residual 0, but ||A||_F overflows, so the threshold is inf
+    with pytest.raises(NotHermitian) as exc:
+        build(np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex))
+    assert str(exc.value) == f"matrix is not Hermitian within 1e-10 ({OVERFLOW_NOTE})"
+
+
+def test_family_hermiticity_names_an_overflowed_scale():
+    # each ||P_k||_F overflows, so each threshold is inf
+    res = OperatorResiduals((np.diag([1e308, 0.0]).astype(complex),
+                             np.diag([1e308, 1.0]).astype(complex)))
+    assert res.failure(1e-10) == f"projector 0 is not Hermitian ({OVERFLOW_NOTE})"
+    assert str(res.povm_failure(1e-10)) == f"POVM element 0 is not Hermitian ({OVERFLOW_NOTE})"
+
+
 def test_observable_rejects_overflowing_hermiticity_residual():
     # ||A - A^dag||_F and its scale ||A||_F both overflow to inf
     a = np.array([[0, 1e200], [0, 0]], dtype=complex)
