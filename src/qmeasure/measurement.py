@@ -461,12 +461,19 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     """
     a = as_matrix(a)
     vals, vecs = linalg.guarded_eigh(a, tol)
-    groups = np.split(np.arange(len(vals)), np.flatnonzero(np.diff(vals) > CLUSTER_TOL) + 1)
-    spectrum = tuple(
-        (float(np.mean(vals[g])), freeze(vecs[:, g] @ vecs[:, g].conj().T)) for g in groups
-    )
+    starts = np.flatnonzero(np.r_[True, np.diff(vals) > CLUSTER_TOL])
+    sizes = np.diff(np.r_[starts, len(vals)])
+    lams, projs = np.empty(len(starts)), [None] * len(starts)
+    for size in set(sizes.tolist()):  # the eigenspaces of one size as one batch
+        slots = np.flatnonzero(sizes == size)
+        cols = starts[slots, None] + np.arange(size)
+        lams[slots] = vals[cols].mean(axis=1)
+        v = vecs[:, cols].transpose(1, 0, 2)
+        for slot, p in zip(slots, freeze(v @ v.conj().transpose(0, 2, 1))):
+            projs[slot] = p
+    projs = tuple(projs)
+    spectrum = tuple(zip(lams.tolist(), projs))
     resid = _reconstruction_residual(a, spectrum, tol)
-    projs = tuple(p for _, p in spectrum)
     gram = float(np.linalg.norm(vecs.conj().T @ vecs - identity(len(vals))))
     tau = _gram_threshold(len(vals), tol)
     failure = None if gram <= tau else OperatorResiduals(projs).failure(tol)

@@ -140,19 +140,14 @@ def verify_probability_preservation(u, pset: ProjectorSet, psi: QuantumState,
         raise DimensionMismatch(
             f"dims differ: unitary {unit.dim}, projectors {pset.dim}, state {psi.dim}"
         )
-    moved = unit.matrix @ psi.amplitudes
-    before = tuple(
-        float(np.vdot(psi.amplitudes, p @ psi.amplitudes).real)
-        for p in pset.projectors
-    )
-    after = tuple(
-        float(np.vdot(moved, p @ moved).real) for p in pset.projectors
-    )
-    deviation = max(abs(b - a) for a, b in zip(before, after))
+    states = np.stack([psi.amplitudes, unit.matrix @ psi.amplitudes], axis=1)
+    probs = np.concatenate([
+        (states.conj() * (s @ states)).sum(axis=1).real for _, s in linalg.stacks(pset.projectors)
+    ])  # column 0: p(m) = <psi|P_m|psi>; column 1: p'(m) with U psi
     return PreservationReport(
-        probabilities_before=before,
-        probabilities_after=after,
-        max_deviation=deviation,
+        probabilities_before=tuple(probs[:, 0].tolist()),
+        probabilities_after=tuple(probs[:, 1].tolist()),
+        max_deviation=float(np.abs(probs[:, 1] - probs[:, 0]).max()),
     )
 
 

@@ -155,9 +155,8 @@ def phase_superpose_projectors(pset: ProjectorSet, phases: PhaseVector,
         raise DimensionMismatch(
             f"{len(phases)} phases for {len(pset)} projectors"
         )
-    combined = sum(
-        alpha * p for alpha, p in zip(phases.phases, pset.projectors)
-    )
+    combined = sum(np.tensordot(phases.phases[lo:lo + len(s)], s, axes=1)
+                   for lo, s in linalg.stacks(pset.projectors))
     return UnitaryOperator(combined, tol=tol)
 
 

@@ -268,6 +268,35 @@ BAD_VALUES = [True, False, "1", None, math.nan, math.inf, -math.inf, 10**400,
               [1], [1, 2, 3], [[1, 0], 0], {}]
 
 
+def intact(node, length):
+    """Whether ``node`` is still a list of its original ``length``, so that a
+    plant into one of its items lands (an earlier plant may have put a
+    scalar or a short list such as ``[1]`` there)."""
+    return isinstance(node, list) and len(node) == length
+
+
+def plant(doc, rows, k, where, i, j, c, bad):
+    """Put ``bad`` in ``doc`` as a whole matrix or amplitude list, a row, an
+    entry or a component; ``rows`` is the ``k``-th matrix (or the amplitude
+    list) as first built. A plant into a row or entry that an earlier plant
+    replaced is skipped."""
+    state = "amplitudes" in doc
+    if where == "whole" and state:
+        doc["amplitudes"] = bad
+    elif where == "whole":
+        doc["operators"][k]["matrix"] = bad
+    elif where == "row" or (state and where == "entry"):
+        rows[i] = bad
+    elif not intact(rows[i], 2 if state else doc["dim"]):
+        return  # this row went to an earlier plant
+    elif state:
+        rows[i][c] = bad
+    elif where == "entry":
+        rows[i][j] = bad
+    elif intact(rows[i][j], 2):  # else this entry went to an earlier plant
+        rows[i][j][c] = bad
+
+
 @st.composite
 def loader_cases(draw):
     """A seeded operator or state file, with up to two bad values planted in
@@ -306,21 +335,7 @@ def loader_cases(draw):
         i, j = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
         c = draw(st.integers(0, 1))
         where = draw(st.sampled_from(["whole", "row", "entry", "component"]))
-        rows = lists[k]
-        if where == "whole" and state:
-            doc["amplitudes"] = bad
-        elif where == "whole":
-            doc["operators"][k]["matrix"] = bad
-        elif where == "row" or (state and where == "entry"):
-            rows[i] = bad
-        elif not isinstance(rows[i], list):
-            continue  # this row or entry went to an earlier plant
-        elif state:
-            rows[i][c] = bad
-        elif where == "entry":
-            rows[i][j] = bad
-        elif isinstance(rows[i][j], list):
-            rows[i][j][c] = bad
+        plant(doc, lists[k], k, where, i, j, c, bad)
     if draw(st.booleans()):
         doc["comment"] = draw(st.sampled_from([True, False, "true", "false"]))
     return doc
@@ -347,6 +362,27 @@ def test_loaders_agree_bit_for_bit_with_the_per_entry_walk(doc):
     for mine, theirs in zip(got, expected):
         assert mine.dtype == np.complex128 and mine.shape == theirs.shape
         assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
+
+
+@pytest.mark.parametrize("state,first,second,kept", [
+    (True, ("row", 1, 0, 0), ("component", 1, 0, 1), [1]),
+    (False, ("row", 1, 0, 0), ("entry", 1, 1, 0), [1]),
+    (False, ("entry", 1, 1, 0), ("component", 1, 1, 1), [[0, 0], [1]]),
+])
+def test_a_plant_into_a_place_an_earlier_plant_cut_short_is_skipped(state, first, second, kept):
+    """The draw that made ``loader_cases`` raise IndexError: a first plant
+    puts ``[1]`` at a row or entry of a 2-dimensional file, and a second
+    one plants into that row or entry."""
+    if state:
+        rows = [[0, 0], [0, 0]]
+        doc = {"schema_version": "1", "dim": 2, "amplitudes": rows}
+    else:
+        rows = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+        doc = {"schema_version": "1", "kind": "measurement_set", "dim": 2,
+               "operators": [{"label": 0, "matrix": rows}]}
+    plant(doc, rows, 0, *first, [1])
+    plant(doc, rows, 0, *second, None)
+    assert rows[1] == kept
 
 
 def test_valid_files_take_one_conversion_per_matrix(corpus, tmp_path, monkeypatch):

@@ -2,7 +2,9 @@
 
 Every residual must equal its loop definition bit for bit (``==``, with NaN
 matching NaN), because the goldens and the first-violation messages print
-those bits. The loops below are the reference implementations.
+those bits. The loops below are the reference implementations. The tiled
+phase sums and preservation probabilities are no residuals: they need only
+agree with their loops to rounding.
 """
 
 import tracemalloc
@@ -13,12 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import orthogonal_family, random_phases, random_unitary
+from helpers import orthogonal_family, random_hermitian, random_phases, random_unitary
 from qmeasure import linalg
 from qmeasure.errors import InvalidProjectorSet, OrthogonalityViolation
-from qmeasure.measurement import MeasurementOperatorSet, OperatorResiduals, ProjectorSet
-from qmeasure.mirror import commutation_residuals
-from qmeasure.reversible import PhaseVector, UnitaryOperator, superpose_operators
+from qmeasure.measurement import (
+    MeasurementOperatorSet,
+    OperatorResiduals,
+    ProjectorSet,
+    QuantumState,
+    spectral_decompose,
+)
+from qmeasure.mirror import commutation_residuals, verify_probability_preservation
+from qmeasure.reversible import (
+    PhaseVector,
+    UnitaryOperator,
+    phase_superpose_projectors,
+    superpose_operators,
+)
 
 DIMS = list(range(1, 10)) + [32, 64]
 SCALES = [1e-150, 1.0, 1e150]
@@ -107,6 +120,33 @@ def test_stacked_kernels_equal_the_per_matrix_loops(stack, seed):
         linalg.orthogonality_residuals(ops, adjoints)[off], adjoint_rights[off], strict=True)
     np.testing.assert_array_equal(np.array(mirror), commutators, strict=True)
     assert all(type(r) is float for r in mirror)
+
+
+@pytest.mark.parametrize("n", DIMS)
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_tiled_phase_sums_and_probabilities_match_the_loops(n, degenerate):
+    """Sum alpha_m P_m and the preservation probabilities, formed on tiles
+    (several at n = 64), agree with the per-projector loops within
+    4 n^(3/2) eps times their scale: ||sum||_F for the sum, 1 for the
+    probabilities."""
+    rng = np.random.default_rng(n)
+    pset = spectral_decompose(random_hermitian(rng, n, degenerate=degenerate)).projector_set()
+    phases = PhaseVector(random_phases(rng, len(pset)))
+    psi = QuantumState(rng.normal(size=n) + 1j * rng.normal(size=n), normalize=True)
+    u = random_unitary(rng, n)  # no mirror, so p'(m) differs from p(m)
+    eps_n = 4.0 * n ** 1.5 * np.finfo(float).eps
+    summed = sum(alpha * p for alpha, p in zip(phases.phases, pset.projectors))
+    tiled = phase_superpose_projectors(pset, phases).matrix
+    assert np.linalg.norm(tiled - summed) <= eps_n * max(1.0, np.linalg.norm(summed))
+    moved = u @ psi.amplitudes
+    before = [np.vdot(psi.amplitudes, p @ psi.amplitudes).real for p in pset.projectors]
+    after = [np.vdot(moved, p @ moved).real for p in pset.projectors]
+    report = verify_probability_preservation(u, pset, psi)
+    assert all(type(x) is float for x in report.probabilities_before + report.probabilities_after)
+    assert np.abs(np.array(report.probabilities_before) - before).max() <= eps_n
+    assert np.abs(np.array(report.probabilities_after) - after).max() <= eps_n
+    assert report.max_deviation == max(
+        abs(b - a) for a, b in zip(report.probabilities_before, report.probabilities_after))
 
 
 def test_planted_bad_pair_gives_the_loop_violation():

@@ -614,6 +614,32 @@ def test_spectral_projectors_are_the_eigenvector_products(degenerate):
         assert lam == np.mean(vals[g])
 
 
+@pytest.mark.parametrize("mults,rotated", [
+    ([2, 1, 3, 1, 2], True),  # eigenspace sizes in mixed order
+    ([1, 4, 1, 1, 4, 2, 1], True),
+    ([1], True),  # n = 1
+    ([32], False),  # the identity
+    ([32], True),  # rotated: all 32 eigenvalues equal up to rounding
+])
+def test_spectral_groups_of_mixed_sizes_keep_their_slots(mults, rotated):
+    """Eigenspaces batched by size come back in ascending order, each P_g
+    and lambda_g bit for bit the per-group V_g V_g^dag and mean."""
+    rng = np.random.default_rng(len(mults))
+    n = sum(mults)
+    levels = np.cumsum(rng.uniform(0.5, 2.0, size=len(mults)))  # gaps > CLUSTER_TOL
+    u = random_unitary(rng, n) if rotated else np.eye(n)
+    a = (u * np.repeat(levels, mults)) @ u.conj().T
+    obs = spectral_decompose(a)
+    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+    groups = np.split(np.arange(n), np.cumsum(mults)[:-1])
+    assert len(obs.spectrum) == len(mults)
+    assert all(x < y for x, y in zip(obs.eigenvalues, obs.eigenvalues[1:]))
+    for (lam, p), g in zip(obs.spectrum, groups):
+        assert np.array_equal(p, vecs[:, g] @ vecs[:, g].conj().T)
+        assert type(lam) is float and lam == np.mean(vals[g])
+        assert not p.flags.writeable
+
+
 def test_observable_keeps_its_validated_projector_set():
     obs = spectral_decompose(np.diag([1.0, 1.0, 3.0]).astype(complex))
     pset = obs.projector_set()
