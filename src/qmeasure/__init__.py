@@ -7,7 +7,6 @@ probabilities; and the compute/uncompute truth protocol.
 """
 
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     IncompleteSet,
     InvalidProjectorSet,
@@ -21,16 +20,7 @@ from .errors import (
     UnknownOutcome,
     ZeroProbabilityOutcome,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    adjoint,
-    commutator,
-    expm_oracle,
-    frobenius_distance,
-    hermitian_eig,
-    identity,
-    mat_mul,
-)
+from .linalg import DEFAULT_TOL, adjoint, commutator, expm_oracle, identity
 from .measurement import (
     CompletenessReport,
     DensityMatrix,
@@ -81,13 +71,12 @@ from .reversible import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QmeasureError", "DimensionMismatch", "NotHermitian", "ConvergenceFailure",
+    "QmeasureError", "DimensionMismatch", "NotHermitian",
     "IncompleteSet", "ZeroProbabilityOutcome",
     "UnknownOutcome", "NotUnitary", "OrthogonalityViolation",
     "PhaseNotUnimodular", "InvalidProjectorSet", "NotBellCompatible",
     "ParseError",
-    "DEFAULT_TOL", "mat_mul", "adjoint", "frobenius_distance",
-    "hermitian_eig", "expm_oracle", "commutator", "identity",
+    "DEFAULT_TOL", "adjoint", "expm_oracle", "commutator", "identity",
     "QuantumState", "DensityMatrix", "MeasurementOperatorSet",
     "ProjectorSet", "Observable", "Povm", "MeasurementRecord",
     "MeasurementKind", "CompletenessReport", "validate_completeness",

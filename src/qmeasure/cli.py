@@ -113,7 +113,7 @@ def _load_unitary(path: str, tol: float) -> UnitaryOperator:
 
 
 def _load_state(path: str, warnings: list[str]) -> QuantumState:
-    vec = load_state_file(path).amplitudes
+    vec = load_state_file(path)
     scale, norm = vector_norm(vec)
     norm *= scale
     if abs(norm - 1.0) > NORM_TOL:
@@ -216,7 +216,7 @@ def _validate_observable(mats, tol):
     residuals = {"hermiticity": hermiticity_residual(a)}
     try:
         obs = spectral_decompose(a, tol=tol)
-    except (QmeasureError, ValueError) as exc:
+    except QmeasureError as exc:
         return False, residuals, [str(exc)]
     residuals["reconstruction"] = obs.reconstruction_residual
     residuals["n_eigenspaces"] = len(obs.spectrum)
@@ -272,8 +272,13 @@ def cmd_classify(args) -> dict:
 # measure
 
 def cmd_measure(args) -> dict:
-    if args.shots is not None and args.outcome is not None:
-        raise ParseError("--outcome and --shots are mutually exclusive")
+    if args.shots is not None:
+        if args.outcome is not None:
+            raise ParseError("--outcome and --shots are mutually exclusive")
+        if args.seed is None:
+            raise ParseError("--shots requires --seed")
+        if args.shots < 1:
+            raise ParseError("shots must be positive")
     doc = _load_kind(args.set, ("measurement_set", "projector_set", "unitary"))
     opset = MeasurementOperatorSet(doc.matrices())
     warnings: list[str] = []
@@ -298,8 +303,6 @@ def cmd_measure(args) -> dict:
         report["probability"] = record.probability
         report["post_state"] = complex_pairs(record.post_state.amplitudes)
     elif args.shots is not None:
-        if args.seed is None:
-            raise ParseError("--shots requires --seed")
         counts = sample_histogram(opset, psi, shots=args.shots, seed=args.seed, tol=args.tol)
         report["shots"] = args.shots
         report["seed"] = args.seed
@@ -414,8 +417,8 @@ def cmd_truth(args) -> dict:
 
 
 def cmd_bell(args) -> dict:
-    unit = _load_unitary(args.mirror, args.tol)
-    comparison = bell_comparison(args.index, unit, tol=args.tol)
+    mirror = _single_matrix(_load_kind(args.mirror, ("unitary",)), args.mirror)
+    comparison = bell_comparison(args.index, mirror, tol=args.tol)
     passed = (
         within_tol(abs(comparison.internal_probability - 1.0), args.tol)
         and comparison.preservation.within(args.tol)

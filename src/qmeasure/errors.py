@@ -17,10 +17,6 @@ class NotHermitian(QmeasureError):
     """A matrix required to be Hermitian is not, within tolerance."""
 
 
-class ConvergenceFailure(QmeasureError):
-    """An iterative numeric routine failed to converge."""
-
-
 class IncompleteSet(QmeasureError):
     """A measurement operator set does not resolve the identity."""
 

@@ -39,12 +39,6 @@ class OperatorFile:
         return tuple(mat for _, mat in self.operators)
 
 
-@dataclass(frozen=True)
-class StateFile:
-    dim: int
-    amplitudes: np.ndarray
-
-
 def format_float(x: float) -> str:
     """Decimal form with 17 significant digits; parses back bit-exactly."""
     return format(float(x), ".17g")
@@ -180,7 +174,8 @@ def load_operator_file(path: str) -> OperatorFile:
     return OperatorFile(kind=kind, dim=dim, operators=operators)
 
 
-def load_state_file(path: str) -> StateFile:
+def load_state_file(path: str) -> np.ndarray:
+    """The amplitudes of a state file, a nonzero complex vector of length ``dim``."""
     doc, booleans = _load_json(path)
     dim = doc.get("dim")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
@@ -191,7 +186,7 @@ def load_state_file(path: str) -> StateFile:
     amps = _parse_pairs(raw, (dim,), f"{path}: amplitudes", booleans)
     if not amps.any():  # exact, where a norm can overflow or underflow
         raise ParseError(f"{path}: amplitudes form the zero vector")
-    return StateFile(dim=dim, amplitudes=amps)
+    return amps
 
 
 def operator_document(kind: str, matrices) -> dict:

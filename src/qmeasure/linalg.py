@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch, NotHermitian, NotUnitary
 
 DEFAULT_TOL = 1e-10
 
@@ -132,29 +132,9 @@ def _require_square(a: np.ndarray) -> None:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Complex matrix product a @ b."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(
-            f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}"
-        )
-    return a @ b
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(a).conj().T.copy()
-
-
-def frobenius_distance(a, b) -> float:
-    """sqrt(sum |a_ij - b_ij|^2); zero iff the matrices are equal."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
 
 
 def commutator(a, b) -> np.ndarray:
@@ -197,18 +177,23 @@ def _require_hermitian(a, tol: float) -> None:
         raise NotHermitian(f"matrix is not Hermitian within {tol:g} ({residual_note(resid, scale)})")
 
 
+def _require_unitary(u: np.ndarray, tol: float) -> tuple[float, float]:
+    """The unitarity rule of every single matrix: raise ``NotUnitary`` unless
+    both residuals (||U^dag U - I||_F, ||U U^dag - I||_F) of an ``as_matrix``
+    array pass ``within_tol`` against sqrt(n); return them."""
+    left, right = unitarity_residuals(u)
+    scale = math.sqrt(u.shape[0])
+    if not (within_tol(left, tol, scale) and within_tol(right, tol, scale)):
+        raise NotUnitary(tol, left, right)
+    return left, right
+
+
 def guarded_eigh(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors (columns) of the
     Hermitian part (a + a^dag)/2 of an ``as_matrix`` array, by LAPACK
     (``numpy.linalg.eigh``), after :func:`_require_hermitian`."""
     _require_hermitian(a, tol)
     return np.linalg.eigh((a + a.conj().T) / 2.0)
-
-
-def hermitian_eig(a, tol: float = DEFAULT_TOL) -> list[tuple[float, np.ndarray]]:
-    """:func:`guarded_eigh` as ``[(eigenvalue, eigenvector), ...]``."""
-    vals, vecs = guarded_eigh(as_matrix(a), tol)
-    return [(float(vals[k]), vecs[:, k].copy()) for k in range(len(vals))]
 
 
 def lowest_eigenvalue(a: np.ndarray) -> float:
@@ -255,15 +240,11 @@ def expm_oracle(a) -> np.ndarray:
     b = a / (2.0 ** squarings)
     total = identity(n)
     term = identity(n)
-    k = 1
-    while True:
+    k = 0
+    while frobenius_norm(term) >= _EXPM_TERM_EPS:  # ||b||_F <= 0.5 ends it by k ~ 13
+        k += 1
         term = term @ b / k
         total = total + term
-        if frobenius_norm(term) < _EXPM_TERM_EPS:
-            break
-        k += 1
-        if k > 200:  # unreachable once ||b|| <= 0.5; guards misuse
-            raise ConvergenceFailure("Taylor series for expm did not truncate")
     for _ in range(squarings):
         total = total @ total
     return total

@@ -11,6 +11,7 @@ POVMs (E_m = M_m^dag M_m) are the two classical special views.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -23,6 +24,8 @@ from .errors import (
     IncompleteSet,
     InvalidProjectorSet,
     NotHermitian,
+    NotUnitary,
+    QmeasureError,
     UnknownOutcome,
     ZeroProbabilityOutcome,
 )
@@ -106,10 +109,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @classmethod
-    def from_state(cls, psi: QuantumState) -> "DensityMatrix":
-        return psi.density_matrix()
 
 
 def _coerce_square_family(mats, what: str) -> tuple[np.ndarray, ...]:
@@ -201,12 +200,6 @@ class MeasurementRecord:
     probability: float
     post_state: QuantumState
 
-    def __post_init__(self):
-        p = self.probability
-        if p < -1e-12 or p > 1.0 + 1e-12:
-            raise ValueError(f"probability {p!r} is outside [0, 1]")
-        object.__setattr__(self, "probability", min(1.0, max(0.0, p)))
-
 
 def apply_outcome(opset: MeasurementOperatorSet, psi: QuantumState, m: int,
                   tol: float = DEFAULT_TOL) -> MeasurementRecord:
@@ -224,7 +217,7 @@ def apply_outcome(opset: MeasurementOperatorSet, psi: QuantumState, m: int,
             "its post-measurement state is undefined"
         )
     post = QuantumState(mapped / np.sqrt(p), normalize=True)
-    # completeness at tol admits p slightly above 1; report the record's clamp
+    # completeness at tol admits p slightly above 1
     return MeasurementRecord(outcome=m, probability=min(p, 1.0), post_state=post)
 
 
@@ -379,43 +372,26 @@ class ProjectorSet:
 
 def _reconstruction_residual(mat: np.ndarray, spectrum, tol: float) -> float:
     """||A - sum_m lambda_m P_m||_F, which must pass at ``tol`` against ||A||_F."""
-    resid = linalg.frobenius_distance(mat, sum(lam * p for lam, p in spectrum))
+    resid = linalg.frobenius_norm(mat - sum(lam * p for lam, p in spectrum))
     if not linalg.within_tol(resid, tol, linalg.frobenius_norm(mat)):
-        raise ValueError(f"spectrum does not reconstruct the observable (residual {resid:.3e})")
+        raise QmeasureError(f"spectrum does not reconstruct the observable (residual {resid:.3e})")
     return resid
 
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Hermitian operator with spectral data A = sum_m lambda_m P_m.
+    """Hermitian operator with spectral data A = sum_m lambda_m P_m, as built
+    by :func:`spectral_decompose`, its only producer.
 
     ``spectrum`` pairs each distinct eigenvalue (ascending) with the
     projector onto its eigenspace, judged with ``reconstruction_residual``
-    ||A - sum_m lambda_m P_m||_F. This constructor checks the projectors as
-    a :class:`ProjectorSet`; :func:`spectral_decompose` certifies them from
-    the eigenvectors instead.
+    ||A - sum_m lambda_m P_m||_F.
     """
 
     matrix: np.ndarray
     spectrum: tuple[tuple[float, np.ndarray], ...]
-    tol: InitVar[float] = DEFAULT_TOL
-    reconstruction_residual: float = field(init=False)
-    _projector_set: ProjectorSet = field(init=False, repr=False)
-
-    def __post_init__(self, tol: float):
-        mat = as_matrix(self.matrix)
-        linalg._require_hermitian(mat, tol)
-        spectrum = tuple(
-            (float(lam), freeze(as_matrix(p))) for lam, p in self.spectrum
-        )
-        if not spectrum:
-            raise ValueError("observable needs a nonempty spectrum")
-        resid = _reconstruction_residual(mat, spectrum, tol)
-        pset = ProjectorSet(tuple(p for _, p in spectrum), tol=tol)
-        object.__setattr__(self, "matrix", freeze(mat))
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "reconstruction_residual", resid)
-        object.__setattr__(self, "_projector_set", pset)
+    reconstruction_residual: float
+    _projector_set: ProjectorSet = field(repr=False)
 
     @property
     def dim(self) -> int:
@@ -426,7 +402,7 @@ class Observable:
         return tuple(lam for lam, _ in self.spectrum)
 
     def projector_set(self) -> ProjectorSet:
-        """The eigenspace projectors, as validated at construction."""
+        """The eigenspace projectors, as certified by :func:`spectral_decompose`."""
         return self._projector_set
 
 
@@ -480,11 +456,9 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     if failure is not None:
         raise InvalidProjectorSet(f"eigenvector Gram residual {gram:.3e} exceeds its "
                                   f"threshold {tau:.3e} at tol {tol:g}, and {failure}")
-    pset, obs = object.__new__(ProjectorSet), object.__new__(Observable)  # no __post_init__
+    pset = object.__new__(ProjectorSet)  # certified above: no __post_init__
     vars(pset).update(projectors=projs)
-    vars(obs).update(matrix=freeze(a), spectrum=spectrum, reconstruction_residual=resid,
-                     _projector_set=pset)
-    return obs
+    return Observable(freeze(a), spectrum, resid, pset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,8 +520,7 @@ def classify_measurement(opset: MeasurementOperatorSet,
     if OperatorResiduals(opset.operators).failure(tol) is None:
         return MeasurementKind.PROJECTIVE
     if len(opset) == 1:
-        left, right = linalg.unitarity_residuals(opset.operators[0])
-        scale = math.sqrt(opset.dim)
-        if linalg.within_tol(left, tol, scale) and linalg.within_tol(right, tol, scale):
+        with suppress(NotUnitary):
+            linalg._require_unitary(opset.operators[0], tol)
             return MeasurementKind.UNITARY_SINGLETON
     return MeasurementKind.GENERAL

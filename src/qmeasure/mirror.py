@@ -23,14 +23,7 @@ from .errors import (
     QmeasureError,
 )
 from .linalg import DEFAULT_TOL, adjoint, identity
-from .measurement import (
-    DensityMatrix,
-    Povm,
-    ProjectorSet,
-    QuantumState,
-    fidelity,
-    povm_probabilities,
-)
+from .measurement import Povm, ProjectorSet, QuantumState, fidelity, povm_probabilities
 from .reversible import PhaseVector, UnitaryOperator, _as_unitary, irm_povm, phase_superpose_projectors
 
 BELL_LABELS = gates.BELL_LABELS
@@ -132,8 +125,12 @@ def verify_probability_preservation(u, pset: ProjectorSet, psi: QuantumState,
     """State-level check that U preserves the probabilities of ``pset``.
 
     Computes p(m) = <psi|P_m|psi> and p'(m) = <U psi|P_m|U psi> and reports
-    the largest |p'(m) - p(m)|. For a certified mirror the deviation is at
-    most ``tol``; the report itself never raises on large deviations.
+    the largest |p'(m) - p(m)|. As p'(m) - p(m) = <psi|U^dag [P_m, U]|psi>,
+    each deviation is at most ||[U, P_m]||_2 <= ||[U, P_m]||_F. A mirror
+    that :func:`is_mirror` certifies at ``tol`` therefore bounds it by
+    tol * sqrt(n), not by ``tol``, so it can still fail
+    ``PreservationReport.within(tol)``. The report never raises on large
+    deviations.
     """
     unit = _as_unitary(u, tol)
     if unit.dim != pset.dim or unit.dim != psi.dim:
@@ -232,8 +229,8 @@ def bell_comparison(bell_index: int, mirror,
     p = comp.projectors
     e0 = p[0] + p[3]
     e1 = p[1] + p[2]
-    sum_residual = linalg.frobenius_distance(e0 + e1, identity(4))
-    rho = DensityMatrix.from_state(bell)
+    sum_residual = linalg.frobenius_norm(e0 + e1 - identity(4))
+    rho = bell.density_matrix()
     ext = povm_probabilities(Povm((e0, e1), tol=tol), rho)
     internal = irm_povm(unit, tol)
     internal_prob = float(povm_probabilities(internal, rho)[0])

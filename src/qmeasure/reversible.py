@@ -12,18 +12,12 @@ e^{iA} for the observable A with those eigenvalues.
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DimensionMismatch,
-    NotUnitary,
-    OrthogonalityViolation,
-    PhaseNotUnimodular,
-)
+from .errors import DimensionMismatch, OrthogonalityViolation, PhaseNotUnimodular
 from .linalg import DEFAULT_TOL, adjoint, as_matrix, freeze, within_tol
 from .measurement import (
     MeasurementOperatorSet,
@@ -47,12 +41,9 @@ class UnitaryOperator:
 
     def __post_init__(self, tol: float):
         mat = as_matrix(self.matrix)
-        left, right = linalg.unitarity_residuals(mat)
-        scale = math.sqrt(mat.shape[0])
-        if not (within_tol(left, tol, scale) and within_tol(right, tol, scale)):
-            raise NotUnitary(tol, left, right)
+        residuals = linalg._require_unitary(mat, tol)
         object.__setattr__(self, "matrix", freeze(mat))
-        object.__setattr__(self, "residuals", (left, right))
+        object.__setattr__(self, "residuals", residuals)
 
     @property
     def dim(self) -> int:

@@ -325,6 +325,8 @@ def test_usage_error_exits_2(capsys):
 
 
 MEASURE_PLUS = ["measure", "corpus/projectors_n2.json", "corpus/state_plus.json"]
+MEASURE_INCOMPLETE = ["measure", "corpus/invalid_set.json", "corpus/state_plus.json"]
+TWO_IDENTITY = "{tmp}/two_identity.json"  # a dim-4 "unitary" file holding 2 I
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -340,10 +342,17 @@ MEASURE_PLUS = ["measure", "corpus/projectors_n2.json", "corpus/state_plus.json"
     (MEASURE_PLUS + ["--outcome", "0", "--shots", "10", "--seed", "1"],
      "--outcome and --shots are mutually exclusive"),
     (MEASURE_PLUS + ["--shots", "10"], "--shots requires --seed"),
+    # flag rules are judged before the files, whatever those hold
+    (MEASURE_INCOMPLETE + ["--shots", "10"], "--shots requires --seed"),
+    (MEASURE_INCOMPLETE + ["--shots", "0", "--seed", "1"], "shots must be positive"),
+    (["bell", "--index", "7", "--mirror", TWO_IDENTITY], "bell_index must be 0..3, got 7"),
 ], ids=["both_mirror_forms", "theta_without_alpha", "angles_without_projectors",
-        "phases_with_angles", "no_mirror_form", "outcome_with_shots", "shots_without_seed"])
-def test_argument_rules_exit_2(argv, message, capsys):
-    code, out, err = run_cli(argv, capsys)
+        "phases_with_angles", "no_mirror_form", "outcome_with_shots", "shots_without_seed",
+        "shots_without_seed_on_an_incomplete_set", "no_shots_on_an_incomplete_set",
+        "bell_index_on_a_non_unitary"])
+def test_argument_rules_exit_2(argv, message, capsys, tmp_path):
+    save_operator_file(TWO_IDENTITY.format(tmp=tmp_path), "unitary", [2.0 * np.eye(4)])
+    code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
@@ -429,6 +438,8 @@ FAILING_INPUTS = {
     "non_unitary": ("unitary", [[[1, 1], [0, 1]]]),
     "non_hermitian_observable": ("observable", [[[0, 1], [0, 0]]]),
     "overflow_observable": ("observable", [OVERFLOW_OBSERVABLE]),
+    # eigenvalues within CLUSTER_TOL share one eigenspace, valued at their mean
+    "unreconstructed_observable": ("observable", [np.diag([1e-9, 2e-9])]),
     "overflow_unitary": ("unitary", [OVERFLOW_UNITARY]),
     "overflow_measurement_set": ("measurement_set", [OVERFLOW_MEASUREMENT_SET]),
     "overflow_projector_set": ("projector_set", OVERFLOW_DIAGONALS),
@@ -481,6 +492,14 @@ def test_validate_fails_observable_with_overflowing_residual(tmp_path, capsys):
     assert code == 1
     assert "verdict: fail" in out
     assert "not Hermitian" in out
+
+
+def test_validate_fails_an_observable_its_spectrum_does_not_reconstruct(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["validate", str(write_input(tmp_path, "unreconstructed_observable"))], capsys)
+    assert (code, err) == (1, "")
+    assert out.endswith(
+        "details: spectrum does not reconstruct the observable (residual 7.071e-10)\n")
 
 
 @pytest.mark.parametrize("name,subject", [("overflow_projector_set", "projector"),

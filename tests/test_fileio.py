@@ -55,8 +55,8 @@ def test_state_file_round_trip_bit_exact(tmp_path):
     path = tmp_path / "state.json"
     save_state_file(path, amps)
     loaded = load_state_file(path)
-    assert loaded.dim == 5
-    assert np.array_equal(loaded.amplitudes, amps)
+    assert loaded.shape == (5,)
+    np.testing.assert_array_equal(loaded, amps, strict=True)
 
 
 def test_serialization_is_write_stable(tmp_path):
@@ -196,7 +196,7 @@ def test_state_document_round_trip_property(pairs):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "s.json"
         save_state_file(path, amps)
-        assert np.array_equal(load_state_file(path).amplitudes, amps)
+        assert np.array_equal(load_state_file(path), amps)
 
 
 def test_corpus_files_all_parse(corpus):
@@ -254,7 +254,7 @@ def walk_load(path, doc):
 
 def load_all(path):
     if "amplitudes" in json.loads(pathlib.Path(path).read_text()):
-        return [load_state_file(path).amplitudes]
+        return [load_state_file(path)]
     return list(load_operator_file(path).matrices())
 
 

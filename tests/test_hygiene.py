@@ -3,7 +3,9 @@
 Every name a module imports is used in that module (``__init__.py`` is
 exempt: it imports to re-export), every parameter of every function is read
 in its body (the receivers ``self`` and ``cls`` are exempt: Python binds
-them, not the caller), and every name in ``qmeasure.__all__`` resolves.
+them, not the caller), every private top-level name is read somewhere in
+the package, and ``qmeasure.__all__`` is exactly what ``__init__.py``
+imports, each name resolving.
 """
 
 import ast
@@ -69,3 +71,37 @@ def test_every_parameter_is_read(module):
 
 def test_every_exported_name_resolves():
     assert [name for name in qmeasure.__all__ if not hasattr(qmeasure, name)] == []
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level: functions, classes, assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_private_top_level_name_is_read():
+    trees = [ast.parse((PACKAGE / m).read_text(encoding="utf-8")) for m in ALL_MODULES]
+    private = {name for tree in trees for name in top_level_names(tree) if name.startswith("_")}
+    reads = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)  # linalg._require_square
+            elif isinstance(node, ast.ImportFrom):
+                reads.update(a.name for a in node.names)  # from .measurement import _x
+    assert sorted(private - reads - {"__all__", "__version__"}) == []
+
+
+def test_all_is_exactly_what_the_package_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = set(qmeasure.__all__)
+    assert sorted(exported ^ imported_names(tree)) == []
+    assert len(qmeasure.__all__) == len(exported)  # no name listed twice

@@ -13,6 +13,8 @@ from qmeasure.errors import (
     IncompleteSet,
     InvalidProjectorSet,
     NotHermitian,
+    NotUnitary,
+    QmeasureError,
     UnknownOutcome,
     ZeroProbabilityOutcome,
 )
@@ -20,8 +22,6 @@ from qmeasure.measurement import (
     DensityMatrix,
     MeasurementKind,
     MeasurementOperatorSet,
-    MeasurementRecord,
-    Observable,
     OperatorResiduals,
     Povm,
     ProjectorSet,
@@ -98,11 +98,6 @@ def _diag(*entries):
     return np.diag(entries).astype(complex)
 
 
-def _observable_arrays(z, p_up, p_down):
-    obs = Observable(z, ((-1.0, p_down), (1.0, p_up)))
-    return [obs.matrix, *(p for _, p in obs.spectrum), *obs.projector_set().projectors]
-
-
 def _spectral_arrays(a):
     obs = spectral_decompose(a)
     return [obs.matrix, *(p for _, p in obs.spectrum), *obs.projector_set().projectors]
@@ -119,7 +114,6 @@ STORED_ARRAY_CASES = [
     (lambda: [_diag(1.0, 0.0), _diag(0.0, 1.0)],
      lambda *ps: list(ProjectorSet(ps).projectors)),
     (lambda: [_diag(0.5, 0.5), _diag(0.5, 0.5)], lambda *es: list(Povm(es).elements)),
-    (lambda: [_diag(1.0, -1.0), _diag(1.0, 0.0), _diag(0.0, 1.0)], _observable_arrays),
     (lambda: [_diag(1.0, 1.0, 3.0)], _spectral_arrays),
     (lambda: [np.array(gates.HADAMARD)], lambda u: [UnitaryOperator(u).matrix]),
     (lambda: [np.array([1.0, -1j])], lambda a: [PhaseVector(a).phases]),
@@ -255,10 +249,11 @@ def test_apply_outcome_zero_probability():
 
 
 def test_measurement_record_clamps_rounding():
-    rec = MeasurementRecord(outcome=0, probability=1.0 + 5e-13, post_state=ZERO)
+    # complete within tol, yet p(0) = 1 + 5e-13 on |0>; the record reports 1
+    opset = MeasurementOperatorSet((_diag(math.sqrt(1.0 + 5e-13), 0.0), _diag(0.0, 1.0)))
+    rec = apply_outcome(opset, ZERO, 0)
     assert rec.probability == 1.0
-    with pytest.raises(ValueError):
-        MeasurementRecord(outcome=0, probability=1.1, post_state=ZERO)
+    np.testing.assert_array_equal(rec.post_state.amplitudes, [1.0, 0.0])
 
 
 @settings(max_examples=40, deadline=None)
@@ -414,11 +409,8 @@ def test_spectral_decompose_rejects_non_hermitian():
         spectral_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
-@pytest.mark.parametrize("build", [
-    DensityMatrix,
-    lambda a: Observable(a, ((0.0, np.eye(2, dtype=complex)),)),
-    spectral_decompose,
-], ids=["DensityMatrix", "Observable", "spectral_decompose"])
+@pytest.mark.parametrize("build", [DensityMatrix, spectral_decompose],
+                         ids=["DensityMatrix", "spectral_decompose"])
 def test_hermiticity_guard_names_tol_and_residual(build):
     # ||A - A^dag||_F = sqrt(2)
     with pytest.raises(NotHermitian) as exc:
@@ -429,11 +421,8 @@ def test_hermiticity_guard_names_tol_and_residual(build):
 OVERFLOW_NOTE = "residual 0.000e+00; its norm overflowed, so the threshold is inf"
 
 
-@pytest.mark.parametrize("build", [
-    DensityMatrix,
-    lambda a: Observable(a, ((0.0, np.eye(2, dtype=complex)),)),
-    spectral_decompose,
-], ids=["DensityMatrix", "Observable", "spectral_decompose"])
+@pytest.mark.parametrize("build", [DensityMatrix, spectral_decompose],
+                         ids=["DensityMatrix", "spectral_decompose"])
 def test_hermiticity_guard_names_an_overflowed_scale(build):
     # Hermitian with residual 0, but ||A||_F overflows, so the threshold is inf
     with pytest.raises(NotHermitian) as exc:
@@ -454,8 +443,14 @@ def test_observable_rejects_overflowing_hermiticity_residual():
     a = np.array([[0, 1e200], [0, 0]], dtype=complex)
     with pytest.raises(NotHermitian):
         spectral_decompose(a)
-    with pytest.raises(NotHermitian):
-        Observable(a, ((0.0, np.eye(2, dtype=complex)),))
+
+
+def test_failed_reconstruction_is_a_qmeasure_error():
+    # eigenvalues within CLUSTER_TOL share one eigenspace, valued at their mean
+    with pytest.raises(QmeasureError) as exc:
+        spectral_decompose(_diag(1e-9, 2e-9))
+    assert type(exc.value) is QmeasureError
+    assert str(exc.value) == "spectrum does not reconstruct the observable (residual 7.071e-10)"
 
 
 def test_observable_reconstruction_random():
@@ -577,12 +572,6 @@ def test_spectral_decompose_falls_back_to_the_pair_check_below_the_rounding_allo
     assert obs.eigenvalues == (1.0, 2.0)
 
 
-@pytest.mark.parametrize("projector", [[[1.0]], np.eye(3)])
-def test_observable_rejects_projectors_of_another_dimension(projector):
-    with pytest.raises(DimensionMismatch):
-        Observable(np.ones((2, 2)), [(1.0, projector)])
-
-
 def test_spectral_decompose_judges_hermiticity_once_and_forms_no_pairs(monkeypatch):
     calls = []
 
@@ -661,7 +650,7 @@ def test_povm_from_general_set_hand_oracle():
 
 def test_povm_probabilities_match_vector_form():
     povm = povm_from_operators(GENERAL_SET)
-    rho = DensityMatrix.from_state(PLUS)
+    rho = PLUS.density_matrix()
     assert povm_probabilities(povm, rho) == pytest.approx([0.5, 0.5])
 
 
@@ -714,7 +703,7 @@ def test_povm_agrees_with_vector_probabilities(seed, n):
     psi = QuantumState(random_state(rng, n))
     direct = outcome_probabilities(opset, psi)
     via_povm = povm_probabilities(
-        povm_from_operators(opset), DensityMatrix.from_state(psi)
+        povm_from_operators(opset), psi.density_matrix()
     )
     assert np.abs(direct - via_povm).max() < 1e-12
 
@@ -740,6 +729,20 @@ def test_classify_general():
 def test_classify_identity_prefers_projective():
     opset = MeasurementOperatorSet((np.eye(2, dtype=complex),))
     assert classify_measurement(opset) is MeasurementKind.PROJECTIVE
+
+
+def test_a_singleton_is_complete_exactly_when_it_is_unitary():
+    # (1 + s) R for a rotation R: the completeness residual and both unitarity
+    # residuals are sqrt(2) (2 s + s^2), against the one threshold tol * sqrt(2)
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
+    inside, outside = (1.0 + 4e-11) * rot, (1.0 + 6e-11) * rot
+    kind = classify_measurement(MeasurementOperatorSet((inside,)))
+    assert kind is MeasurementKind.UNITARY_SINGLETON
+    UnitaryOperator(inside)
+    with pytest.raises(IncompleteSet):
+        classify_measurement(MeasurementOperatorSet((outside,)))
+    with pytest.raises(NotUnitary):
+        UnitaryOperator(outside)
 
 
 def test_classify_requires_completeness():

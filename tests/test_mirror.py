@@ -256,6 +256,9 @@ def test_bell_comparison_rejects_bad_index():
         bell_comparison(5, mirror)
     with pytest.raises(ValueError):
         bell_comparison(-1, mirror)
+    # the index is judged before the operator: 2 I is not even unitary
+    with pytest.raises(ValueError, match=r"^bell_index must be 0\.\.3, got 7$"):
+        bell_comparison(7, 2.0 * np.eye(4))
 
 
 def test_bell_comparison_rejects_wrong_dimension():
