@@ -12,6 +12,8 @@ from .errors import (
     InvalidProjectorSet,
     NotBellCompatible,
     NotHermitian,
+    NotMirror,
+    NotPositive,
     NotUnitary,
     OrthogonalityViolation,
     ParseError,
@@ -46,7 +48,6 @@ from .mirror import (
     BELL_LABELS,
     BELL_STATES,
     BellComparisonReport,
-    MirrorRejection,
     MirrorUnitary,
     PreservationReport,
     TruthProtocolTranscript,
@@ -71,11 +72,11 @@ from .reversible import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QmeasureError", "DimensionMismatch", "NotHermitian",
+    "QmeasureError", "DimensionMismatch", "NotHermitian", "NotPositive",
     "IncompleteSet", "ZeroProbabilityOutcome",
     "UnknownOutcome", "NotUnitary", "OrthogonalityViolation",
-    "PhaseNotUnimodular", "InvalidProjectorSet", "NotBellCompatible",
-    "ParseError",
+    "PhaseNotUnimodular", "InvalidProjectorSet", "NotMirror",
+    "NotBellCompatible", "ParseError",
     "DEFAULT_TOL", "adjoint", "expm_oracle", "commutator", "identity",
     "QuantumState", "DensityMatrix", "MeasurementOperatorSet",
     "ProjectorSet", "Observable", "Povm", "MeasurementRecord",
@@ -86,7 +87,7 @@ __all__ = [
     "UnitaryOperator", "PhaseVector", "unitary_as_measurement",
     "superpose_operators", "phase_superpose_projectors", "exp_observable",
     "irm_povm",
-    "MirrorUnitary", "MirrorRejection", "PreservationReport",
+    "MirrorUnitary", "PreservationReport",
     "BellComparisonReport", "TruthProtocolTranscript", "BELL_STATES",
     "BELL_LABELS", "is_mirror", "verify_probability_preservation",
     "build_qubit_mirror", "extend_mirror", "bell_comparison",

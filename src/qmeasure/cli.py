@@ -9,7 +9,8 @@ so the two outputs never disagree on a number.
 Exit codes: 0 command ran and its verdict passed, 1 command ran but the
 verdict failed (or a semantic domain error such as a non-unitary
 operator), 2 unusable input (file not found, malformed JSON, dimension
-mismatch, unknown outcome label, bad argument syntax).
+mismatch, unknown outcome label, bad argument syntax), whatever the other
+inputs hold: files, flags and dimensions are checked before any judging.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    NotUnitary,
+    NotMirror,
     ParseError,
     QmeasureError,
     UnknownOutcome,
@@ -36,11 +37,11 @@ from .fileio import (
     load_state_file,
     save_operator_file,
 )
-from .linalg import DEFAULT_TOL, hermiticity_residual, vector_norm, within_tol
+from .linalg import DEFAULT_TOL, vector_norm, within_tol
 from .measurement import (
     NORM_TOL,
     MeasurementOperatorSet,
-    OperatorResiduals,
+    Povm,
     ProjectorSet,
     QuantumState,
     apply_outcome,
@@ -107,9 +108,14 @@ def _single_matrix(doc: OperatorFile, path: str) -> np.ndarray:
     return doc.operators[0][1]
 
 
-def _load_unitary(path: str, tol: float) -> UnitaryOperator:
-    doc = _load_kind(path, ("unitary",))
-    return UnitaryOperator(_single_matrix(doc, path), tol=tol)
+def _load_unitary_matrix(path: str) -> np.ndarray:
+    """The one matrix of a unitary file, parsed but not yet judged."""
+    return _single_matrix(_load_kind(path, ("unitary",)), path)
+
+
+def _require_same_dims(**dims: int) -> None:  # unusable input, checked before any judging
+    if len(set(dims.values())) > 1:
+        raise DimensionMismatch("dims differ: " + ", ".join(f"{k} {v}" for k, v in dims.items()))
 
 
 def _load_state(path: str, warnings: list[str]) -> QuantumState:
@@ -172,63 +178,15 @@ def _finish(report: dict, details: list[str]) -> dict:
 # ---------------------------------------------------------------------------
 # validate
 
-def _validate_measurement_set(mats, tol):
-    opset = MeasurementOperatorSet(mats)
-    rep = validate_completeness(opset, tol=tol)
-    residuals = {"completeness": rep.residual}
-    return rep.passed, residuals, []
-
-
-def _validate_projector_set(mats, tol):
-    res = OperatorResiduals(mats)
-    residuals = {"hermiticity_max": float(np.max(res.hermiticity))}
-    failure = res.hermiticity_failure(tol, "projector")
-    if failure is None:  # pairs are formed only from Hermitian projectors
-        residuals["orthogonality_max"] = float(np.max(res.pairs / res.pair_scales))
-        failure = res.failure(tol)
-    residuals["completeness"] = res.completeness
-    return failure is None, residuals, [] if failure is None else [failure]
-
-
-def _validate_povm(mats, tol):
-    res = OperatorResiduals(mats)
-    residuals = {"hermiticity_max": float(np.max(res.hermiticity)),
-                 "completeness": res.completeness}
-    failure = res.povm_failure(tol)
-    if failure is not None:
-        return False, residuals, [str(failure)]
-    residuals["min_eigenvalue"] = float(np.min(res.lowest))
-    return True, residuals, []
-
-
-def _validate_unitary(mats, tol):
-    try:
-        left, right = UnitaryOperator(mats[0], tol=tol).residuals
-        notes = []
-    except NotUnitary as exc:
-        left, right = exc.left, exc.right
-        notes = ["operator is not unitary at this tolerance"]
-    return not notes, {"unitarity_left": left, "unitarity_right": right}, notes
-
-
-def _validate_observable(mats, tol):
-    a = mats[0]
-    residuals = {"hermiticity": hermiticity_residual(a)}
-    try:
-        obs = spectral_decompose(a, tol=tol)
-    except QmeasureError as exc:
-        return False, residuals, [str(exc)]
-    residuals["reconstruction"] = obs.reconstruction_residual
-    residuals["n_eigenspaces"] = len(obs.spectrum)
-    return True, residuals, []
-
-
-_VALIDATORS = {
-    "measurement_set": _validate_measurement_set,
-    "projector_set": _validate_projector_set,
-    "povm": _validate_povm,
-    "unitary": _validate_unitary,
-    "observable": _validate_observable,
+# The library's judge of each kind returns the judged object (a measurement
+# set's CompletenessReport holds its verdict in ``passed``) or raises the
+# QmeasureError that rejects it; both carry the ``residuals`` printed.
+_JUDGES = {
+    "measurement_set": lambda mats, tol: validate_completeness(MeasurementOperatorSet(mats), tol),
+    "projector_set": lambda mats, tol: ProjectorSet(mats, tol=tol),
+    "povm": lambda mats, tol: Povm(mats, tol=tol),
+    "unitary": lambda mats, tol: UnitaryOperator(mats[0], tol=tol),
+    "observable": lambda mats, tol: spectral_decompose(mats[0], tol=tol),
 }
 
 
@@ -237,16 +195,19 @@ def cmd_validate(args) -> dict:
     mats = doc.matrices()
     if doc.kind in ("unitary", "observable"):
         mats = (_single_matrix(doc, args.file),)
-    passed, residuals, notes = _VALIDATORS[doc.kind](mats, args.tol)
+    try:
+        judged, details = _JUDGES[doc.kind](mats, args.tol), []
+    except QmeasureError as exc:
+        judged, details = exc, [str(exc)]
     report = {
         "command": "validate",
-        "verdict": "pass" if passed else "fail",
+        "verdict": "pass" if getattr(judged, "passed", not details) else "fail",
         "kind": doc.kind,
         "dim": doc.dim,
         "n_operators": len(mats),
-        "residuals": residuals,
+        "residuals": judged.residuals,
     }
-    return _finish(report, notes)
+    return _finish(report, details)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +244,8 @@ def cmd_measure(args) -> dict:
     opset = MeasurementOperatorSet(doc.matrices())
     warnings: list[str] = []
     psi = _load_state(args.state, warnings)
+    # apply_outcome checks the dims and the label before it judges the set
+    record = None if args.outcome is None else apply_outcome(opset, psi, args.outcome, tol=args.tol)
     probs = outcome_probabilities(opset, psi, tol=args.tol)
     prob_sum = float(abs(probs.sum() - 1.0))
     passed = within_tol(prob_sum, args.tol)
@@ -297,8 +260,7 @@ def cmd_measure(args) -> dict:
                       "probability_sum": prob_sum},
         "probabilities": [float(p) for p in probs],
     }
-    if args.outcome is not None:
-        record = apply_outcome(opset, psi, args.outcome, tol=args.tol)
+    if record is not None:
         report["outcome"] = record.outcome
         report["probability"] = record.probability
         report["post_state"] = complex_pairs(record.post_state.amplitudes)
@@ -329,18 +291,17 @@ def cmd_mirror_build(args) -> dict:
             raise ParseError("--phases/--angles need --projectors FILE")
         if args.phases is not None and args.angles is not None:
             raise ParseError("--phases and --angles are mutually exclusive")
+        values = (parse_complex_list(args.phases) if args.phases is not None
+                  else parse_float_list(args.angles))
         pdoc = _load_kind(args.projectors, ("projector_set",))
+        _require_same_dims(phases=len(values), projectors=len(pdoc.operators))
+        phases = PhaseVector(values) if args.phases is not None else PhaseVector.from_angles(values)
         pset = ProjectorSet(pdoc.matrices(), tol=args.tol)
-        if args.phases is not None:
-            phases = PhaseVector(parse_complex_list(args.phases))
-        else:
-            phases = PhaseVector.from_angles(parse_float_list(args.angles))
         mirror = extend_mirror(phases, pset, tol=args.tol)
         form = "projector_superposition"
     else:
         raise ParseError("mirror build needs --theta/--alpha or --phases/--angles")
     u = mirror.unitary.matrix
-    left, right = mirror.unitary.residuals
     if args.out is not None:
         save_operator_file(args.out, "unitary", [u])
     report = {
@@ -348,11 +309,7 @@ def cmd_mirror_build(args) -> dict:
         "verdict": "pass",
         "form": form,
         "dim": u.shape[0],
-        "residuals": {
-            "commutation_max": mirror.worst_residual,
-            "unitarity_left": left,
-            "unitarity_right": right,
-        },
+        "residuals": {"commutation_max": mirror.worst_residual, **mirror.unitary.residuals},
         "matrix": complex_pairs(u),
     }
     details = [] if args.out is None else [f"unitary written to {args.out}"]
@@ -360,28 +317,24 @@ def cmd_mirror_build(args) -> dict:
 
 
 def cmd_mirror_check(args) -> dict:
-    unit = _load_unitary(args.unitary, args.tol)
+    matrix = _load_unitary_matrix(args.unitary)
     pdoc = _load_kind(args.projectors, ("projector_set",))
-    pset = ProjectorSet(pdoc.matrices(), tol=args.tol)
-    result = is_mirror(unit, pset, tol=args.tol)
-    residuals = {
-        f"commutator_{m}": r for m, r in enumerate(result.commutation_residuals)
-    }
-    residuals["commutation_max"] = result.worst_residual
-    report = {
-        "command": "mirror check",
-        "verdict": "pass" if result.accepted else "fail",
-        "dim": unit.dim,
-        "n_projectors": len(pset),
-        "residuals": residuals,
-    }
     details: list[str] = []
-    if not result.accepted:
-        details.append(
-            f"commutator {result.worst_label} exceeds tolerance {format_float(result.tol)}"
-        )
-    if args.state is not None and result.accepted:
+    dims = {"unitary": len(matrix), "projectors": pdoc.dim}
+    if args.state is not None:
         psi = _load_state(args.state, details)
+        dims["state"] = psi.dim
+    _require_same_dims(**dims)
+    unit = UnitaryOperator(matrix, tol=args.tol)
+    pset = ProjectorSet(pdoc.matrices(), tol=args.tol)
+    report = {"command": "mirror check", "verdict": "pass", "dim": unit.dim,
+              "n_projectors": len(pset)}
+    try:
+        report["residuals"] = residuals = is_mirror(unit, pset, tol=args.tol).residuals
+    except NotMirror as exc:  # the state is not used
+        report.update(verdict="fail", residuals=exc.residuals)
+        return _finish(report, [str(exc)])
+    if args.state is not None:
         pres = verify_probability_preservation(unit, pset, psi, tol=args.tol)
         residuals["preservation_max"] = pres.max_deviation
         report["probabilities_before"] = list(pres.probabilities_before)
@@ -396,15 +349,16 @@ def cmd_mirror_check(args) -> dict:
 # truth / bell
 
 def cmd_truth(args) -> dict:
-    unit = _load_unitary(args.unitary, args.tol)
+    matrix = _load_unitary_matrix(args.unitary)
     details: list[str] = []
     psi = _load_state(args.state, details)
-    transcript = truth_protocol(unit, psi, tol=args.tol)
+    _require_same_dims(unitary=len(matrix), state=psi.dim)
+    transcript = truth_protocol(matrix, psi, tol=args.tol)
     passed = within_tol(1.0 - transcript.fidelity, args.tol)
     report = {
         "command": "truth",
         "verdict": "pass" if passed else "fail",
-        "dim": unit.dim,
+        "dim": psi.dim,
         "residuals": {
             "fidelity": transcript.fidelity,
             "fidelity_deficit": max(0.0, 1.0 - transcript.fidelity),
@@ -417,7 +371,8 @@ def cmd_truth(args) -> dict:
 
 
 def cmd_bell(args) -> dict:
-    mirror = _single_matrix(_load_kind(args.mirror, ("unitary",)), args.mirror)
+    mirror = _load_unitary_matrix(args.mirror)
+    _require_same_dims(mirror=len(mirror), bell_state=4)
     comparison = bell_comparison(args.index, mirror, tol=args.tol)
     passed = (
         within_tol(abs(comparison.internal_probability - 1.0), args.tol)

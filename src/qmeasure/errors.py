@@ -6,7 +6,13 @@ CLI) can distinguish semantic failures from genuine bugs.
 
 
 class QmeasureError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors. A failed check's error carries
+    ``residuals``: each residual it computed, by the name a report prints,
+    in report order (empty when the error judged none)."""
+
+    def __init__(self, message: str = "", residuals: dict | None = None):
+        super().__init__(message)
+        self.residuals = {} if residuals is None else residuals
 
 
 class DimensionMismatch(QmeasureError):
@@ -15,6 +21,11 @@ class DimensionMismatch(QmeasureError):
 
 class NotHermitian(QmeasureError):
     """A matrix required to be Hermitian is not, within tolerance."""
+
+
+class NotPositive(QmeasureError):
+    """A matrix required to be positive semidefinite has an eigenvalue
+    below the floor."""
 
 
 class IncompleteSet(QmeasureError):
@@ -31,16 +42,7 @@ class UnknownOutcome(QmeasureError):
 
 
 class NotUnitary(QmeasureError):
-    """A matrix required to be unitary is not, within tolerance; carries the
-    residuals (||U^dag U - I||_F, ||U U^dag - I||_F) it was judged on."""
-
-    def __init__(self, tol: float, left: float, right: float):
-        self.left = left
-        self.right = right
-        super().__init__(
-            f"matrix is not unitary within {tol:g} "
-            f"(residuals {left:.3e}, {right:.3e})"
-        )
+    """A matrix required to be unitary is not, within tolerance."""
 
 
 class OrthogonalityViolation(QmeasureError):
@@ -66,7 +68,11 @@ class InvalidProjectorSet(QmeasureError):
     orthogonality/idempotence, completeness)."""
 
 
-class NotBellCompatible(QmeasureError):
+class NotMirror(QmeasureError):
+    """A unitary does not commute with a projector set within tolerance."""
+
+
+class NotBellCompatible(NotMirror):
     """Operator is not a mirror with respect to the two-qubit
     computational projectors."""
 

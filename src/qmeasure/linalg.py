@@ -169,31 +169,39 @@ def hermiticity_residual(a) -> float:
         return float(np.linalg.norm(a - a.conj().T))
 
 
-def _require_hermitian(a, tol: float) -> None:
+def _require_hermitian(a, tol: float) -> float:
     """The hermiticity rule of every single matrix: raise ``NotHermitian``
-    unless ``within_tol(||a - a^dag||_F, tol, ||a||_F)``."""
+    unless ``within_tol(||a - a^dag||_F, tol, ||a||_F)``; return the residual."""
     resid, scale = hermiticity_residual(a), frobenius_norm(a)
     if not within_tol(resid, tol, scale):
-        raise NotHermitian(f"matrix is not Hermitian within {tol:g} ({residual_note(resid, scale)})")
+        raise NotHermitian(f"matrix is not Hermitian within {tol:g} "
+                           f"({residual_note(resid, scale)})", {"hermiticity": resid})
+    return resid
 
 
-def _require_unitary(u: np.ndarray, tol: float) -> tuple[float, float]:
+def _require_unitary(u: np.ndarray, tol: float) -> dict[str, float]:
     """The unitarity rule of every single matrix: raise ``NotUnitary`` unless
-    both residuals (||U^dag U - I||_F, ||U U^dag - I||_F) of an ``as_matrix``
-    array pass ``within_tol`` against sqrt(n); return them."""
+    both residuals ``unitarity_left`` ||U^dag U - I||_F and
+    ``unitarity_right`` ||U U^dag - I||_F of an ``as_matrix`` array pass
+    ``within_tol`` against sqrt(n); return them."""
     left, right = unitarity_residuals(u)
+    residuals = {"unitarity_left": left, "unitarity_right": right}
     scale = math.sqrt(u.shape[0])
     if not (within_tol(left, tol, scale) and within_tol(right, tol, scale)):
-        raise NotUnitary(tol, left, right)
-    return left, right
+        raise NotUnitary(f"matrix is not unitary within {tol:g} "
+                         f"(residuals {left:.3e}, {right:.3e})", residuals)
+    return residuals
 
 
-def guarded_eigh(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def guarded_eigh(a: np.ndarray,
+                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, float]:
     """Ascending eigenvalues and orthonormal eigenvectors (columns) of the
     Hermitian part (a + a^dag)/2 of an ``as_matrix`` array, by LAPACK
-    (``numpy.linalg.eigh``), after :func:`_require_hermitian`."""
-    _require_hermitian(a, tol)
-    return np.linalg.eigh((a + a.conj().T) / 2.0)
+    (``numpy.linalg.eigh``), after :func:`_require_hermitian`, and the
+    hermiticity residual it judged."""
+    hermiticity = _require_hermitian(a, tol)
+    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return vals, vecs, hermiticity
 
 
 def lowest_eigenvalue(a: np.ndarray) -> float:
@@ -228,12 +236,15 @@ def expm_oracle(a) -> np.ndarray:
     is summed until a term's norm falls below 1e-16, then the result is
     squared back up. For skew-Hermitian input the result is unitary to
     roundoff. Serves as the independent reference for spectral-form
-    exponentials built elsewhere.
+    exponentials built elsewhere. A matrix whose Frobenius norm overflows
+    (entries of about 1e154 and above) raises ``ValueError``.
     """
     a = as_matrix(a)
     _require_square(a)
     n = a.shape[0]
     nrm = frobenius_norm(a)
+    if nrm == math.inf:  # finite entries whose sum of squares overflows
+        raise ValueError("matrix norm overflowed to inf, so it cannot be halved to 0.5")
     squarings = 0
     if nrm > _EXPM_HALF_NORM:
         squarings = int(math.ceil(math.log2(nrm / _EXPM_HALF_NORM)))

@@ -24,6 +24,7 @@ from .errors import (
     IncompleteSet,
     InvalidProjectorSet,
     NotHermitian,
+    NotPositive,
     NotUnitary,
     QmeasureError,
     UnknownOutcome,
@@ -101,9 +102,7 @@ class DensityMatrix:
             raise ValueError(f"density matrix trace {trace!r} is not 1")
         lowest = linalg.lowest_eigenvalue(mat)
         if lowest < PSD_FLOOR:
-            raise ValueError(
-                f"density matrix has negative eigenvalue {lowest:.3e}"
-            )
+            raise NotPositive(f"density matrix has negative eigenvalue {lowest:.3e}")
         object.__setattr__(self, "matrix", freeze(mat))
 
     @property
@@ -160,6 +159,10 @@ class MeasurementOperatorSet:
 class CompletenessReport:
     passed: bool
     residual: float
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        return {"completeness": self.residual}
 
 
 def validate_completeness(opset: MeasurementOperatorSet,
@@ -301,46 +304,46 @@ class OperatorResiduals:
     def lowest(self) -> np.ndarray:  # smallest eigenvalue of each P_k
         return np.array([linalg.lowest_eigenvalue(p) for p in self.operators])
 
-    def hermiticity_failure(self, tol: float, what: str) -> str | None:
-        """Why the first ``what`` k fails hermiticity at ``tol``, or None."""
-        bad = np.flatnonzero(~linalg.within_tol(self.hermiticity, tol, self.norms))
-        if not len(bad):
-            return None
-        note = linalg.residual_note(self.hermiticity[bad[0]], self.norms[bad[0]])
-        return f"{what} {bad[0]} is not Hermitian ({note})"
+    def residuals(self, povm: bool = False, hermitian: bool = True) -> dict[str, float]:
+        """What a report prints, in its order: ``hermiticity_max``, then
+        ``orthogonality_max`` (the largest pair residual over its scale) of
+        projectors or ``min_eigenvalue`` of POVM elements, either only for
+        ``hermitian`` operators, and ``completeness``."""
+        out = {"hermiticity_max": float(np.max(self.hermiticity))}
+        if hermitian and not povm:
+            out["orthogonality_max"] = float(np.max(self.pairs / self.pair_scales))
+        out["completeness"] = self.completeness
+        if hermitian and povm:
+            out["min_eigenvalue"] = float(np.min(self.lowest))
+        return out
 
-    def failure(self, tol: float) -> str | None:
-        """The first violated projector-set requirement, in hermiticity,
-        pair, completeness order, or None when the set passes at ``tol``;
-        stops computing at the first failing group."""
-        failure = self.hermiticity_failure(tol, "projector")
-        if failure is not None:
-            return failure
-        bad = np.argwhere(~linalg.within_tol(self.pairs, tol, self.pair_scales))
+    def failure(self, tol: float, povm: bool = False) -> QmeasureError | None:
+        """The error for the first requirement the operators violate at
+        ``tol`` as a projector set, or with ``povm`` as a POVM, carrying
+        :meth:`residuals`; None when they pass. Hermiticity is judged first,
+        and only Hermitian operators get their pair products (projectors)
+        or eigenvalues (POVM elements) formed and judged; completeness is
+        judged last."""
+        what, not_hermitian = (("POVM element", NotHermitian) if povm
+                               else ("projector", InvalidProjectorSet))
+        bad = np.flatnonzero(~linalg.within_tol(self.hermiticity, tol, self.norms))
         if len(bad):
+            note = linalg.residual_note(self.hermiticity[bad[0]], self.norms[bad[0]])
+            return not_hermitian(f"{what} {bad[0]} is not Hermitian ({note})",
+                                 self.residuals(povm, hermitian=False))
+        if povm and (bad := np.flatnonzero(self.lowest < PSD_FLOOR)).size:
+            return NotPositive(f"POVM element {bad[0]} has negative eigenvalue "
+                               f"{self.lowest[bad[0]]:.3e}", self.residuals(povm))
+        if not povm and (bad := np.argwhere(
+                ~linalg.within_tol(self.pairs, tol, self.pair_scales))).size:
             i, j = (int(x) for x in bad[0])
             kind = "idempotence" if i == j else "orthogonality"
-            return (f"projectors ({i}, {j}) violate {kind} "
-                    f"(residual {self.pairs[i, j]:.3e})")
+            return InvalidProjectorSet(f"projectors ({i}, {j}) violate {kind} "
+                                       f"(residual {self.pairs[i, j]:.3e})", self.residuals())
         if not linalg.within_tol(self.completeness, tol, math.sqrt(len(self.operators[0]))):
-            return (f"projectors do not sum to the identity "
-                    f"(residual {self.completeness:.3e})")
-        return None
-
-    def povm_failure(self, tol: float) -> Exception | None:
-        """The exception for the first violated POVM requirement, in
-        hermiticity, positivity, completeness order, or None when the
-        elements pass at ``tol``; stops computing at the first failing group."""
-        failure = self.hermiticity_failure(tol, "POVM element")
-        if failure is not None:
-            return NotHermitian(failure)
-        bad = np.flatnonzero(self.lowest < PSD_FLOOR)
-        if len(bad):
-            return ValueError(f"POVM element {bad[0]} has negative eigenvalue "
-                              f"{self.lowest[bad[0]]:.3e}")
-        if not linalg.within_tol(self.completeness, tol, math.sqrt(len(self.operators[0]))):
-            return IncompleteSet(f"POVM elements do not sum to the identity "
-                                 f"(residual {self.completeness:.3e})")
+            return (IncompleteSet if povm else InvalidProjectorSet)(
+                f"{what}s do not sum to the identity (residual {self.completeness:.3e})",
+                self.residuals(povm))
         return None
 
 
@@ -354,10 +357,20 @@ class ProjectorSet:
 
     def __post_init__(self, tol: float):
         projs = _coerce_square_family(self.projectors, "projector set")
-        failure = OperatorResiduals(projs).failure(tol)
+        judged = OperatorResiduals(projs)
+        failure = judged.failure(tol)
         if failure is not None:
-            raise InvalidProjectorSet(failure)
+            raise failure
         object.__setattr__(self, "projectors", projs)
+        object.__setattr__(self, "_judged", judged)
+
+    @cached_property
+    def _judged(self) -> OperatorResiduals:  # a spectral_decompose set forms it on read
+        return OperatorResiduals(self.projectors)
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        return self._judged.residuals()
 
     @property
     def dim(self) -> int:
@@ -370,28 +383,27 @@ class ProjectorSet:
         return MeasurementOperatorSet(self.projectors)
 
 
-def _reconstruction_residual(mat: np.ndarray, spectrum, tol: float) -> float:
-    """||A - sum_m lambda_m P_m||_F, which must pass at ``tol`` against ||A||_F."""
-    resid = linalg.frobenius_norm(mat - sum(lam * p for lam, p in spectrum))
-    if not linalg.within_tol(resid, tol, linalg.frobenius_norm(mat)):
-        raise QmeasureError(f"spectrum does not reconstruct the observable (residual {resid:.3e})")
-    return resid
-
-
 @dataclass(frozen=True, eq=False)
 class Observable:
     """Hermitian operator with spectral data A = sum_m lambda_m P_m, as built
     by :func:`spectral_decompose`, its only producer.
 
     ``spectrum`` pairs each distinct eigenvalue (ascending) with the
-    projector onto its eigenspace, judged with ``reconstruction_residual``
-    ||A - sum_m lambda_m P_m||_F.
+    projector onto its eigenspace, judged with ``hermiticity_residual``
+    ||A - A^dag||_F and ``reconstruction_residual`` ||A - sum_m lambda_m P_m||_F.
     """
 
     matrix: np.ndarray
     spectrum: tuple[tuple[float, np.ndarray], ...]
+    hermiticity_residual: float
     reconstruction_residual: float
     _projector_set: ProjectorSet = field(repr=False)
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        return {"hermiticity": self.hermiticity_residual,
+                "reconstruction": self.reconstruction_residual,
+                "n_eigenspaces": len(self.spectrum)}
 
     @property
     def dim(self) -> int:
@@ -434,9 +446,10 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     accepts the projectors at ``tol``; ``eigh`` gives g < 1e-14 at n = 32.
     A larger g is inconclusive: the projectors then get the ``ProjectorSet``
     check, and ``InvalidProjectorSet`` names g, the threshold and the failure.
+    Both failures after the eigensolver carry the ``Observable``'s residuals.
     """
     a = as_matrix(a)
-    vals, vecs = linalg.guarded_eigh(a, tol)
+    vals, vecs, hermiticity = linalg.guarded_eigh(a, tol)
     starts = np.flatnonzero(np.r_[True, np.diff(vals) > CLUSTER_TOL])
     sizes = np.diff(np.r_[starts, len(vals)])
     lams, projs = np.empty(len(starts)), [None] * len(starts)
@@ -449,16 +462,21 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
             projs[slot] = p
     projs = tuple(projs)
     spectrum = tuple(zip(lams.tolist(), projs))
-    resid = _reconstruction_residual(a, spectrum, tol)
+    pset = object.__new__(ProjectorSet)  # certified below: no __post_init__
+    vars(pset).update(projectors=projs)
+    resid = linalg.frobenius_norm(a - sum(lam * p for lam, p in spectrum))
+    obs = Observable(freeze(a), spectrum, hermiticity, resid, pset)  # returned only if judged
+    if not linalg.within_tol(resid, tol, linalg.frobenius_norm(a)):
+        raise QmeasureError(f"spectrum does not reconstruct the observable (residual {resid:.3e})",
+                            obs.residuals)
     gram = float(np.linalg.norm(vecs.conj().T @ vecs - identity(len(vals))))
     tau = _gram_threshold(len(vals), tol)
     failure = None if gram <= tau else OperatorResiduals(projs).failure(tol)
     if failure is not None:
         raise InvalidProjectorSet(f"eigenvector Gram residual {gram:.3e} exceeds its "
-                                  f"threshold {tau:.3e} at tol {tol:g}, and {failure}")
-    pset = object.__new__(ProjectorSet)  # certified above: no __post_init__
-    vars(pset).update(projectors=projs)
-    return Observable(freeze(a), spectrum, resid, pset)
+                                  f"threshold {tau:.3e} at tol {tol:g}, and {failure}",
+                                  obs.residuals)
+    return obs
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,10 +488,16 @@ class Povm:
 
     def __post_init__(self, tol: float):
         elems = _coerce_square_family(self.elements, "POVM")
-        failure = OperatorResiduals(elems).povm_failure(tol)
+        judged = OperatorResiduals(elems)
+        failure = judged.failure(tol, povm=True)
         if failure is not None:
             raise failure
         object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "_judged", judged)
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        return self._judged.residuals(povm=True)
 
     @property
     def dim(self) -> int:

@@ -17,11 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, linalg
-from .errors import (
-    DimensionMismatch,
-    NotBellCompatible,
-    QmeasureError,
-)
+from .errors import DimensionMismatch, NotBellCompatible, NotMirror
 from .linalg import DEFAULT_TOL, adjoint, identity
 from .measurement import Povm, ProjectorSet, QuantumState, fidelity, povm_probabilities
 from .reversible import PhaseVector, UnitaryOperator, _as_unitary, irm_povm, phase_superpose_projectors
@@ -49,8 +45,6 @@ class MirrorUnitary:
     reference_projectors: ProjectorSet
     commutation_residuals: tuple[float, ...]
 
-    accepted = True
-
     @property
     def dim(self) -> int:
         return self.unitary.dim
@@ -59,17 +53,12 @@ class MirrorUnitary:
     def worst_residual(self) -> float:
         return max(self.commutation_residuals)
 
-
-@dataclass(frozen=True)
-class MirrorRejection:
-    """Commutation check failed; names the worst projector."""
-
-    commutation_residuals: tuple[float, ...]
-    worst_label: int
-    worst_residual: float
-    tol: float
-
-    accepted = False
+    @property
+    def residuals(self) -> dict[str, float]:
+        """``commutator_m`` ||[U, P_m]||_F for each m, then ``commutation_max``."""
+        out = {f"commutator_{m}": r for m, r in enumerate(self.commutation_residuals)}
+        out["commutation_max"] = self.worst_residual
+        return out
 
 
 def commutation_residuals(u, pset: ProjectorSet) -> tuple[float, ...]:
@@ -83,29 +72,20 @@ def commutation_residuals(u, pset: ProjectorSet) -> tuple[float, ...]:
     ]).tolist())
 
 
-def is_mirror(u, pset: ProjectorSet,
-              tol: float = DEFAULT_TOL) -> MirrorUnitary | MirrorRejection:
+def is_mirror(u, pset: ProjectorSet, tol: float = DEFAULT_TOL) -> MirrorUnitary:
     """Certify a unitary as a mirror for ``pset``.
 
-    Accepts iff every commutator residual ||[U, P_m]|| is within tolerance,
-    returning the certified :class:`MirrorUnitary`; otherwise returns a
-    :class:`MirrorRejection` naming the worst projector and residual.
+    Accepts iff every commutator residual ||[U, P_m]||_F is within
+    tolerance against sqrt(n), returning the certified
+    :class:`MirrorUnitary`; otherwise raises ``NotMirror`` naming the worst
+    projector, with the same ``residuals``.
     """
     unit = _as_unitary(u, tol)
-    residuals = commutation_residuals(unit, pset)
-    worst = int(np.argmax(residuals))
-    if linalg.within_tol(residuals[worst], tol, math.sqrt(unit.dim)):
-        return MirrorUnitary(
-            unitary=unit,
-            reference_projectors=pset,
-            commutation_residuals=residuals,
-        )
-    return MirrorRejection(
-        commutation_residuals=residuals,
-        worst_label=worst,
-        worst_residual=residuals[worst],
-        tol=tol,
-    )
+    mirror = MirrorUnitary(unit, pset, commutation_residuals(unit, pset))  # returned only if judged
+    worst = int(np.argmax(mirror.commutation_residuals))
+    if not linalg.within_tol(mirror.commutation_residuals[worst], tol, math.sqrt(unit.dim)):
+        raise NotMirror(f"commutator {worst} exceeds tolerance {tol:.17g}", mirror.residuals)
+    return mirror
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,18 +148,11 @@ def extend_mirror(phases: PhaseVector, pset: ProjectorSet,
     """Mirror from unimodular phases over any complete projector set.
 
     Builds the phase superposition sum_m alpha_m P_m, then certifies it
-    against the same projectors. The superposition commutes with each P_m
-    by construction, so certification can only fail on numerically broken
-    input; that case raises instead of returning a rejection.
+    against the same projectors with :func:`is_mirror`. The superposition
+    commutes with each P_m by construction, so certification can only fail
+    (with ``NotMirror``) on numerically broken input.
     """
-    unit = phase_superpose_projectors(pset, phases, tol)
-    result = is_mirror(unit, pset, tol)
-    if not isinstance(result, MirrorUnitary):
-        raise QmeasureError(
-            f"phase superposition failed its own commutation check "
-            f"(worst residual {result.worst_residual:.3e})"
-        )
-    return result
+    return is_mirror(phase_superpose_projectors(pset, phases, tol), pset, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,12 +192,13 @@ def bell_comparison(bell_index: int, mirror,
             f"mirror must act on two qubits (dim 4), got dim {unit.dim}"
         )
     comp = computational_projector_set(4)
-    recheck = is_mirror(unit, comp, tol)
-    if not isinstance(recheck, MirrorUnitary):
+    try:
+        is_mirror(unit, comp, tol)
+    except NotMirror as exc:
         raise NotBellCompatible(
             f"operator does not commute with the computational projectors "
-            f"(worst residual {recheck.worst_residual:.3e})"
-        )
+            f"(worst residual {exc.residuals['commutation_max']:.3e})", exc.residuals
+        ) from None
     bell = BELL_STATES[bell_index]
     p = comp.projectors
     e0 = p[0] + p[3]
@@ -242,7 +216,7 @@ def bell_comparison(bell_index: int, mirror,
         external_probabilities=(float(ext[0]), float(ext[1])),
         external_sum_residual=sum_residual,
         internal_probability=internal_prob,
-        internal_identity_residual=unit.residuals[0],
+        internal_identity_residual=unit.residuals["unitarity_left"],
         preservation=preservation,
     )
 
@@ -276,5 +250,5 @@ def truth_protocol(u, psi: QuantumState,
         computed=computed,
         restored=restored,
         fidelity=fidelity(psi, restored),
-        identity_residual=unit.residuals[0],
+        identity_residual=unit.residuals["unitarity_left"],
     )

@@ -33,11 +33,12 @@ UNIMODULAR_TOL = 1e-12  # ||alpha|^2 - 1| admitted for phase coefficients
 @dataclass(frozen=True, eq=False)
 class UnitaryOperator:
     """Square matrix with U^dag U = U U^dag = I within tolerance, judged
-    with ``residuals`` (||U^dag U - I||_F, ||U U^dag - I||_F)."""
+    with ``residuals`` ``unitarity_left`` ||U^dag U - I||_F and
+    ``unitarity_right`` ||U U^dag - I||_F."""
 
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
-    residuals: tuple[float, float] = field(init=False, repr=False)
+    residuals: dict[str, float] = field(init=False, repr=False)
 
     def __post_init__(self, tol: float):
         mat = as_matrix(self.matrix)
@@ -48,10 +49,6 @@ class UnitaryOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def inverse(self) -> "UnitaryOperator":
-        """U^{-1} computed as the adjoint, exact for unitaries."""
-        return UnitaryOperator(adjoint(self.matrix))
 
 
 def _as_unitary(u, tol: float = DEFAULT_TOL) -> UnitaryOperator:

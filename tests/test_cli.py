@@ -7,6 +7,7 @@ Regenerate after an intentional change with:
 """
 
 import json
+import math
 import os
 import pathlib
 import warnings
@@ -24,6 +25,7 @@ from qmeasure.measurement import (
     ProjectorSet,
     classify_measurement,
     spectral_decompose,
+    validate_completeness,
 )
 from qmeasure.reversible import UnitaryOperator
 
@@ -356,6 +358,45 @@ def test_argument_rules_exit_2(argv, message, capsys, tmp_path):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+NON_UNITARY = "{tmp}/non_unitary.json"  # [[1, 1], [0, 1]]
+BAD_PROJECTORS = "{tmp}/bad_projectors.json"  # a projector set that fails hermiticity
+MISSING = "{tmp}/missing.json"
+MISSING_MESSAGE = "cannot read {tmp}/missing.json: [Errno 2] No such file or directory"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["truth", NON_UNITARY, MISSING], MISSING_MESSAGE),
+    (["mirror", "check", "corpus/hadamard.json", "corpus/projectors_n2.json",
+      "--state", MISSING], MISSING_MESSAGE),
+    (["mirror", "check", "corpus/hadamard.json", "corpus/projectors_n2.json",
+      "--state", "corpus/state_00.json"], "dims differ: unitary 2, projectors 2, state 4\n"),
+    (["mirror", "check", "corpus/pauli_z.json", BAD_PROJECTORS, "--state", MISSING],
+     MISSING_MESSAGE),
+    (["mirror", "check", NON_UNITARY, "corpus/projectors_n4.json"],
+     "dims differ: unitary 2, projectors 4\n"),
+    (["mirror", "build", "--projectors", BAD_PROJECTORS, "--phases", "x,y"],
+     "cannot parse complex number 'x'\n"),
+    (["mirror", "build", "--projectors", BAD_PROJECTORS, "--phases", "1,1,1"],
+     "dims differ: phases 3, projectors 2\n"),
+    (["mirror", "build", "--projectors", BAD_PROJECTORS, "--phases", "1,inf"],
+     "phases must be finite\n"),
+    (["measure", "corpus/invalid_set.json", "corpus/state_plus.json", "--outcome", "7"],
+     "outcome 7 not in 0..0\n"),
+    (["bell", "--index", "0", "--mirror", NON_UNITARY], "dims differ: mirror 2, bell_state 4\n"),
+], ids=["truth_non_unitary_missing_state", "mirror_check_non_mirror_missing_state",
+        "mirror_check_non_mirror_state_dim", "mirror_check_bad_projectors_missing_state",
+        "mirror_check_non_unitary_projector_dim", "mirror_build_bad_projectors_bad_phase",
+        "mirror_build_bad_projectors_phase_count", "mirror_build_bad_projectors_inf_phase",
+        "measure_incomplete_set_unknown_outcome", "bell_non_unitary_dim_2"])
+def test_unusable_input_exits_2_before_anything_is_judged(argv, message, capsys, tmp_path):
+    save_operator_file(NON_UNITARY.format(tmp=tmp_path), "unitary", [[[1, 1], [0, 1]]])
+    save_operator_file(BAD_PROJECTORS.format(tmp=tmp_path), "projector_set",
+                       [[[1, 1], [0, 0]], [[0, -1], [0, 1]]])
+    code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message.format(tmp=tmp_path)}")
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "banana"])
 def test_bad_tol_exits_2_at_parse_time(tol, capsys):
     with pytest.raises(SystemExit) as info:
@@ -484,6 +525,38 @@ def test_validate_verdict_agrees_with_library(source, tol, tmp_path, capsys):
     code, out, _ = run_cli(["validate", str(path), "--tol", tol], capsys)
     assert code == (0 if accepted else 1)
     assert f"verdict: {'pass' if accepted else 'fail'}" in out
+
+
+# The library call whose returned object or raised QmeasureError carries the
+# residuals ``validate`` prints for each kind.
+RESIDUAL_JUDGES = dict(
+    LIBRARY_JUDGES,
+    measurement_set=lambda mats, tol: validate_completeness(MeasurementOperatorSet(mats), tol),
+)
+
+
+def as_machine_value(value):
+    """A residual as the machine format writes it: a non-finite float as a string."""
+    return value if isinstance(value, int) or math.isfinite(value) else format_float(value)
+
+
+@pytest.mark.parametrize("tol", ["1e-10", "1e-3"])
+@pytest.mark.parametrize("source", CORPUS_OPERATOR_FILES + sorted(FAILING_INPUTS))
+def test_validate_prints_what_the_library_judged(source, tol, tmp_path, capsys):
+    if source in FAILING_INPUTS:
+        path = write_input(tmp_path, source)
+    else:
+        path = pathlib.Path("corpus", source)
+    doc = load_operator_file(path)
+    mats = doc.matrices()
+    try:
+        judged, details = RESIDUAL_JUDGES[doc.kind](mats, float(tol)), None
+    except QmeasureError as exc:
+        judged, details = exc, str(exc)
+    _, out, _ = run_cli(["validate", str(path), "--tol", tol, "--format", "machine"], capsys)
+    report = json.loads(out)
+    assert report["residuals"] == {k: as_machine_value(v) for k, v in judged.residuals.items()}
+    assert report.get("details") == details
 
 
 def test_validate_fails_observable_with_overflowing_residual(tmp_path, capsys):

@@ -4,8 +4,9 @@ Every name a module imports is used in that module (``__init__.py`` is
 exempt: it imports to re-export), every parameter of every function is read
 in its body (the receivers ``self`` and ``cls`` are exempt: Python binds
 them, not the caller), every private top-level name is read somewhere in
-the package, and ``qmeasure.__all__`` is exactly what ``__init__.py``
-imports, each name resolving.
+the package, ``qmeasure.__all__`` is exactly what ``__init__.py``
+imports, each name resolving, and every exception class of ``errors.py`` is
+raised (constructed) somewhere else in the package.
 """
 
 import ast
@@ -105,3 +106,18 @@ def test_all_is_exactly_what_the_package_imports():
     exported = set(qmeasure.__all__)
     assert sorted(exported ^ imported_names(tree)) == []
     assert len(qmeasure.__all__) == len(exported)  # no name listed twice
+
+
+def test_every_exception_class_is_constructed_outside_errors():
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    constructed = set()
+    for module in ALL_MODULES:
+        if module == "errors.py":
+            continue
+        for node in ast.walk(ast.parse((PACKAGE / module).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                constructed.add(func.attr if isinstance(func, ast.Attribute) else
+                                getattr(func, "id", None))
+    assert sorted(classes - constructed) == []

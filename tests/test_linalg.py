@@ -41,7 +41,8 @@ def test_commutator_of_commuting_matrices_is_zero():
 
 
 def test_hermitian_eig_pauli_x_oracle():
-    vals, vecs = linalg.guarded_eigh(PAULI_X)
+    vals, vecs, hermiticity = linalg.guarded_eigh(PAULI_X)
+    assert hermiticity == 0.0
     assert vals == pytest.approx([-1.0, 1.0], abs=1e-12)
     minus = np.array([RT2, -RT2])
     plus = np.array([RT2, RT2])
@@ -53,15 +54,16 @@ def test_hermitian_eig_pauli_x_oracle():
 
 
 def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
+    with pytest.raises(NotHermitian) as exc:
         linalg.guarded_eigh(np.array([[0, 1], [0, 0]], dtype=complex))
+    assert exc.value.residuals == {"hermiticity": math.sqrt(2.0)}
 
 
 def test_hermitian_eig_ascending_and_orthonormal():
     rng = np.random.default_rng(11)
     for n in (2, 3, 5, 8, 12):
         a = random_hermitian(rng, n)
-        vals, vmat = linalg.guarded_eigh(a)
+        vals, vmat, _ = linalg.guarded_eigh(a)
         assert (np.diff(vals) >= 0).all()
         assert np.linalg.norm(vmat.conj().T @ vmat - np.eye(n)) < 1e-12 * n
         recon = (vmat * vals) @ vmat.conj().T
@@ -132,7 +134,7 @@ def test_half_degenerate_family_eigh_matches_jacobi(n):
 
 
 def test_hermitian_eig_accepts_already_diagonal():
-    vals, _ = linalg.guarded_eigh(np.diag([3.0, 1.0, 2.0]).astype(complex))
+    vals, _, _ = linalg.guarded_eigh(np.diag([3.0, 1.0, 2.0]).astype(complex))
     assert vals == pytest.approx([1.0, 2.0, 3.0])
 
 
@@ -172,6 +174,20 @@ def test_expm_oracle_large_norm_uses_squaring():
     a = np.diag([5.0, -3.0]).astype(complex)
     expected = np.diag([math.exp(5.0), math.exp(-3.0)])
     assert np.allclose(linalg.expm_oracle(a), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("entry", [1e308, 1e155])
+def test_expm_oracle_names_an_overflowed_norm(entry):
+    # finite entries whose sum of squares overflows: the halving count
+    # log2(inf) has no integer, and no squaring could be undone
+    with pytest.raises(ValueError, match=r"^matrix norm overflowed to inf"):
+        linalg.expm_oracle(np.full((2, 2), entry))
+
+
+def test_expm_oracle_scales_the_largest_finite_norm():
+    # ||a||_F = 2e153 needs 512 halvings, and e^a of this nilpotent is I + a
+    nil = np.array([[0, 2e153], [0, 0]], dtype=complex)
+    assert np.array_equal(linalg.expm_oracle(nil), np.eye(2) + nil)
 
 
 def test_unitarity_residuals_detects_both_sides():
@@ -225,6 +241,6 @@ def test_within_tol_policy_uses_reference_scale():
 def test_eig_reconstruction_property(seed, n):
     rng = np.random.default_rng(seed)
     a = random_hermitian(rng, n)
-    vals, vecs = linalg.guarded_eigh(a)
+    vals, vecs, _ = linalg.guarded_eigh(a)
     recon = sum(v * np.outer(vec, vec.conj()) for v, vec in zip(vals, vecs.T))
     assert np.linalg.norm(recon - a) <= 1e-11 * max(1.0, np.linalg.norm(a))

@@ -13,6 +13,7 @@ from qmeasure.errors import (
     IncompleteSet,
     InvalidProjectorSet,
     NotHermitian,
+    NotPositive,
     NotUnitary,
     QmeasureError,
     UnknownOutcome,
@@ -160,7 +161,7 @@ def test_density_matrix_rejects_bad_trace():
 
 
 def test_density_matrix_rejects_negative():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotPositive, match=r"^density matrix has negative eigenvalue -5.000e-01$"):
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
 
@@ -351,8 +352,11 @@ def test_projector_set_names_first_violation():
     with pytest.raises(InvalidProjectorSet, match="do not sum to the identity"):
         ProjectorSet((p0,))
     res = OperatorResiduals((np.array([[0, 1], [0, 0]], dtype=complex),))
-    assert "projector 0 is not Hermitian" in res.failure(1e-10)
+    failure = res.failure(1e-10)
+    assert isinstance(failure, InvalidProjectorSet)
+    assert "projector 0 is not Hermitian" in str(failure)
     assert "pairs" not in vars(res)  # no pair products once hermiticity fails
+    assert failure.residuals == {"hermiticity_max": math.sqrt(2.0), "completeness": math.sqrt(3.0)}
 
 
 def test_projector_residuals_match_pairwise_definition():
@@ -416,6 +420,7 @@ def test_hermiticity_guard_names_tol_and_residual(build):
     with pytest.raises(NotHermitian) as exc:
         build(np.array([[0, 1], [0, 0]], dtype=complex))
     assert str(exc.value) == "matrix is not Hermitian within 1e-10 (residual 1.414e+00)"
+    assert exc.value.residuals == {"hermiticity": math.sqrt(2.0)}
 
 
 OVERFLOW_NOTE = "residual 0.000e+00; its norm overflowed, so the threshold is inf"
@@ -434,8 +439,8 @@ def test_family_hermiticity_names_an_overflowed_scale():
     # each ||P_k||_F overflows, so each threshold is inf
     res = OperatorResiduals((np.diag([1e308, 0.0]).astype(complex),
                              np.diag([1e308, 1.0]).astype(complex)))
-    assert res.failure(1e-10) == f"projector 0 is not Hermitian ({OVERFLOW_NOTE})"
-    assert str(res.povm_failure(1e-10)) == f"POVM element 0 is not Hermitian ({OVERFLOW_NOTE})"
+    assert str(res.failure(1e-10)) == f"projector 0 is not Hermitian ({OVERFLOW_NOTE})"
+    assert str(res.failure(1e-10, povm=True)) == f"POVM element 0 is not Hermitian ({OVERFLOW_NOTE})"
 
 
 def test_observable_rejects_overflowing_hermiticity_residual():
@@ -495,7 +500,7 @@ def decompose_planted(vals, vecs, tol):
     """spectral_decompose of V diag(vals) V^dag with ``guarded_eigh``
     returning the planted (vals, V)."""
     a = (vecs * vals) @ vecs.conj().T
-    with mock.patch.object(linalg, "guarded_eigh", return_value=(vals, vecs)):
+    with mock.patch.object(linalg, "guarded_eigh", return_value=(vals, vecs, 0.0)):
         return spectral_decompose(a, tol=tol)
 
 
@@ -655,7 +660,7 @@ def test_povm_probabilities_match_vector_form():
 
 
 def test_povm_rejects_non_positive_element():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotPositive):
         Povm((np.diag([1.5, 0.0]).astype(complex),
               np.diag([-0.5, 1.0]).astype(complex)))
 
@@ -674,16 +679,20 @@ def test_povm_rejects_non_hermitian():
 def test_povm_first_violation_messages_and_lazy_eigenvalues():
     e = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
     res = OperatorResiduals((e, np.eye(2, dtype=complex) - e))
-    failure = res.povm_failure(1e-10)
+    failure = res.failure(1e-10, povm=True)
     assert isinstance(failure, NotHermitian)
     assert str(failure) == "POVM element 0 is not Hermitian (residual 7.071e-01)"
     assert "lowest" not in vars(res)  # no eigenvalues once hermiticity fails
-    with pytest.raises(ValueError, match=r"^POVM element 1 has negative eigenvalue -5.000e-01$"):
+    assert list(failure.residuals) == ["hermiticity_max", "completeness"]
+    with pytest.raises(NotPositive,
+                       match=r"^POVM element 1 has negative eigenvalue -5.000e-01$") as exc:
         Povm((np.diag([1.5, 0.0]).astype(complex), np.diag([-0.5, 1.0]).astype(complex)))
+    assert exc.value.residuals == {"hermiticity_max": 0.0, "completeness": 0.0,
+                                   "min_eigenvalue": -0.5}
     with pytest.raises(IncompleteSet,
                        match=r"^POVM elements do not sum to the identity \(residual 7.071e-01\)$"):
         Povm((np.diag([0.5, 0.5]).astype(complex),))
-    assert OperatorResiduals((np.eye(2, dtype=complex),)).povm_failure(1e-10) is None
+    assert OperatorResiduals((np.eye(2, dtype=complex),)).failure(1e-10, povm=True) is None
 
 
 def test_povm_dim_mismatch_against_state():

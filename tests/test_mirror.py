@@ -10,6 +10,7 @@ from helpers import random_state, random_unitary
 from qmeasure.errors import (
     DimensionMismatch,
     NotBellCompatible,
+    NotMirror,
     PhaseNotUnimodular,
 )
 from qmeasure.gates import BELL_CIRCUIT, HADAMARD, PAULI_Z
@@ -17,7 +18,6 @@ from qmeasure.measurement import ProjectorSet, QuantumState
 from qmeasure.mirror import (
     BELL_LABELS,
     BELL_STATES,
-    MirrorRejection,
     MirrorUnitary,
     bell_comparison,
     build_qubit_mirror,
@@ -41,14 +41,15 @@ def test_pauli_z_is_mirror_for_computational():
     result = is_mirror(UnitaryOperator(PAULI_Z), computational_projector_set(2))
     assert isinstance(result, MirrorUnitary)
     assert result.commutation_residuals == (0.0, 0.0)
+    assert result.residuals == {"commutator_0": 0.0, "commutator_1": 0.0, "commutation_max": 0.0}
 
 
 def test_hadamard_is_rejected():
-    result = is_mirror(UnitaryOperator(HADAMARD), computational_projector_set(2))
-    assert isinstance(result, MirrorRejection)
-    assert not result.accepted
+    with pytest.raises(NotMirror, match=r"^commutator 0 exceeds tolerance 1e-10$") as exc:
+        is_mirror(UnitaryOperator(HADAMARD), computational_projector_set(2))
     # ||[H, P_0]||_F = 1, from the hand-computed commutator
-    assert result.worst_residual == pytest.approx(1.0)
+    assert list(exc.value.residuals) == ["commutator_0", "commutator_1", "commutation_max"]
+    assert exc.value.residuals["commutation_max"] == pytest.approx(1.0)
 
 
 def test_identity_is_mirror_for_any_projectors():
@@ -186,8 +187,8 @@ def test_extend_mirror_plus_minus_basis():
     mirror = extend_mirror(PhaseVector([1j, -1j]), pset)
     expected = 1j * np.array([[0, 1], [1, 0]], dtype=complex)
     assert np.allclose(mirror.unitary.matrix, expected, atol=1e-12)
-    recheck = is_mirror(mirror.unitary, computational_projector_set(2))
-    assert isinstance(recheck, MirrorRejection)
+    with pytest.raises(NotMirror):
+        is_mirror(mirror.unitary, computational_projector_set(2))
 
 
 def test_extend_mirror_certifies_against_generating_set():
@@ -267,8 +268,12 @@ def test_bell_comparison_rejects_wrong_dimension():
 
 
 def test_bell_comparison_rejects_non_mirror():
-    with pytest.raises(NotBellCompatible):
+    with pytest.raises(NotBellCompatible) as exc:
         bell_comparison(0, UnitaryOperator(BELL_CIRCUIT))
+    worst = exc.value.residuals["commutation_max"]
+    assert str(exc.value) == ("operator does not commute with the computational projectors "
+                              f"(worst residual {worst:.3e})")
+    assert len(exc.value.residuals) == 5  # commutator_0..3, then commutation_max
 
 
 # ---------------------------------------------------------------------------
