@@ -58,6 +58,9 @@ class OrthogonalityViolation(QmeasureError):
             f"(residual {residual:.3e})"
         )
 
+    def __reduce__(self):  # pickle the constructor arguments, not the message
+        return type(self), (self.i, self.j, self.residual)
+
 
 class PhaseNotUnimodular(QmeasureError):
     """A phase coefficient does not lie on the unit circle."""

@@ -418,13 +418,17 @@ class Observable:
         return self._projector_set
 
 
+def _rounding_allowance(n: int) -> float:
+    """eps_n = 4 n^(3/2) eps: the rounding of an n x n product, relative to its scale."""
+    return 4.0 * n ** 1.5 * np.finfo(float).eps
+
+
 def _gram_threshold(n: int, tol: float) -> float:
-    """tau = b / (1 + b) for b = tol - eps_n, eps_n = 4 n^(3/2) eps, so
-    tau (1 + tau) <= b:
+    """tau = b / (1 + b) for b = tol - eps_n, so tau (1 + tau) <= b:
     an eigenvector Gram residual g <= tau certifies n-dimensional projectors
     at ``tol`` (see :func:`spectral_decompose`). Negative for tol <= eps_n,
     NaN for an infinite or NaN tol, so that no g passes."""
-    budget = tol - 4.0 * n ** 1.5 * np.finfo(float).eps
+    budget = tol - _rounding_allowance(n)
     return budget / (1.0 + budget)
 
 
@@ -447,6 +451,11 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     A larger g is inconclusive: the projectors then get the ``ProjectorSet``
     check, and ``InvalidProjectorSet`` names g, the threshold and the failure.
     Both failures after the eigensolver carry the ``Observable``'s residuals.
+
+    Only if g <= eps_n does the set keep ``_factor`` = (V, labels), column k
+    of V in eigenspace ``labels[k]``. Its reconstruction, phase sums and
+    commutators are then products in the basis V, each within
+    O(g + eps_n) = O(eps_n) of the per-projector value times its scale.
     """
     a = as_matrix(a)
     vals, vecs, hermiticity = linalg.guarded_eigh(a, tol)
@@ -464,12 +473,17 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     spectrum = tuple(zip(lams.tolist(), projs))
     pset = object.__new__(ProjectorSet)  # certified below: no __post_init__
     vars(pset).update(projectors=projs)
-    resid = linalg.frobenius_norm(a - sum(lam * p for lam, p in spectrum))
+    gram = float(np.linalg.norm(vecs.conj().T @ vecs - identity(len(vals))))
+    if gram <= _rounding_allowance(len(vals)):
+        labels = freeze(np.repeat(np.arange(len(starts)), sizes))  # eigenspace of each column
+        vars(pset).update(_factor=(freeze(vecs), labels))
+        resid = linalg.frobenius_norm(a - (vecs * lams[labels]) @ vecs.conj().T)
+    else:
+        resid = linalg.frobenius_norm(a - sum(lam * p for lam, p in spectrum))
     obs = Observable(freeze(a), spectrum, hermiticity, resid, pset)  # returned only if judged
     if not linalg.within_tol(resid, tol, linalg.frobenius_norm(a)):
         raise QmeasureError(f"spectrum does not reconstruct the observable (residual {resid:.3e})",
                             obs.residuals)
-    gram = float(np.linalg.norm(vecs.conj().T @ vecs - identity(len(vals))))
     tau = _gram_threshold(len(vals), tol)
     failure = None if gram <= tau else OperatorResiduals(projs).failure(tol)
     if failure is not None:

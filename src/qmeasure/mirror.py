@@ -62,11 +62,20 @@ class MirrorUnitary:
 
 
 def commutation_residuals(u, pset: ProjectorSet) -> tuple[float, ...]:
-    """||[U, P_m]||_F for every projector in the set."""
+    """||[U, P_m]||_F for every projector in the set. With the factor (V,
+    labels) of a :func:`spectral_decompose` set it is the root mass of the
+    entries of B = V^dag U V with exactly one index in eigenspace m; the
+    others are zeroed before the sums (subtracting them would cancel)."""
     unit = _as_unitary(u)
     if unit.dim != pset.dim:
         raise DimensionMismatch(f"unitary dim {unit.dim} vs projector dim {pset.dim}")
     m = unit.matrix
+    vecs, labels = getattr(pset, "_factor", (None, None))
+    if vecs is not None:
+        b = vecs.conj().T @ m @ vecs
+        mass = np.where(labels[:, None] == labels, 0.0, b.real ** 2 + b.imag ** 2)
+        return tuple(np.sqrt(np.bincount(labels, mass.sum(axis=1))
+                             + np.bincount(labels, mass.sum(axis=0))).tolist())
     return tuple(np.concatenate([
         linalg.frobenius_norms(m @ s - s @ m) for _, s in linalg.stacks(pset.projectors)
     ]).tolist())
@@ -243,9 +252,7 @@ def truth_protocol(u, psi: QuantumState,
     if unit.dim != psi.dim:
         raise DimensionMismatch(f"unitary dim {unit.dim} vs state dim {psi.dim}")
     computed = QuantumState(unit.matrix @ psi.amplitudes, normalize=True)
-    restored = QuantumState(
-        adjoint(unit.matrix) @ computed.amplitudes, normalize=True
-    )
+    restored = QuantumState(adjoint(unit.matrix) @ computed.amplitudes, normalize=True)
     return TruthProtocolTranscript(
         computed=computed,
         restored=restored,

@@ -69,9 +69,7 @@ class PhaseVector:
             raise ValueError("phases must be finite")
         worst = float(np.max(np.abs(np.abs(arr) ** 2 - 1.0)))
         if worst > UNIMODULAR_TOL:
-            raise PhaseNotUnimodular(
-                f"phases deviate from the unit circle by {worst:.3e}"
-            )
+            raise PhaseNotUnimodular(f"phases deviate from the unit circle by {worst:.3e}")
         object.__setattr__(self, "phases", freeze(arr))
 
     @classmethod
@@ -94,11 +92,17 @@ def unitary_as_measurement(u, tol: float = DEFAULT_TOL) -> MeasurementOperatorSe
     return MeasurementOperatorSet((unit.matrix,))
 
 
+class _Adjoints(tuple):
+    """Adjoints of square matrices, each formed (C-ordered) only when indexed."""
+    def __getitem__(self, key) -> np.ndarray:
+        return np.conjugate(np.swapaxes(np.asarray(super().__getitem__(key)), -1, -2), order="C")
+
+
 def _check_pairwise_orthogonality(ops, tol: float) -> None:
     """Raise ``OrthogonalityViolation`` for the first pair i != j, in
     row-major order, whose ||M_i^dag M_j||_F, or else ||M_i M_j^dag||_F,
     fails ``within_tol`` against ||M_i||_F ||M_j||_F."""
-    adjoints = [np.conjugate(m.T, order="C") for m in ops]
+    adjoints = _Adjoints(ops)
     lefts = linalg.orthogonality_residuals(adjoints, ops)
     rights = linalg.orthogonality_residuals(ops, adjoints)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -124,25 +128,23 @@ def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,
     still fails loudly instead of returning a non-unitary.
     """
     if len(phases) != len(opset):
-        raise DimensionMismatch(
-            f"{len(phases)} phases for {len(opset)} operators"
-        )
+        raise DimensionMismatch(f"{len(phases)} phases for {len(opset)} operators")
     _check_pairwise_orthogonality(opset.operators, tol)
     _require_complete(opset, tol)
-    combined = sum(
-        alpha * m for alpha, m in zip(phases.phases, opset.operators)
-    )
+    combined = sum(alpha * m for alpha, m in zip(phases.phases, opset.operators))
     return UnitaryOperator(combined, tol=tol)
 
 
 def phase_superpose_projectors(pset: ProjectorSet, phases: PhaseVector,
                                tol: float = DEFAULT_TOL) -> UnitaryOperator:
     """Unitary P_hat = sum_m alpha_m P_m over a complete orthogonal
-    projector set; diagonal in the eigenbasis of the generating observable."""
+    projector set; diagonal in the eigenbasis of the generating observable:
+    one product V diag(alpha[labels]) V^dag on a :func:`spectral_decompose` factor."""
     if len(phases) != len(pset):
-        raise DimensionMismatch(
-            f"{len(phases)} phases for {len(pset)} projectors"
-        )
+        raise DimensionMismatch(f"{len(phases)} phases for {len(pset)} projectors")
+    vecs, labels = getattr(pset, "_factor", (None, None))
+    if vecs is not None:
+        return UnitaryOperator((vecs * phases.phases[labels]) @ vecs.conj().T, tol=tol)
     combined = sum(np.tensordot(phases.phases[lo:lo + len(s)], s, axes=1)
                    for lo, s in linalg.stacks(pset.projectors))
     return UnitaryOperator(combined, tol=tol)

@@ -464,7 +464,8 @@ def test_observable_reconstruction_random():
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         a = (g + g.conj().T) / 2
         obs = spectral_decompose(a)
-        recon = sum(lam * p for lam, p in obs.spectrum)
+        vecs, labels = obs.projector_set()._factor  # eigenvectors, eigenspace of each
+        recon = (vecs * np.array(obs.eigenvalues)[labels]) @ vecs.conj().T
         assert np.linalg.norm(recon - a) < 1e-10 * max(1.0, np.linalg.norm(a))
         assert obs.reconstruction_residual == np.linalg.norm(a - recon)
         obs.projector_set()  # eigenprojectors form a valid complete set
