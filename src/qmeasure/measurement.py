@@ -438,7 +438,9 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     :func:`linalg.guarded_eigh` judges ||A - A^dag||_F and runs LAPACK
     ``eigh``. Eigenvalues at most ``CLUSTER_TOL`` apart share an eigenspace,
     valued at their mean, with projector P_g = V_g V_g^dag over its
-    eigenvectors V_g. ||A - sum_g lambda_g P_g||_F must pass at ``tol``.
+    eigenvectors V_g. ||A - sum_g lambda_g P_g||_F must pass at ``tol``; it
+    is formed as ||A - V diag(lambda[labels]) V^dag||_F, one product that
+    equals the sum for any V (``labels[k]`` is the eigenspace of column k).
 
     The projectors are certified by g = ||V^dag V - I||_F, not by the N^2
     products of :class:`ProjectorSet`. As P_i P_j - delta_ij P_i =
@@ -452,9 +454,8 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     check, and ``InvalidProjectorSet`` names g, the threshold and the failure.
     Both failures after the eigensolver carry the ``Observable``'s residuals.
 
-    Only if g <= eps_n does the set keep ``_factor`` = (V, labels), column k
-    of V in eigenspace ``labels[k]``. Its reconstruction, phase sums and
-    commutators are then products in the basis V, each within
+    Only if g <= eps_n does the set keep ``_factor`` = (V, labels). Its
+    phase sums and commutators are then products in the basis V, each within
     O(g + eps_n) = O(eps_n) of the per-projector value times its scale.
     """
     a = as_matrix(a)
@@ -473,17 +474,15 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     spectrum = tuple(zip(lams.tolist(), projs))
     pset = object.__new__(ProjectorSet)  # certified below: no __post_init__
     vars(pset).update(projectors=projs)
-    gram = float(np.linalg.norm(vecs.conj().T @ vecs - identity(len(vals))))
-    if gram <= _rounding_allowance(len(vals)):
-        labels = freeze(np.repeat(np.arange(len(starts)), sizes))  # eigenspace of each column
-        vars(pset).update(_factor=(freeze(vecs), labels))
-        resid = linalg.frobenius_norm(a - (vecs * lams[labels]) @ vecs.conj().T)
-    else:
-        resid = linalg.frobenius_norm(a - sum(lam * p for lam, p in spectrum))
+    labels = freeze(np.repeat(np.arange(len(starts)), sizes))  # eigenspace of each column
+    resid = linalg.frobenius_norm(a - (vecs * lams[labels]) @ vecs.conj().T)
     obs = Observable(freeze(a), spectrum, hermiticity, resid, pset)  # returned only if judged
     if not linalg.within_tol(resid, tol, linalg.frobenius_norm(a)):
         raise QmeasureError(f"spectrum does not reconstruct the observable (residual {resid:.3e})",
                             obs.residuals)
+    gram = float(np.linalg.norm(vecs.conj().T @ vecs - identity(len(vals))))
+    if gram <= _rounding_allowance(len(vals)):  # V^dag V = I to rounding
+        vars(pset).update(_factor=(freeze(vecs), labels))
     tau = _gram_threshold(len(vals), tol)
     failure = None if gram <= tau else OperatorResiduals(projs).failure(tol)
     if failure is not None:

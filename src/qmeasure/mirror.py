@@ -252,7 +252,9 @@ def truth_protocol(u, psi: QuantumState,
     if unit.dim != psi.dim:
         raise DimensionMismatch(f"unitary dim {unit.dim} vs state dim {psi.dim}")
     computed = QuantumState(unit.matrix @ psi.amplitudes, normalize=True)
-    restored = QuantumState(adjoint(unit.matrix) @ computed.amplitudes, normalize=True)
+    restored = QuantumState(
+        adjoint(unit.matrix) @ computed.amplitudes, normalize=True
+    )
     return TruthProtocolTranscript(
         computed=computed,
         restored=restored,

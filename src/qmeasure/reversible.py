@@ -69,7 +69,9 @@ class PhaseVector:
             raise ValueError("phases must be finite")
         worst = float(np.max(np.abs(np.abs(arr) ** 2 - 1.0)))
         if worst > UNIMODULAR_TOL:
-            raise PhaseNotUnimodular(f"phases deviate from the unit circle by {worst:.3e}")
+            raise PhaseNotUnimodular(
+                f"phases deviate from the unit circle by {worst:.3e}"
+            )
         object.__setattr__(self, "phases", freeze(arr))
 
     @classmethod
@@ -92,10 +94,17 @@ def unitary_as_measurement(u, tol: float = DEFAULT_TOL) -> MeasurementOperatorSe
     return MeasurementOperatorSet((unit.matrix,))
 
 
-class _Adjoints(tuple):
-    """Adjoints of square matrices, each formed (C-ordered) only when indexed."""
+class _Adjoints:
+    """Adjoints of square matrices, each formed (C-ordered) only when indexed or sliced."""
+
+    def __init__(self, ops):
+        self.ops = ops
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
     def __getitem__(self, key) -> np.ndarray:
-        return np.conjugate(np.swapaxes(np.asarray(super().__getitem__(key)), -1, -2), order="C")
+        return np.conjugate(np.swapaxes(np.asarray(self.ops[key]), -1, -2), order="C")
 
 
 def _check_pairwise_orthogonality(ops, tol: float) -> None:
@@ -128,10 +137,14 @@ def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,
     still fails loudly instead of returning a non-unitary.
     """
     if len(phases) != len(opset):
-        raise DimensionMismatch(f"{len(phases)} phases for {len(opset)} operators")
+        raise DimensionMismatch(
+            f"{len(phases)} phases for {len(opset)} operators"
+        )
     _check_pairwise_orthogonality(opset.operators, tol)
     _require_complete(opset, tol)
-    combined = sum(alpha * m for alpha, m in zip(phases.phases, opset.operators))
+    combined = sum(
+        alpha * m for alpha, m in zip(phases.phases, opset.operators)
+    )
     return UnitaryOperator(combined, tol=tol)
 
 
@@ -141,7 +154,9 @@ def phase_superpose_projectors(pset: ProjectorSet, phases: PhaseVector,
     projector set; diagonal in the eigenbasis of the generating observable:
     one product V diag(alpha[labels]) V^dag on a :func:`spectral_decompose` factor."""
     if len(phases) != len(pset):
-        raise DimensionMismatch(f"{len(phases)} phases for {len(pset)} projectors")
+        raise DimensionMismatch(
+            f"{len(phases)} phases for {len(pset)} projectors"
+        )
     vecs, labels = getattr(pset, "_factor", (None, None))
     if vecs is not None:
         return UnitaryOperator((vecs * phases.phases[labels]) @ vecs.conj().T, tol=tol)
