@@ -217,7 +217,7 @@ def cmd_classify(args) -> dict:
     doc = _load_kind(args.file, ("measurement_set", "projector_set", "unitary"))
     opset = MeasurementOperatorSet(doc.matrices())
     kind = classify_measurement(opset, tol=args.tol)
-    report = {
+    return {
         "command": "classify",
         "verdict": "pass",
         "kind": doc.kind,
@@ -226,7 +226,6 @@ def cmd_classify(args) -> dict:
         "residuals": {"completeness": opset.completeness_residual},
         "classification": kind.value,
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +377,7 @@ def cmd_bell(args) -> dict:
         within_tol(abs(comparison.internal_probability - 1.0), args.tol)
         and comparison.preservation.within(args.tol)
     )
-    report = {
+    return {
         "command": "bell",
         "verdict": "pass" if passed else "fail",
         "bell_index": comparison.bell_index,
@@ -392,7 +391,6 @@ def cmd_bell(args) -> dict:
         },
         "details": comparison.grouping,
     }
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -38,12 +38,7 @@ def basis_state(dim: int, k: int) -> np.ndarray:
 
 def computational_projectors(dim: int) -> list[np.ndarray]:
     """Rank-1 projectors |k><k| onto the computational basis of C^dim."""
-    out = []
-    for k in range(dim):
-        p = np.zeros((dim, dim), dtype=np.complex128)
-        p[k, k] = 1.0
-        out.append(p)
-    return out
+    return [np.diag(row) for row in np.eye(dim, dtype=np.complex128)]
 
 
 # Maximally entangled two-qubit vectors, indexed 0..3 in this order.

@@ -134,7 +134,13 @@ def _require_square(a: np.ndarray) -> None:
 
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
+    return _adjoint(as_matrix(a))
+
+
+def _adjoint(a) -> np.ndarray:
+    """:func:`adjoint` of an ``as_matrix`` array, or of each matrix of a stack,
+    not coerced again; a C-ordered copy, as products with a view differ in bits."""
+    return np.conjugate(np.swapaxes(np.asarray(a), -1, -2), order="C")
 
 
 def commutator(a, b) -> np.ndarray:
@@ -150,29 +156,32 @@ def commutator(a, b) -> np.ndarray:
 
 def unitarity_residuals(u) -> tuple[float, float]:
     """Frobenius residuals (||U^dag U - I||, ||U U^dag - I||)."""
-    u = as_matrix(u)
-    _require_square(u)
+    return _unitarity_residuals(as_matrix(u))
+
+
+def _unitarity_residuals(u: np.ndarray) -> tuple[float, float]:
+    _require_square(u)  # an ``as_matrix`` array, not coerced again
     eye = identity(u.shape[0])
     ud = u.conj().T
     with np.errstate(over="ignore", invalid="ignore"):
-        return (
-            float(np.linalg.norm(ud @ u - eye)),
-            float(np.linalg.norm(u @ ud - eye)),
-        )
+        return float(np.linalg.norm(ud @ u - eye)), float(np.linalg.norm(u @ ud - eye))
 
 
 def hermiticity_residual(a) -> float:
     """||a - a^dag||_F."""
-    a = as_matrix(a)
-    _require_square(a)
+    return _hermiticity_residual(as_matrix(a))
+
+
+def _hermiticity_residual(a: np.ndarray) -> float:
+    _require_square(a)  # an ``as_matrix`` array, not coerced again
     with np.errstate(over="ignore"):
         return float(np.linalg.norm(a - a.conj().T))
 
 
 def _require_hermitian(a, tol: float) -> float:
     """The hermiticity rule of every single matrix: raise ``NotHermitian``
-    unless ``within_tol(||a - a^dag||_F, tol, ||a||_F)``; return the residual."""
-    resid, scale = hermiticity_residual(a), frobenius_norm(a)
+    unless ``within_tol(||a - a^dag||_F, tol, ||a||_F)`` of an ``as_matrix`` array; return it."""
+    resid, scale = _hermiticity_residual(a), frobenius_norm(a)
     if not within_tol(resid, tol, scale):
         raise NotHermitian(f"matrix is not Hermitian within {tol:g} "
                            f"({residual_note(resid, scale)})", {"hermiticity": resid})
@@ -184,7 +193,7 @@ def _require_unitary(u: np.ndarray, tol: float) -> dict[str, float]:
     both residuals ``unitarity_left`` ||U^dag U - I||_F and
     ``unitarity_right`` ||U U^dag - I||_F of an ``as_matrix`` array pass
     ``within_tol`` against sqrt(n); return them."""
-    left, right = unitarity_residuals(u)
+    left, right = _unitarity_residuals(u)
     residuals = {"unitarity_left": left, "unitarity_right": right}
     scale = math.sqrt(u.shape[0])
     if not (within_tol(left, tol, scale) and within_tol(right, tol, scale)):
@@ -204,9 +213,9 @@ def guarded_eigh(a: np.ndarray,
     return vals, vecs, hermiticity
 
 
-def lowest_eigenvalue(a: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian part of a square matrix."""
-    return float(np.linalg.eigvalsh((a + a.conj().T) / 2.0)[0])
+def lowest_eigenvalue(a: np.ndarray) -> np.ndarray | float:
+    """Smallest eigenvalue of the Hermitian part of a square matrix, or of each of a stack."""
+    return np.linalg.eigvalsh((a + np.swapaxes(a, -1, -2).conj()) / 2.0)[..., 0]
 
 
 def vector_norm(v: np.ndarray) -> tuple[float, float]:

@@ -30,7 +30,7 @@ from .errors import (
     UnknownOutcome,
     ZeroProbabilityOutcome,
 )
-from .linalg import DEFAULT_TOL, adjoint, as_matrix, as_vector, freeze, identity
+from .linalg import DEFAULT_TOL, _adjoint, as_matrix, as_vector, freeze, identity
 
 NORM_TOL = 1e-12  # |<psi|psi> - 1| admitted by the strict state constructor
 PROB_FLOOR = 1e-12  # outcomes below this probability are unrealizable
@@ -150,7 +150,7 @@ class MeasurementOperatorSet:
     def completeness_residual(self) -> float:
         """||sum_m M_m^dag M_m - I||_F; inf when the sum overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            total = sum(adjoint(m) @ m for m in self.operators)
+            total = sum(_adjoint(m) @ m for m in self.operators)
             residual = float(np.linalg.norm(total - identity(self.dim)))
         return math.inf if math.isnan(residual) else residual
 
@@ -302,7 +302,8 @@ class OperatorResiduals:
 
     @cached_property
     def lowest(self) -> np.ndarray:  # smallest eigenvalue of each P_k
-        return np.array([linalg.lowest_eigenvalue(p) for p in self.operators])
+        return np.concatenate([linalg.lowest_eigenvalue(s)
+                               for _, s in linalg.stacks(self.operators)])
 
     def residuals(self, povm: bool = False, hermitian: bool = True) -> dict[str, float]:
         """What a report prints, in its order: ``hermiticity_max``, then
@@ -358,8 +359,7 @@ class ProjectorSet:
     def __post_init__(self, tol: float):
         projs = _coerce_square_family(self.projectors, "projector set")
         judged = OperatorResiduals(projs)
-        failure = judged.failure(tol)
-        if failure is not None:
+        if (failure := judged.failure(tol)) is not None:
             raise failure
         object.__setattr__(self, "projectors", projs)
         object.__setattr__(self, "_judged", judged)
@@ -502,8 +502,7 @@ class Povm:
     def __post_init__(self, tol: float):
         elems = _coerce_square_family(self.elements, "POVM")
         judged = OperatorResiduals(elems)
-        failure = judged.failure(tol, povm=True)
-        if failure is not None:
+        if (failure := judged.failure(tol, povm=True)) is not None:
             raise failure
         object.__setattr__(self, "elements", elems)
         object.__setattr__(self, "_judged", judged)
@@ -524,7 +523,7 @@ def povm_from_operators(opset: MeasurementOperatorSet,
                         tol: float = DEFAULT_TOL) -> Povm:
     """POVM elements E_m = M_m^dag M_m of a complete measurement set."""
     _require_complete(opset, tol)
-    return Povm(tuple(adjoint(m) @ m for m in opset.operators), tol=tol)
+    return Povm(tuple(_adjoint(m) @ m for m in opset.operators), tol=tol)
 
 
 def povm_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:

@@ -11,6 +11,7 @@ element U^dag U stays the identity.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import gates, linalg
 from .errors import DimensionMismatch, NotBellCompatible, NotMirror
-from .linalg import DEFAULT_TOL, adjoint, identity
+from .linalg import DEFAULT_TOL, _adjoint, identity
 from .measurement import Povm, ProjectorSet, QuantumState, fidelity, povm_probabilities
 from .reversible import PhaseVector, UnitaryOperator, _as_unitary, irm_povm, phase_superpose_projectors
 
@@ -35,6 +36,9 @@ BELL_GROUPING_NOTE = "parity grouping: E_0 = P_00 + P_11, E_1 = P_01 + P_10"
 def computational_projector_set(dim: int) -> ProjectorSet:
     """Projectors |k><k| onto the computational basis of C^dim."""
     return ProjectorSet(tuple(gates.computational_projectors(dim)))
+
+
+_computational_set = functools.cache(computational_projector_set)  # immutable, so shared
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +153,7 @@ def build_qubit_mirror(theta: float, alpha: complex,
     alpha = complex(alpha)
     front = cmath.exp(1j * float(theta))
     return extend_mirror(PhaseVector([front * alpha, front * alpha.conjugate()]),
-                         computational_projector_set(2), tol)
+                         _computational_set(2), tol)
 
 
 def extend_mirror(phases: PhaseVector, pset: ProjectorSet,
@@ -179,6 +183,19 @@ class BellComparisonReport:
     preservation: PreservationReport
 
 
+@functools.cache
+def _bell_references() -> tuple:
+    """Built once per process for every :func:`bell_comparison`: ||E_0 + E_1 - I||_F
+    of the parity POVM, and each Bell state's density matrix and (p(E_0), p(E_1)),
+    all immutable. Only that POVM is judged at the caller's tol, with residuals exactly 0, and
+    a call gets here only at a tol ``is_mirror`` accepted (finite, not negative): it passes."""
+    p = _computational_set(4).projectors
+    parity = Povm((p[0] + p[3], p[1] + p[2]))
+    rhos = tuple(bell.density_matrix() for bell in BELL_STATES)
+    externals = tuple(tuple(povm_probabilities(parity, rho).tolist()) for rho in rhos)
+    return linalg.frobenius_norm(sum(parity.elements) - identity(4)), rhos, externals
+
+
 def bell_comparison(bell_index: int, mirror,
                     tol: float = DEFAULT_TOL) -> BellComparisonReport:
     """Compare the external and internal measurement views of a Bell state.
@@ -200,7 +217,7 @@ def bell_comparison(bell_index: int, mirror,
         raise DimensionMismatch(
             f"mirror must act on two qubits (dim 4), got dim {unit.dim}"
         )
-    comp = computational_projector_set(4)
+    comp = _computational_set(4)
     try:
         is_mirror(unit, comp, tol)
     except NotMirror as exc:
@@ -208,25 +225,16 @@ def bell_comparison(bell_index: int, mirror,
             f"operator does not commute with the computational projectors "
             f"(worst residual {exc.residuals['commutation_max']:.3e})", exc.residuals
         ) from None
-    bell = BELL_STATES[bell_index]
-    p = comp.projectors
-    e0 = p[0] + p[3]
-    e1 = p[1] + p[2]
-    sum_residual = linalg.frobenius_norm(e0 + e1 - identity(4))
-    rho = bell.density_matrix()
-    ext = povm_probabilities(Povm((e0, e1), tol=tol), rho)
-    internal = irm_povm(unit, tol)
-    internal_prob = float(povm_probabilities(internal, rho)[0])
-    preservation = verify_probability_preservation(unit, comp, bell, tol)
+    sum_residual, rhos, externals = _bell_references()
     return BellComparisonReport(
         bell_index=bell_index,
         bell_label=BELL_LABELS[bell_index],
         grouping=BELL_GROUPING_NOTE,
-        external_probabilities=(float(ext[0]), float(ext[1])),
+        external_probabilities=externals[bell_index],
         external_sum_residual=sum_residual,
-        internal_probability=internal_prob,
+        internal_probability=float(povm_probabilities(irm_povm(unit, tol), rhos[bell_index])[0]),
         internal_identity_residual=unit.residuals["unitarity_left"],
-        preservation=preservation,
+        preservation=verify_probability_preservation(unit, comp, BELL_STATES[bell_index], tol),
     )
 
 
@@ -252,9 +260,7 @@ def truth_protocol(u, psi: QuantumState,
     if unit.dim != psi.dim:
         raise DimensionMismatch(f"unitary dim {unit.dim} vs state dim {psi.dim}")
     computed = QuantumState(unit.matrix @ psi.amplitudes, normalize=True)
-    restored = QuantumState(
-        adjoint(unit.matrix) @ computed.amplitudes, normalize=True
-    )
+    restored = QuantumState(_adjoint(unit.matrix) @ computed.amplitudes, normalize=True)
     return TruthProtocolTranscript(
         computed=computed,
         restored=restored,

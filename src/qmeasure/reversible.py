@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, OrthogonalityViolation, PhaseNotUnimodular
-from .linalg import DEFAULT_TOL, adjoint, as_matrix, freeze, within_tol
+from .linalg import DEFAULT_TOL, _adjoint, as_matrix, freeze, within_tol
 from .measurement import (
     MeasurementOperatorSet,
     Observable,
@@ -41,10 +41,9 @@ class UnitaryOperator:
     residuals: dict[str, float] = field(init=False, repr=False)
 
     def __post_init__(self, tol: float):
-        mat = as_matrix(self.matrix)
-        residuals = linalg._require_unitary(mat, tol)
-        object.__setattr__(self, "matrix", freeze(mat))
-        object.__setattr__(self, "residuals", residuals)
+        mat = freeze(as_matrix(self.matrix))  # stored as judged: the judge does not coerce it again
+        object.__setattr__(self, "residuals", linalg._require_unitary(mat, tol))
+        object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
@@ -104,7 +103,7 @@ class _Adjoints:
         return len(self.ops)
 
     def __getitem__(self, key) -> np.ndarray:
-        return np.conjugate(np.swapaxes(np.asarray(self.ops[key]), -1, -2), order="C")
+        return _adjoint(self.ops[key])
 
 
 def _check_pairwise_orthogonality(ops, tol: float) -> None:
@@ -183,4 +182,4 @@ def irm_povm(u, tol: float = DEFAULT_TOL) -> Povm:
     produces the unique outcome with probability one.
     """
     unit = _as_unitary(u, tol)
-    return Povm((adjoint(unit.matrix) @ unit.matrix,), tol=tol)
+    return Povm((_adjoint(unit.matrix) @ unit.matrix,), tol=tol)

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from helpers import orthogonal_family, random_hermitian, random_phases, random_unitary
 from qmeasure import linalg
-from qmeasure.errors import InvalidProjectorSet, OrthogonalityViolation
+from qmeasure.errors import InvalidProjectorSet, NotPositive, OrthogonalityViolation
 from qmeasure.measurement import (
+    PSD_FLOOR,
     MeasurementOperatorSet,
     OperatorResiduals,
+    Povm,
     ProjectorSet,
     QuantumState,
     spectral_decompose,
@@ -122,15 +124,60 @@ def test_stacked_kernels_equal_the_per_matrix_loops(stack, seed):
     assert all(type(r) is float for r in mirror)
 
 
+def loop_lowest(ops):
+    """The smallest eigenvalue of each Hermitian part, one eigvalsh per matrix."""
+    return np.array([float(np.linalg.eigvalsh((p + p.conj().T) / 2.0)[0]) for p in ops])
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_batched_lowest_eigenvalues_equal_the_per_matrix_eigvalsh(n):
+    """One eigvalsh per stack gives the per-matrix bits: Hermitian and
+    non-Hermitian matrices, three scales, one stack and (n = 32, 64)
+    several."""
+    rng = np.random.default_rng(n)
+    sizes = [1, 5] + ([2 * linalg.stack_size(n) + 3] if n >= 32 else [])
+    for k in sizes:
+        for scale in SCALES:
+            gaussian = [scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                        for _ in range(k)]
+            for ops in (gaussian, [random_hermitian(rng, n) * scale for _ in range(k)]):
+                ops = tuple(np.ascontiguousarray(p) for p in ops)
+                expected = loop_lowest(ops)
+                np.testing.assert_array_equal(OperatorResiduals(ops).lowest, expected, strict=True)
+                assert [linalg.lowest_eigenvalue(p) for p in ops] == expected.tolist()
+
+
+@pytest.mark.parametrize("n", [2, 9, 64])
+def test_povm_with_negative_elements_names_the_first_as_before(n):
+    """Elements Q diag(w_k) Q^dag with weights summing to 1; elements 2 and
+    4 (in the second and third stack at n = 64) have a negative weight."""
+    rng = np.random.default_rng(n)
+    q = random_unitary(rng, n)
+    weights = rng.dirichlet(np.ones(5), size=n).T  # (5, n), columns sum to 1
+    weights[2, 0], weights[4, -1] = -0.25, -0.5
+    weights[0] = 1.0 - weights[1:].sum(axis=0)  # positive: the others sum to less than 1
+    elements = tuple((q * w) @ q.conj().T for w in weights)
+    lowest = loop_lowest(elements)
+    first = int(np.flatnonzero(lowest < PSD_FLOOR)[0])
+    assert first == 2
+    with pytest.raises(NotPositive) as exc:
+        Povm(elements)
+    assert str(exc.value) == f"POVM element {first} has negative eigenvalue {lowest[first]:.3e}"
+    assert exc.value.residuals["min_eigenvalue"] == float(np.min(lowest))
+
+
 @pytest.mark.parametrize("n", DIMS)
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_tiled_phase_sums_and_probabilities_match_the_loops(n, degenerate):
     """Sum alpha_m P_m and the preservation probabilities, formed on tiles
     (several at n = 64), agree with the per-projector loops within
     4 n^(3/2) eps times their scale: ||sum||_F for the sum, 1 for the
-    probabilities."""
+    probabilities. The set is rebuilt without the eigenvector factor of
+    spectral_decompose, so the phase sum takes the generic tiled path."""
     rng = np.random.default_rng(n)
-    pset = spectral_decompose(random_hermitian(rng, n, degenerate=degenerate)).projector_set()
+    spectral = spectral_decompose(random_hermitian(rng, n, degenerate=degenerate)).projector_set()
+    pset = ProjectorSet(spectral.projectors)
+    assert not hasattr(pset, "_factor")
     phases = PhaseVector(random_phases(rng, len(pset)))
     psi = QuantumState(rng.normal(size=n) + 1j * rng.normal(size=n), normalize=True)
     u = random_unitary(rng, n)  # no mirror, so p'(m) differs from p(m)

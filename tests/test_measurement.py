@@ -588,7 +588,7 @@ def test_spectral_decompose_judges_hermiticity_once_and_forms_no_pairs(monkeypat
     def forbidden(*args, **kwargs):
         raise AssertionError("the factored path runs no generic family check")
 
-    monkeypatch.setattr(linalg, "hermiticity_residual", counted)
+    monkeypatch.setattr(linalg, "_hermiticity_residual", counted)
     monkeypatch.setattr(measurement, "OperatorResiduals", forbidden)
     monkeypatch.setattr(measurement, "_coerce_square_family", forbidden)
     spectral_decompose(random_hermitian(np.random.default_rng(37), 8, degenerate=True))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,17 +8,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_state, random_unitary
+from qmeasure import linalg, mirror
 from qmeasure.errors import (
     DimensionMismatch,
     NotBellCompatible,
     NotMirror,
+    NotUnitary,
     PhaseNotUnimodular,
+    QmeasureError,
 )
 from qmeasure.gates import BELL_CIRCUIT, HADAMARD, PAULI_Z
-from qmeasure.measurement import ProjectorSet, QuantumState
+from qmeasure.measurement import (
+    DensityMatrix,
+    MeasurementOperatorSet,
+    Povm,
+    ProjectorSet,
+    QuantumState,
+    classify_measurement,
+    povm_from_operators,
+    povm_probabilities,
+    spectral_decompose,
+)
 from qmeasure.mirror import (
     BELL_LABELS,
+    BELL_GROUPING_NOTE,
     BELL_STATES,
+    BellComparisonReport,
     MirrorUnitary,
     bell_comparison,
     build_qubit_mirror,
@@ -27,7 +43,7 @@ from qmeasure.mirror import (
     truth_protocol,
     verify_probability_preservation,
 )
-from qmeasure.reversible import PhaseVector, UnitaryOperator
+from qmeasure.reversible import PhaseVector, UnitaryOperator, irm_povm
 
 RT2 = 1.0 / math.sqrt(2.0)
 ZERO = QuantumState(np.array([1, 0], dtype=complex))
@@ -274,6 +290,159 @@ def test_bell_comparison_rejects_non_mirror():
     assert str(exc.value) == ("operator does not commute with the computational projectors "
                               f"(worst residual {worst:.3e})")
     assert len(exc.value.residuals) == 5  # commutator_0..3, then commutation_max
+
+
+# The report as built before the basis-fixed references were cached: the
+# computational set, the parity POVM, its sum residual and the Bell density
+# matrix are formed on every call, with the expressions used then.
+def per_call_bell_report(bell_index, mirror_, tol):
+    if isinstance(mirror_, MirrorUnitary):
+        unit = mirror_.unitary
+    else:
+        unit = UnitaryOperator(mirror_, tol=tol)
+    comp = computational_projector_set(4)
+    try:
+        is_mirror(unit, comp, tol)
+    except NotMirror as exc:
+        raise NotBellCompatible(
+            f"operator does not commute with the computational projectors "
+            f"(worst residual {exc.residuals['commutation_max']:.3e})", exc.residuals
+        ) from None
+    bell = BELL_STATES[bell_index]
+    p = comp.projectors
+    e0 = p[0] + p[3]
+    e1 = p[1] + p[2]
+    sum_residual = linalg.frobenius_norm(e0 + e1 - np.eye(4, dtype=complex))
+    rho = bell.density_matrix()
+    ext = povm_probabilities(Povm((e0, e1), tol=tol), rho)
+    internal = Povm((unit.matrix.conj().T.copy() @ unit.matrix,), tol=tol)
+    return BellComparisonReport(
+        bell_index=bell_index,
+        bell_label=BELL_LABELS[bell_index],
+        grouping=BELL_GROUPING_NOTE,
+        external_probabilities=(float(ext[0]), float(ext[1])),
+        external_sum_residual=sum_residual,
+        internal_probability=float(povm_probabilities(internal, rho)[0]),
+        internal_identity_residual=unit.residuals["unitarity_left"],
+        preservation=verify_probability_preservation(unit, comp, bell, tol),
+    )
+
+
+def same_bits(got, expected):
+    """Equal types and equal float bits, field by field (-0.0 differs from 0.0)."""
+    if isinstance(expected, (tuple, list)):
+        return (type(got) is type(expected) and len(got) == len(expected)
+                and all(same_bits(g, e) for g, e in zip(got, expected)))
+    if isinstance(expected, float):
+        return type(got) is float and np.float64(got).tobytes() == np.float64(expected).tobytes()
+    if hasattr(expected, "__dataclass_fields__"):
+        return type(got) is type(expected) and all(
+            same_bits(getattr(got, f), getattr(expected, f)) for f in expected.__dataclass_fields__)
+    return got == expected
+
+
+def bell_mirrors():
+    """Exact-phase and random-phase diagonal mirrors, as arrays and certified."""
+    rng = np.random.default_rng(2026)
+    arrays = [np.diag([1.0, 1j, -1.0, -1j]),
+              np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, size=4)))]
+    certified = [extend_mirror(PhaseVector(np.diag(a)), computational_projector_set(4), 1e-10)
+                 for a in arrays]
+    return arrays + certified
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-3, 0.0])
+def test_bell_comparison_equals_the_per_call_report_bit_for_bit(tol):
+    for index in range(4):
+        for mirror_ in bell_mirrors():
+            try:
+                expected = per_call_bell_report(index, mirror_, tol)
+            except QmeasureError as exc:  # only random phases, and only at tol 0
+                assert tol == 0.0
+                with pytest.raises(type(exc)) as got:
+                    bell_comparison(index, mirror_, tol)
+                assert (str(got.value), got.value.residuals) == (str(exc), exc.residuals)
+                continue
+            assert same_bits(bell_comparison(index, mirror_, tol), expected)
+            assert same_bits(bell_comparison(index, mirror_, tol), expected)  # from the cache
+
+
+def test_bell_comparison_rejections_are_unchanged_once_the_references_exist():
+    certified = bell_mirrors()[2]
+    bell_comparison(0, certified)  # the references are built
+    with pytest.raises(NotMirror) as judged:
+        is_mirror(UnitaryOperator(BELL_CIRCUIT), computational_projector_set(4))
+    with pytest.raises(NotBellCompatible) as exc:
+        bell_comparison(1, BELL_CIRCUIT)
+    assert exc.value.residuals == judged.value.residuals
+    wrong_dim = r"^mirror must act on two qubits \(dim 4\), got dim 2$"
+    with pytest.raises(DimensionMismatch, match=wrong_dim):
+        bell_comparison(2, PAULI_Z)
+    for bad in (math.nan, -1e-10, math.inf):
+        with pytest.raises(NotBellCompatible):
+            bell_comparison(3, certified, tol=bad)
+        with pytest.raises(NotUnitary):
+            bell_comparison(3, certified.unitary.matrix, tol=bad)
+
+
+def test_bell_references_are_read_only_and_built_once(monkeypatch):
+    mirror_ = bell_mirrors()[0]
+    bell_comparison(0, mirror_)
+    sum_residual, rhos, externals = mirror._bell_references()
+    assert sum_residual == 0.0
+    assert [rho.dim for rho in rhos] == [4] * 4
+    assert all(not rho.matrix.flags.writeable for rho in rhos)
+    for dim in (2, 4):
+        shared = mirror._computational_set(dim)
+        assert shared is mirror._computational_set(dim)
+        assert all(not p.flags.writeable for p in shared.projectors)
+    assert computational_projector_set(4) is not computational_projector_set(4)  # public, uncached
+    built = {cls: 0 for cls in (ProjectorSet, Povm, DensityMatrix)}
+    for cls in built:
+        def counted(self, *args, _cls=cls, _init=cls.__post_init__):
+            built[_cls] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for index in range(4):
+        bell_comparison(index, mirror_)
+    assert built == {ProjectorSet: 0, Povm: 4, DensityMatrix: 0}  # the Povm is irm_povm's
+    built[Povm] = 0
+    assert build_qubit_mirror(0.3, 1j).reference_projectors is mirror._computational_set(2)
+    assert built == {ProjectorSet: 0, Povm: 0, DensityMatrix: 0}
+
+
+def test_library_owned_arrays_are_coerced_once(monkeypatch):
+    """Inputs are coerced once; a frozen array the library made is never
+    coerced again, so this as_matrix raises on read-only input."""
+    rng = np.random.default_rng(5)
+    unit = UnitaryOperator(random_unitary(rng, 4))
+    psi = QuantumState(random_state(rng, 4))
+    ops = [random_unitary(rng, 4) * 0.5 for _ in range(4)]  # complete: 4 * I / 4
+    sets = [MeasurementOperatorSet(ops) for _ in range(2)]
+    singleton = MeasurementOperatorSet((random_unitary(rng, 3),))
+    certified = bell_mirrors()[3]
+    coerce, calls = linalg.as_matrix, []
+
+    def guarded(a):
+        assert not (isinstance(a, np.ndarray) and not a.flags.writeable), \
+            "a library-owned array was coerced again"
+        calls.append(a)
+        return coerce(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qmeasure") and getattr(module, "as_matrix", None) is coerce:
+            monkeypatch.setattr(module, "as_matrix", guarded)
+    truth_protocol(unit, psi)
+    irm_povm(unit)
+    assert sets[0].completeness_residual <= 1e-10
+    povm_from_operators(sets[1])
+    classify_measurement(singleton)
+    bell_comparison(2, certified)
+    calls.clear()
+    UnitaryOperator(random_unitary(rng, 4))
+    DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
+    spectral_decompose(np.diag([1.0, 2.0, 2.0]).astype(complex))
+    assert len(calls) == 3  # one per input
 
 
 # ---------------------------------------------------------------------------
