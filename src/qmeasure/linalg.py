@@ -1,8 +1,10 @@
 """Dense complex linear algebra primitives used by every other module.
 
-All matrices and vectors are numpy ``complex128`` arrays. Matrices entering
-the package go through :func:`as_matrix` and state vectors through
-:func:`vector_norm`; both reject NaN/Inf so non-finite entries never reach
+All matrices and vectors are numpy ``complex128`` arrays. A single matrix
+entering the package goes through :func:`as_matrix`, an operator family
+through one conversion into a frozen ``(N, n, n)`` stack (the per-matrix
+``as_matrix`` walk only words its error), and state vectors through
+:func:`vector_norm`; each rejects NaN/Inf so non-finite entries never reach
 downstream algebra. Intended scale is dense desk-size problems (n <= 64).
 """
 
@@ -67,11 +69,11 @@ def stack_size(n: int) -> int:
 
 def stacks(mats):
     """Consecutive blocks ``(lo, stack)`` of a sequence of n x n matrices:
-    ``stack`` is ``mats[lo:lo + len(stack)]`` as one C-ordered array of at
-    most ``stack_size(n)`` matrices."""
+    ``stack`` is ``mats[lo:lo + len(stack)]`` as one array of at most
+    ``stack_size(n)`` matrices, a view when ``mats`` is a stack."""
     size = stack_size(len(mats[0]))
     for lo in range(0, len(mats), size):
-        yield lo, np.array(mats[lo:lo + size])
+        yield lo, np.asarray(mats[lo:lo + size])
 
 
 def frobenius_norms(stack: np.ndarray) -> np.ndarray:
@@ -99,7 +101,7 @@ def orthogonality_residuals(lefts, rights) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, right in stacks(rights):
             for top in range(0, len(lefts), rows):
-                left = np.array(lefts[top:top + rows])
+                left = np.asarray(lefts[top:top + rows])
                 prods = left[:, None] @ right
                 for i in range(max(top, lo), min(top + len(left), lo + len(right))):
                     prods[i - top, i - lo] -= left[i - top]  # the pair (i, i)

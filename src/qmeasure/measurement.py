@@ -110,7 +110,15 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def _coerce_square_family(mats, what: str) -> tuple[np.ndarray, ...]:
+def _coerce_square_family(mats, what: str) -> np.ndarray:
+    """The family as one frozen C-ordered complex ``(N, n, n)`` stack, from
+    one conversion (a generator is read once). The per-matrix ``as_matrix``
+    walk runs only when that fails, to word the error as it always has."""
+    mats = list(mats)
+    with suppress(ValueError, TypeError, OverflowError):
+        stack = np.array(mats, dtype=np.complex128)  # C-ordered: mats is a list
+        if stack.ndim == 3 and 0 < stack.shape[1] == stack.shape[2] and np.isfinite(stack).all():
+            return freeze(stack)
     arrays = tuple(as_matrix(m) for m in mats)
     if not arrays:
         raise ValueError(f"{what} needs at least one operator")
@@ -120,11 +128,38 @@ def _coerce_square_family(mats, what: str) -> tuple[np.ndarray, ...]:
             raise DimensionMismatch(
                 f"{what} operator {k} has shape {m.shape}, expected ({dim}, {dim})"
             )
-    return tuple(freeze(m) for m in arrays)
+    return freeze(np.array(arrays))
+
+
+class _Family:
+    """A family held once, as the frozen ``(N, n, n)`` stack ``_stack``; its tuple holds views."""
+
+    def _hold(self, name: str, stack: np.ndarray):
+        object.__setattr__(self, name, tuple(stack))
+        object.__setattr__(self, "_stack", stack)
+        return self
+
+    def _admit(self, name: str, stack: np.ndarray, tol: float, povm: bool = False):
+        """Hold a frozen stack; raise the first requirement it fails as a projector set (a POVM
+        with ``povm``). A stack the library just made comes here on a bare instance, uncopied."""
+        if (failure := self._hold(name, stack)._judged.failure(tol, povm)) is not None:
+            raise failure
+        return self
+
+    @property
+    def dim(self) -> int:
+        return self._stack.shape[1]
+
+    def __len__(self) -> int:
+        return len(self._stack)
+
+    @cached_property
+    def _judged(self) -> OperatorResiduals:  # formed on first read
+        return OperatorResiduals(self._stack)
 
 
 @dataclass(frozen=True, eq=False)
-class MeasurementOperatorSet:
+class MeasurementOperatorSet(_Family):
     """Collection {M_m} of same-dimension square operators.
 
     Labels are the dense indices 0..N-1 of ``operators``. Construction
@@ -136,21 +171,13 @@ class MeasurementOperatorSet:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = _coerce_square_family(self.operators, "measurement set")
-        object.__setattr__(self, "operators", ops)
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
-    def __len__(self) -> int:
-        return len(self.operators)
+        self._hold("operators", _coerce_square_family(self.operators, "measurement set"))
 
     @cached_property
     def completeness_residual(self) -> float:
-        """||sum_m M_m^dag M_m - I||_F; inf when the sum overflows."""
+        """||sum_m M_m^dag M_m - I||_F, the products added in label order; inf if it overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            total = sum(_adjoint(m) @ m for m in self.operators)
+            total = sum(p for _, tile in linalg.stacks(self._stack) for p in _adjoint(tile) @ tile)
             residual = float(np.linalg.norm(total - identity(self.dim)))
         return math.inf if math.isnan(residual) else residual
 
@@ -190,9 +217,8 @@ def outcome_probabilities(opset: MeasurementOperatorSet, psi: QuantumState,
     if opset.dim != psi.dim:
         raise DimensionMismatch(f"set dim {opset.dim} vs state dim {psi.dim}")
     _require_complete(opset, tol)
-    return np.array(
-        [float(np.linalg.norm(m @ psi.amplitudes) ** 2) for m in opset.operators]
-    )
+    mapped = (opset._stack @ psi.amplitudes)[:, None]  # one vector per operator: 1/n of the stack
+    return np.array([norm ** 2 for norm in linalg.frobenius_norms(mapped).tolist()])  # libm pow
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,16 +293,13 @@ class OperatorResiduals:
     sqrt(dim) for completeness. ``lowest`` eigenvalues pass at or above
     ``PSD_FLOOR``."""
 
-    operators: tuple[np.ndarray, ...]  # square, one dimension
+    operators: np.ndarray  # a stack (or a sequence) of square matrices of one dimension
 
     @cached_property
-    def _norms_and_hermiticity(self) -> tuple[np.ndarray, np.ndarray]:
-        norms, hermiticity = [], []
+    def _norms_and_hermiticity(self) -> np.ndarray:  # the two rows, from one pass over the tiles
         with np.errstate(over="ignore"):
-            for _, s in linalg.stacks(self.operators):
-                norms.append(linalg.frobenius_norms(s))
-                hermiticity.append(linalg.frobenius_norms(s - s.conj().transpose(0, 2, 1)))
-        return np.concatenate(norms), np.concatenate(hermiticity)
+            return np.concatenate([(linalg.frobenius_norms(s), linalg.frobenius_norms(s - _adjoint(s)))
+                                   for _, s in linalg.stacks(self.operators)], axis=1)
 
     @property
     def norms(self) -> np.ndarray:  # ||P_k||_F
@@ -296,9 +319,8 @@ class OperatorResiduals:
 
     @cached_property
     def completeness(self) -> float:  # ||sum_k P_k - I||_F
-        dim = self.operators[0].shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.linalg.norm(sum(self.operators) - identity(dim)))
+            return float(np.linalg.norm(sum(self.operators) - identity(len(self.operators[0]))))
 
     @cached_property
     def lowest(self) -> np.ndarray:  # smallest eigenvalue of each P_k
@@ -349,7 +371,7 @@ class OperatorResiduals:
 
 
 @dataclass(frozen=True, eq=False)
-class ProjectorSet:
+class ProjectorSet(_Family):
     """Complete set of orthogonal projectors: each P_m Hermitian and
     idempotent, P_m P_m' = delta_mm' P_m, and sum_m P_m = I."""
 
@@ -357,30 +379,14 @@ class ProjectorSet:
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol: float):
-        projs = _coerce_square_family(self.projectors, "projector set")
-        judged = OperatorResiduals(projs)
-        if (failure := judged.failure(tol)) is not None:
-            raise failure
-        object.__setattr__(self, "projectors", projs)
-        object.__setattr__(self, "_judged", judged)
-
-    @cached_property
-    def _judged(self) -> OperatorResiduals:  # a spectral_decompose set forms it on read
-        return OperatorResiduals(self.projectors)
+        self._admit("projectors", _coerce_square_family(self.projectors, "projector set"), tol)
 
     @property
     def residuals(self) -> dict[str, float]:
         return self._judged.residuals()
 
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
-
-    def __len__(self) -> int:
-        return len(self.projectors)
-
-    def to_operator_set(self) -> MeasurementOperatorSet:
-        return MeasurementOperatorSet(self.projectors)
+    def to_operator_set(self) -> MeasurementOperatorSet:  # shares the frozen stack
+        return object.__new__(MeasurementOperatorSet)._hold("operators", self._stack)
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,18 +468,20 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     vals, vecs, hermiticity = linalg.guarded_eigh(a, tol)
     starts = np.flatnonzero(np.r_[True, np.diff(vals) > CLUSTER_TOL])
     sizes = np.diff(np.r_[starts, len(vals)])
-    lams, projs = np.empty(len(starts)), [None] * len(starts)
-    for size in set(sizes.tolist()):  # the eigenspaces of one size as one batch
+    groups, lams = set(sizes.tolist()), np.empty(len(starts))
+    stack = None if len(groups) == 1 else np.empty((len(starts), len(vals), len(vals)), complex)
+    for size in groups:  # the eigenspaces of one size gathered as one batch
         slots = np.flatnonzero(sizes == size)
         cols = starts[slots, None] + np.arange(size)
         lams[slots] = vals[cols].mean(axis=1)
         v = vecs[:, cols].transpose(1, 0, 2)
-        for slot, p in zip(slots, freeze(v @ v.conj().transpose(0, 2, 1))):
-            projs[slot] = p
-    projs = tuple(projs)
-    spectrum = tuple(zip(lams.tolist(), projs))
-    pset = object.__new__(ProjectorSet)  # certified below: no __post_init__
-    vars(pset).update(projectors=projs)
+        if stack is None:  # one size: the batched product is the stack
+            stack = v @ v.conj().transpose(0, 2, 1)
+        else:  # each product in place: a scatter copy into the stack is slower
+            for k, slot in enumerate(slots.tolist()):
+                np.matmul(v[k], v[k].conj().T, out=stack[slot])
+    pset = object.__new__(ProjectorSet)._hold("projectors", freeze(stack))  # certified below
+    spectrum = tuple(zip(lams.tolist(), pset.projectors))
     labels = freeze(np.repeat(np.arange(len(starts)), sizes))  # eigenspace of each column
     resid = linalg.frobenius_norm(a - (vecs * lams[labels]) @ vecs.conj().T)
     obs = Observable(freeze(a), spectrum, hermiticity, resid, pset)  # returned only if judged
@@ -484,7 +492,7 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     if gram <= _rounding_allowance(len(vals)):  # V^dag V = I to rounding
         vars(pset).update(_factor=(freeze(vecs), labels))
     tau = _gram_threshold(len(vals), tol)
-    failure = None if gram <= tau else OperatorResiduals(projs).failure(tol)
+    failure = None if gram <= tau else pset._judged.failure(tol)
     if failure is not None:
         raise InvalidProjectorSet(f"eigenvector Gram residual {gram:.3e} exceeds its "
                                   f"threshold {tau:.3e} at tol {tol:g}, and {failure}",
@@ -493,37 +501,28 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
 
 
 @dataclass(frozen=True, eq=False)
-class Povm:
+class Povm(_Family):
     """Positive operators {E_m} partitioning the identity: sum_m E_m = I."""
 
     elements: tuple[np.ndarray, ...]
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol: float):
-        elems = _coerce_square_family(self.elements, "POVM")
-        judged = OperatorResiduals(elems)
-        if (failure := judged.failure(tol, povm=True)) is not None:
-            raise failure
-        object.__setattr__(self, "elements", elems)
-        object.__setattr__(self, "_judged", judged)
+        self._admit("elements", _coerce_square_family(self.elements, "POVM"), tol, povm=True)
 
     @property
     def residuals(self) -> dict[str, float]:
         return self._judged.residuals(povm=True)
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0].shape[0]
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 def povm_from_operators(opset: MeasurementOperatorSet,
                         tol: float = DEFAULT_TOL) -> Povm:
     """POVM elements E_m = M_m^dag M_m of a complete measurement set."""
     _require_complete(opset, tol)
-    return Povm(tuple(_adjoint(m) @ m for m in opset.operators), tol=tol)
+    elems = np.empty_like(opset._stack)
+    for lo, tile in linalg.stacks(opset._stack):
+        np.matmul(_adjoint(tile), tile, out=elems[lo:lo + len(tile)])
+    return object.__new__(Povm)._admit("elements", freeze(elems), tol, povm=True)
 
 
 def povm_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:
@@ -553,7 +552,7 @@ def classify_measurement(opset: MeasurementOperatorSet,
     for a lone unitary; GENERAL otherwise. A singleton {I} satisfies both
     special cases and is reported as PROJECTIVE, the stricter one."""
     _require_complete(opset, tol)
-    if OperatorResiduals(opset.operators).failure(tol) is None:
+    if opset._judged.failure(tol) is None:
         return MeasurementKind.PROJECTIVE
     if len(opset) == 1:
         with suppress(NotUnitary):

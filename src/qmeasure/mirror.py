@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gates, linalg
 from .errors import DimensionMismatch, NotBellCompatible, NotMirror
-from .linalg import DEFAULT_TOL, _adjoint, identity
+from .linalg import DEFAULT_TOL, _adjoint
 from .measurement import Povm, ProjectorSet, QuantumState, fidelity, povm_probabilities
 from .reversible import PhaseVector, UnitaryOperator, _as_unitary, irm_povm, phase_superpose_projectors
 
@@ -81,7 +81,7 @@ def commutation_residuals(u, pset: ProjectorSet) -> tuple[float, ...]:
         return tuple(np.sqrt(np.bincount(labels, mass.sum(axis=1))
                              + np.bincount(labels, mass.sum(axis=0))).tolist())
     return tuple(np.concatenate([
-        linalg.frobenius_norms(m @ s - s @ m) for _, s in linalg.stacks(pset.projectors)
+        linalg.frobenius_norms(m @ s - s @ m) for _, s in linalg.stacks(pset._stack)
     ]).tolist())
 
 
@@ -131,9 +131,8 @@ def verify_probability_preservation(u, pset: ProjectorSet, psi: QuantumState,
             f"dims differ: unitary {unit.dim}, projectors {pset.dim}, state {psi.dim}"
         )
     states = np.stack([psi.amplitudes, unit.matrix @ psi.amplitudes], axis=1)
-    probs = np.concatenate([
-        (states.conj() * (s @ states)).sum(axis=1).real for _, s in linalg.stacks(pset.projectors)
-    ])  # column 0: p(m) = <psi|P_m|psi>; column 1: p'(m) with U psi
+    # one product, two vectors per projector: column 0 p(m) = <psi|P_m|psi>, column 1 p'(m)
+    probs = (states.conj() * (pset._stack @ states)).sum(axis=1).real
     return PreservationReport(
         probabilities_before=tuple(probs[:, 0].tolist()),
         probabilities_after=tuple(probs[:, 1].tolist()),
@@ -193,7 +192,7 @@ def _bell_references() -> tuple:
     parity = Povm((p[0] + p[3], p[1] + p[2]))
     rhos = tuple(bell.density_matrix() for bell in BELL_STATES)
     externals = tuple(tuple(povm_probabilities(parity, rho).tolist()) for rho in rhos)
-    return linalg.frobenius_norm(sum(parity.elements) - identity(4)), rhos, externals
+    return parity.residuals["completeness"], rhos, externals
 
 
 def bell_comparison(bell_index: int, mirror,

@@ -90,7 +90,7 @@ def unitary_as_measurement(u, tol: float = DEFAULT_TOL) -> MeasurementOperatorSe
     with probability one, and the post-state is U|psi>.
     """
     unit = _as_unitary(u, tol)
-    return MeasurementOperatorSet((unit.matrix,))
+    return object.__new__(MeasurementOperatorSet)._hold("operators", unit.matrix[None])
 
 
 class _Adjoints:
@@ -106,16 +106,15 @@ class _Adjoints:
         return _adjoint(self.ops[key])
 
 
-def _check_pairwise_orthogonality(ops, tol: float) -> None:
+def _check_pairwise_orthogonality(opset: MeasurementOperatorSet, tol: float) -> None:
     """Raise ``OrthogonalityViolation`` for the first pair i != j, in
     row-major order, whose ||M_i^dag M_j||_F, or else ||M_i M_j^dag||_F,
     fails ``within_tol`` against ||M_i||_F ||M_j||_F."""
-    adjoints = _Adjoints(ops)
+    ops, adjoints = opset._stack, _Adjoints(opset._stack)
     lefts = linalg.orthogonality_residuals(adjoints, ops)
     rights = linalg.orthogonality_residuals(ops, adjoints)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.concatenate([linalg.frobenius_norms(s) for _, s in linalg.stacks(ops)])
-        scale = np.outer(norms, norms)
+        scale = np.outer(opset._judged.norms, opset._judged.norms)
         left_ok = within_tol(lefts, tol, scale)
         bad = ~(left_ok & within_tol(rights, tol, scale))
     np.fill_diagonal(bad, False)  # the diagonal holds no orthogonality pair
@@ -139,7 +138,7 @@ def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,
         raise DimensionMismatch(
             f"{len(phases)} phases for {len(opset)} operators"
         )
-    _check_pairwise_orthogonality(opset.operators, tol)
+    _check_pairwise_orthogonality(opset, tol)
     _require_complete(opset, tol)
     combined = sum(
         alpha * m for alpha, m in zip(phases.phases, opset.operators)
@@ -160,7 +159,7 @@ def phase_superpose_projectors(pset: ProjectorSet, phases: PhaseVector,
     if vecs is not None:
         return UnitaryOperator((vecs * phases.phases[labels]) @ vecs.conj().T, tol=tol)
     combined = sum(np.tensordot(phases.phases[lo:lo + len(s)], s, axes=1)
-                   for lo, s in linalg.stacks(pset.projectors))
+                   for lo, s in linalg.stacks(pset._stack))
     return UnitaryOperator(combined, tol=tol)
 
 
@@ -182,4 +181,5 @@ def irm_povm(u, tol: float = DEFAULT_TOL) -> Povm:
     produces the unique outcome with probability one.
     """
     unit = _as_unitary(u, tol)
-    return Povm((_adjoint(unit.matrix) @ unit.matrix,), tol=tol)
+    elements = freeze((_adjoint(unit.matrix) @ unit.matrix)[None])
+    return object.__new__(Povm)._admit("elements", elements, tol, povm=True)

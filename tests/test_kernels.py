@@ -7,6 +7,7 @@ phase sums and preservation probabilities are no residuals: they need only
 agree with their loops to rounding.
 """
 
+import math
 import tracemalloc
 import types
 
@@ -15,9 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import orthogonal_family, random_hermitian, random_phases, random_unitary
-from qmeasure import linalg
-from qmeasure.errors import InvalidProjectorSet, NotPositive, OrthogonalityViolation
+from helpers import (
+    orthogonal_family,
+    random_hermitian,
+    random_phases,
+    random_state,
+    random_unitary,
+)
+from qmeasure import fileio, linalg, reversible
+from qmeasure.errors import (
+    InvalidProjectorSet,
+    NotPositive,
+    OrthogonalityViolation,
+    QmeasureError,
+)
 from qmeasure.measurement import (
     PSD_FLOOR,
     MeasurementOperatorSet,
@@ -25,9 +37,21 @@ from qmeasure.measurement import (
     Povm,
     ProjectorSet,
     QuantumState,
+    apply_outcome,
+    classify_measurement,
+    outcome_probabilities,
+    povm_from_operators,
+    sample_histogram,
     spectral_decompose,
 )
-from qmeasure.mirror import commutation_residuals, verify_probability_preservation
+from qmeasure.mirror import (
+    bell_comparison,
+    commutation_residuals,
+    extend_mirror,
+    is_mirror,
+    truth_protocol,
+    verify_probability_preservation,
+)
 from qmeasure.reversible import (
     PhaseVector,
     UnitaryOperator,
@@ -108,7 +132,7 @@ def test_stacked_kernels_equal_the_per_matrix_loops(stack, seed):
         adjoint_rights = np.array([[np.linalg.norm(mi @ mj.conj().T) for mj in ops] for mi in ops])
         commutators = np.array([np.linalg.norm(linalg.commutator(u.matrix, p)) for p in ops])
         stacked = linalg.frobenius_norms(stack)
-        mirror = commutation_residuals(u, types.SimpleNamespace(projectors=ops, dim=n))
+        mirror = commutation_residuals(u, types.SimpleNamespace(_stack=np.array(ops), dim=n))
     adjoints = [np.conjugate(m.T, order="C") for m in ops]
     off = ~np.eye(len(ops), dtype=bool)
     res = OperatorResiduals(ops)
@@ -169,8 +193,8 @@ def test_povm_with_negative_elements_names_the_first_as_before(n):
 @pytest.mark.parametrize("n", DIMS)
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_tiled_phase_sums_and_probabilities_match_the_loops(n, degenerate):
-    """Sum alpha_m P_m and the preservation probabilities, formed on tiles
-    (several at n = 64), agree with the per-projector loops within
+    """Sum alpha_m P_m, formed on tiles (several at n = 64), and the
+    preservation probabilities agree with the per-projector loops within
     4 n^(3/2) eps times their scale: ||sum||_F for the sum, 1 for the
     probabilities. The set is rebuilt without the eigenvector factor of
     spectral_decompose, so the phase sum takes the generic tiled path."""
@@ -275,3 +299,148 @@ def test_a_pair_larger_than_the_stack_budget_still_validates():
     np.testing.assert_array_equal(res.pairs, loop_pairs(projs), strict=True)
     assert len(ProjectorSet(projs)) == 2
     superpose_operators(MeasurementOperatorSet(projs), PhaseVector([1.0, -1.0]))
+
+
+def family_counts(n):
+    """One matrix, one full tile and a tile plus one: several tiles."""
+    return (1, linalg.stack_size(n), linalg.stack_size(n) + 1)
+
+
+def copied_tiles(ops):
+    """The blocks of stack_size(n) matrices, each copied into a new array as
+    every call made them before a family was held as one stack."""
+    size = linalg.stack_size(len(ops[0]))
+    return [(lo, np.array(ops[lo:lo + size])) for lo in range(0, len(ops), size)]
+
+
+def value_or_error(call):
+    """The call's value, or the type, message and residual bits of its error."""
+    try:
+        return call()
+    except QmeasureError as exc:
+        return type(exc), str(exc), {k: np.float64(v).tobytes() for k, v in exc.residuals.items()}
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_family_kernels_equal_the_per_operator_expressions(n, monkeypatch):
+    """Kernels on tiles of a family's stack against the per-operator
+    expressions, bit for bit, at three scales: probabilities, completeness
+    (inf once the sum overflows), POVM elements with their verdict, and the
+    generic commutators. The phase sum and the preservation probabilities
+    are no per-operator sums; they equal the same expressions formed on
+    copied tiles. The completeness gate is passed by hand, so that every
+    kernel also runs on incomplete and overflowing families."""
+    rng = np.random.default_rng(200 + n)
+    u = UnitaryOperator(random_unitary(rng, n))
+    psi = QuantumState(random_state(rng, n))
+    moved = np.stack([psi.amplitudes, u.matrix @ psi.amplitudes], axis=1)
+    for count in family_counts(n):
+        phases = PhaseVector(random_phases(rng, count))
+        for scale in SCALES:
+            ops = tuple(scale * (rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))))
+            opset = MeasurementOperatorSet(ops)
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = sum(linalg.adjoint(m) @ m for m in ops)
+                completeness = float(np.linalg.norm(total - np.eye(n)))
+                probs = np.array([float(np.linalg.norm(m @ psi.amplitudes) ** 2) for m in ops])
+                elements = tuple(linalg.adjoint(m) @ m for m in ops)
+                commutators = [float(np.linalg.norm(linalg.commutator(u.matrix, m))) for m in ops]
+                phase_sum = sum(np.tensordot(phases.phases[lo:lo + len(t)], t, axes=1)
+                                for lo, t in copied_tiles(ops))
+                preserved = np.concatenate([(moved.conj() * (t @ moved)).sum(axis=1).real
+                                            for _, t in copied_tiles(ops)])
+                expected_povm = value_or_error(lambda: Povm(elements))
+
+                assert opset.completeness_residual == (
+                    math.inf if math.isnan(completeness) else completeness)
+                if scale > 1.0:
+                    assert opset.completeness_residual == math.inf
+                vars(opset)["completeness_residual"] = 0.0  # the gate, passed by hand
+                np.testing.assert_array_equal(outcome_probabilities(opset, psi), probs, strict=True)
+                povm = value_or_error(lambda: povm_from_operators(opset))
+                assert commutation_residuals(u, opset) == tuple(commutators)
+                with monkeypatch.context() as patch:  # the sum as formed, before its unitarity check
+                    patch.setattr(reversible, "UnitaryOperator", lambda mat, tol: mat)
+                    np.testing.assert_array_equal(
+                        phase_superpose_projectors(opset, phases), phase_sum, strict=True)
+                report = verify_probability_preservation(u, opset, psi)
+            if isinstance(povm, Povm):
+                assert isinstance(expected_povm, Povm)
+                np.testing.assert_array_equal(povm._stack, np.array(elements), strict=True)
+                assert all(not e.flags.writeable and e.base is povm._stack for e in povm.elements)
+                assert povm.residuals == expected_povm.residuals
+            else:
+                assert povm == expected_povm
+            np.testing.assert_array_equal(report.probabilities_before, preserved[:, 0], strict=True)
+            np.testing.assert_array_equal(report.probabilities_after, preserved[:, 1], strict=True)
+
+
+def test_family_calls_stay_within_budget():
+    """A 64-operator family at n = 64 (a 4 MiB stack, built before tracing):
+    each call peaks within 1 MiB of temporaries, povm_from_operators within
+    1 MiB on top of the POVM's own 4 MiB stack."""
+    rng = np.random.default_rng(64)
+    opset = MeasurementOperatorSet(tuple(random_unitary(rng, 64) / 8.0 for _ in range(64)))
+    psi = QuantumState(random_state(rng, 64))
+    stack_bytes = opset._stack.nbytes
+    assert stack_bytes == 4 << 20
+    calls = {
+        "completeness_residual": lambda: opset.completeness_residual,
+        "outcome_probabilities": lambda: outcome_probabilities(opset, psi),
+        "sample_histogram": lambda: sample_histogram(opset, psi, 1000, 7),
+        "povm_from_operators": lambda: povm_from_operators(opset),
+    }
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            result = call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - base
+            del result
+    finally:
+        tracemalloc.stop()
+    assert opset.completeness_residual <= 1e-10
+    budget = {name: 1 << 20 for name in calls}
+    budget["povm_from_operators"] += stack_bytes
+    assert {name: peak <= budget[name] for name, peak in peaks.items()} == dict.fromkeys(calls, True)
+
+
+def test_library_sets_are_not_stacked_again(corpus, monkeypatch):
+    """Every kernel reads a library family through its one stack: while the
+    measure_small op sequence, the judges and mirror checks on file-style
+    and spectral sets, the preservation check and the Bell comparison run,
+    linalg.stacks may not receive a tuple or list of matrices to copy."""
+    rng = np.random.default_rng(15)
+    stacks = linalg.stacks
+
+    def guarded(mats):
+        assert not isinstance(mats, (tuple, list)), "a family was stacked again"
+        return stacks(mats)
+
+    monkeypatch.setattr(linalg, "stacks", guarded)
+    families = [orthogonal_family(rng, n, n) for n in (2, 4, 8)]
+    families += [[np.outer(v, v.conj()) for v in random_unitary(rng, n).T] for n in (2, 4, 8)]
+    for ops in families:
+        n = len(ops[0])
+        opset = MeasurementOperatorSet(ops)
+        psi = QuantumState(random_state(rng, n))
+        probs = outcome_probabilities(opset, psi)
+        apply_outcome(opset, psi, int(np.argmax(probs)))
+        sample_histogram(opset, psi, 1000, 3)
+        truth_protocol(random_unitary(rng, n), psi)
+        povm_from_operators(opset)
+        classify_measurement(opset)
+    mirror_ = np.diag(np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=4)))
+    for index in range(4):
+        bell_comparison(index, mirror_)
+    doc = fileio.load_operator_file(str(corpus / "projectors_n4.json"))
+    spectral = spectral_decompose(random_hermitian(rng, 8, degenerate=True)).projector_set()
+    for pset in (ProjectorSet(doc.matrices()), spectral):
+        phases = PhaseVector(random_phases(rng, len(pset)))
+        mirror_ = extend_mirror(phases, pset)
+        is_mirror(mirror_.unitary, pset)
+        classify_measurement(pset.to_operator_set())
+        psi = QuantumState(random_state(rng, pset.dim))
+        verify_probability_preservation(random_unitary(rng, pset.dim), pset, psi)

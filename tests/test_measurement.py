@@ -1,4 +1,5 @@
 import math
+from contextlib import suppress
 from unittest import mock
 
 import numpy as np
@@ -769,3 +770,109 @@ def test_operator_set_shape_mismatch():
 def test_operator_set_needs_at_least_one():
     with pytest.raises(ValueError):
         MeasurementOperatorSet(())
+
+
+def per_matrix_coerce(mats, what):
+    """The family coercion as it was before a family became one stack: one
+    ``as_matrix`` per operator, then the count and shape checks."""
+    arrays = tuple(linalg.as_matrix(m) for m in mats)
+    if not arrays:
+        raise ValueError(f"{what} needs at least one operator")
+    dim = arrays[0].shape[0]
+    for k, m in enumerate(arrays):
+        if m.shape != (dim, dim):
+            raise DimensionMismatch(
+                f"{what} operator {k} has shape {m.shape}, expected ({dim}, {dim})"
+            )
+    return tuple(linalg.freeze(m) for m in arrays)
+
+
+FINITE_ENTRIES = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-3, max_value=3),
+)
+ODD_ENTRIES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, complex(0.0, math.nan), 10**400, None]),
+    st.booleans(),
+)
+
+
+@st.composite
+def family_inputs(draw):
+    """A factory of one family input: lists, tuples, generators or a stack
+    of matrices given as arrays (C- or F-ordered, read-only or not) or as
+    nested lists, with now and then an odd shape (1-D, 3-D, scalar,
+    non-square, empty, another dimension) or an odd entry (NaN, inf, a
+    boolean, an int too large for a float, None)."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    odd = [(n,), (n, n + 1), (1, n, n), (), (n + 1, n + 1), (0, 0)]
+    common = draw(st.sampled_from([(n, n)] * 6 + odd))  # the shape most matrices share
+    mats = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        shape = draw(st.sampled_from(odd)) if draw(st.integers(0, 9)) == 0 else common
+        size = math.prod(shape)
+        entries = draw(st.lists(FINITE_ENTRIES, min_size=size, max_size=size))
+        if size and draw(st.integers(min_value=0, max_value=9)) == 0:
+            entries[draw(st.integers(min_value=0, max_value=size - 1))] = draw(ODD_ENTRIES)
+        nested = np.array(entries + [None], dtype=object)[:-1].reshape(shape).tolist()
+        form = draw(st.sampled_from(["list", "array", "fortran", "readonly"]))
+        if form != "list":
+            with suppress(ValueError, TypeError, OverflowError):
+                nested = np.array(nested)
+                if form == "fortran":
+                    nested = np.asfortranarray(nested)
+                elif form == "readonly":
+                    nested.setflags(write=False)
+        mats.append(nested)
+    outer = draw(st.sampled_from(["list", "tuple", "generator", "stack", "fortran stack"]))
+    if outer.endswith("stack"):
+        with suppress(ValueError, TypeError, OverflowError):
+            stack = np.array(mats, dtype=np.complex128)
+            stack = np.asfortranarray(stack) if outer == "fortran stack" else stack
+            stack.setflags(write=draw(st.booleans()))
+            return lambda: stack
+    if outer == "generator":
+        return lambda: (m for m in mats)
+    return lambda: (tuple if outer == "tuple" else list)(mats)
+
+
+def value_or_error(call):
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(family_inputs(), st.sampled_from(["measurement set", "projector set", "POVM"]))
+def test_one_conversion_words_every_error_as_the_per_matrix_walk(make, what):
+    """One array conversion per family gives the per-matrix coercion's
+    matrices as one read-only C-ordered stack, bit for bit, and raises the
+    same exception with the same message wherever that walk raised."""
+    expected = value_or_error(lambda: per_matrix_coerce(make(), what))
+    got = value_or_error(lambda: measurement._coerce_square_family(make(), what))
+    if not isinstance(expected, tuple) or not isinstance(expected[0], np.ndarray):
+        assert got == expected
+        return
+    assert isinstance(got, np.ndarray) and got.dtype == np.complex128
+    assert got.flags.c_contiguous and not got.flags.writeable
+    assert got.shape == (len(expected), *expected[0].shape)
+    assert got.tobytes() == np.array(expected).tobytes()
+
+
+def test_a_family_is_held_once_as_read_only_views_of_its_stack():
+    ops = (np.eye(2, dtype=complex) * 0.5, np.diag([0.5, -0.5]).astype(complex))
+    for family, name in ((MeasurementOperatorSet(ops), "operators"),
+                         (ProjectorSet((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))), "projectors"),
+                         (Povm((np.diag([0.25, 0.5]), np.diag([0.75, 0.5]))), "elements"),
+                         (MeasurementOperatorSet(m for m in ops), "operators")):
+        views = getattr(family, name)
+        assert type(views) is tuple and len(views) == len(family) == len(family._stack)
+        assert not family._stack.flags.writeable and family._stack.flags.c_contiguous
+        for k, view in enumerate(views):
+            assert view.base is family._stack and not view.flags.writeable
+            np.testing.assert_array_equal(view, family._stack[k], strict=True)
+        assert family.dim == family._stack.shape[1]
+    pset = ProjectorSet((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+    assert pset.to_operator_set()._stack is pset._stack

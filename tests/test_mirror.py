@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_state, random_unitary
-from qmeasure import linalg, mirror
+from qmeasure import linalg, measurement, mirror
 from qmeasure.errors import (
     DimensionMismatch,
     NotBellCompatible,
@@ -43,7 +43,7 @@ from qmeasure.mirror import (
     truth_protocol,
     verify_probability_preservation,
 )
-from qmeasure.reversible import PhaseVector, UnitaryOperator, irm_povm
+from qmeasure.reversible import PhaseVector, UnitaryOperator, irm_povm, unitary_as_measurement
 
 RT2 = 1.0 / math.sqrt(2.0)
 ZERO = QuantumState(np.array([1, 0], dtype=complex))
@@ -398,11 +398,13 @@ def test_bell_references_are_read_only_and_built_once(monkeypatch):
         assert all(not p.flags.writeable for p in shared.projectors)
     assert computational_projector_set(4) is not computational_projector_set(4)  # public, uncached
     built = {cls: 0 for cls in (ProjectorSet, Povm, DensityMatrix)}
-    for cls in built:
-        def counted(self, *args, _cls=cls, _init=cls.__post_init__):
+    # every Povm is admitted by _admit, also one the library builds without __post_init__
+    hooks = {ProjectorSet: "__post_init__", Povm: "_admit", DensityMatrix: "__post_init__"}
+    for cls, hook in hooks.items():
+        def counted(self, *args, _cls=cls, _init=getattr(cls, hook), **kwargs):
             built[_cls] += 1
-            _init(self, *args)
-        monkeypatch.setattr(cls, "__post_init__", counted)
+            return _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, hook, counted)
     for index in range(4):
         bell_comparison(index, mirror_)
     assert built == {ProjectorSet: 0, Povm: 4, DensityMatrix: 0}  # the Povm is irm_povm's
@@ -413,7 +415,10 @@ def test_bell_references_are_read_only_and_built_once(monkeypatch):
 
 def test_library_owned_arrays_are_coerced_once(monkeypatch):
     """Inputs are coerced once; a frozen array the library made is never
-    coerced again, so this as_matrix raises on read-only input."""
+    coerced again, so this as_matrix, and the one conversion of a family,
+    raise on read-only input. A family is converted once, whatever its
+    size, and never matrix by matrix; the POVMs the library forms from its
+    own products are not converted at all."""
     rng = np.random.default_rng(5)
     unit = UnitaryOperator(random_unitary(rng, 4))
     psi = QuantumState(random_state(rng, 4))
@@ -422,23 +427,42 @@ def test_library_owned_arrays_are_coerced_once(monkeypatch):
     singleton = MeasurementOperatorSet((random_unitary(rng, 3),))
     certified = bell_mirrors()[3]
     coerce, calls = linalg.as_matrix, []
+    coerce_family, family_calls = measurement._coerce_square_family, []
+
+    def read_only(a):
+        return isinstance(a, np.ndarray) and not a.flags.writeable
 
     def guarded(a):
-        assert not (isinstance(a, np.ndarray) and not a.flags.writeable), \
-            "a library-owned array was coerced again"
+        assert not read_only(a), "a library-owned array was coerced again"
         calls.append(a)
         return coerce(a)
+
+    def guarded_family(mats, what):
+        mats = list(mats)
+        assert not read_only(mats) and not any(map(read_only, mats)), \
+            "a library-owned family was converted again"
+        family_calls.append(what)
+        return coerce_family(mats, what)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("qmeasure") and getattr(module, "as_matrix", None) is coerce:
             monkeypatch.setattr(module, "as_matrix", guarded)
+    monkeypatch.setattr(measurement, "_coerce_square_family", guarded_family)
     truth_protocol(unit, psi)
-    irm_povm(unit)
     assert sets[0].completeness_residual <= 1e-10
-    povm_from_operators(sets[1])
     classify_measurement(singleton)
     bell_comparison(2, certified)
     calls.clear()
+    family_calls.clear()
+    irm_povm(unit)
+    povm_from_operators(sets[1])
+    unitary_as_measurement(unit)
+    assert (calls, family_calls) == ([], [])  # library products and arrays: not copied
+    for count in (1, 4, 40):
+        family = [random_unitary(rng, 4) / math.sqrt(count) for _ in range(count)]
+        MeasurementOperatorSet(family)
+        MeasurementOperatorSet(m for m in family)
+    assert (calls, family_calls) == ([], ["measurement set"] * 6)  # one conversion per family
     UnitaryOperator(random_unitary(rng, 4))
     DensityMatrix(np.diag([0.25, 0.75]).astype(complex))
     spectral_decompose(np.diag([1.0, 2.0, 2.0]).astype(complex))
