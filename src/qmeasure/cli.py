@@ -37,7 +37,7 @@ from .fileio import (
     load_state_file,
     save_operator_file,
 )
-from .linalg import DEFAULT_TOL, vector_norm, within_tol
+from .linalg import DEFAULT_TOL, _require_same_dims, vector_norm, within_tol
 from .measurement import (
     NORM_TOL,
     MeasurementOperatorSet,
@@ -111,11 +111,6 @@ def _single_matrix(doc: OperatorFile, path: str) -> np.ndarray:
 def _load_unitary_matrix(path: str) -> np.ndarray:
     """The one matrix of a unitary file, parsed but not yet judged."""
     return _single_matrix(_load_kind(path, ("unitary",)), path)
-
-
-def _require_same_dims(**dims: int) -> None:  # unusable input, checked before any judging
-    if len(set(dims.values())) > 1:
-        raise DimensionMismatch("dims differ: " + ", ".join(f"{k} {v}" for k, v in dims.items()))
 
 
 def _load_state(path: str, warnings: list[str]) -> QuantumState:

@@ -11,6 +11,7 @@ downstream algebra. Intended scale is dense desk-size problems (n <= 64).
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -49,6 +50,17 @@ def freeze(arr: np.ndarray) -> np.ndarray:
     stored array is left."""
     arr.setflags(write=False)
     return arr
+
+
+class _Frozen:
+    """Base of the frozen domain dataclasses: pickle and deepcopy carry the fields (no cache)."""
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:  # the arrays come back writable: freeze them
+        vars(self).update({k: freeze(v) if isinstance(v, np.ndarray) else v
+                           for k, v in state.items()})
 
 
 def identity(n: int) -> np.ndarray:
@@ -180,14 +192,20 @@ def _hermiticity_residual(a: np.ndarray) -> float:
         return float(np.linalg.norm(a - a.conj().T))
 
 
-def _require_hermitian(a, tol: float) -> float:
-    """The hermiticity rule of every single matrix: raise ``NotHermitian``
-    unless ``within_tol(||a - a^dag||_F, tol, ||a||_F)`` of an ``as_matrix`` array; return it."""
+def _require_same_dims(**dims: int) -> None:
+    """The dimension-agreement rule of every operand list, checked before judging."""
+    if len(set(dims.values())) > 1:
+        raise DimensionMismatch("dims differ: " + ", ".join(f"{k} {v}" for k, v in dims.items()))
+
+
+def _require_hermitian(a, tol: float) -> tuple[float, float]:
+    """The hermiticity rule of every single matrix: raise ``NotHermitian`` unless
+    ``within_tol(||a - a^dag||_F, tol, ||a||_F)`` of an ``as_matrix`` array; return both."""
     resid, scale = _hermiticity_residual(a), frobenius_norm(a)
     if not within_tol(resid, tol, scale):
         raise NotHermitian(f"matrix is not Hermitian within {tol:g} "
                            f"({residual_note(resid, scale)})", {"hermiticity": resid})
-    return resid
+    return resid, scale
 
 
 def _require_unitary(u: np.ndarray, tol: float) -> dict[str, float]:
@@ -210,9 +228,14 @@ def guarded_eigh(a: np.ndarray,
     Hermitian part (a + a^dag)/2 of an ``as_matrix`` array, by LAPACK
     (``numpy.linalg.eigh``), after :func:`_require_hermitian`, and the
     hermiticity residual it judged."""
-    hermiticity = _require_hermitian(a, tol)
+    return _judged_eigh(a, tol)[:3]
+
+
+def _judged_eigh(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """:func:`guarded_eigh`, and the scale ||a||_F its hermiticity was judged against."""
+    hermiticity, scale = _require_hermitian(a, tol)
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return vals, vecs, hermiticity
+    return vals, vecs, hermiticity, scale
 
 
 def lowest_eigenvalue(a: np.ndarray) -> np.ndarray | float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 
@@ -41,7 +41,7 @@ CLUSTER_TOL = 1e-8  # eigenvalues closer than this share one eigenspace
 
 
 @dataclass(frozen=True, eq=False)
-class QuantumState:
+class QuantumState(linalg._Frozen):
     """Normalized state vector |psi> in C^dim.
 
     Strict by default: amplitudes must already have unit norm within 1e-12.
@@ -73,8 +73,7 @@ class QuantumState:
 
     def inner(self, other: "QuantumState") -> complex:
         """<self|other>."""
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
+        linalg._require_same_dims(bra=self.dim, ket=other.dim)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def density_matrix(self) -> "DensityMatrix":
@@ -88,7 +87,7 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(linalg._Frozen):
     """Hermitian, unit-trace, positive-semidefinite matrix rho."""
 
     matrix: np.ndarray
@@ -139,12 +138,21 @@ class _Family:
         object.__setattr__(self, "_stack", stack)
         return self
 
-    def _admit(self, name: str, stack: np.ndarray, tol: float, povm: bool = False):
-        """Hold a frozen stack; raise the first requirement it fails as a projector set (a POVM
-        with ``povm``). A stack the library just made comes here on a bare instance, uncopied."""
-        if (failure := self._hold(name, stack)._judged.failure(tol, povm)) is not None:
+    def _admit(self, tol: float, povm: bool = False):
+        """Raise the first requirement the held stack fails as a projector set (a POVM with
+        ``povm``). A stack the library just made is held on a bare instance, uncopied."""
+        if (failure := self._judged.failure(tol, povm)) is not None:
             raise failure
         return self
+
+    def __getstate__(self) -> dict:  # pickle and deepcopy: the stack or a factor, and no cache
+        return {k: v for k, v in vars(self).items() if k in ("_stack", "_factor")}
+
+    def __setstate__(self, state: dict) -> None:  # arrays come back writable, views as copies
+        if "_factor" in state:  # its stack stays unformed unless it came formed
+            vars(self)["_factor"] = tuple(freeze(part) for part in state["_factor"])
+        if "_stack" in state:
+            self._hold(fields(self)[0].name, freeze(state["_stack"]))
 
     @property
     def dim(self) -> int:
@@ -174,11 +182,16 @@ class MeasurementOperatorSet(_Family):
         self._hold("operators", _coerce_square_family(self.operators, "measurement set"))
 
     @cached_property
-    def completeness_residual(self) -> float:
-        """||sum_m M_m^dag M_m - I||_F, the products added in label order; inf if it overflows."""
+    def _deviation(self) -> np.ndarray:  # sum_m M_m^dag M_m - I, the products added in label order
         with np.errstate(over="ignore", invalid="ignore"):
-            total = sum(p for _, tile in linalg.stacks(self._stack) for p in _adjoint(tile) @ tile)
-            residual = float(np.linalg.norm(total - identity(self.dim)))
+            products = (p for _, tile in linalg.stacks(self._stack) for p in _adjoint(tile) @ tile)
+            return sum(products) - identity(self.dim)
+
+    @cached_property
+    def completeness_residual(self) -> float:
+        """||sum_m M_m^dag M_m - I||_F; inf if it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = float(np.linalg.norm(self._deviation))
         return math.inf if math.isnan(residual) else residual
 
 
@@ -214,8 +227,7 @@ def outcome_probabilities(opset: MeasurementOperatorSet, psi: QuantumState,
 
     Completeness of the set guarantees the returned values sum to 1.
     """
-    if opset.dim != psi.dim:
-        raise DimensionMismatch(f"set dim {opset.dim} vs state dim {psi.dim}")
+    linalg._require_same_dims(set=opset.dim, state=psi.dim)
     _require_complete(opset, tol)
     mapped = (opset._stack @ psi.amplitudes)[:, None]  # one vector per operator: 1/n of the stack
     return np.array([norm ** 2 for norm in linalg.frobenius_norms(mapped).tolist()])  # libm pow
@@ -233,8 +245,7 @@ class MeasurementRecord:
 def apply_outcome(opset: MeasurementOperatorSet, psi: QuantumState, m: int,
                   tol: float = DEFAULT_TOL) -> MeasurementRecord:
     """Realize outcome m: post-state M_m|psi>/sqrt(p(m)), renormalized."""
-    if opset.dim != psi.dim:
-        raise DimensionMismatch(f"set dim {opset.dim} vs state dim {psi.dim}")
+    linalg._require_same_dims(set=opset.dim, state=psi.dim)
     if not 0 <= m < len(opset):
         raise UnknownOutcome(f"outcome {m} not in 0..{len(opset) - 1}")
     _require_complete(opset, tol)
@@ -379,7 +390,8 @@ class ProjectorSet(_Family):
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol: float):
-        self._admit("projectors", _coerce_square_family(self.projectors, "projector set"), tol)
+        stack = _coerce_square_family(self.projectors, "projector set")
+        self._hold("projectors", stack)._admit(tol)
 
     @property
     def residuals(self) -> dict[str, float]:
@@ -389,18 +401,43 @@ class ProjectorSet(_Family):
         return object.__new__(MeasurementOperatorSet)._hold("operators", self._stack)
 
 
+class _FactoredSet(ProjectorSet):
+    """A spectral set held as its certified factor ``_factor`` = (V, labels), ``labels[k]``
+    the eigenspace of column k: its stack of P_m = V_m V_m^dag, and the views ``projectors``,
+    are formed on first read and kept (see :func:`spectral_decompose`)."""
+
+    @property
+    def dim(self) -> int:
+        return len(self._factor[0])
+
+    def __len__(self) -> int:
+        return int(self._factor[1][-1]) + 1
+
+    def __repr__(self) -> str:  # forms no stack
+        return f"ProjectorSet({len(self)} eigenspace projectors of dim {self.dim})"
+
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        return _eigenspace_stack(*self._factor)
+
+    @cached_property
+    def projectors(self) -> tuple[np.ndarray, ...]:
+        return tuple(self._stack)
+
+
 @dataclass(frozen=True, eq=False)
-class Observable:
+class Observable(linalg._Frozen):
     """Hermitian operator with spectral data A = sum_m lambda_m P_m, as built
     by :func:`spectral_decompose`, its only producer.
 
-    ``spectrum`` pairs each distinct eigenvalue (ascending) with the
-    projector onto its eigenspace, judged with ``hermiticity_residual``
-    ||A - A^dag||_F and ``reconstruction_residual`` ||A - sum_m lambda_m P_m||_F.
+    ``eigenvalues`` are the distinct eigenvalues, ascending, and ``spectrum``
+    pairs each with the projector onto its eigenspace, formed when first read.
+    It is judged with ``hermiticity_residual`` ||A - A^dag||_F and
+    ``reconstruction_residual`` ||A - sum_m lambda_m P_m||_F.
     """
 
     matrix: np.ndarray
-    spectrum: tuple[tuple[float, np.ndarray], ...]
+    eigenvalues: tuple[float, ...]
     hermiticity_residual: float
     reconstruction_residual: float
     _projector_set: ProjectorSet = field(repr=False)
@@ -409,15 +446,15 @@ class Observable:
     def residuals(self) -> dict[str, float]:
         return {"hermiticity": self.hermiticity_residual,
                 "reconstruction": self.reconstruction_residual,
-                "n_eigenspaces": len(self.spectrum)}
+                "n_eigenspaces": len(self.eigenvalues)}
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(lam for lam, _ in self.spectrum)
+    @cached_property
+    def spectrum(self) -> tuple[tuple[float, np.ndarray], ...]:
+        return tuple(zip(self.eigenvalues, self._projector_set.projectors))
 
     def projector_set(self) -> ProjectorSet:
         """The eigenspace projectors, as certified by :func:`spectral_decompose`."""
@@ -436,6 +473,31 @@ def _gram_threshold(n: int, tol: float) -> float:
     NaN for an infinite or NaN tol, so that no g passes."""
     budget = tol - _rounding_allowance(n)
     return budget / (1.0 + budget)
+
+
+def _eigenspace_columns(labels: np.ndarray):
+    """For each eigenspace size, ``(slots, cols)``: the eigenspaces of that size, and row by
+    row the columns of each (``labels[k]`` is the eigenspace of column k, ascending)."""
+    sizes = np.bincount(labels)
+    starts = np.cumsum(sizes) - sizes
+    for size in set(sizes.tolist()):
+        slots = np.flatnonzero(sizes == size)
+        yield slots, starts[slots, None] + np.arange(size)
+
+
+def _eigenspace_stack(vecs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The frozen stack of eigenspace projectors P_m = V_m V_m^dag, with the
+    eigenspaces of one size gathered as one batch."""
+    groups, n = list(_eigenspace_columns(labels)), len(vecs)
+    stack = None if len(groups) == 1 else np.empty((labels[-1] + 1, n, n), complex)
+    for slots, cols in groups:
+        v = vecs[:, cols].transpose(1, 0, 2)
+        if stack is None:  # one size: the batched product is the stack
+            stack = v @ v.conj().transpose(0, 2, 1)
+        else:  # each product in place: a scatter copy into the stack is slower
+            for k, slot in enumerate(slots.tolist()):
+                np.matmul(v[k], v[k].conj().T, out=stack[slot])
+    return freeze(stack)
 
 
 def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
@@ -460,37 +522,29 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     check, and ``InvalidProjectorSet`` names g, the threshold and the failure.
     Both failures after the eigensolver carry the ``Observable``'s residuals.
 
-    Only if g <= eps_n does the set keep ``_factor`` = (V, labels). Its
-    phase sums and commutators are then products in the basis V, each within
+    Only if g <= eps_n is the set held as ``_factor`` = (V, labels), and
+    its projectors formed only when read. Its phase sums, commutators and
+    probabilities are then products in the basis V, each within
     O(g + eps_n) = O(eps_n) of the per-projector value times its scale.
     """
     a = as_matrix(a)
-    vals, vecs, hermiticity = linalg.guarded_eigh(a, tol)
-    starts = np.flatnonzero(np.r_[True, np.diff(vals) > CLUSTER_TOL])
-    sizes = np.diff(np.r_[starts, len(vals)])
-    groups, lams = set(sizes.tolist()), np.empty(len(starts))
-    stack = None if len(groups) == 1 else np.empty((len(starts), len(vals), len(vals)), complex)
-    for size in groups:  # the eigenspaces of one size gathered as one batch
-        slots = np.flatnonzero(sizes == size)
-        cols = starts[slots, None] + np.arange(size)
+    vals, vecs, hermiticity, scale = linalg._judged_eigh(a, tol)
+    labels = np.zeros(len(vals), dtype=np.intp)  # the eigenspace of each column
+    np.cumsum(np.diff(vals) > CLUSTER_TOL, out=labels[1:])
+    lams = np.empty(labels[-1] + 1)
+    for slots, cols in _eigenspace_columns(labels):
         lams[slots] = vals[cols].mean(axis=1)
-        v = vecs[:, cols].transpose(1, 0, 2)
-        if stack is None:  # one size: the batched product is the stack
-            stack = v @ v.conj().transpose(0, 2, 1)
-        else:  # each product in place: a scatter copy into the stack is slower
-            for k, slot in enumerate(slots.tolist()):
-                np.matmul(v[k], v[k].conj().T, out=stack[slot])
-    pset = object.__new__(ProjectorSet)._hold("projectors", freeze(stack))  # certified below
-    spectrum = tuple(zip(lams.tolist(), pset.projectors))
-    labels = freeze(np.repeat(np.arange(len(starts)), sizes))  # eigenspace of each column
     resid = linalg.frobenius_norm(a - (vecs * lams[labels]) @ vecs.conj().T)
-    obs = Observable(freeze(a), spectrum, hermiticity, resid, pset)  # returned only if judged
-    if not linalg.within_tol(resid, tol, linalg.frobenius_norm(a)):
-        raise QmeasureError(f"spectrum does not reconstruct the observable (residual {resid:.3e})",
-                            obs.residuals)
     gram = float(np.linalg.norm(vecs.conj().T @ vecs - identity(len(vals))))
     if gram <= _rounding_allowance(len(vals)):  # V^dag V = I to rounding
-        vars(pset).update(_factor=(freeze(vecs), labels))
+        pset = object.__new__(_FactoredSet)
+        vars(pset)["_factor"] = (freeze(vecs), freeze(labels))
+    else:  # certified below
+        pset = object.__new__(ProjectorSet)._hold("projectors", _eigenspace_stack(vecs, labels))
+    obs = Observable(freeze(a), tuple(lams.tolist()), hermiticity, resid, pset)  # returned if judged
+    if not linalg.within_tol(resid, tol, scale):
+        raise QmeasureError(f"spectrum does not reconstruct the observable (residual {resid:.3e})",
+                            obs.residuals)
     tau = _gram_threshold(len(vals), tol)
     failure = None if gram <= tau else pset._judged.failure(tol)
     if failure is not None:
@@ -508,7 +562,7 @@ class Povm(_Family):
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol: float):
-        self._admit("elements", _coerce_square_family(self.elements, "POVM"), tol, povm=True)
+        self._hold("elements", _coerce_square_family(self.elements, "POVM"))._admit(tol, povm=True)
 
     @property
     def residuals(self) -> dict[str, float]:
@@ -522,13 +576,16 @@ def povm_from_operators(opset: MeasurementOperatorSet,
     elems = np.empty_like(opset._stack)
     for lo, tile in linalg.stacks(opset._stack):
         np.matmul(_adjoint(tile), tile, out=elems[lo:lo + len(tile)])
-    return object.__new__(Povm)._admit("elements", freeze(elems), tol, povm=True)
+    povm = object.__new__(Povm)._hold("elements", freeze(elems))
+    # sum(elements) - I adds the same products in the same (label) order as the set's deviation:
+    # the same bits, so the elements are not summed again
+    vars(povm._judged)["completeness"] = float(np.linalg.norm(opset._deviation))
+    return povm._admit(tol, povm=True)
 
 
 def povm_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:
     """Outcome statistics p(m) = tr(E_m rho)."""
-    if povm.dim != rho.dim:
-        raise DimensionMismatch(f"POVM dim {povm.dim} vs state dim {rho.dim}")
+    linalg._require_same_dims(povm=povm.dim, state=rho.dim)
     probs = []
     for k, e in enumerate(povm.elements):
         val = complex(np.trace(e @ rho.matrix))

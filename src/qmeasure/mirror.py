@@ -71,8 +71,7 @@ def commutation_residuals(u, pset: ProjectorSet) -> tuple[float, ...]:
     entries of B = V^dag U V with exactly one index in eigenspace m; the
     others are zeroed before the sums (subtracting them would cancel)."""
     unit = _as_unitary(u)
-    if unit.dim != pset.dim:
-        raise DimensionMismatch(f"unitary dim {unit.dim} vs projector dim {pset.dim}")
+    linalg._require_same_dims(unitary=unit.dim, projectors=pset.dim)
     m = unit.matrix
     vecs, labels = getattr(pset, "_factor", (None, None))
     if vecs is not None:
@@ -123,16 +122,20 @@ def verify_probability_preservation(u, pset: ProjectorSet, psi: QuantumState,
     that :func:`is_mirror` certifies at ``tol`` therefore bounds it by
     tol * sqrt(n), not by ``tol``, so it can still fail
     ``PreservationReport.within(tol)``. The report never raises on large
-    deviations.
+    deviations. With the factor (V, labels) of a :func:`spectral_decompose`
+    set, each P_m psi is V_m (V_m^dag psi), and no projector is formed.
     """
     unit = _as_unitary(u, tol)
-    if unit.dim != pset.dim or unit.dim != psi.dim:
-        raise DimensionMismatch(
-            f"dims differ: unitary {unit.dim}, projectors {pset.dim}, state {psi.dim}"
-        )
+    linalg._require_same_dims(unitary=unit.dim, projectors=pset.dim, state=psi.dim)
     states = np.stack([psi.amplitudes, unit.matrix @ psi.amplitudes], axis=1)
-    # one product, two vectors per projector: column 0 p(m) = <psi|P_m|psi>, column 1 p'(m)
-    probs = (states.conj() * (pset._stack @ states)).sum(axis=1).real
+    vecs, labels = getattr(pset, "_factor", (None, None))
+    if vecs is None:  # one product, two vectors per projector: column 0 p(m), column 1 p'(m)
+        probs = (states.conj() * (pset._stack @ states)).sum(axis=1).real
+    else:  # P_m states = V_m (V_m^dag states): V^dag states split by eigenspace, one product
+        split = np.zeros((len(vecs), len(pset), 2), complex)
+        split[np.arange(len(vecs)), labels] = vecs.conj().T @ states
+        mapped = (vecs @ split.reshape(len(vecs), -1)).reshape(split.shape)
+        probs = (states.conj()[:, None] * mapped).sum(axis=0).real
     return PreservationReport(
         probabilities_before=tuple(probs[:, 0].tolist()),
         probabilities_after=tuple(probs[:, 1].tolist()),
@@ -256,8 +259,7 @@ def truth_protocol(u, psi: QuantumState,
     the residual of the lone POVM element U^dag U against the identity.
     """
     unit = _as_unitary(u, tol)
-    if unit.dim != psi.dim:
-        raise DimensionMismatch(f"unitary dim {unit.dim} vs state dim {psi.dim}")
+    linalg._require_same_dims(unitary=unit.dim, state=psi.dim)
     computed = QuantumState(unit.matrix @ psi.amplitudes, normalize=True)
     restored = QuantumState(_adjoint(unit.matrix) @ computed.amplitudes, normalize=True)
     return TruthProtocolTranscript(

@@ -31,7 +31,7 @@ UNIMODULAR_TOL = 1e-12  # ||alpha|^2 - 1| admitted for phase coefficients
 
 
 @dataclass(frozen=True, eq=False)
-class UnitaryOperator:
+class UnitaryOperator(linalg._Frozen):
     """Square matrix with U^dag U = U U^dag = I within tolerance, judged
     with ``residuals`` ``unitarity_left`` ||U^dag U - I||_F and
     ``unitarity_right`` ||U U^dag - I||_F."""
@@ -55,7 +55,7 @@ def _as_unitary(u, tol: float = DEFAULT_TOL) -> UnitaryOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class PhaseVector:
+class PhaseVector(linalg._Frozen):
     """Unimodular coefficients alpha_m, each with |alpha_m|^2 = 1."""
 
     phases: np.ndarray
@@ -182,4 +182,4 @@ def irm_povm(u, tol: float = DEFAULT_TOL) -> Povm:
     """
     unit = _as_unitary(u, tol)
     elements = freeze((_adjoint(unit.matrix) @ unit.matrix)[None])
-    return object.__new__(Povm)._admit("elements", elements, tol, povm=True)
+    return object.__new__(Povm)._hold("elements", elements)._admit(tol, povm=True)

@@ -8,19 +8,29 @@ agree with the per-projector values within eps_n times their scale. Any
 other set has no factor and must give the per-projector values bit for bit.
 The reconstruction residual is formed in the basis V on every spectral set:
 V diag(lambda[labels]) V^dag is the sum of lambda_m P_m for any V.
+
+A set with the factor forms its projector stack only when first read, with
+the bytes an eager decomposition formed, and takes its preservation
+probabilities from V_m (V_m^dag psi), checked against exact values.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from helpers import random_hermitian, random_phases, random_unitary
-from qmeasure import linalg, measurement
+from helpers import random_hermitian, random_phases, random_state, random_unitary
+from qmeasure import cli, linalg, measurement
 from qmeasure.errors import NotMirror
 from qmeasure.fileio import load_operator_file, save_operator_file
-from qmeasure.measurement import ProjectorSet, spectral_decompose
-from qmeasure.mirror import commutation_residuals, extend_mirror, is_mirror
+from qmeasure.measurement import ProjectorSet, QuantumState, spectral_decompose
+from qmeasure.mirror import (
+    commutation_residuals,
+    extend_mirror,
+    is_mirror,
+    verify_probability_preservation,
+)
 from qmeasure.reversible import PhaseVector, exp_observable, phase_superpose_projectors
 from test_measurement import decompose_planted, planted_eigenpairs
 
@@ -146,8 +156,134 @@ def test_the_spectral_pipeline_forms_no_per_projector_products(monkeypatch, dege
         raise AssertionError("a per-projector product was formed")
 
     monkeypatch.setattr(linalg, "stacks", forbidden)
+    monkeypatch.setattr(measurement, "_eigenspace_stack", forbidden)
     exp_observable(obs)
     mirror = extend_mirror(phases, pset)
     is_mirror(mirror.unitary, pset)
     with pytest.raises(NotMirror):
         is_mirror(random_unitary(rng, 32), pset)
+
+
+def forbid_the_stack(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an (N, n, n) projector stack was formed")
+
+    monkeypatch.setattr(measurement, "_eigenspace_stack", forbidden)
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_the_spectral_n32_op_sequence_forms_no_projector_stack(monkeypatch, degenerate):
+    """The benchmark's op, with every read that needs only the factor: the
+    count and dimension, eigenvalues, residuals, reprs, the phase sum, the
+    commutators and the preservation probabilities."""
+    rng = np.random.default_rng(320 + degenerate)
+    a = random_hermitian(rng, 32, degenerate=degenerate)
+    psi = QuantumState(random_state(rng, 32))
+    forbid_the_stack(monkeypatch)
+    obs = spectral_decompose(a)
+    pset = obs.projector_set()
+    expo = exp_observable(obs)
+    mirror = extend_mirror(PhaseVector(random_phases(rng, len(pset))), pset)
+    report = verify_probability_preservation(mirror.unitary, pset, psi)
+    commutation_residuals(expo, pset)
+    assert (len(pset), pset.dim) == (len(obs.eigenvalues), 32)
+    assert obs.residuals["n_eigenspaces"] == len(pset) == len(report.probabilities_before)
+    assert "eigenvalues" in repr(obs) and repr(pset) == (
+        f"ProjectorSet({len(pset)} eigenspace projectors of dim 32)")
+    assert not {"_stack", "projectors"} & set(vars(pset)) and "spectrum" not in vars(obs)
+
+
+def test_validating_an_observable_file_forms_no_projector_stack(monkeypatch, capsys, corpus,
+                                                                tmp_path):
+    path = str(tmp_path / "observable.json")
+    save_operator_file(path, "observable",
+                       [random_hermitian(np.random.default_rng(8), 8, degenerate=True)])
+    forbid_the_stack(monkeypatch)
+    for name in (str(corpus / "observable_z.json"), path):
+        assert cli.main(["validate", name]) == 0
+        assert "n_eigenspaces" in capsys.readouterr().out
+
+
+def eager_stack(vals, vecs):
+    """The projector stack as spectral_decompose formed it on every call
+    before a factored set formed it on first read: one batched product when
+    every eigenspace has one size, one product per eigenspace otherwise."""
+    starts = np.flatnonzero(np.r_[True, np.diff(vals) > measurement.CLUSTER_TOL])
+    sizes = np.diff(np.r_[starts, len(vals)])
+    groups = set(sizes.tolist())
+    stack = None if len(groups) == 1 else np.empty((len(starts), len(vals), len(vals)), complex)
+    for size in groups:
+        slots = np.flatnonzero(sizes == size)
+        v = vecs[:, starts[slots, None] + np.arange(size)].transpose(1, 0, 2)
+        if stack is None:
+            stack = v @ v.conj().transpose(0, 2, 1)
+        else:
+            for k, slot in enumerate(slots.tolist()):
+                np.matmul(v[k], v[k].conj().T, out=stack[slot])
+    return stack
+
+
+@pytest.mark.parametrize("n", [8, 32])
+@pytest.mark.parametrize("degenerate", [False, True])  # one eigenspace size, or mixed sizes
+@pytest.mark.parametrize("first", ["projectors", "_stack", "spectrum"])
+def test_a_factored_stack_formed_on_first_read_has_the_eager_bytes(n, degenerate, first):
+    a = random_hermitian(np.random.default_rng(n + degenerate), n, degenerate=degenerate)
+    vals, vecs, _ = linalg.guarded_eigh(linalg.as_matrix(a))
+    expected = eager_stack(vals, vecs)
+    obs = spectral_decompose(a)
+    pset = obs.projector_set()
+    assert "_stack" not in vars(pset)
+    getattr(obs if first == "spectrum" else pset, first)
+    stack = pset._stack
+    assert stack.tobytes() == expected.tobytes() and stack.shape == expected.shape
+    assert not stack.flags.writeable
+    assert pset._stack is stack and pset.projectors is pset.projectors and obs.spectrum is obs.spectrum
+    assert all(p.base is stack and not p.flags.writeable for p in pset.projectors)
+    assert [p for _, p in obs.spectrum] == list(pset.projectors)
+    assert [lam for lam, _ in obs.spectrum] == list(obs.eigenvalues)
+    assert pset.residuals == ProjectorSet(expected).residuals
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_a_set_without_the_factor_holds_the_eager_bytes_from_the_start(n):
+    """g above eps_n (a planted tilt): the stack is formed at once, by the same builder."""
+    vals, vecs = planted_eigenpairs(np.random.default_rng(40 + n), n, True, "tilt", 1e-12)
+    pset = decompose_planted(vals, vecs, 1e-10).projector_set()
+    assert "_stack" in vars(pset) and not hasattr(pset, "_factor")
+    assert pset._stack.tobytes() == eager_stack(vals, vecs).tobytes()
+    assert all(p.base is pset._stack and not p.flags.writeable for p in pset.projectors)
+
+
+def exact_probabilities(vecs, labels, states):
+    """sum over k in m of |(V^dag s)_k|^2 for each state column s, at 40 digits."""
+    with mpmath.workdps(40):
+        v = mpmath.matrix(vecs.tolist())
+        out = np.zeros((labels[-1] + 1, states.shape[1]))
+        for col in range(states.shape[1]):
+            y = v.H * mpmath.matrix(states[:, col].tolist())
+            sums = [mpmath.mpf(0)] * len(out)
+            for k, m in enumerate(labels.tolist()):
+                sums[m] += abs(y[k]) ** 2
+            out[:, col] = [float(x) for x in sums]
+    return out
+
+
+def test_factored_probabilities_are_no_less_exact_than_the_dense_ones():
+    """p(m) and p'(m) of a mirror, taken from V_m (V_m^dag psi) on the
+    factor and from the formed projectors P_m psi on a file-style set,
+    against exact values for the same floats V, psi and U psi."""
+    worst = {"factored": 0.0, "dense": 0.0}
+    for seed in range(48):
+        rng = np.random.default_rng(700 + seed)
+        n = (2, 4, 8, 16)[seed % 4]
+        pset = spectral_decompose(random_hermitian(rng, n, degenerate=seed % 8 < 4)).projector_set()
+        vecs, labels = pset._factor
+        unit = extend_mirror(PhaseVector(random_phases(rng, len(pset))), pset).unitary
+        psi = QuantumState(random_state(rng, n))
+        exact = exact_probabilities(vecs, labels, np.stack(
+            [psi.amplitudes, unit.matrix @ psi.amplitudes], axis=1))
+        for form, judged in (("factored", pset), ("dense", ProjectorSet(pset.projectors))):
+            report = verify_probability_preservation(unit, judged, psi)
+            got = np.array([report.probabilities_before, report.probabilities_after]).T
+            worst[form] = max(worst[form], float(np.abs(got - exact).max()))
+    assert 0.0 < worst["factored"] <= worst["dense"] < 1e-15

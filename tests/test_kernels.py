@@ -375,6 +375,23 @@ def test_family_kernels_equal_the_per_operator_expressions(n, monkeypatch):
             np.testing.assert_array_equal(report.probabilities_after, preserved[:, 1], strict=True)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32])
+def test_povm_from_operators_takes_the_completeness_the_set_passed(n):
+    """A complete family of scaled unitaries U_k / sqrt(count): the POVM's
+    completeness residual, taken from the set's deviation, equals the sum
+    of its own elements that a Povm forms, bit for bit."""
+    rng = np.random.default_rng(90 + n)
+    for count in family_counts(n):
+        opset = MeasurementOperatorSet([random_unitary(rng, n) / math.sqrt(count)
+                                        for _ in range(count)])
+        povm = povm_from_operators(opset)
+        assert "completeness" in vars(povm._judged)
+        summed = OperatorResiduals(povm._stack).completeness
+        assert povm.residuals["completeness"] == summed == Povm(povm.elements).residuals[
+            "completeness"]
+        assert np.float64(summed).tobytes() == np.float64(opset.completeness_residual).tobytes()
+
+
 def test_family_calls_stay_within_budget():
     """A 64-operator family at n = 64 (a 4 MiB stack, built before tracing):
     each call peaks within 1 MiB of temporaries, povm_from_operators within

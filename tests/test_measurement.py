@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 from contextlib import suppress
 from unittest import mock
 
@@ -24,6 +27,7 @@ from qmeasure.measurement import (
     DensityMatrix,
     MeasurementKind,
     MeasurementOperatorSet,
+    Observable,
     OperatorResiduals,
     Povm,
     ProjectorSet,
@@ -39,6 +43,7 @@ from qmeasure.measurement import (
     spectral_decompose,
     validate_completeness,
 )
+from qmeasure.mirror import commutation_residuals, truth_protocol, verify_probability_preservation
 from qmeasure.reversible import PhaseVector, UnitaryOperator
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -120,6 +125,60 @@ STORED_ARRAY_CASES = [
     (lambda: [np.array(gates.HADAMARD)], lambda u: [UnitaryOperator(u).matrix]),
     (lambda: [np.array([1.0, -1j])], lambda a: [PhaseVector(a).phases]),
 ]
+
+
+def judged_objects():
+    """One object of every kind that stores arrays, each with its caches formed;
+    the spectral sets once unformed and once formed."""
+    rng = np.random.default_rng(61)
+    opset = MeasurementOperatorSet(orthogonal_family(rng, 4, 3))
+    pset = ProjectorSet([np.outer(v, v.conj()) for v in random_unitary(rng, 4).T])
+    unformed = spectral_decompose(random_hermitian(rng, 8, degenerate=True))
+    formed = spectral_decompose(random_hermitian(rng, 8))
+    objects = [opset, pset, povm_from_operators(opset), unformed, formed, formed.projector_set(),
+               UnitaryOperator(random_unitary(rng, 4)), QuantumState(random_state(rng, 4)),
+               DensityMatrix(_diag(0.5, 0.5)), PhaseVector([1.0, -1j])]
+    for obj in (opset, pset, objects[2], formed):
+        obj.residuals if hasattr(obj, "residuals") else obj.completeness_residual
+    formed.spectrum
+    return objects
+
+
+def check_family_round_trip(back, orig):
+    """The stack (formed only where the original's was) and any factor frozen,
+    the tuple read-only views of the stack, all with the original's bytes."""
+    factor = vars(orig).get("_factor")
+    assert ("_stack" in vars(back)) is ("_stack" in vars(orig) or factor is None)
+    if factor is not None:
+        assert [a.tobytes() for a in back._factor] == [a.tobytes() for a in factor]
+        assert not any(a.flags.writeable for a in back._factor)
+    assert back._stack.tobytes() == orig._stack.tobytes() and not back._stack.flags.writeable
+    name = dataclasses.fields(back)[0].name
+    assert all(p.base is back._stack and not p.flags.writeable for p in getattr(back, name))
+    if hasattr(orig, "residuals"):
+        assert back.residuals == orig.residuals
+
+
+@pytest.mark.parametrize("round_trip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_judged_objects_stay_frozen_through_pickle_and_deepcopy(round_trip):
+    for orig in judged_objects():
+        back = round_trip(orig)
+        assert type(back) is type(orig)
+        if isinstance(orig, measurement._Family):
+            check_family_round_trip(back, orig)
+            continue
+        if isinstance(orig, Observable):
+            check_family_round_trip(back.projector_set(), orig.projector_set())
+            assert back.residuals == orig.residuals and back.eigenvalues == orig.eigenvalues
+            assert [p.base for _, p in back.spectrum] == [back.projector_set()._stack] * len(
+                back.eigenvalues)
+        for f in dataclasses.fields(orig):
+            old, new = getattr(orig, f.name), getattr(back, f.name)
+            if isinstance(old, np.ndarray):
+                assert new.tobytes() == old.tobytes() and not new.flags.writeable
+            elif not isinstance(old, measurement._Family):
+                assert new == old
 
 
 def test_stored_arrays_are_read_only():
@@ -499,10 +558,11 @@ def eigenspace_projectors(vals, vecs):
 
 
 def decompose_planted(vals, vecs, tol):
-    """spectral_decompose of V diag(vals) V^dag with ``guarded_eigh``
+    """spectral_decompose of V diag(vals) V^dag with its eigensolver
     returning the planted (vals, V)."""
     a = (vecs * vals) @ vecs.conj().T
-    with mock.patch.object(linalg, "guarded_eigh", return_value=(vals, vecs, 0.0)):
+    planted = (vals, vecs, 0.0, np.linalg.norm(a))
+    with mock.patch.object(linalg, "_judged_eigh", return_value=planted):
         return spectral_decompose(a, tol=tol)
 
 
@@ -695,6 +755,30 @@ def test_povm_first_violation_messages_and_lazy_eigenvalues():
                        match=r"^POVM elements do not sum to the identity \(residual 7.071e-01\)$"):
         Povm((np.diag([0.5, 0.5]).astype(complex),))
     assert OperatorResiduals((np.eye(2, dtype=complex),)).failure(1e-10, povm=True) is None
+
+
+def test_every_dimension_rule_words_one_message():
+    """The library sites word the dimension-agreement rule as the CLI does."""
+    rng = np.random.default_rng(2)
+    psi2, psi4 = QuantumState(random_state(rng, 2)), QuantumState(random_state(rng, 4))
+    unit2 = UnitaryOperator(random_unitary(rng, 2))
+    pset2 = ProjectorSet([_diag(1.0, 0.0), _diag(0.0, 1.0)])
+    opset2 = pset2.to_operator_set()
+    cases = [
+        (lambda: psi2.inner(psi4), "bra 2, ket 4"),
+        (lambda: outcome_probabilities(opset2, psi4), "set 2, state 4"),
+        (lambda: apply_outcome(opset2, psi4, 0), "set 2, state 4"),
+        (lambda: povm_probabilities(povm_from_operators(opset2), psi4.density_matrix()),
+         "povm 2, state 4"),
+        (lambda: commutation_residuals(UnitaryOperator(np.eye(4)), pset2), "unitary 4, projectors 2"),
+        (lambda: verify_probability_preservation(unit2, pset2, psi4),
+         "unitary 2, projectors 2, state 4"),
+        (lambda: truth_protocol(unit2, psi4), "unitary 2, state 4"),
+    ]
+    for call, dims in cases:
+        with pytest.raises(DimensionMismatch) as exc:
+            call()
+        assert str(exc.value) == f"dims differ: {dims}"
 
 
 def test_povm_dim_mismatch_against_state():
