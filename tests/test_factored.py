@@ -16,7 +16,6 @@ probabilities from V_m (V_m^dag psi), checked against exact values.
 
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -256,6 +255,7 @@ def test_a_set_without_the_factor_holds_the_eager_bytes_from_the_start(n):
 
 def exact_probabilities(vecs, labels, states):
     """sum over k in m of |(V^dag s)_k|^2 for each state column s, at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         v = mpmath.matrix(vecs.tolist())
         out = np.zeros((labels[-1] + 1, states.shape[1]))
