@@ -390,8 +390,7 @@ class ProjectorSet(_Family):
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol: float):
-        stack = _coerce_square_family(self.projectors, "projector set")
-        self._hold("projectors", stack)._admit(tol)
+        self._hold("projectors", _coerce_square_family(self.projectors, "projector set"))._admit(tol)
 
     @property
     def residuals(self) -> dict[str, float]:
