@@ -33,6 +33,7 @@ from .fileio import (
     complex_pairs,
     dumps_document,
     format_float,
+    format_floats,
     load_operator_file,
     load_state_file,
     save_operator_file,
@@ -103,9 +104,9 @@ def _load_kind(path: str, kinds: tuple[str, ...]) -> OperatorFile:
 
 
 def _single_matrix(doc: OperatorFile, path: str) -> np.ndarray:
-    if len(doc.operators) != 1:
-        raise ParseError(f"{path}: expected exactly one operator, found {len(doc.operators)}")
-    return doc.operators[0][1]
+    if len(doc.matrices) != 1:
+        raise ParseError(f"{path}: expected exactly one operator, found {len(doc.matrices)}")
+    return doc.matrices[0]
 
 
 def _load_unitary_matrix(path: str) -> np.ndarray:
@@ -125,7 +126,11 @@ def _load_state(path: str, warnings: list[str]) -> QuantumState:
 # ---------------------------------------------------------------------------
 # report rendering
 
-def _fmt_scalar(value) -> str:
+def _fmt_value(value) -> str:
+    if isinstance(value, np.ndarray):
+        return format_floats(value) or _fmt_value(value.tolist())
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_fmt_value(v) for v in value) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -135,27 +140,14 @@ def _fmt_scalar(value) -> str:
     return str(value)
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt_value(v) for v in value) + "]"
-    return _fmt_scalar(value)
-
-
-def render_human(report: dict) -> str:
-    lines: list[str] = []
-
-    def emit(key: str, value, indent: int) -> None:
-        pad = "  " * indent
-        if isinstance(value, dict):
-            lines.append(f"{pad}{key}:")
-            for k, v in value.items():
-                emit(k, v, indent + 1)
-        else:
-            lines.append(f"{pad}{key}: {_fmt_value(value)}")
-
+def render_human(report: dict, indent: int = 0) -> str:
+    pad, text = "  " * indent, ""
     for key, value in report.items():
-        emit(key, value, 0)
-    return "\n".join(lines) + "\n"
+        if isinstance(value, dict):
+            text += f"{pad}{key}:\n" + render_human(value, indent + 1)
+        else:
+            text += f"{pad}{key}: {_fmt_value(value)}\n"
+    return text
 
 
 def render_report(report: dict, fmt: str) -> str:
@@ -187,11 +179,10 @@ _JUDGES = {
 
 def cmd_validate(args) -> dict:
     doc = load_operator_file(args.file)
-    mats = doc.matrices()
     if doc.kind in ("unitary", "observable"):
-        mats = (_single_matrix(doc, args.file),)
+        _single_matrix(doc, args.file)  # raises unless the file holds one matrix
     try:
-        judged, details = _JUDGES[doc.kind](mats, args.tol), []
+        judged, details = _JUDGES[doc.kind](doc.matrices, args.tol), []
     except QmeasureError as exc:
         judged, details = exc, [str(exc)]
     report = {
@@ -199,7 +190,7 @@ def cmd_validate(args) -> dict:
         "verdict": "pass" if getattr(judged, "passed", not details) else "fail",
         "kind": doc.kind,
         "dim": doc.dim,
-        "n_operators": len(mats),
+        "n_operators": len(doc.matrices),
         "residuals": judged.residuals,
     }
     return _finish(report, details)
@@ -210,7 +201,7 @@ def cmd_validate(args) -> dict:
 
 def cmd_classify(args) -> dict:
     doc = _load_kind(args.file, ("measurement_set", "projector_set", "unitary"))
-    opset = MeasurementOperatorSet(doc.matrices())
+    opset = MeasurementOperatorSet(doc.matrices)
     kind = classify_measurement(opset, tol=args.tol)
     return {
         "command": "classify",
@@ -235,7 +226,7 @@ def cmd_measure(args) -> dict:
         if args.shots < 1:
             raise ParseError("shots must be positive")
     doc = _load_kind(args.set, ("measurement_set", "projector_set", "unitary"))
-    opset = MeasurementOperatorSet(doc.matrices())
+    opset = MeasurementOperatorSet(doc.matrices)
     warnings: list[str] = []
     psi = _load_state(args.state, warnings)
     # apply_outcome checks the dims and the label before it judges the set
@@ -288,9 +279,9 @@ def cmd_mirror_build(args) -> dict:
         values = (parse_complex_list(args.phases) if args.phases is not None
                   else parse_float_list(args.angles))
         pdoc = _load_kind(args.projectors, ("projector_set",))
-        _require_same_dims(phases=len(values), projectors=len(pdoc.operators))
+        _require_same_dims(phases=len(values), projectors=len(pdoc.matrices))
         phases = PhaseVector(values) if args.phases is not None else PhaseVector.from_angles(values)
-        pset = ProjectorSet(pdoc.matrices(), tol=args.tol)
+        pset = ProjectorSet(pdoc.matrices, tol=args.tol)
         mirror = extend_mirror(phases, pset, tol=args.tol)
         form = "projector_superposition"
     else:
@@ -320,7 +311,7 @@ def cmd_mirror_check(args) -> dict:
         dims["state"] = psi.dim
     _require_same_dims(**dims)
     unit = UnitaryOperator(matrix, tol=args.tol)
-    pset = ProjectorSet(pdoc.matrices(), tol=args.tol)
+    pset = ProjectorSet(pdoc.matrices, tol=args.tol)
     report = {"command": "mirror check", "verdict": "pass", "dim": unit.dim,
               "n_projectors": len(pset)}
     try:
@@ -402,11 +393,13 @@ def parse_tolerance(text: str) -> float:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, handler) -> None:
+    """The flags every subcommand takes, after its own, and its handler."""
     sub.add_argument("--tol", type=parse_tolerance, default=DEFAULT_TOL,
                      help="residual tolerance (default 1e-10)")
     sub.add_argument("--format", choices=("human", "machine"), default="human",
                      help="output format")
+    sub.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,13 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="check an operator file against its kind's invariants")
     p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(handler=cmd_validate)
+    _add_common(p, cmd_validate)
 
     p = subs.add_parser("classify", help="classify a complete measurement set")
     p.add_argument("file")
-    _add_common(p)
-    p.set_defaults(handler=cmd_classify)
+    _add_common(p, cmd_classify)
 
     p = subs.add_parser("measure", help="outcome probabilities, post-states, sampling")
     p.add_argument("set", help="measurement set file")
@@ -433,8 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="apply this outcome and report the post-state")
     p.add_argument("--shots", type=int, default=None, help="sample a histogram")
     p.add_argument("--seed", type=int, default=None, help="PRNG seed (required with --shots)")
-    _add_common(p)
-    p.set_defaults(handler=cmd_measure)
+    _add_common(p, cmd_measure)
 
     p = subs.add_parser("mirror", help="build or check probability-preserving unitaries")
     mirror_subs = p.add_subparsers(dest="mirror_command", required=True)
@@ -446,27 +436,23 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--angles", default=None, help="comma-separated phase angles (radians)")
     pb.add_argument("--projectors", default=None, help="projector set file for --phases/--angles")
     pb.add_argument("--out", default=None, help="write the unitary to this file")
-    _add_common(pb)
-    pb.set_defaults(handler=cmd_mirror_build)
+    _add_common(pb, cmd_mirror_build)
 
     pc = mirror_subs.add_parser("check", help="certify commutation with a projector set")
     pc.add_argument("unitary", help="unitary file")
     pc.add_argument("projectors", help="projector set file")
     pc.add_argument("--state", default=None, help="also verify probability preservation")
-    _add_common(pc)
-    pc.set_defaults(handler=cmd_mirror_check)
+    _add_common(pc, cmd_mirror_check)
 
     p = subs.add_parser("truth", help="compute/uncompute restoration protocol")
     p.add_argument("unitary", help="unitary file")
     p.add_argument("state", help="state file")
-    _add_common(p)
-    p.set_defaults(handler=cmd_truth)
+    _add_common(p, cmd_truth)
 
     p = subs.add_parser("bell", help="external vs internal measurement on a Bell state")
     p.add_argument("--index", type=int, required=True, help="Bell state index 0..3")
     p.add_argument("--mirror", required=True, help="mirror unitary file (dim 4)")
-    _add_common(p)
-    p.set_defaults(handler=cmd_bell)
+    _add_common(p, cmd_bell)
 
     return parser
 

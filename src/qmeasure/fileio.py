@@ -3,7 +3,8 @@
 Both formats are JSON with complex numbers as two-element ``[re, im]``
 arrays and matrices as row-major nested arrays. Floats are written with 17
 significant digits, so a written file re-parses to bit-identical values
-and golden files diff cleanly.
+and golden files diff cleanly. Documents hold matrices and amplitudes as
+float arrays of pairs, each written in one pass by a template of its shape.
 
 Operator file::
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -33,10 +35,7 @@ OPERATOR_KINDS = ("measurement_set", "projector_set", "povm", "unitary", "observ
 class OperatorFile:
     kind: str
     dim: int
-    operators: tuple[tuple[int, np.ndarray], ...]  # (label, matrix), label order
-
-    def matrices(self) -> tuple[np.ndarray, ...]:
-        return tuple(mat for _, mat in self.operators)
+    matrices: tuple[np.ndarray, ...]  # the matrix labeled k at index k
 
 
 def format_float(x: float) -> str:
@@ -51,9 +50,30 @@ def _json_float(x: float) -> str:
     return text if math.isfinite(x) else json.dumps(text)
 
 
+def format_floats(value, indent: int | None = None) -> str | None:
+    """A finite float64 array written by filling one %-template made from its
+    shape: byte for byte what the list writers write for its ``.tolist()``, an
+    item per line at ``indent`` or one line if None. None for any other value."""
+    if not (isinstance(value, np.ndarray) and value.dtype == float and np.isfinite(value).all()):
+        return None
+    template = "%.17g"
+    for axis, count in reversed(list(enumerate(value.shape))):  # innermost first; empty is []
+        if indent is None or axis == value.ndim - 1 or not count:
+            template = "[" + ", ".join([template] * count) + "]"
+        else:
+            pad = "\n" + "  " * (indent + axis)
+            template = f"[{pad}  " + f",{pad}  ".join([template] * count) + f"{pad}]"
+    return template % tuple(value.ravel().tolist())
+
+
 def _dump(value, indent: int, out: list[str]) -> None:
     pad = "  " * indent
-    if isinstance(value, (list, tuple)) and all(
+    text = format_floats(value, indent)
+    if text is not None:
+        out.append(text)
+    elif isinstance(value, np.ndarray):
+        _dump(value.tolist(), indent, out)
+    elif isinstance(value, (list, tuple)) and all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
         body = ", ".join(str(v) if isinstance(v, int) else _json_float(v) for v in value)
         out.append(f"[{body}]")
@@ -81,10 +101,10 @@ def dumps_document(doc: dict) -> str:
     return "".join(out)
 
 
-def complex_pairs(array) -> list:
-    """A complex vector or matrix as nested ``[re, im]`` pairs of floats."""
+def complex_pairs(array) -> np.ndarray:
+    """A complex array as a float64 array of ``[re, im]`` pairs, one axis longer."""
     arr = np.asarray(array, dtype=np.complex128)
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+    return np.stack([arr.real, arr.imag], axis=-1)
 
 
 def _pairs_to_complex(node, what: str) -> complex:
@@ -100,11 +120,10 @@ def _pairs_to_complex(node, what: str) -> complex:
     return value
 
 
-def _load_json(path: str) -> tuple[dict, bool]:
-    """The document, and whether its text may hold a JSON boolean."""
+def _load_json(path: str) -> tuple[dict, int, bool]:
+    """The document, its ``dim``, and whether its text may hold a JSON boolean."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = Path(path).read_text(encoding="utf-8")
         doc = json.loads(text)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
@@ -117,7 +136,10 @@ def _load_json(path: str) -> tuple[dict, bool]:
             f"{path}: schema_version must be {SCHEMA_VERSION!r}, "
             f"got {doc.get('schema_version')!r}"
         )
-    return doc, "true" in text or "false" in text
+    dim = doc.get("dim")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ParseError(f"{path}: dim must be a positive integer")
+    return doc, dim, "true" in text or "false" in text
 
 
 def _parse_pairs(node: list, shape: tuple[int, ...], what: str, booleans: bool) -> np.ndarray:
@@ -145,13 +167,10 @@ def _parse_pairs(node: list, shape: tuple[int, ...], what: str, booleans: bool) 
 
 
 def load_operator_file(path: str) -> OperatorFile:
-    doc, booleans = _load_json(path)
+    doc, dim, booleans = _load_json(path)
     kind = doc.get("kind")
     if kind not in OPERATOR_KINDS:
         raise ParseError(f"{path}: kind must be one of {OPERATOR_KINDS}, got {kind!r}")
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ParseError(f"{path}: dim must be a positive integer")
     raw_ops = doc.get("operators")
     if not isinstance(raw_ops, list) or not raw_ops:
         raise ParseError(f"{path}: operators must be a nonempty array")
@@ -170,16 +189,12 @@ def load_operator_file(path: str) -> OperatorFile:
         seen[label] = _parse_pairs(matrix, (dim, dim), what, booleans)
     if sorted(seen) != list(range(len(seen))):
         raise ParseError(f"{path}: labels must be the consecutive integers 0..N-1")
-    operators = tuple((label, seen[label]) for label in range(len(seen)))
-    return OperatorFile(kind=kind, dim=dim, operators=operators)
+    return OperatorFile(kind=kind, dim=dim, matrices=tuple(seen[k] for k in range(len(seen))))
 
 
 def load_state_file(path: str) -> np.ndarray:
     """The amplitudes of a state file, a nonzero complex vector of length ``dim``."""
-    doc, booleans = _load_json(path)
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ParseError(f"{path}: dim must be a positive integer")
+    doc, dim, booleans = _load_json(path)
     raw = doc.get("amplitudes")
     if not isinstance(raw, list) or len(raw) != dim:
         raise ParseError(f"{path}: amplitudes must be an array of length {dim}")
@@ -190,38 +205,41 @@ def load_state_file(path: str) -> np.ndarray:
 
 
 def operator_document(kind: str, matrices) -> dict:
-    """Build the serializable document for an operator file, labeled 0..N-1."""
+    """An operator file's document, labeled 0..N-1, each matrix a float array of
+    ``[re, im]`` pairs; ValueError for what ``load_operator_file`` rejects."""
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"kind must be one of {OPERATOR_KINDS}, got {kind!r}")
-    mats = [np.asarray(m, dtype=np.complex128) for m in matrices]
-    dim = mats[0].shape[0]
+    stack = np.asarray(matrices, dtype=np.complex128)  # ValueError if ragged or not numbers
+    if (stack.ndim != 3 or not stack.size or stack.shape[1] != stack.shape[2]
+            or not np.isfinite(stack).all()):
+        raise ValueError(f"operators must be a nonempty finite (N, n, n) stack, got {stack.shape}")
+    pairs = complex_pairs(stack)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
-        "dim": dim,
+        "dim": pairs.shape[1],
         "operators": [
-            {"label": label, "matrix": complex_pairs(mat)}
-            for label, mat in enumerate(mats)
+            {"label": label, "matrix": matrix}
+            for label, matrix in enumerate(pairs)
         ],
     }
 
 
 def state_document(amplitudes) -> dict:
+    """A state file's document; ValueError for what ``load_state_file`` rejects."""
     amps = np.asarray(amplitudes, dtype=np.complex128)
+    if amps.ndim != 1 or not (np.isfinite(amps).all() and amps.any()):
+        raise ValueError(f"amplitudes must be a finite nonzero vector, got shape {amps.shape}")
     return {
         "schema_version": SCHEMA_VERSION,
-        "dim": int(amps.shape[0]),
+        "dim": len(amps),
         "amplitudes": complex_pairs(amps),
     }
 
 
 def save_operator_file(path: str, kind: str, matrices) -> None:
-    text = dumps_document(operator_document(kind, matrices))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    Path(path).write_text(dumps_document(operator_document(kind, matrices)), encoding="utf-8")
 
 
 def save_state_file(path: str, amplitudes) -> None:
-    text = dumps_document(state_document(amplitudes))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    Path(path).write_text(dumps_document(state_document(amplitudes)), encoding="utf-8")

@@ -182,16 +182,11 @@ class MeasurementOperatorSet(_Family):
         self._hold("operators", _coerce_square_family(self.operators, "measurement set"))
 
     @cached_property
-    def _deviation(self) -> np.ndarray:  # sum_m M_m^dag M_m - I, the products added in label order
+    def completeness_residual(self) -> float:
+        """||sum_m M_m^dag M_m - I||_F, the products added in label order; inf if it overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
             products = (p for _, tile in linalg.stacks(self._stack) for p in _adjoint(tile) @ tile)
-            return sum(products) - identity(self.dim)
-
-    @cached_property
-    def completeness_residual(self) -> float:
-        """||sum_m M_m^dag M_m - I||_F; inf if it overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            residual = float(np.linalg.norm(self._deviation))
+            residual = float(np.linalg.norm(sum(products) - identity(self.dim)))
         return math.inf if math.isnan(residual) else residual
 
 
@@ -576,9 +571,9 @@ def povm_from_operators(opset: MeasurementOperatorSet,
     for lo, tile in linalg.stacks(opset._stack):
         np.matmul(_adjoint(tile), tile, out=elems[lo:lo + len(tile)])
     povm = object.__new__(Povm)._hold("elements", freeze(elems))
-    # sum(elements) - I adds the same products in the same (label) order as the set's deviation:
-    # the same bits, so the elements are not summed again
-    vars(povm._judged)["completeness"] = float(np.linalg.norm(opset._deviation))
+    # sum(elements) - I adds the same products in the same (label) order as the set's
+    # completeness residual: the same bits, so the elements are not summed again
+    vars(povm._judged)["completeness"] = opset.completeness_residual
     return povm._admit(tol, povm=True)
 
 

@@ -127,7 +127,8 @@ def verify_probability_preservation(u, pset: ProjectorSet, psi: QuantumState,
     """
     unit = _as_unitary(u, tol)
     linalg._require_same_dims(unitary=unit.dim, projectors=pset.dim, state=psi.dim)
-    states = np.stack([psi.amplitudes, unit.matrix @ psi.amplitudes], axis=1)
+    states = np.empty((psi.dim, 2), complex)  # column 0 psi, column 1 U psi
+    states[:, 0], states[:, 1] = psi.amplitudes, unit.matrix @ psi.amplitudes
     vecs, labels = getattr(pset, "_factor", (None, None))
     if vecs is None:  # one product, two vectors per projector: column 0 p(m), column 1 p'(m)
         probs = (states.conj() * (pset._stack @ states)).sum(axis=1).real

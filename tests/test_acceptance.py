@@ -65,13 +65,13 @@ def test_acceptance_1_completeness_validators(corpus):
         ("general_set.json", "measurement_set"),
     ] + [(name, "unitary") for name in UNITARY_FILES]
     for name, _ in complete_files:
-        opset = MeasurementOperatorSet(load_operator_file(corpus / name).matrices())
+        opset = MeasurementOperatorSet(load_operator_file(corpus / name).matrices)
         report = validate_completeness(opset, tol=1e-12)
         assert report.passed, name
         assert report.residual <= 1e-12, name
         worst = max(worst, report.residual)
     invalid = MeasurementOperatorSet(
-        load_operator_file(corpus / "invalid_set.json").matrices()
+        load_operator_file(corpus / "invalid_set.json").matrices
     )
     bad = validate_completeness(invalid)
     assert not bad.passed
@@ -219,7 +219,7 @@ def test_acceptance_7_truth_protocol(corpus):
     worst_fid = 1.0
     worst_resid = 0.0
     for name in UNITARY_FILES:
-        u = UnitaryOperator(load_operator_file(corpus / name).matrices()[0])
+        u = UnitaryOperator(load_operator_file(corpus / name).matrices[0])
         psi = QuantumState(random_state(rng, u.dim))
         transcript = truth_protocol(u, psi)
         assert transcript.fidelity >= 1.0 - 1e-10
@@ -286,7 +286,7 @@ def test_acceptance_9_cli_contract(corpus, golden_dir, capsys, tmp_path, monkeyp
     capsys.readouterr()
     doc = load_operator_file(built)
     rewritten = tmp_path / "rewritten.json"
-    save_operator_file(rewritten, "unitary", [doc.operators[0][1]])
+    save_operator_file(rewritten, "unitary", [doc.matrices[0]])
     assert rewritten.read_text() == built.read_text()
     # machine format stays valid JSON with the same verdicts
     assert main(["truth", "corpus/hadamard.json", "corpus/state_zero.json",

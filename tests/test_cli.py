@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from qmeasure import linalg
-from qmeasure.cli import main, parse_complex, parse_complex_list
+from qmeasure.cli import main, parse_complex, parse_complex_list, render_human
 from qmeasure.errors import ParseError, QmeasureError
 from qmeasure.fileio import format_float, load_operator_file, save_operator_file
 from qmeasure.measurement import (
@@ -235,8 +235,28 @@ def test_mirror_build_writes_reparsable_unitary(tmp_path, capsys):
     # bit-exact round trip: writing the parsed matrix again changes nothing
     from qmeasure.fileio import save_operator_file
     again = tmp_path / "again.json"
-    save_operator_file(again, "unitary", [doc.operators[0][1]])
+    save_operator_file(again, "unitary", [doc.matrices[0]])
     assert again.read_text() == out_path.read_text()
+
+
+def test_mirror_build_out_file_holds_the_printed_matrix(tmp_path, capsys):
+    out_path = tmp_path / "built.json"
+    code, out, _ = run_cli(
+        ["mirror", "build", "--angles", "0.3,1.1,2.2,0.3", "--projectors",
+         "corpus/projectors_n4.json", "--out", str(out_path), "--format", "machine"], capsys
+    )
+    assert code == 0
+    written = json.loads(out_path.read_text())["operators"][0]["matrix"]
+    assert written == json.loads(out)["matrix"]  # 17-digit floats parse back bit-exactly
+
+
+def test_render_human_prints_arrays_as_lists():
+    arr = np.array([[[0.1, -0.0], [5e-324, 1.7976931348623157e308]]])
+    odd = np.array([math.nan, math.inf, 1.0])  # not templated: written as its list
+    for value in (arr, odd, np.arange(3), np.zeros((2, 0))):
+        report = {"command": "x", "value": value, "residuals": {"nested": value}}
+        listed = {"command": "x", "value": value.tolist(), "residuals": {"nested": value.tolist()}}
+        assert render_human(report) == render_human(listed)
 
 
 def test_built_mirror_passes_check(tmp_path, capsys):
@@ -518,7 +538,7 @@ def test_validate_verdict_agrees_with_library(source, tol, tmp_path, capsys):
         path = pathlib.Path("corpus", source)
     doc = load_operator_file(path)
     try:
-        LIBRARY_JUDGES[doc.kind](doc.matrices(), float(tol))
+        LIBRARY_JUDGES[doc.kind](doc.matrices, float(tol))
         accepted = True
     except (QmeasureError, ValueError):
         accepted = False
@@ -548,7 +568,7 @@ def test_validate_prints_what_the_library_judged(source, tol, tmp_path, capsys):
     else:
         path = pathlib.Path("corpus", source)
     doc = load_operator_file(path)
-    mats = doc.matrices()
+    mats = doc.matrices
     try:
         judged, details = RESIDUAL_JUDGES[doc.kind](mats, float(tol)), None
     except QmeasureError as exc:

@@ -103,7 +103,7 @@ def test_a_file_loaded_set_has_no_factor_and_the_per_projector_values(tmp_path):
     obs = spectral_decompose(random_hermitian(rng, n, degenerate=True))
     path = str(tmp_path / "projectors.json")
     save_operator_file(path, "projector_set", obs.projector_set().projectors)
-    pset = ProjectorSet(load_operator_file(path).matrices())
+    pset = ProjectorSet(load_operator_file(path).matrices)
     assert not hasattr(pset, "_factor")
     phases = PhaseVector(random_phases(rng, len(pset)))
     mirror = phase_superpose_projectors(pset, phases)

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import pathlib
@@ -45,7 +46,7 @@ def test_operator_file_round_trip_bit_exact(tmp_path):
     loaded = load_operator_file(path)
     assert loaded.kind == "measurement_set"
     assert loaded.dim == 3
-    for original, (_, parsed) in zip(mats, loaded.operators):
+    for original, parsed in zip(mats, loaded.matrices, strict=True):
         assert np.array_equal(parsed, original.astype(complex))
 
 
@@ -65,7 +66,7 @@ def test_serialization_is_write_stable(tmp_path):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
     save_operator_file(first, "unitary", [mat])
-    reparsed = load_operator_file(first).matrices()[0]
+    reparsed = load_operator_file(first).matrices[0]
     save_operator_file(second, "unitary", [reparsed])
     assert first.read_text() == second.read_text()
 
@@ -91,8 +92,8 @@ def test_labels_are_ordered_on_load(tmp_path):
     path = tmp_path / "shuffled.json"
     path.write_text(dumps_document(doc))
     loaded = load_operator_file(path)
-    assert [label for label, _ in loaded.operators] == [0, 1]
-    assert np.array_equal(loaded.operators[0][1], np.diag([1.0, 0.0]))
+    assert np.array_equal(loaded.matrices[0], np.diag([1.0, 0.0]))
+    assert np.array_equal(loaded.matrices[1], np.diag([0.0, 1.0]))
 
 
 def test_load_rejects_missing_file(tmp_path):
@@ -145,6 +146,7 @@ def test_load_rejects_gapped_labels(tmp_path):
 
 def test_load_rejects_wrong_matrix_shape(tmp_path):
     doc = operator_document("unitary", [np.eye(2)])
+    doc["operators"][0]["matrix"] = doc["operators"][0]["matrix"].tolist()
     doc["operators"][0]["matrix"][0].append([0.0, 0.0])
     path = tmp_path / "shape.json"
     path.write_text(dumps_document(doc))
@@ -154,6 +156,7 @@ def test_load_rejects_wrong_matrix_shape(tmp_path):
 
 def test_load_rejects_bad_entry(tmp_path):
     doc = operator_document("unitary", [np.eye(2)])
+    doc["operators"][0]["matrix"] = doc["operators"][0]["matrix"].tolist()
     doc["operators"][0]["matrix"][0][0] = [1.0]  # not an [re, im] pair
     path = tmp_path / "entry.json"
     path.write_text(dumps_document(doc))
@@ -255,7 +258,7 @@ def walk_load(path, doc):
 def load_all(path):
     if "amplitudes" in json.loads(pathlib.Path(path).read_text()):
         return [load_state_file(path)]
-    return list(load_operator_file(path).matrices())
+    return list(load_operator_file(path).matrices)
 
 
 # Valid JSON numbers at the edges of the float range and of exact integers.
@@ -408,3 +411,104 @@ def test_valid_files_take_one_conversion_per_matrix(corpus, tmp_path, monkeypatc
     paths = sorted(corpus.glob("*.json")) + [tmp_path / "projectors.json", tmp_path / "state.json"]
     loaded = sum(len(load_all(path)) for path in paths)  # matrices and states
     assert len(calls) == loaded
+
+
+# ---------------------------------------------------------------------------
+# the one-template array writer against the list walk, and the writers' checks
+
+def walked(value, indent):
+    """The list walk's text for ``value``: what the writer gives a nested list."""
+    out = []
+    fileio._dump(value, indent, out)
+    return "".join(out)
+
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+            1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, 0.1, 1.0, -2.0]
+
+
+@st.composite
+def float_arrays(draw):
+    """A finite float64 array shaped as the documents and reports hold them:
+    ``(k,)``, ``(k, 2)``, ``(n, n, 2)`` or ``(N, n, n, 2)``, with every
+    float from the full range, -0.0, subnormals and +-max among them."""
+    k, n, count = draw(st.integers(0, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    shape = draw(st.sampled_from([(k,), (k, 2), (n, n, 2), (count, n, n, 2)]))
+    size = math.prod(shape)
+    values = draw(st.lists(finite_floats | st.sampled_from(EXTREMES), min_size=size, max_size=size))
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_arrays(), st.integers(0, 5))
+@example(np.array(EXTREMES).reshape(3, 2, 2), 0)
+@example(np.zeros((2, 0)), 1)
+def test_an_array_is_written_as_the_list_walk_writes_its_list(arr, indent):
+    from qmeasure.cli import _fmt_value
+
+    assert fileio.format_floats(arr, indent) == walked(arr.tolist(), indent)
+    assert walked(arr, indent) == walked(arr.tolist(), indent)
+    assert _fmt_value(arr) == _fmt_value(arr.tolist())  # the human report, on one line
+
+
+def test_a_non_finite_array_is_written_with_quoted_strings():
+    arr = np.array([[1.5, math.nan], [math.inf, -math.inf]])
+    assert fileio.format_floats(arr) is None
+    text = dumps_document({"a": arr})
+    assert text == dumps_document({"a": arr.tolist()})
+    assert json.loads(text) == {"a": [[1.5, "nan"], ["inf", "-inf"]]}
+
+
+def seed1_projectors(n=32):
+    """The rank-1 projectors of a seed-1 Haar unitary (QR of a complex
+    Gaussian, the phases of diag(R) moved into Q), the benchmark's n = 32 file."""
+    rng = np.random.default_rng(1)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    basis = q * (np.diag(r) / np.abs(np.diag(r)))
+    return [np.outer(basis[:, k], basis[:, k].conj()) for k in range(n)]
+
+
+def test_the_seed1_n32_projector_file_keeps_its_bytes(tmp_path):
+    """The SHA-256 of the 65,536-float file as the per-float list walk wrote it."""
+    path = tmp_path / "projectors.json"
+    save_operator_file(path, "projector_set", seed1_projectors())
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "bbf90bf5e4756e05407ad3bce45b773e8e66e949f0dc027434864381262f7473"
+
+
+@pytest.mark.parametrize("matrices", [
+    [np.ones((2, 3))],  # not square
+    [np.eye(2), np.eye(3)],  # mixed dimensions
+    [np.array([1.0, 0.0])],  # a 1-D "matrix"
+    [np.array([[1.0, math.nan], [0.0, 1.0]])],
+    [np.array([[math.inf, 0.0], [0.0, 1.0]])],
+    [],  # an empty family
+    np.zeros((1, 0, 0)),
+    np.eye(2),  # a matrix passed as the family
+], ids=["non_square", "mixed_dims", "one_d", "nan", "inf", "empty", "zero_dim", "bare_matrix"])
+def test_save_operator_file_rejects_what_the_loader_rejects(tmp_path, matrices):
+    path = tmp_path / "ops.json"
+    with pytest.raises(ValueError):
+        save_operator_file(path, "measurement_set", matrices)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("amplitudes", [
+    np.zeros(3),  # the zero vector
+    np.eye(2),  # a matrix passed as a state
+    np.array([1.0, math.nan]),
+    np.array([math.inf, 0.0]),
+    np.array([]),
+    1.0,
+], ids=["zero", "matrix", "nan", "inf", "empty", "scalar"])
+def test_save_state_file_rejects_what_the_loader_rejects(tmp_path, amplitudes):
+    path = tmp_path / "state.json"
+    with pytest.raises(ValueError):
+        save_state_file(path, amplitudes)
+    assert not path.exists()
+
+
+def test_save_operator_file_rejects_an_unknown_kind(tmp_path):
+    with pytest.raises(ValueError):
+        save_operator_file(tmp_path / "ops.json", "mystery", [np.eye(2)])
+    assert not (tmp_path / "ops.json").exists()
