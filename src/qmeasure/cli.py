@@ -324,7 +324,7 @@ def cmd_mirror_check(args) -> dict:
         residuals["preservation_max"] = pres.max_deviation
         report["probabilities_before"] = list(pres.probabilities_before)
         report["probabilities_after"] = list(pres.probabilities_after)
-        if not pres.within(args.tol):
+        if not pres.passed:
             report["verdict"] = "fail"
             details.append("projective probabilities not preserved")
     return _finish(report, details)
@@ -339,16 +339,11 @@ def cmd_truth(args) -> dict:
     psi = _load_state(args.state, details)
     _require_same_dims(unitary=len(matrix), state=psi.dim)
     transcript = truth_protocol(matrix, psi, tol=args.tol)
-    passed = within_tol(1.0 - transcript.fidelity, args.tol)
     report = {
         "command": "truth",
-        "verdict": "pass" if passed else "fail",
+        "verdict": "pass" if transcript.passed else "fail",
         "dim": psi.dim,
-        "residuals": {
-            "fidelity": transcript.fidelity,
-            "fidelity_deficit": max(0.0, 1.0 - transcript.fidelity),
-            "identity_residual": transcript.identity_residual,
-        },
+        "residuals": transcript.residuals,
         "computed_state": complex_pairs(transcript.computed.amplitudes),
         "restored_state": complex_pairs(transcript.restored.amplitudes),
     }
@@ -359,22 +354,13 @@ def cmd_bell(args) -> dict:
     mirror = _load_unitary_matrix(args.mirror)
     _require_same_dims(mirror=len(mirror), bell_state=4)
     comparison = bell_comparison(args.index, mirror, tol=args.tol)
-    passed = (
-        within_tol(abs(comparison.internal_probability - 1.0), args.tol)
-        and comparison.preservation.within(args.tol)
-    )
     return {
         "command": "bell",
-        "verdict": "pass" if passed else "fail",
+        "verdict": "pass" if comparison.passed else "fail",
         "bell_index": comparison.bell_index,
         "bell_label": comparison.bell_label,
         "probabilities": list(comparison.external_probabilities),
-        "residuals": {
-            "external_sum_residual": comparison.external_sum_residual,
-            "internal_probability": comparison.internal_probability,
-            "internal_identity_residual": comparison.internal_identity_residual,
-            "preservation_max": comparison.preservation.max_deviation,
-        },
+        "residuals": comparison.residuals,
         "details": comparison.grouping,
     }
 

@@ -8,7 +8,7 @@ CLI) can distinguish semantic failures from genuine bugs.
 class QmeasureError(Exception):
     """Base class for all toolkit errors. A failed check's error carries
     ``residuals``: each residual it computed, by the name a report prints,
-    in report order (empty when the error judged none)."""
+    in report order (empty for a dimension mismatch, unknown outcome or parse error)."""
 
     def __init__(self, message: str = "", residuals: dict | None = None):
         super().__init__(message)
@@ -48,18 +48,6 @@ class NotUnitary(QmeasureError):
 class OrthogonalityViolation(QmeasureError):
     """A pair of measurement operators violates the two-sided
     orthogonality condition needed for superposition."""
-
-    def __init__(self, i: int, j: int, residual: float):
-        self.i = i
-        self.j = j
-        self.residual = residual
-        super().__init__(
-            f"operators ({i}, {j}) are not two-sided orthogonal "
-            f"(residual {residual:.3e})"
-        )
-
-    def __reduce__(self):  # pickle the constructor arguments, not the message
-        return type(self), (self.i, self.j, self.residual)
 
 
 class PhaseNotUnimodular(QmeasureError):

@@ -204,12 +204,20 @@ def load_state_file(path: str) -> np.ndarray:
     return amps
 
 
+def _complex_array(values) -> np.ndarray:
+    """``values`` as a complex array; ValueError if ragged, not numbers or beyond the float range."""
+    try:
+        return np.asarray(values, dtype=np.complex128)
+    except OverflowError as exc:
+        raise ValueError(f"entries must be finite: {exc}") from None
+
+
 def operator_document(kind: str, matrices) -> dict:
     """An operator file's document, labeled 0..N-1, each matrix a float array of
     ``[re, im]`` pairs; ValueError for what ``load_operator_file`` rejects."""
     if kind not in OPERATOR_KINDS:
         raise ValueError(f"kind must be one of {OPERATOR_KINDS}, got {kind!r}")
-    stack = np.asarray(matrices, dtype=np.complex128)  # ValueError if ragged or not numbers
+    stack = _complex_array(matrices)
     if (stack.ndim != 3 or not stack.size or stack.shape[1] != stack.shape[2]
             or not np.isfinite(stack).all()):
         raise ValueError(f"operators must be a nonempty finite (N, n, n) stack, got {stack.shape}")
@@ -227,7 +235,7 @@ def operator_document(kind: str, matrices) -> dict:
 
 def state_document(amplitudes) -> dict:
     """A state file's document; ValueError for what ``load_state_file`` rejects."""
-    amps = np.asarray(amplitudes, dtype=np.complex128)
+    amps = _complex_array(amplitudes)
     if amps.ndim != 1 or not (np.isfinite(amps).all() and amps.any()):
         raise ValueError(f"amplitudes must be a finite nonzero vector, got shape {amps.shape}")
     return {

@@ -99,9 +99,10 @@ class DensityMatrix(linalg._Frozen):
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {trace!r} is not 1")
-        lowest = linalg.lowest_eigenvalue(mat)
+        lowest = float(linalg.lowest_eigenvalue(mat))
         if lowest < PSD_FLOOR:
-            raise NotPositive(f"density matrix has negative eigenvalue {lowest:.3e}")
+            raise NotPositive(f"density matrix has negative eigenvalue {lowest:.3e}",
+                              {"min_eigenvalue": lowest})
         object.__setattr__(self, "matrix", freeze(mat))
 
     @property
@@ -209,11 +210,9 @@ def validate_completeness(opset: MeasurementOperatorSet,
 
 
 def _require_complete(opset: MeasurementOperatorSet, tol: float) -> None:
-    if not validate_completeness(opset, tol).passed:
-        raise IncompleteSet(
-            f"operator set fails completeness (residual "
-            f"{opset.completeness_residual:.3e}); it cannot be measured"
-        )
+    if not (report := validate_completeness(opset, tol)).passed:
+        raise IncompleteSet(f"operator set fails completeness (residual {report.residual:.3e}); "
+                            "it cannot be measured", report.residuals)
 
 
 def outcome_probabilities(opset: MeasurementOperatorSet, psi: QuantumState,
@@ -247,10 +246,8 @@ def apply_outcome(opset: MeasurementOperatorSet, psi: QuantumState, m: int,
     mapped = opset.operators[m] @ psi.amplitudes
     p = float(np.linalg.norm(mapped) ** 2)
     if p <= PROB_FLOOR:
-        raise ZeroProbabilityOutcome(
-            f"outcome {m} has probability {p:.3e} <= {PROB_FLOOR:g}; "
-            "its post-measurement state is undefined"
-        )
+        raise ZeroProbabilityOutcome(f"outcome {m} has probability {p:.3e} <= {PROB_FLOOR:g}; "
+                                     "its post-measurement state is undefined", {"probability": p})
     post = QuantumState(mapped / np.sqrt(p), normalize=True)
     # completeness at tol admits p slightly above 1
     return MeasurementRecord(outcome=m, probability=min(p, 1.0), post_state=post)

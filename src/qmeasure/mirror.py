@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, linalg
-from .errors import DimensionMismatch, NotBellCompatible, NotMirror
+from .errors import NotBellCompatible, NotMirror
 from .linalg import DEFAULT_TOL, _adjoint
 from .measurement import Povm, ProjectorSet, QuantumState, fidelity, povm_probabilities
 from .reversible import PhaseVector, UnitaryOperator, _as_unitary, irm_povm, phase_superpose_projectors
@@ -102,14 +102,13 @@ def is_mirror(u, pset: ProjectorSet, tol: float = DEFAULT_TOL) -> MirrorUnitary:
 
 @dataclass(frozen=True, eq=False)
 class PreservationReport:
-    """Projective probabilities before and after a unitary."""
+    """Projective probabilities before and after a unitary; ``passed`` iff
+    ``max_deviation`` is within the tol of the call that made the report."""
 
     probabilities_before: tuple[float, ...]
     probabilities_after: tuple[float, ...]
     max_deviation: float
-
-    def within(self, tol: float) -> bool:
-        return linalg.within_tol(self.max_deviation, tol)
+    passed: bool
 
 
 def verify_probability_preservation(u, pset: ProjectorSet, psi: QuantumState,
@@ -117,11 +116,11 @@ def verify_probability_preservation(u, pset: ProjectorSet, psi: QuantumState,
     """State-level check that U preserves the probabilities of ``pset``.
 
     Computes p(m) = <psi|P_m|psi> and p'(m) = <U psi|P_m|U psi> and reports
-    the largest |p'(m) - p(m)|. As p'(m) - p(m) = <psi|U^dag [P_m, U]|psi>,
-    each deviation is at most ||[U, P_m]||_2 <= ||[U, P_m]||_F. A mirror
-    that :func:`is_mirror` certifies at ``tol`` therefore bounds it by
-    tol * sqrt(n), not by ``tol``, so it can still fail
-    ``PreservationReport.within(tol)``. The report never raises on large
+    the largest |p'(m) - p(m)|, which ``passed`` judges at ``tol`` (scale 1).
+    As p'(m) - p(m) = <psi|U^dag [P_m, U]|psi>, each deviation is at most
+    ||[U, P_m]||_2 <= ||[U, P_m]||_F. A mirror that :func:`is_mirror`
+    certifies at ``tol`` therefore bounds it by tol * sqrt(n), not by
+    ``tol``, so its report can still fail. It never raises on large
     deviations. With the factor (V, labels) of a :func:`spectral_decompose`
     set, each P_m psi is V_m (V_m^dag psi), and no projector is formed.
     """
@@ -137,10 +136,12 @@ def verify_probability_preservation(u, pset: ProjectorSet, psi: QuantumState,
         split[np.arange(len(vecs)), labels] = vecs.conj().T @ states
         mapped = (vecs @ split.reshape(len(vecs), -1)).reshape(split.shape)
         probs = (states.conj()[:, None] * mapped).sum(axis=0).real
+    deviation = float(np.abs(probs[:, 1] - probs[:, 0]).max())
     return PreservationReport(
         probabilities_before=tuple(probs[:, 0].tolist()),
         probabilities_after=tuple(probs[:, 1].tolist()),
-        max_deviation=float(np.abs(probs[:, 1] - probs[:, 0]).max()),
+        max_deviation=deviation,
+        passed=linalg.within_tol(deviation, tol),
     )
 
 
@@ -174,7 +175,8 @@ def extend_mirror(phases: PhaseVector, pset: ProjectorSet,
 @dataclass(frozen=True, eq=False)
 class BellComparisonReport:
     """External two-element view of a Bell state beside the internal
-    single-observable view of a mirror acting on it."""
+    single-observable view of a mirror acting on it; ``passed`` iff the
+    internal probability is within tol of 1 and ``preservation`` passed."""
 
     bell_index: int
     bell_label: str
@@ -184,6 +186,15 @@ class BellComparisonReport:
     internal_probability: float
     internal_identity_residual: float
     preservation: PreservationReport
+    passed: bool
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        """The external sum, internal probability, internal identity and ``preservation_max``."""
+        return {"external_sum_residual": self.external_sum_residual,
+                "internal_probability": self.internal_probability,
+                "internal_identity_residual": self.internal_identity_residual,
+                "preservation_max": self.preservation.max_deviation}
 
 
 @functools.cache
@@ -216,10 +227,7 @@ def bell_comparison(bell_index: int, mirror,
     if not 0 <= bell_index <= 3:
         raise ValueError(f"bell_index must be 0..3, got {bell_index}")
     unit = mirror.unitary if isinstance(mirror, MirrorUnitary) else _as_unitary(mirror, tol)
-    if unit.dim != 4:
-        raise DimensionMismatch(
-            f"mirror must act on two qubits (dim 4), got dim {unit.dim}"
-        )
+    linalg._require_same_dims(mirror=unit.dim, bell_state=4)
     comp = _computational_set(4)
     try:
         is_mirror(unit, comp, tol)
@@ -229,26 +237,37 @@ def bell_comparison(bell_index: int, mirror,
             f"(worst residual {exc.residuals['commutation_max']:.3e})", exc.residuals
         ) from None
     sum_residual, rhos, externals = _bell_references()
+    internal = float(povm_probabilities(irm_povm(unit, tol), rhos[bell_index])[0])
+    preservation = verify_probability_preservation(unit, comp, BELL_STATES[bell_index], tol)
     return BellComparisonReport(
         bell_index=bell_index,
         bell_label=BELL_LABELS[bell_index],
         grouping=BELL_GROUPING_NOTE,
         external_probabilities=externals[bell_index],
         external_sum_residual=sum_residual,
-        internal_probability=float(povm_probabilities(irm_povm(unit, tol), rhos[bell_index])[0]),
+        internal_probability=internal,
         internal_identity_residual=unit.residuals["unitarity_left"],
-        preservation=verify_probability_preservation(unit, comp, BELL_STATES[bell_index], tol),
+        preservation=preservation,
+        passed=linalg.within_tol(abs(internal - 1.0), tol) and preservation.passed,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class TruthProtocolTranscript:
-    """Record of one compute/uncompute round trip."""
+    """Record of one compute/uncompute round trip; ``passed`` iff the
+    fidelity deficit 1 - fidelity is within the tol of the call."""
 
     computed: QuantumState
     restored: QuantumState
     fidelity: float
     identity_residual: float
+    passed: bool
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        """``fidelity``, ``fidelity_deficit`` max(0, 1 - fidelity) and ``identity_residual``."""
+        return {"fidelity": self.fidelity, "fidelity_deficit": max(0.0, 1.0 - self.fidelity),
+                "identity_residual": self.identity_residual}
 
 
 def truth_protocol(u, psi: QuantumState,
@@ -256,16 +275,19 @@ def truth_protocol(u, psi: QuantumState,
     """Run |psi> -> U|psi> -> U^{-1}U|psi> and certify the round trip.
 
     The inverse is taken as the adjoint (exact for unitaries). The
-    transcript reports the return fidelity |<psi_initial|psi_restored>| and
-    the residual of the lone POVM element U^dag U against the identity.
+    transcript reports the return fidelity |<psi_initial|psi_restored>|,
+    whose deficit it judges at ``tol`` (scale 1), and the residual of the
+    lone POVM element U^dag U against the identity, judged when U was.
     """
     unit = _as_unitary(u, tol)
     linalg._require_same_dims(unitary=unit.dim, state=psi.dim)
     computed = QuantumState(unit.matrix @ psi.amplitudes, normalize=True)
     restored = QuantumState(_adjoint(unit.matrix) @ computed.amplitudes, normalize=True)
+    fid = fidelity(psi, restored)
     return TruthProtocolTranscript(
         computed=computed,
         restored=restored,
-        fidelity=fidelity(psi, restored),
+        fidelity=fid,
         identity_residual=unit.residuals["unitarity_left"],
+        passed=linalg.within_tol(1.0 - fid, tol),
     )

@@ -17,7 +17,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, OrthogonalityViolation, PhaseNotUnimodular
+from .errors import OrthogonalityViolation, PhaseNotUnimodular
 from .linalg import DEFAULT_TOL, _adjoint, as_matrix, freeze, within_tol
 from .measurement import (
     MeasurementOperatorSet,
@@ -68,9 +68,8 @@ class PhaseVector(linalg._Frozen):
             raise ValueError("phases must be finite")
         worst = float(np.max(np.abs(np.abs(arr) ** 2 - 1.0)))
         if worst > UNIMODULAR_TOL:
-            raise PhaseNotUnimodular(
-                f"phases deviate from the unit circle by {worst:.3e}"
-            )
+            raise PhaseNotUnimodular(f"phases deviate from the unit circle by {worst:.3e}",
+                                     {"unimodularity_max": worst})
         object.__setattr__(self, "phases", freeze(arr))
 
     @classmethod
@@ -121,7 +120,8 @@ def _check_pairwise_orthogonality(opset: MeasurementOperatorSet, tol: float) -> 
     if bad.any():
         i, j = np.argwhere(bad)[0]
         residual = rights[i, j] if left_ok[i, j] else lefts[i, j]
-        raise OrthogonalityViolation(int(i), int(j), float(residual))
+        raise OrthogonalityViolation(f"operators ({i}, {j}) are not two-sided orthogonal "
+                                     f"(residual {residual:.3e})", {"orthogonality": float(residual)})
 
 
 def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,
@@ -134,10 +134,7 @@ def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,
     verified rather than trusted, so a family sneaking past the checks
     still fails loudly instead of returning a non-unitary.
     """
-    if len(phases) != len(opset):
-        raise DimensionMismatch(
-            f"{len(phases)} phases for {len(opset)} operators"
-        )
+    linalg._require_same_dims(phases=len(phases), operators=len(opset))
     _check_pairwise_orthogonality(opset, tol)
     _require_complete(opset, tol)
     combined = sum(
@@ -151,10 +148,7 @@ def phase_superpose_projectors(pset: ProjectorSet, phases: PhaseVector,
     """Unitary P_hat = sum_m alpha_m P_m over a complete orthogonal
     projector set; diagonal in the eigenbasis of the generating observable:
     one product V diag(alpha[labels]) V^dag on a :func:`spectral_decompose` factor."""
-    if len(phases) != len(pset):
-        raise DimensionMismatch(
-            f"{len(phases)} phases for {len(pset)} projectors"
-        )
+    linalg._require_same_dims(phases=len(phases), projectors=len(pset))
     vecs, labels = getattr(pset, "_factor", (None, None))
     if vecs is not None:
         return UnitaryOperator((vecs * phases.phases[labels]) @ vecs.conj().T, tol=tol)

@@ -16,17 +16,19 @@ import numpy as np
 import pytest
 
 from qmeasure import linalg
-from qmeasure.cli import main, parse_complex, parse_complex_list, render_human
-from qmeasure.errors import ParseError, QmeasureError
-from qmeasure.fileio import format_float, load_operator_file, save_operator_file
+from qmeasure.cli import build_parser, main, parse_complex, parse_complex_list, render_human
+from qmeasure.errors import NotMirror, ParseError, QmeasureError
+from qmeasure.fileio import format_float, load_operator_file, load_state_file, save_operator_file
 from qmeasure.measurement import (
     MeasurementOperatorSet,
     Povm,
     ProjectorSet,
+    QuantumState,
     classify_measurement,
     spectral_decompose,
     validate_completeness,
 )
+from qmeasure.mirror import bell_comparison, is_mirror, truth_protocol, verify_probability_preservation
 from qmeasure.reversible import UnitaryOperator
 
 GOLDEN_CASES = [
@@ -659,3 +661,80 @@ def test_overflowing_measurement_set_fails_completeness(command, tmp_path, capsy
     else:
         assert out == ""
         assert err.startswith("error: operator set fails completeness (residual inf)")
+
+
+# ---------------------------------------------------------------------------
+# each verdict of truth, bell and mirror check --state is the library's
+
+def corpus_inputs(corpus, kind):
+    """(path, dim) of every corpus file of ``kind`` ("state" for state files)."""
+    out = []
+    for path in sorted(corpus.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if doc.get("kind", "state") == kind:
+            out.append((f"corpus/{path.name}", doc["dim"]))
+    return out
+
+
+def corpus_unitary(path):
+    return load_operator_file(path).matrices[0]
+
+
+def corpus_state(path):
+    return QuantumState(load_state_file(path), normalize=True)  # as the CLI loads it
+
+
+def verdict_cases(command, corpus):
+    """(argv, library) for each corpus input of ``command`` whose dims agree:
+    ``library(tol)`` is the library's verdict on the same files."""
+    unitaries, states = corpus_inputs(corpus, "unitary"), corpus_inputs(corpus, "state")
+    if command == "bell":
+        return [(["bell", "--index", str(k), "--mirror", u],
+                 lambda tol, u=u, k=k: bell_comparison(k, corpus_unitary(u), tol).passed)
+                for u, n in unitaries if n == 4 for k in range(4)]
+    if command == "truth":
+        return [(["truth", u, psi], lambda tol, u=u, psi=psi: truth_protocol(
+                    corpus_unitary(u), corpus_state(psi), tol).passed)
+                for u, n in unitaries for psi, m in states if m == n]
+    return [(["mirror", "check", u, p, "--state", psi],
+             lambda tol, u=u, p=p, psi=psi: mirror_check_verdict(u, p, psi, tol))
+            for u, n in unitaries for p, k in corpus_inputs(corpus, "projector_set") if k == n
+            for psi, m in states if m == n]
+
+
+def mirror_check_verdict(u, p, psi, tol):
+    """False when ``is_mirror`` rejects, else the preservation report's ``passed``."""
+    unit = UnitaryOperator(corpus_unitary(u), tol=tol)
+    pset = ProjectorSet(load_operator_file(p).matrices, tol=tol)
+    try:
+        is_mirror(unit, pset, tol)
+    except NotMirror:
+        return False
+    return verify_probability_preservation(unit, pset, corpus_state(psi), tol).passed
+
+
+def outcome(call):
+    """``call()``, or the type and message of the ``QmeasureError`` it raised."""
+    try:
+        return call()
+    except QmeasureError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-10, 1e-3])
+@pytest.mark.parametrize("command", ["truth", "bell", "mirror check"])
+def test_cli_verdict_is_the_library_verdict(command, tol, corpus):
+    cases = verdict_cases(command, corpus)
+    for name, argv, _ in GOLDEN_CASES:  # each golden case of the command is one of them
+        argv = [a for a in argv if a not in ("--format", "machine")]
+        if " ".join(argv).startswith(command) and (command != "mirror check" or "--state" in argv):
+            assert argv in [case for case, _ in cases], name
+    seen = set()
+    for argv, library in cases:
+        args = build_parser().parse_args(argv)
+        args.tol = tol  # the flag takes only positive values; the handler takes 0 as well
+        expected = outcome(lambda: "pass" if library(tol) else "fail")
+        assert outcome(lambda: args.handler(args)["verdict"]) == expected, argv
+        seen.add(expected if isinstance(expected, str) else expected[0].__name__)
+    # every corpus round trip passes at a positive tol, so only bell and mirror check fail there
+    assert len(seen) > 1 or (command == "truth" and tol > 0), seen

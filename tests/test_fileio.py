@@ -485,7 +485,9 @@ def test_the_seed1_n32_projector_file_keeps_its_bytes(tmp_path):
     [],  # an empty family
     np.zeros((1, 0, 0)),
     np.eye(2),  # a matrix passed as the family
-], ids=["non_square", "mixed_dims", "one_d", "nan", "inf", "empty", "zero_dim", "bare_matrix"])
+    [[[10**400, 0], [0, 1]]],  # an integer beyond the float range, which numpy overflows on
+], ids=["non_square", "mixed_dims", "one_d", "nan", "inf", "empty", "zero_dim", "bare_matrix",
+        "huge_int"])
 def test_save_operator_file_rejects_what_the_loader_rejects(tmp_path, matrices):
     path = tmp_path / "ops.json"
     with pytest.raises(ValueError):
@@ -500,7 +502,8 @@ def test_save_operator_file_rejects_what_the_loader_rejects(tmp_path, matrices):
     np.array([math.inf, 0.0]),
     np.array([]),
     1.0,
-], ids=["zero", "matrix", "nan", "inf", "empty", "scalar"])
+    [10**400, 1],
+], ids=["zero", "matrix", "nan", "inf", "empty", "scalar", "huge_int"])
 def test_save_state_file_rejects_what_the_loader_rejects(tmp_path, amplitudes):
     path = tmp_path / "state.json"
     with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ in its body (the receivers ``self`` and ``cls`` are exempt: Python binds
 them, not the caller), every private top-level name is read somewhere in
 the package, ``qmeasure.__all__`` is exactly what ``__init__.py``
 imports, each name resolving, and every exception class of ``errors.py`` is
-raised (constructed) somewhere else in the package. The package stays within
+raised (constructed) somewhere else in the package, each judging error with
+its residuals. The package stays within
 its line cap, a ratchet: lower ``LINE_CAP`` when the package shrinks, so that
 growth needs a visible edit here.
 """
@@ -22,7 +23,7 @@ PACKAGE = pathlib.Path(qmeasure.__file__).resolve().parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 RECEIVERS = {"self", "cls"}
-LINE_CAP = 2320  # lines in src/qmeasure/*.py, as ``wc -l`` counts them
+LINE_CAP = 2315  # lines in src/qmeasure/*.py, as ``wc -l`` counts them
 
 
 def imported_names(tree: ast.AST) -> set[str]:
@@ -124,6 +125,40 @@ def test_every_exception_class_is_constructed_outside_errors():
                 constructed.add(func.attr if isinstance(func, ast.Attribute) else
                                 getattr(func, "id", None))
     assert sorted(classes - constructed) == []
+
+
+# every QmeasureError but these judges a residual, so its construction passes ``residuals``
+UNJUDGING_ERRORS = {"DimensionMismatch", "UnknownOutcome", "ParseError"}
+
+
+def constructions_without_residuals(tree: ast.AST, judging: set[str]) -> list[str]:
+    """``line:call`` for each call constructing a judging error (by name, or by
+    either branch of a conditional) with neither a second argument nor ``residuals=``."""
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            called = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.func)
+                      if isinstance(n, (ast.Name, ast.Attribute))}
+            passes = len(node.args) >= 2 or any(k.arg == "residuals" for k in node.keywords)
+            if called & judging and not passes:
+                missing.append(f"{node.lineno}:{ast.unparse(node.func)}")
+    return missing
+
+
+def test_constructions_without_residuals_are_found():
+    tree = ast.parse("NotMirror('m')\n(IncompleteSet if p else NotPositive)('m', {})\n"
+                     "errors.NotHermitian('m', residuals={})\nParseError('m')\n")
+    judging = {"NotMirror", "IncompleteSet", "NotPositive", "NotHermitian"}
+    assert constructions_without_residuals(tree, judging) == ["1:NotMirror"]
+
+
+@pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "errors.py"])
+def test_every_judging_error_is_constructed_with_its_residuals(module):
+    judging = {name for name, cls in vars(qmeasure.errors).items() if isinstance(cls, type)
+               and issubclass(cls, qmeasure.errors.QmeasureError)} - UNJUDGING_ERRORS
+    assert "QmeasureError" in judging and len(judging) == 11
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert constructions_without_residuals(tree, judging) == []
 
 
 def test_package_stays_within_its_line_cap():

@@ -261,8 +261,11 @@ def test_two_sided_check_raises_the_loop_violation(seed, n, plant):
         return
     with pytest.raises(OrthogonalityViolation) as exc:
         superpose_operators(opset, phases)
-    assert (exc.value.i, exc.value.j, exc.value.residual) == expected
-    assert type(exc.value.residual) is float
+    i, j, residual = expected
+    assert str(exc.value) == (f"operators ({i}, {j}) are not two-sided orthogonal "
+                              f"(residual {residual:.3e})")
+    assert exc.value.residuals == {"orthogonality": residual}
+    assert type(exc.value.residuals["orthogonality"]) is float
 
 
 def test_residuals_of_a_32_projector_family_stay_within_budget():

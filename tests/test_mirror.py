@@ -93,7 +93,7 @@ def test_hadamard_breaks_preservation_on_zero():
     assert report.probabilities_before == pytest.approx([1.0, 0.0])
     assert report.probabilities_after == pytest.approx([0.5, 0.5])
     assert report.max_deviation == pytest.approx(0.5)
-    assert not report.within(1e-10)
+    assert not report.passed
 
 
 def test_mirror_preserves_probabilities_random_states():
@@ -315,16 +315,19 @@ def per_call_bell_report(bell_index, mirror_, tol):
     sum_residual = linalg.frobenius_norm(e0 + e1 - np.eye(4, dtype=complex))
     rho = bell.density_matrix()
     ext = povm_probabilities(Povm((e0, e1), tol=tol), rho)
-    internal = Povm((unit.matrix.conj().T.copy() @ unit.matrix,), tol=tol)
+    internal = float(povm_probabilities(
+        Povm((unit.matrix.conj().T.copy() @ unit.matrix,), tol=tol), rho)[0])
+    preservation = verify_probability_preservation(unit, comp, bell, tol)
     return BellComparisonReport(
         bell_index=bell_index,
         bell_label=BELL_LABELS[bell_index],
         grouping=BELL_GROUPING_NOTE,
         external_probabilities=(float(ext[0]), float(ext[1])),
         external_sum_residual=sum_residual,
-        internal_probability=float(povm_probabilities(internal, rho)[0]),
+        internal_probability=internal,
         internal_identity_residual=unit.residuals["unitarity_left"],
-        preservation=verify_probability_preservation(unit, comp, bell, tol),
+        preservation=preservation,
+        passed=linalg.within_tol(abs(internal - 1.0), tol) and preservation.passed,
     )
 
 
@@ -375,7 +378,7 @@ def test_bell_comparison_rejections_are_unchanged_once_the_references_exist():
     with pytest.raises(NotBellCompatible) as exc:
         bell_comparison(1, BELL_CIRCUIT)
     assert exc.value.residuals == judged.value.residuals
-    wrong_dim = r"^mirror must act on two qubits \(dim 4\), got dim 2$"
+    wrong_dim = r"^dims differ: mirror 2, bell_state 4$"
     with pytest.raises(DimensionMismatch, match=wrong_dim):
         bell_comparison(2, PAULI_Z)
     for bad in (math.nan, -1e-10, math.inf):
