@@ -52,7 +52,7 @@ def main() -> None:
         opset = MeasurementOperatorSet(indicator_family(rng, n, k))
         phases = PhaseVector(np.exp(1j * rng.uniform(0, 2 * np.pi, size=k)))
         u = superpose_operators(opset, phases)
-        worst = max(worst, *linalg.unitarity_residuals(u.matrix))
+        worst = max(worst, *u.residuals.values())
     print(f"{args.families} operator families -> unitary superpositions, "
           f"worst unitarity residual {worst:.3e}")
 

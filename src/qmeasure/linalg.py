@@ -124,14 +124,17 @@ def orthogonality_residuals(lefts, rights) -> np.ndarray:
 
 def within_tol(residual, tol: float, scale=1.0):
     """The tolerance rule of every check: pass iff
-    ``residual <= tol * max(1, scale) < inf``, so NaN or infinite residuals
-    and overflowed scales fail. ``scale`` is the Frobenius norm of the
-    reference (sqrt(n) for the identity); elementwise when it is an array."""
+    ``residual <= tol * max(1, scale)`` with ``residual``, ``scale`` and
+    ``tol`` all finite, so NaN or infinite residuals, overflowed scales and
+    an infinite tol fail, while a product ``tol * scale`` that alone
+    overflows passes every finite residual. ``scale`` is the Frobenius norm
+    of the reference (sqrt(n) for the identity); elementwise when it is an array."""
     if isinstance(scale, np.ndarray):
-        threshold = tol * np.maximum(scale, 1.0)
-        return (residual <= threshold) & (threshold < math.inf)
-    threshold = tol * max(scale, 1.0)  # max(nan, 1.0) keeps the nan
-    return residual <= threshold < math.inf
+        with np.errstate(over="ignore"):
+            passed = residual <= tol * np.maximum(scale, 1.0)
+        return passed & np.isfinite(residual) & np.isfinite(scale) & math.isfinite(tol)
+    finite = math.isfinite(residual) and math.isfinite(scale) and math.isfinite(tol)
+    return finite and residual <= tol * max(scale, 1.0)
 
 
 def residual_note(residual: float, scale: float) -> str:
@@ -168,30 +171,6 @@ def commutator(a, b) -> np.ndarray:
     return a @ b - b @ a
 
 
-def unitarity_residuals(u) -> tuple[float, float]:
-    """Frobenius residuals (||U^dag U - I||, ||U U^dag - I||)."""
-    return _unitarity_residuals(as_matrix(u))
-
-
-def _unitarity_residuals(u: np.ndarray) -> tuple[float, float]:
-    _require_square(u)  # an ``as_matrix`` array, not coerced again
-    eye = identity(u.shape[0])
-    ud = u.conj().T
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.linalg.norm(ud @ u - eye)), float(np.linalg.norm(u @ ud - eye))
-
-
-def hermiticity_residual(a) -> float:
-    """||a - a^dag||_F."""
-    return _hermiticity_residual(as_matrix(a))
-
-
-def _hermiticity_residual(a: np.ndarray) -> float:
-    _require_square(a)  # an ``as_matrix`` array, not coerced again
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(a - a.conj().T))
-
-
 def _require_same_dims(**dims: int) -> None:
     """The dimension-agreement rule of every operand list, checked before judging."""
     if len(set(dims.values())) > 1:
@@ -201,7 +180,9 @@ def _require_same_dims(**dims: int) -> None:
 def _require_hermitian(a, tol: float) -> tuple[float, float]:
     """The hermiticity rule of every single matrix: raise ``NotHermitian`` unless
     ``within_tol(||a - a^dag||_F, tol, ||a||_F)`` of an ``as_matrix`` array; return both."""
-    resid, scale = _hermiticity_residual(a), frobenius_norm(a)
+    _require_square(a)
+    with np.errstate(over="ignore"):
+        resid, scale = float(np.linalg.norm(a - a.conj().T)), frobenius_norm(a)
     if not within_tol(resid, tol, scale):
         raise NotHermitian(f"matrix is not Hermitian within {tol:g} "
                            f"({residual_note(resid, scale)})", {"hermiticity": resid})
@@ -213,7 +194,10 @@ def _require_unitary(u: np.ndarray, tol: float) -> dict[str, float]:
     both residuals ``unitarity_left`` ||U^dag U - I||_F and
     ``unitarity_right`` ||U U^dag - I||_F of an ``as_matrix`` array pass
     ``within_tol`` against sqrt(n); return them."""
-    left, right = _unitarity_residuals(u)
+    _require_square(u)
+    eye, ud = identity(u.shape[0]), u.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        left, right = float(np.linalg.norm(ud @ u - eye)), float(np.linalg.norm(u @ ud - eye))
     residuals = {"unitarity_left": left, "unitarity_right": right}
     scale = math.sqrt(u.shape[0])
     if not (within_tol(left, tol, scale) and within_tol(right, tol, scale)):
@@ -223,16 +207,11 @@ def _require_unitary(u: np.ndarray, tol: float) -> dict[str, float]:
 
 
 def guarded_eigh(a: np.ndarray,
-                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, float]:
+                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Ascending eigenvalues and orthonormal eigenvectors (columns) of the
     Hermitian part (a + a^dag)/2 of an ``as_matrix`` array, by LAPACK
     (``numpy.linalg.eigh``), after :func:`_require_hermitian`, and the
-    hermiticity residual it judged."""
-    return _judged_eigh(a, tol)[:3]
-
-
-def _judged_eigh(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """:func:`guarded_eigh`, and the scale ||a||_F its hermiticity was judged against."""
+    hermiticity residual it judged and the scale ||a||_F it judged against."""
     hermiticity, scale = _require_hermitian(a, tol)
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
     return vals, vecs, hermiticity, scale

@@ -166,6 +166,21 @@ class _Family:
     def _judged(self) -> OperatorResiduals:  # formed on first read
         return OperatorResiduals(self._stack)
 
+    def _phase_sum(self, alphas: np.ndarray) -> np.ndarray:
+        """sum_m alpha_m M_m, one ``np.tensordot`` per 128 KiB stack."""
+        return sum(np.tensordot(alphas[lo:lo + len(s)], s, axes=1)
+                   for lo, s in linalg.stacks(self._stack))
+
+    def _commutator_norms(self, u: np.ndarray) -> tuple[float, ...]:
+        """||[U, M_m]||_F for every operator, each ``np.linalg.norm`` bit for bit."""
+        return tuple(np.concatenate([
+            linalg.frobenius_norms(u @ s - s @ u) for _, s in linalg.stacks(self._stack)
+        ]).tolist())
+
+    def _expectations(self, states: np.ndarray) -> np.ndarray:
+        """Re <s|M_m|s> for each operator M_m (row) and each column s of ``states``, one product."""
+        return (states.conj() * (self._stack @ states)).sum(axis=1).real
+
 
 @dataclass(frozen=True, eq=False)
 class MeasurementOperatorSet(_Family):
@@ -415,6 +430,27 @@ class _FactoredSet(ProjectorSet):
     def projectors(self) -> tuple[np.ndarray, ...]:
         return tuple(self._stack)
 
+    def _phase_sum(self, alphas: np.ndarray) -> np.ndarray:  # V diag(alpha[labels]) V^dag
+        vecs, labels = self._factor
+        return (vecs * alphas[labels]) @ vecs.conj().T
+
+    def _commutator_norms(self, u: np.ndarray) -> tuple[float, ...]:
+        """||[U, P_m]||_F as the root mass of the entries of B = V^dag U V with exactly one index
+        in eigenspace m; the others are zeroed before the sums (subtracting them would cancel)."""
+        vecs, labels = self._factor
+        b = vecs.conj().T @ u @ vecs
+        mass = np.where(labels[:, None] == labels, 0.0, b.real ** 2 + b.imag ** 2)
+        return tuple(np.sqrt(np.bincount(labels, mass.sum(axis=1))
+                             + np.bincount(labels, mass.sum(axis=0))).tolist())
+
+    def _expectations(self, states: np.ndarray) -> np.ndarray:
+        """P_m states = V_m (V_m^dag states): V^dag states split by eigenspace, one product."""
+        vecs, labels = self._factor
+        split = np.zeros((len(vecs), len(self), states.shape[1]), complex)
+        split[np.arange(len(vecs)), labels] = vecs.conj().T @ states
+        mapped = (vecs @ split.reshape(len(vecs), -1)).reshape(split.shape)
+        return (states.conj()[:, None] * mapped).sum(axis=0).real
+
 
 @dataclass(frozen=True, eq=False)
 class Observable(linalg._Frozen):
@@ -519,7 +555,7 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     O(g + eps_n) = O(eps_n) of the per-projector value times its scale.
     """
     a = as_matrix(a)
-    vals, vecs, hermiticity, scale = linalg._judged_eigh(a, tol)
+    vals, vecs, hermiticity, scale = linalg.guarded_eigh(a, tol)
     labels = np.zeros(len(vals), dtype=np.intp)  # the eigenspace of each column
     np.cumsum(np.diff(vals) > CLUSTER_TOL, out=labels[1:])
     lams = np.empty(labels[-1] + 1)

@@ -66,22 +66,9 @@ class MirrorUnitary:
 
 
 def commutation_residuals(u, pset: ProjectorSet) -> tuple[float, ...]:
-    """||[U, P_m]||_F for every projector in the set. With the factor (V,
-    labels) of a :func:`spectral_decompose` set it is the root mass of the
-    entries of B = V^dag U V with exactly one index in eigenspace m; the
-    others are zeroed before the sums (subtracting them would cancel)."""
-    unit = _as_unitary(u)
-    linalg._require_same_dims(unitary=unit.dim, projectors=pset.dim)
-    m = unit.matrix
-    vecs, labels = getattr(pset, "_factor", (None, None))
-    if vecs is not None:
-        b = vecs.conj().T @ m @ vecs
-        mass = np.where(labels[:, None] == labels, 0.0, b.real ** 2 + b.imag ** 2)
-        return tuple(np.sqrt(np.bincount(labels, mass.sum(axis=1))
-                             + np.bincount(labels, mass.sum(axis=0))).tolist())
-    return tuple(np.concatenate([
-        linalg.frobenius_norms(m @ s - s @ m) for _, s in linalg.stacks(pset._stack)
-    ]).tolist())
+    """||[U, P_m]||_F for every projector in the set."""
+    unit = _as_unitary(u, projectors=pset.dim)
+    return pset._commutator_norms(unit.matrix)
 
 
 def is_mirror(u, pset: ProjectorSet, tol: float = DEFAULT_TOL) -> MirrorUnitary:
@@ -92,7 +79,7 @@ def is_mirror(u, pset: ProjectorSet, tol: float = DEFAULT_TOL) -> MirrorUnitary:
     :class:`MirrorUnitary`; otherwise raises ``NotMirror`` naming the worst
     projector, with the same ``residuals``.
     """
-    unit = _as_unitary(u, tol)
+    unit = _as_unitary(u, tol, projectors=pset.dim)
     mirror = MirrorUnitary(unit, pset, commutation_residuals(unit, pset))  # returned only if judged
     worst = int(np.argmax(mirror.commutation_residuals))
     if not linalg.within_tol(mirror.commutation_residuals[worst], tol, math.sqrt(unit.dim)):
@@ -121,21 +108,12 @@ def verify_probability_preservation(u, pset: ProjectorSet, psi: QuantumState,
     ||[U, P_m]||_2 <= ||[U, P_m]||_F. A mirror that :func:`is_mirror`
     certifies at ``tol`` therefore bounds it by tol * sqrt(n), not by
     ``tol``, so its report can still fail. It never raises on large
-    deviations. With the factor (V, labels) of a :func:`spectral_decompose`
-    set, each P_m psi is V_m (V_m^dag psi), and no projector is formed.
+    deviations.
     """
-    unit = _as_unitary(u, tol)
-    linalg._require_same_dims(unitary=unit.dim, projectors=pset.dim, state=psi.dim)
+    unit = _as_unitary(u, tol, projectors=pset.dim, state=psi.dim)
     states = np.empty((psi.dim, 2), complex)  # column 0 psi, column 1 U psi
     states[:, 0], states[:, 1] = psi.amplitudes, unit.matrix @ psi.amplitudes
-    vecs, labels = getattr(pset, "_factor", (None, None))
-    if vecs is None:  # one product, two vectors per projector: column 0 p(m), column 1 p'(m)
-        probs = (states.conj() * (pset._stack @ states)).sum(axis=1).real
-    else:  # P_m states = V_m (V_m^dag states): V^dag states split by eigenspace, one product
-        split = np.zeros((len(vecs), len(pset), 2), complex)
-        split[np.arange(len(vecs)), labels] = vecs.conj().T @ states
-        mapped = (vecs @ split.reshape(len(vecs), -1)).reshape(split.shape)
-        probs = (states.conj()[:, None] * mapped).sum(axis=0).real
+    probs = pset._expectations(states)  # column 0 p(m), column 1 p'(m)
     deviation = float(np.abs(probs[:, 1] - probs[:, 0]).max())
     return PreservationReport(
         probabilities_before=tuple(probs[:, 0].tolist()),
@@ -226,8 +204,8 @@ def bell_comparison(bell_index: int, mirror,
     """
     if not 0 <= bell_index <= 3:
         raise ValueError(f"bell_index must be 0..3, got {bell_index}")
-    unit = mirror.unitary if isinstance(mirror, MirrorUnitary) else _as_unitary(mirror, tol)
-    linalg._require_same_dims(mirror=unit.dim, bell_state=4)
+    unit = _as_unitary(mirror.unitary if isinstance(mirror, MirrorUnitary) else mirror, tol,
+                       "mirror", bell_state=4)
     comp = _computational_set(4)
     try:
         is_mirror(unit, comp, tol)
@@ -279,8 +257,7 @@ def truth_protocol(u, psi: QuantumState,
     whose deficit it judges at ``tol`` (scale 1), and the residual of the
     lone POVM element U^dag U against the identity, judged when U was.
     """
-    unit = _as_unitary(u, tol)
-    linalg._require_same_dims(unitary=unit.dim, state=psi.dim)
+    unit = _as_unitary(u, tol, state=psi.dim)
     computed = QuantumState(unit.matrix @ psi.amplitudes, normalize=True)
     restored = QuantumState(_adjoint(unit.matrix) @ computed.amplitudes, normalize=True)
     fid = fidelity(psi, restored)

@@ -50,8 +50,12 @@ class UnitaryOperator(linalg._Frozen):
         return self.matrix.shape[0]
 
 
-def _as_unitary(u, tol: float = DEFAULT_TOL) -> UnitaryOperator:
-    return u if isinstance(u, UnitaryOperator) else UnitaryOperator(u, tol=tol)
+def _as_unitary(u, tol: float = DEFAULT_TOL, role: str = "unitary", **dims: int) -> UnitaryOperator:
+    """``u`` as a :class:`UnitaryOperator`: its dim, named ``role``, must agree with the
+    ``dims`` of the other operands before a raw matrix is judged at ``tol``."""
+    mat = u.matrix if isinstance(u, UnitaryOperator) else as_matrix(u)
+    linalg._require_same_dims(**{role: len(mat)}, **dims)
+    return u if isinstance(u, UnitaryOperator) else UnitaryOperator(mat, tol=tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,24 +141,15 @@ def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,
     linalg._require_same_dims(phases=len(phases), operators=len(opset))
     _check_pairwise_orthogonality(opset, tol)
     _require_complete(opset, tol)
-    combined = sum(
-        alpha * m for alpha, m in zip(phases.phases, opset.operators)
-    )
-    return UnitaryOperator(combined, tol=tol)
+    return UnitaryOperator(opset._phase_sum(phases.phases), tol=tol)
 
 
 def phase_superpose_projectors(pset: ProjectorSet, phases: PhaseVector,
                                tol: float = DEFAULT_TOL) -> UnitaryOperator:
     """Unitary P_hat = sum_m alpha_m P_m over a complete orthogonal
-    projector set; diagonal in the eigenbasis of the generating observable:
-    one product V diag(alpha[labels]) V^dag on a :func:`spectral_decompose` factor."""
+    projector set; diagonal in the eigenbasis of the generating observable."""
     linalg._require_same_dims(phases=len(phases), projectors=len(pset))
-    vecs, labels = getattr(pset, "_factor", (None, None))
-    if vecs is not None:
-        return UnitaryOperator((vecs * phases.phases[labels]) @ vecs.conj().T, tol=tol)
-    combined = sum(np.tensordot(phases.phases[lo:lo + len(s)], s, axes=1)
-                   for lo, s in linalg.stacks(pset._stack))
-    return UnitaryOperator(combined, tol=tol)
+    return UnitaryOperator(pset._phase_sum(phases.phases), tol=tol)
 
 
 def exp_observable(obs: Observable, tol: float = DEFAULT_TOL) -> UnitaryOperator:

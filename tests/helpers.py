@@ -76,6 +76,13 @@ def random_state(rng, n):
     return vec / np.linalg.norm(vec)
 
 
+def unitarity_residuals(u):
+    """(||U^dag U - I||_F, ||U U^dag - I||_F), each by ``np.linalg.norm``."""
+    u = np.asarray(u, dtype=complex)
+    eye, ud = np.eye(len(u), dtype=complex), u.conj().T
+    return float(np.linalg.norm(ud @ u - eye)), float(np.linalg.norm(u @ ud - eye))
+
+
 def random_unitary(rng, n):
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(g)

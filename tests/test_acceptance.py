@@ -138,7 +138,7 @@ def test_acceptance_4_operator_superposition():
         k = int(rng.integers(1, n + 1))
         opset = MeasurementOperatorSet(tuple(orthogonal_family(rng, n, k)))
         u = superpose_operators(opset, PhaseVector(random_phases(rng, k)))
-        left, right = linalg.unitarity_residuals(u.matrix)
+        left, right = u.residuals.values()
         assert left <= 1e-9 and right <= 1e-9
         worst = max(worst, left, right)
     rejected = 0

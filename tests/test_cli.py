@@ -405,11 +405,13 @@ MISSING_MESSAGE = "cannot read {tmp}/missing.json: [Errno 2] No such file or dir
     (["measure", "corpus/invalid_set.json", "corpus/state_plus.json", "--outcome", "7"],
      "outcome 7 not in 0..0\n"),
     (["bell", "--index", "0", "--mirror", NON_UNITARY], "dims differ: mirror 2, bell_state 4\n"),
+    (["truth", NON_UNITARY, "corpus/state_00.json"], "dims differ: unitary 2, state 4\n"),
 ], ids=["truth_non_unitary_missing_state", "mirror_check_non_mirror_missing_state",
         "mirror_check_non_mirror_state_dim", "mirror_check_bad_projectors_missing_state",
         "mirror_check_non_unitary_projector_dim", "mirror_build_bad_projectors_bad_phase",
         "mirror_build_bad_projectors_phase_count", "mirror_build_bad_projectors_inf_phase",
-        "measure_incomplete_set_unknown_outcome", "bell_non_unitary_dim_2"])
+        "measure_incomplete_set_unknown_outcome", "bell_non_unitary_dim_2",
+        "truth_non_unitary_state_dim"])
 def test_unusable_input_exits_2_before_anything_is_judged(argv, message, capsys, tmp_path):
     save_operator_file(NON_UNITARY.format(tmp=tmp_path), "unitary", [[[1, 1], [0, 1]]])
     save_operator_file(BAD_PROJECTORS.format(tmp=tmp_path), "projector_set",
@@ -425,6 +427,16 @@ def test_bad_tol_exits_2_at_parse_time(tol, capsys):
         main(["validate", "corpus/projectors_n2.json", "--tol", tol])
     assert info.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "corpus/projectors_n4.json"],
+    ["mirror", "check", "corpus/mirror_diag.json", "corpus/projectors_n4.json"],
+])
+def test_a_tol_whose_threshold_overflows_passes_finite_residuals(argv, capsys):
+    code, out, err = run_cli(argv + ["--tol", "1e308"], capsys)
+    assert (code, err) == (0, "")
+    assert "verdict: pass" in out
 
 
 def test_measure_normalizes_huge_amplitudes(tmp_path, capsys):

@@ -227,7 +227,7 @@ def eager_stack(vals, vecs):
 @pytest.mark.parametrize("first", ["projectors", "_stack", "spectrum"])
 def test_a_factored_stack_formed_on_first_read_has_the_eager_bytes(n, degenerate, first):
     a = random_hermitian(np.random.default_rng(n + degenerate), n, degenerate=degenerate)
-    vals, vecs, _ = linalg.guarded_eigh(linalg.as_matrix(a))
+    vals, vecs, _, _ = linalg.guarded_eigh(linalg.as_matrix(a))
     expected = eager_stack(vals, vecs)
     obs = spectral_decompose(a)
     pset = obs.projector_set()

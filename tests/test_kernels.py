@@ -9,7 +9,6 @@ agree with their loops to rounding.
 
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -132,7 +131,7 @@ def test_stacked_kernels_equal_the_per_matrix_loops(stack, seed):
         adjoint_rights = np.array([[np.linalg.norm(mi @ mj.conj().T) for mj in ops] for mi in ops])
         commutators = np.array([np.linalg.norm(linalg.commutator(u.matrix, p)) for p in ops])
         stacked = linalg.frobenius_norms(stack)
-        mirror = commutation_residuals(u, types.SimpleNamespace(_stack=np.array(ops), dim=n))
+        mirror = commutation_residuals(u, MeasurementOperatorSet(ops))
     adjoints = [np.conjugate(m.T, order="C") for m in ops]
     off = ~np.eye(len(ops), dtype=bool)
     res = OperatorResiduals(ops)
@@ -197,7 +196,8 @@ def test_tiled_phase_sums_and_probabilities_match_the_loops(n, degenerate):
     preservation probabilities agree with the per-projector loops within
     4 n^(3/2) eps times their scale: ||sum||_F for the sum, 1 for the
     probabilities. The set is rebuilt without the eigenvector factor of
-    spectral_decompose, so the phase sum takes the generic tiled path."""
+    spectral_decompose, so the phase sum takes the generic tiled path, the
+    one superpose_operators takes over the same operators."""
     rng = np.random.default_rng(n)
     spectral = spectral_decompose(random_hermitian(rng, n, degenerate=degenerate)).projector_set()
     pset = ProjectorSet(spectral.projectors)
@@ -209,6 +209,8 @@ def test_tiled_phase_sums_and_probabilities_match_the_loops(n, degenerate):
     summed = sum(alpha * p for alpha, p in zip(phases.phases, pset.projectors))
     tiled = phase_superpose_projectors(pset, phases).matrix
     assert np.linalg.norm(tiled - summed) <= eps_n * max(1.0, np.linalg.norm(summed))
+    superposed = superpose_operators(pset.to_operator_set(), phases).matrix
+    np.testing.assert_array_equal(superposed, tiled, strict=True)
     moved = u @ psi.amplitudes
     before = [np.vdot(psi.amplitudes, p @ psi.amplitudes).real for p in pset.projectors]
     after = [np.vdot(moved, p @ moved).real for p in pset.projectors]

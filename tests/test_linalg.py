@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import jacobi_eig, random_hermitian
+from helpers import jacobi_eig, random_hermitian, unitarity_residuals
 from qmeasure import linalg
-from qmeasure.errors import DimensionMismatch, NotHermitian
+from qmeasure.errors import DimensionMismatch, NotHermitian, NotUnitary
 from qmeasure.measurement import DensityMatrix, spectral_decompose
 from qmeasure.reversible import UnitaryOperator
 
@@ -41,8 +41,8 @@ def test_commutator_of_commuting_matrices_is_zero():
 
 
 def test_hermitian_eig_pauli_x_oracle():
-    vals, vecs, hermiticity = linalg.guarded_eigh(PAULI_X)
-    assert hermiticity == 0.0
+    vals, vecs, hermiticity, scale = linalg.guarded_eigh(PAULI_X)
+    assert hermiticity == 0.0 and scale == math.sqrt(2.0)
     assert vals == pytest.approx([-1.0, 1.0], abs=1e-12)
     minus = np.array([RT2, -RT2])
     plus = np.array([RT2, RT2])
@@ -63,7 +63,7 @@ def test_hermitian_eig_ascending_and_orthonormal():
     rng = np.random.default_rng(11)
     for n in (2, 3, 5, 8, 12):
         a = random_hermitian(rng, n)
-        vals, vmat, _ = linalg.guarded_eigh(a)
+        vals, vmat, _, _ = linalg.guarded_eigh(a)
         assert (np.diff(vals) >= 0).all()
         assert np.linalg.norm(vmat.conj().T @ vmat - np.eye(n)) < 1e-12 * n
         recon = (vmat * vals) @ vmat.conj().T
@@ -134,7 +134,7 @@ def test_half_degenerate_family_eigh_matches_jacobi(n):
 
 
 def test_hermitian_eig_accepts_already_diagonal():
-    vals, _, _ = linalg.guarded_eigh(np.diag([3.0, 1.0, 2.0]).astype(complex))
+    vals, _, _, _ = linalg.guarded_eigh(np.diag([3.0, 1.0, 2.0]).astype(complex))
     assert vals == pytest.approx([1.0, 2.0, 3.0])
 
 
@@ -166,7 +166,7 @@ def test_expm_oracle_unitary_for_skew_hermitian():
     for n in (2, 4, 8):
         a = random_hermitian(rng, n)
         u = linalg.expm_oracle(1j * a)
-        left, right = linalg.unitarity_residuals(u)
+        left, right = unitarity_residuals(u)
         assert left < 1e-12 and right < 1e-12
 
 
@@ -191,19 +191,13 @@ def test_expm_oracle_scales_the_largest_finite_norm():
 
 
 def test_unitarity_residuals_detects_both_sides():
-    left, right = linalg.unitarity_residuals(np.eye(3))
-    assert left == 0.0 and right == 0.0
+    assert linalg._require_unitary(linalg.as_matrix(np.eye(3)), 1e-10) == {
+        "unitarity_left": 0.0, "unitarity_right": 0.0}
     # (2I)^dag (2I) - I = 3I, so both residuals are 3*sqrt(2)
-    left, right = linalg.unitarity_residuals(2 * np.eye(2))
-    assert left == pytest.approx(3.0 * math.sqrt(2.0))
-    assert right == pytest.approx(3.0 * math.sqrt(2.0))
-
-
-def test_hermiticity_residual_values():
-    assert linalg.hermiticity_residual(np.eye(2)) == 0.0
-    assert linalg.hermiticity_residual(
-        np.array([[0, 1], [0, 0]], dtype=complex)
-    ) == pytest.approx(math.sqrt(2.0))
+    with pytest.raises(NotUnitary) as info:
+        linalg._require_unitary(linalg.as_matrix(2 * np.eye(2)), 1e-10)
+    assert info.value.residuals == pytest.approx(
+        {"unitarity_left": 3.0 * math.sqrt(2.0), "unitarity_right": 3.0 * math.sqrt(2.0)})
 
 
 NON_SQUARE = np.ones((2, 3))
@@ -214,8 +208,6 @@ SINGLE_MATRIX_ENTRY_POINTS = {
     "spectral_decompose": spectral_decompose,
     "DensityMatrix": DensityMatrix,
     "UnitaryOperator": UnitaryOperator,
-    "unitarity_residuals": linalg.unitarity_residuals,
-    "hermiticity_residual": linalg.hermiticity_residual,
     "commutator": lambda a: linalg.commutator(a, a),
     "expm_oracle": linalg.expm_oracle,
 }
@@ -236,11 +228,28 @@ def test_within_tol_policy_uses_reference_scale():
     assert linalg.within_tol(1e-9, 1e-10, np.linalg.norm(big))
 
 
+@pytest.mark.parametrize("residual,tol,scale,passed", [
+    (0.0, 1e308, 2.0, True),         # tol * scale alone overflows: a finite residual passes
+    (1e308, 1e308, 1e10, True),
+    (math.inf, 1e308, 2.0, False),
+    (math.nan, 1e-10, 1.0, False),
+    (0.0, 1e-10, math.inf, False),   # an overflowed scale
+    (0.0, 1e-10, math.nan, False),
+    (0.0, math.inf, 1.0, False),
+    (0.0, math.nan, 1.0, False),
+    (1e-9, 1e-10, 1.0, False),
+])
+def test_within_tol_passes_only_finite_operands(residual, tol, scale, passed):
+    assert bool(linalg.within_tol(residual, tol, scale)) is passed
+    elementwise = linalg.within_tol(np.array([residual, 0.0]), tol, np.array([scale, 1.0]))
+    assert elementwise.tolist() == [passed, math.isfinite(tol)]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=8))
 def test_eig_reconstruction_property(seed, n):
     rng = np.random.default_rng(seed)
     a = random_hermitian(rng, n)
-    vals, vecs, _ = linalg.guarded_eigh(a)
+    vals, vecs, _, _ = linalg.guarded_eigh(a)
     recon = sum(v * np.outer(vec, vec.conj()) for v, vec in zip(vals, vecs.T))
     assert np.linalg.norm(recon - a) <= 1e-11 * max(1.0, np.linalg.norm(a))

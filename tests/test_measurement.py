@@ -562,7 +562,7 @@ def decompose_planted(vals, vecs, tol):
     returning the planted (vals, V)."""
     a = (vecs * vals) @ vecs.conj().T
     planted = (vals, vecs, 0.0, np.linalg.norm(a))
-    with mock.patch.object(linalg, "_judged_eigh", return_value=planted):
+    with mock.patch.object(linalg, "guarded_eigh", return_value=planted):
         return spectral_decompose(a, tol=tol)
 
 
@@ -641,15 +641,16 @@ def test_spectral_decompose_falls_back_to_the_pair_check_below_the_rounding_allo
 
 def test_spectral_decompose_judges_hermiticity_once_and_forms_no_pairs(monkeypatch):
     calls = []
+    judge = linalg._require_hermitian
 
-    def counted(a):
+    def counted(a, tol):
         calls.append(a)
-        return linalg.frobenius_norm(a - a.conj().T)
+        return judge(a, tol)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the factored path runs no generic family check")
 
-    monkeypatch.setattr(linalg, "_hermiticity_residual", counted)
+    monkeypatch.setattr(linalg, "_require_hermitian", counted)
     monkeypatch.setattr(measurement, "OperatorResiduals", forbidden)
     monkeypatch.setattr(measurement, "_coerce_square_family", forbidden)
     spectral_decompose(random_hermitian(np.random.default_rng(37), 8, degenerate=True))

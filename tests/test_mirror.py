@@ -388,6 +388,24 @@ def test_bell_comparison_rejections_are_unchanged_once_the_references_exist():
             bell_comparison(3, certified.unitary.matrix, tol=bad)
 
 
+def test_dimensions_are_checked_before_a_raw_matrix_is_judged_unitary():
+    raw = [[1, 1], [0, 1]]  # neither unitary nor of the operands' dim 4
+    comp = computational_projector_set(4)
+    cases = [
+        (lambda: bell_comparison(0, raw), "mirror 2, bell_state 4"),
+        (lambda: truth_protocol(raw, STATE_00), "unitary 2, state 4"),
+        (lambda: verify_probability_preservation(raw, comp, STATE_00),
+         "unitary 2, projectors 4, state 4"),
+        (lambda: is_mirror(raw, comp), "unitary 2, projectors 4"),
+    ]
+    for call, dims in cases:
+        with pytest.raises(DimensionMismatch) as exc:
+            call()
+        assert str(exc.value) == f"dims differ: {dims}"
+    with pytest.raises(NotUnitary):  # at matching dims the matrix is still judged
+        truth_protocol(raw, ZERO)
+
+
 def test_bell_references_are_read_only_and_built_once(monkeypatch):
     mirror_ = bell_mirrors()[0]
     bell_comparison(0, mirror_)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import orthogonal_family, random_phases, random_state, random_unitary
+from helpers import (
+    orthogonal_family,
+    random_phases,
+    random_state,
+    random_unitary,
+    unitarity_residuals,
+)
 from qmeasure import linalg
 from qmeasure.errors import (
     DimensionMismatch,
@@ -60,13 +66,13 @@ def test_unitary_rejects_overflowing_products():
 
 
 def test_unitary_keeps_the_residuals_it_was_judged_on():
-    left, right = linalg.unitarity_residuals(HADAMARD)
+    left, right = unitarity_residuals(HADAMARD)
     assert UnitaryOperator(HADAMARD).residuals == {"unitarity_left": left,
                                                    "unitarity_right": right}
     double = 2.0 * np.eye(2, dtype=complex)
     with pytest.raises(NotUnitary) as info:
         UnitaryOperator(double)
-    left, right = linalg.unitarity_residuals(double)
+    left, right = unitarity_residuals(double)
     assert info.value.residuals == {"unitarity_left": left, "unitarity_right": right}
     assert str(info.value) == "matrix is not unitary within 1e-10 (residuals 4.243e+00, 4.243e+00)"
 
@@ -186,7 +192,7 @@ def test_superpose_random_families_are_unitary():
             k = int(rng.integers(1, n + 1))
             opset = MeasurementOperatorSet(tuple(orthogonal_family(rng, n, k)))
             u = superpose_operators(opset, PhaseVector(random_phases(rng, k)))
-            left, right = linalg.unitarity_residuals(u.matrix)
+            left, right = u.residuals.values()
             assert left <= 1e-9 and right <= 1e-9
 
 
