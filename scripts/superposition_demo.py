@@ -4,8 +4,8 @@
 First: take a complete two-sided-orthogonal operator family (group
 indicators U D_m V over a partition of basis indices), attach unimodular
 phases, and sum. Second: phase-combine the spectral projectors of a random
-observable A into sum_m e^{i lambda_m} P_m and compare against the series
-evaluation of e^{iA}.
+observable A into sum_m e^{i lambda_m} P_m and compare against the closed
+form V diag(e^{i w}) V^dag of e^{iA} from numpy's eigh.
 
 Usage: python3 scripts/superposition_demo.py [--families 100] [--seed 2]
 """
@@ -14,7 +14,6 @@ import argparse
 
 import numpy as np
 
-from qmeasure import linalg
 from qmeasure.measurement import MeasurementOperatorSet, spectral_decompose
 from qmeasure.reversible import PhaseVector, exp_observable, superpose_operators
 
@@ -62,8 +61,9 @@ def main() -> None:
         z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         a = 0.5 * (z + z.conj().T)
         u = exp_observable(spectral_decompose(a))
-        worst = max(worst, float(np.linalg.norm(u.matrix - linalg.expm_oracle(1j * a))))
-    print(f"{args.families} observables: spectral e^{{iA}} vs series oracle, "
+        w, v = np.linalg.eigh(a)
+        worst = max(worst, float(np.linalg.norm(u.matrix - (v * np.exp(1j * w)) @ v.conj().T)))
+    print(f"{args.families} observables: spectral e^{{iA}} vs eigh closed form, "
           f"worst Frobenius gap {worst:.3e}")
 
 

@@ -47,8 +47,8 @@ from .measurement import (
     QuantumState,
     apply_outcome,
     classify_measurement,
+    _histogram,
     outcome_probabilities,
-    sample_histogram,
     spectral_decompose,
     validate_completeness,
 )
@@ -250,7 +250,7 @@ def cmd_measure(args) -> dict:
         report["probability"] = record.probability
         report["post_state"] = complex_pairs(record.post_state.amplitudes)
     elif args.shots is not None:
-        counts = sample_histogram(opset, psi, shots=args.shots, seed=args.seed, tol=args.tol)
+        counts = _histogram(probs, args.shots, args.seed)  # the probabilities judged above
         report["shots"] = args.shots
         report["seed"] = args.seed
         report["counts"] = [int(c) for c in counts]

@@ -19,8 +19,6 @@ from .errors import DimensionMismatch, NotHermitian, NotUnitary
 
 DEFAULT_TOL = 1e-10
 
-_EXPM_TERM_EPS = 1e-16  # stop the Taylor series once a term drops below this
-_EXPM_HALF_NORM = 0.5  # halve the input until its Frobenius norm is <= this
 _STACK_ENTRIES = 8192  # complex128 entries (128 KiB) in one stacked temporary
 
 
@@ -67,10 +65,17 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
 
 
+@np.errstate(over="ignore")
 def frobenius_norm(a) -> float:
     """||a||_F; inf when the sum of squares overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.linalg.norm(np.asarray(a)))
+    return float(np.linalg.norm(np.asarray(a)))
+
+
+def _norm(a: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex array, bit for bit, without its dispatch or an errstate."""
+    flat = a.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def stack_size(n: int) -> int:
@@ -100,6 +105,7 @@ def frobenius_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(squares.reshape(-1))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def orthogonality_residuals(lefts, rights) -> np.ndarray:
     """The ``(len(lefts), len(rights))`` array of ||L_i R_j - delta_ij L_i||_F
     over two sequences of n x n matrices, each entry equal to
@@ -110,15 +116,14 @@ def orthogonality_residuals(lefts, rights) -> np.ndarray:
     n = len(rights[0])
     rows = max(1, stack_size(n) // len(rights))  # keeps each tile of products in budget
     out = np.empty((len(lefts), len(rights)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo, right in stacks(rights):
-            for top in range(0, len(lefts), rows):
-                left = np.asarray(lefts[top:top + rows])
-                prods = left[:, None] @ right
-                for i in range(max(top, lo), min(top + len(left), lo + len(right))):
-                    prods[i - top, i - lo] -= left[i - top]  # the pair (i, i)
-                out[top:top + len(left), lo:lo + len(right)] = frobenius_norms(
-                    prods.reshape(-1, n, n)).reshape(prods.shape[:2])
+    for lo, right in stacks(rights):
+        for top in range(0, len(lefts), rows):
+            left = np.asarray(lefts[top:top + rows])
+            prods = left[:, None] @ right
+            for i in range(max(top, lo), min(top + len(left), lo + len(right))):
+                prods[i - top, i - lo] -= left[i - top]  # the pair (i, i)
+            out[top:top + len(left), lo:lo + len(right)] = frobenius_norms(
+                prods.reshape(-1, n, n)).reshape(prods.shape[:2])
     return out
 
 
@@ -160,44 +165,33 @@ def _adjoint(a) -> np.ndarray:
     return np.conjugate(np.swapaxes(np.asarray(a), -1, -2), order="C")
 
 
-def commutator(a, b) -> np.ndarray:
-    """a @ b - b @ a for square matrices of equal dimension."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    _require_square(a)
-    _require_square(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-
 def _require_same_dims(**dims: int) -> None:
     """The dimension-agreement rule of every operand list, checked before judging."""
     if len(set(dims.values())) > 1:
         raise DimensionMismatch("dims differ: " + ", ".join(f"{k} {v}" for k, v in dims.items()))
 
 
+@np.errstate(over="ignore")
 def _require_hermitian(a, tol: float) -> tuple[float, float]:
     """The hermiticity rule of every single matrix: raise ``NotHermitian`` unless
     ``within_tol(||a - a^dag||_F, tol, ||a||_F)`` of an ``as_matrix`` array; return both."""
     _require_square(a)
-    with np.errstate(over="ignore"):
-        resid, scale = float(np.linalg.norm(a - a.conj().T)), frobenius_norm(a)
+    resid, scale = _norm(a - a.conj().T), _norm(a)
     if not within_tol(resid, tol, scale):
         raise NotHermitian(f"matrix is not Hermitian within {tol:g} "
                            f"({residual_note(resid, scale)})", {"hermiticity": resid})
     return resid, scale
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _require_unitary(u: np.ndarray, tol: float) -> dict[str, float]:
     """The unitarity rule of every single matrix: raise ``NotUnitary`` unless
     both residuals ``unitarity_left`` ||U^dag U - I||_F and
     ``unitarity_right`` ||U U^dag - I||_F of an ``as_matrix`` array pass
-    ``within_tol`` against sqrt(n); return them."""
+    ``within_tol`` against sqrt(n); return them. ``irm_povm`` forms U^dag U as it does."""
     _require_square(u)
     eye, ud = identity(u.shape[0]), u.conj().T
-    with np.errstate(over="ignore", invalid="ignore"):
-        left, right = float(np.linalg.norm(ud @ u - eye)), float(np.linalg.norm(u @ ud - eye))
+    left, right = _norm(ud @ u - eye), _norm(u @ ud - eye)
     residuals = {"unitarity_left": left, "unitarity_right": right}
     scale = math.sqrt(u.shape[0])
     if not (within_tol(left, tol, scale) and within_tol(right, tol, scale)):
@@ -222,6 +216,7 @@ def lowest_eigenvalue(a: np.ndarray) -> np.ndarray | float:
     return np.linalg.eigvalsh((a + np.swapaxes(a, -1, -2).conj()) / 2.0)[..., 0]
 
 
+@np.errstate(over="ignore")
 def vector_norm(v: np.ndarray) -> tuple[float, float]:
     """2-norm of a complex vector as ``(scale, norm)``, ``||v|| = scale * norm``.
 
@@ -230,8 +225,7 @@ def vector_norm(v: np.ndarray) -> tuple[float, float]:
     divided by its largest real or imaginary part first. Scale 0 means ``v``
     is zero; non-finite entries raise ``ValueError``.
     """
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
+    norm = _norm(v)
     if 0.0 < norm < math.inf:
         return 1.0, norm
     if not np.isfinite(v).all():
@@ -239,36 +233,4 @@ def vector_norm(v: np.ndarray) -> tuple[float, float]:
     peak = max(float(np.abs(v.real).max()), float(np.abs(v.imag).max()))
     if peak == 0.0:
         return 0.0, 0.0
-    return peak, float(np.linalg.norm(v / peak))
-
-
-def expm_oracle(a) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a truncated Taylor series.
-
-    The input is halved until its Frobenius norm is at most 0.5, the series
-    is summed until a term's norm falls below 1e-16, then the result is
-    squared back up. For skew-Hermitian input the result is unitary to
-    roundoff. Serves as the independent reference for spectral-form
-    exponentials built elsewhere. A matrix whose Frobenius norm overflows
-    (entries of about 1e154 and above) raises ``ValueError``.
-    """
-    a = as_matrix(a)
-    _require_square(a)
-    n = a.shape[0]
-    nrm = frobenius_norm(a)
-    if nrm == math.inf:  # finite entries whose sum of squares overflows
-        raise ValueError("matrix norm overflowed to inf, so it cannot be halved to 0.5")
-    squarings = 0
-    if nrm > _EXPM_HALF_NORM:
-        squarings = int(math.ceil(math.log2(nrm / _EXPM_HALF_NORM)))
-    b = a / (2.0 ** squarings)
-    total = identity(n)
-    term = identity(n)
-    k = 0
-    while frobenius_norm(term) >= _EXPM_TERM_EPS:  # ||b||_F <= 0.5 ends it by k ~ 13
-        k += 1
-        term = term @ b / k
-        total = total + term
-    for _ in range(squarings):
-        total = total @ total
-    return total
+    return peak, _norm(v / peak)

@@ -56,10 +56,10 @@ class QuantumState(linalg._Frozen):
         scale, norm = linalg.vector_norm(amps)
         if scale == 0.0:
             raise ValueError("state vector must be nonzero")
-        if normalize:
+        if normalize:  # amps is a copy of the input: divided in place
             if scale != 1.0:
-                amps = amps / scale
-            amps = amps / norm
+                amps /= scale
+            amps /= norm
         elif abs(scale * norm - 1.0) > NORM_TOL:
             raise ValueError(
                 f"state vector norm {scale * norm!r} differs from 1 by more than "
@@ -198,11 +198,11 @@ class MeasurementOperatorSet(_Family):
         self._hold("operators", _coerce_square_family(self.operators, "measurement set"))
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
     def completeness_residual(self) -> float:
         """||sum_m M_m^dag M_m - I||_F, the products added in label order; inf if it overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            products = (p for _, tile in linalg.stacks(self._stack) for p in _adjoint(tile) @ tile)
-            residual = float(np.linalg.norm(sum(products) - identity(self.dim)))
+        products = (p for _, tile in linalg.stacks(self._stack) for p in _adjoint(tile) @ tile)
+        residual = linalg._norm(sum(products) - identity(self.dim))
         return math.inf if math.isnan(residual) else residual
 
 
@@ -225,9 +225,9 @@ def validate_completeness(opset: MeasurementOperatorSet,
 
 
 def _require_complete(opset: MeasurementOperatorSet, tol: float) -> None:
-    if not (report := validate_completeness(opset, tol)).passed:
-        raise IncompleteSet(f"operator set fails completeness (residual {report.residual:.3e}); "
-                            "it cannot be measured", report.residuals)
+    if not linalg.within_tol(residual := opset.completeness_residual, tol, math.sqrt(opset.dim)):
+        raise IncompleteSet(f"operator set fails completeness (residual {residual:.3e}); "
+                            "it cannot be measured", {"completeness": residual})
 
 
 def outcome_probabilities(opset: MeasurementOperatorSet, psi: QuantumState,
@@ -263,61 +263,54 @@ def apply_outcome(opset: MeasurementOperatorSet, psi: QuantumState, m: int,
     if p <= PROB_FLOOR:
         raise ZeroProbabilityOutcome(f"outcome {m} has probability {p:.3e} <= {PROB_FLOOR:g}; "
                                      "its post-measurement state is undefined", {"probability": p})
-    post = QuantumState(mapped / np.sqrt(p), normalize=True)
+    post = QuantumState(mapped / math.sqrt(p), normalize=True)
     # completeness at tol admits p slightly above 1
     return MeasurementRecord(outcome=m, probability=min(p, 1.0), post_state=post)
 
 
-def _inverse_cdf(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    # Inverse CDF over outcomes in label order: smallest m with u < cum[m].
-    cum = np.cumsum(np.clip(probs, 0.0, None))
-    picks = np.searchsorted(cum, draws, side="right")
-    return np.minimum(picks, len(probs) - 1)
+def _histogram(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Counts of ``shots`` draws u of ``default_rng(seed)``: each is the smallest m with u < cum[m],
+    cum the running sum of max(p, 0) in label order with its last entry inf (u past the total)."""
+    cum = np.maximum(probs, 0.0).cumsum()
+    cum[-1] = math.inf
+    draws = np.random.default_rng(seed).random(shots)
+    return np.bincount(cum.searchsorted(draws, side="right"), minlength=len(probs))
 
 
 def sample_measurement(opset: MeasurementOperatorSet, psi: QuantumState,
                        seed: int, tol: float = DEFAULT_TOL) -> MeasurementRecord:
     """Draw one outcome with an explicitly seeded PCG64 generator
     (numpy ``default_rng``); the same seed always yields the same outcome."""
-    probs = outcome_probabilities(opset, psi, tol)
-    rng = np.random.default_rng(seed)
-    m = int(_inverse_cdf(probs, rng.random(1))[0])
-    return apply_outcome(opset, psi, m, tol)
+    counts = _histogram(outcome_probabilities(opset, psi, tol), 1, seed)
+    return apply_outcome(opset, psi, int(np.argmax(counts)), tol)
 
 
 def sample_histogram(opset: MeasurementOperatorSet, psi: QuantumState,
                      shots: int, seed: int,
                      tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Outcome counts over ``shots`` draws from a single seeded PCG64 stream.
-
-    Vectorized convenience over repeated :func:`sample_measurement`; used by
-    the CLI histogram mode and frequency tests.
-    """
+    """Outcome counts over ``shots`` draws from a single seeded PCG64 stream, by the
+    helper ``qmeasure measure --shots`` calls on the probabilities it has already judged."""
     if shots < 1:
         raise ValueError("shots must be positive")
-    probs = outcome_probabilities(opset, psi, tol)
-    rng = np.random.default_rng(seed)
-    picks = _inverse_cdf(probs, rng.random(shots))
-    return np.bincount(picks, minlength=len(probs))
+    return _histogram(outcome_probabilities(opset, psi, tol), shots, seed)
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorResiduals:
     """Every residual a projector set or a POVM is judged on, each computed
-    once, when first read (norms and hermiticity together). Norms come from
-    stacks of at most 128 KiB and equal a per-matrix ``np.linalg.norm`` bit
-    for bit. Each passes :func:`linalg.within_tol` at ``tol`` against its
-    own scale: ``pair_scales`` for ``pairs``, ||P_k||_F for hermiticity and
-    sqrt(dim) for completeness. ``lowest`` eigenvalues pass at or above
-    ``PSD_FLOOR``."""
+    once, when first read (norms and hermiticity together), under the errstate
+    of :meth:`failure`. Norms come from 128 KiB stacks and equal a per-matrix
+    ``np.linalg.norm`` bit for bit. Each passes :func:`linalg.within_tol` at
+    ``tol`` against its own scale: ``pair_scales`` for ``pairs``, ||P_k||_F for
+    hermiticity and sqrt(dim) for completeness. ``lowest`` eigenvalues pass at
+    or above ``PSD_FLOOR``."""
 
     operators: np.ndarray  # a stack (or a sequence) of square matrices of one dimension
 
     @cached_property
-    def _norms_and_hermiticity(self) -> np.ndarray:  # the two rows, from one pass over the tiles
-        with np.errstate(over="ignore"):
-            return np.concatenate([(linalg.frobenius_norms(s), linalg.frobenius_norms(s - _adjoint(s)))
-                                   for _, s in linalg.stacks(self.operators)], axis=1)
+    def _norms_and_hermiticity(self) -> np.ndarray:  # the two rows, one frobenius_norms per tile
+        return np.concatenate([linalg.frobenius_norms(np.concatenate((s, s - s.conj().swapaxes(1, 2))))
+                               .reshape(2, -1) for _, s in linalg.stacks(self.operators)], axis=1)
 
     @property
     def norms(self) -> np.ndarray:  # ||P_k||_F
@@ -337,8 +330,7 @@ class OperatorResiduals:
 
     @cached_property
     def completeness(self) -> float:  # ||sum_k P_k - I||_F
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.linalg.norm(sum(self.operators) - identity(len(self.operators[0]))))
+        return linalg._norm(sum(self.operators) - identity(len(self.operators[0])))
 
     @cached_property
     def lowest(self) -> np.ndarray:  # smallest eigenvalue of each P_k
@@ -358,6 +350,7 @@ class OperatorResiduals:
             out["min_eigenvalue"] = float(np.min(self.lowest))
         return out
 
+    @np.errstate(over="ignore", invalid="ignore")
     def failure(self, tol: float, povm: bool = False) -> QmeasureError | None:
         """The error for the first requirement the operators violate at
         ``tol`` as a projector set, or with ``povm`` as a POVM, carrying
@@ -367,10 +360,10 @@ class OperatorResiduals:
         judged last."""
         what, not_hermitian = (("POVM element", NotHermitian) if povm
                                else ("projector", InvalidProjectorSet))
-        bad = np.flatnonzero(~linalg.within_tol(self.hermiticity, tol, self.norms))
-        if len(bad):
-            note = linalg.residual_note(self.hermiticity[bad[0]], self.norms[bad[0]])
-            return not_hermitian(f"{what} {bad[0]} is not Hermitian ({note})",
+        if not (passed := linalg.within_tol(self.hermiticity, tol, self.norms)).all():
+            k = int(passed.argmin())  # the first that fails
+            note = linalg.residual_note(self.hermiticity[k], self.norms[k])
+            return not_hermitian(f"{what} {k} is not Hermitian ({note})",
                                  self.residuals(povm, hermitian=False))
         if povm and (bad := np.flatnonzero(self.lowest < PSD_FLOOR)).size:
             return NotPositive(f"POVM element {bad[0]} has negative eigenvalue "
@@ -613,15 +606,11 @@ def povm_from_operators(opset: MeasurementOperatorSet,
 def povm_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:
     """Outcome statistics p(m) = tr(E_m rho)."""
     linalg._require_same_dims(povm=povm.dim, state=rho.dim)
-    probs = []
-    for k, e in enumerate(povm.elements):
-        val = complex(np.trace(e @ rho.matrix))
-        if abs(val.imag) > IMAG_TOL:
-            raise ValueError(
-                f"tr(E_{k} rho) has imaginary residue {val.imag:.3e}"
-            )
-        probs.append(val.real)
-    return np.array(probs)
+    vals = np.concatenate([np.trace(s @ rho.matrix, axis1=1, axis2=2)  # tr(E_m rho), one per tile
+                           for _, s in linalg.stacks(povm._stack)])
+    if (bad := np.flatnonzero(np.abs(vals.imag) > IMAG_TOL)).size:
+        raise ValueError(f"tr(E_{bad[0]} rho) has imaginary residue {vals.imag[bad[0]]:.3e}")
+    return vals.real.copy()
 
 
 class MeasurementKind(Enum):

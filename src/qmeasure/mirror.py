@@ -80,7 +80,7 @@ def is_mirror(u, pset: ProjectorSet, tol: float = DEFAULT_TOL) -> MirrorUnitary:
     projector, with the same ``residuals``.
     """
     unit = _as_unitary(u, tol, projectors=pset.dim)
-    mirror = MirrorUnitary(unit, pset, commutation_residuals(unit, pset))  # returned only if judged
+    mirror = MirrorUnitary(unit, pset, pset._commutator_norms(unit.matrix))  # returned only if judged
     worst = int(np.argmax(mirror.commutation_residuals))
     if not linalg.within_tol(mirror.commutation_residuals[worst], tol, math.sqrt(unit.dim)):
         raise NotMirror(f"commutator {worst} exceeds tolerance {tol:.17g}", mirror.residuals)

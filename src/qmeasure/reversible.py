@@ -41,9 +41,11 @@ class UnitaryOperator(linalg._Frozen):
     residuals: dict[str, float] = field(init=False, repr=False)
 
     def __post_init__(self, tol: float):
-        mat = freeze(as_matrix(self.matrix))  # stored as judged: the judge does not coerce it again
-        object.__setattr__(self, "residuals", linalg._require_unitary(mat, tol))
-        object.__setattr__(self, "matrix", mat)
+        self._judge(freeze(as_matrix(self.matrix)), tol)
+
+    def _judge(self, mat: np.ndarray, tol: float) -> "UnitaryOperator":  # a frozen as_matrix array
+        vars(self).update(matrix=mat, residuals=linalg._require_unitary(mat, tol))
+        return self
 
     @property
     def dim(self) -> int:
@@ -52,10 +54,10 @@ class UnitaryOperator(linalg._Frozen):
 
 def _as_unitary(u, tol: float = DEFAULT_TOL, role: str = "unitary", **dims: int) -> UnitaryOperator:
     """``u`` as a :class:`UnitaryOperator`: its dim, named ``role``, must agree with the
-    ``dims`` of the other operands before a raw matrix is judged at ``tol``."""
-    mat = u.matrix if isinstance(u, UnitaryOperator) else as_matrix(u)
+    ``dims`` of the other operands before a raw matrix, coerced once, is judged at ``tol``."""
+    mat = u.matrix if isinstance(u, UnitaryOperator) else freeze(as_matrix(u))
     linalg._require_same_dims(**{role: len(mat)}, **dims)
-    return u if isinstance(u, UnitaryOperator) else UnitaryOperator(mat, tol=tol)
+    return u if isinstance(u, UnitaryOperator) else object.__new__(UnitaryOperator)._judge(mat, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,6 +111,7 @@ class _Adjoints:
         return _adjoint(self.ops[key])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _check_pairwise_orthogonality(opset: MeasurementOperatorSet, tol: float) -> None:
     """Raise ``OrthogonalityViolation`` for the first pair i != j, in
     row-major order, whose ||M_i^dag M_j||_F, or else ||M_i M_j^dag||_F,
@@ -116,10 +119,9 @@ def _check_pairwise_orthogonality(opset: MeasurementOperatorSet, tol: float) -> 
     ops, adjoints = opset._stack, _Adjoints(opset._stack)
     lefts = linalg.orthogonality_residuals(adjoints, ops)
     rights = linalg.orthogonality_residuals(ops, adjoints)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.outer(opset._judged.norms, opset._judged.norms)
-        left_ok = within_tol(lefts, tol, scale)
-        bad = ~(left_ok & within_tol(rights, tol, scale))
+    scale = np.outer(opset._judged.norms, opset._judged.norms)
+    left_ok = within_tol(lefts, tol, scale)
+    bad = ~(left_ok & within_tol(rights, tol, scale))
     np.fill_diagonal(bad, False)  # the diagonal holds no orthogonality pair
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -153,11 +155,7 @@ def phase_superpose_projectors(pset: ProjectorSet, phases: PhaseVector,
 
 
 def exp_observable(obs: Observable, tol: float = DEFAULT_TOL) -> UnitaryOperator:
-    """e^{iA} assembled from the spectrum: sum_m e^{i lambda_m} P_m.
-
-    Built from the spectral data directly; ``linalg.expm_oracle`` on i*A is
-    the independent cross-check exercised by the test suite.
-    """
+    """e^{iA} assembled from the spectrum: sum_m e^{i lambda_m} P_m."""
     return phase_superpose_projectors(
         obs.projector_set(), PhaseVector.from_angles(obs.eigenvalues), tol
     )
@@ -167,8 +165,10 @@ def irm_povm(u, tol: float = DEFAULT_TOL) -> Povm:
     """Singleton POVM {U^dag U} of a reversible measurement.
 
     The lone element equals the identity (within tolerance), so every state
-    produces the unique outcome with probability one.
+    produces the unique outcome with probability one. Its completeness residual
+    ||U^dag U - I||_F is the judged ``unitarity_left``: the same expression, bit for bit.
     """
     unit = _as_unitary(u, tol)
-    elements = freeze((_adjoint(unit.matrix) @ unit.matrix)[None])
-    return object.__new__(Povm)._hold("elements", elements)._admit(tol, povm=True)
+    povm = object.__new__(Povm)._hold("elements", freeze((unit.matrix.conj().T @ unit.matrix)[None]))
+    vars(povm._judged)["completeness"] = unit.residuals["unitarity_left"]
+    return povm._admit(tol, povm=True)

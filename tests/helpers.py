@@ -3,7 +3,9 @@
 numpy's QR builds the random unitaries. The package diagonalizes with
 LAPACK (numpy's ``eigh``), so its eigensolver is checked against
 :func:`jacobi_eig`, a cyclic complex Jacobi solver that shares no code
-with LAPACK, instead of against itself.
+with LAPACK, instead of against itself. Its spectral exponentials are
+checked against :func:`expm_oracle`, a Taylor series that uses no
+eigensolver, and its commutator norms against :func:`commutator`.
 """
 
 import math
@@ -12,6 +14,8 @@ import numpy as np
 
 JACOBI_MAX_SWEEPS = 60
 JACOBI_OFF_EPS = 1e-14  # off-diagonal Frobenius target, relative to ||a||_F
+EXPM_TERM_EPS = 1e-16  # stop the Taylor series once a term drops below this
+EXPM_HALF_NORM = 0.5  # halve the input until its Frobenius norm is <= this
 
 
 def _jacobi_rotate(w, v, p, q, c, sp):
@@ -69,6 +73,42 @@ def jacobi_eig(a):
     vals = np.diag(w).real.copy()
     order = np.argsort(vals, kind="stable")
     return vals[order], v[:, order]
+
+
+def expm_oracle(a):
+    """Matrix exponential by scaling-and-squaring with a truncated Taylor series.
+
+    The input is halved until its Frobenius norm is at most 0.5, the series
+    is summed until a term's norm falls below 1e-16, then the result is
+    squared back up. For skew-Hermitian input the result is unitary to
+    roundoff. A matrix whose Frobenius norm overflows (entries of about
+    1e154 and above) raises ``ValueError``.
+    """
+    a = np.array(a, dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(a))
+    if nrm == math.inf:  # finite entries whose sum of squares overflows
+        raise ValueError("matrix norm overflowed to inf, so it cannot be halved to 0.5")
+    squarings = 0
+    if nrm > EXPM_HALF_NORM:
+        squarings = int(math.ceil(math.log2(nrm / EXPM_HALF_NORM)))
+    b = a / (2.0 ** squarings)
+    total = np.eye(len(a), dtype=np.complex128)
+    term = total.copy()
+    k = 0
+    while np.linalg.norm(term) >= EXPM_TERM_EPS:  # ||b||_F <= 0.5 ends it by k ~ 13
+        k += 1
+        term = term @ b / k
+        total = total + term
+    for _ in range(squarings):
+        total = total @ total
+    return total
+
+
+def commutator(a, b):
+    """a @ b - b @ a."""
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    return a @ b - b @ a
 
 
 def random_state(rng, n):

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qmeasure import linalg
+from qmeasure import cli, linalg, measurement
 from qmeasure.cli import build_parser, main, parse_complex, parse_complex_list, render_human
 from qmeasure.errors import NotMirror, ParseError, QmeasureError
 from qmeasure.fileio import format_float, load_operator_file, load_state_file, save_operator_file
@@ -349,6 +349,22 @@ def test_usage_error_exits_2(capsys):
 
 
 MEASURE_PLUS = ["measure", "corpus/projectors_n2.json", "corpus/state_plus.json"]
+
+
+def test_measure_shots_forms_the_probabilities_once(monkeypatch, capsys):
+    """``measure --shots`` samples from the probabilities it judged and printed:
+    one outcome_probabilities call, where sampling once formed them again."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = measurement.outcome_probabilities
+    monkeypatch.setattr(measurement, "outcome_probabilities", counted)
+    monkeypatch.setattr(cli, "outcome_probabilities", counted)
+    assert run_cli(MEASURE_PLUS + ["--shots", "1000", "--seed", "42"], capsys)[0] == 0
+    assert len(calls) == 1  # the counts themselves are pinned by the measure_shots golden
 MEASURE_INCOMPLETE = ["measure", "corpus/invalid_set.json", "corpus/state_plus.json"]
 TWO_IDENTITY = "{tmp}/two_identity.json"  # a dim-4 "unitary" file holding 2 I
 

@@ -19,7 +19,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_hermitian, random_phases, random_state, random_unitary
+from helpers import (
+    commutator,
+    expm_oracle,
+    random_hermitian,
+    random_phases,
+    random_state,
+    random_unitary,
+)
 from qmeasure import cli, linalg, measurement
 from qmeasure.errors import NotMirror
 from qmeasure.fileio import load_operator_file, save_operator_file
@@ -56,7 +63,7 @@ def mirror_verdict(u, pset):
 def nudged(u, rng, size):
     """U e^{i size H} for a unit Hermitian H: a unitary about ``size`` from U."""
     h = random_hermitian(rng, len(u))
-    return u @ linalg.expm_oracle(1j * size * h / np.linalg.norm(h))
+    return u @ expm_oracle(1j * size * h / np.linalg.norm(h))
 
 
 @pytest.mark.parametrize("n", DIMS)
@@ -110,7 +117,7 @@ def test_a_file_loaded_set_has_no_factor_and_the_per_projector_values(tmp_path):
     np.testing.assert_array_equal(mirror.matrix, stacked_phase_sum(pset.projectors, phases.phases))
     u = random_unitary(rng, n)
     assert commutation_residuals(u, pset) == tuple(
-        float(np.linalg.norm(linalg.commutator(u, p))) for p in pset.projectors)
+        float(np.linalg.norm(commutator(u, p))) for p in pset.projectors)
 
 
 @pytest.mark.parametrize("n", [2, 8, 32])
@@ -138,7 +145,7 @@ def test_a_gram_residual_above_the_rounding_allowance_keeps_the_per_projector_va
                                   stacked_phase_sum(pset.projectors, phases.phases))
     u = random_unitary(rng, n)
     assert commutation_residuals(u, pset) == tuple(
-        float(np.linalg.norm(linalg.commutator(u, p))) for p in pset.projectors)
+        float(np.linalg.norm(commutator(u, p))) for p in pset.projectors)
 
 
 @pytest.mark.parametrize("degenerate", [False, True])

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    commutator,
     orthogonal_family,
     random_hermitian,
     random_phases,
@@ -40,6 +41,7 @@ from qmeasure.measurement import (
     classify_measurement,
     outcome_probabilities,
     povm_from_operators,
+    povm_probabilities,
     sample_histogram,
     spectral_decompose,
 )
@@ -54,6 +56,7 @@ from qmeasure.mirror import (
 from qmeasure.reversible import (
     PhaseVector,
     UnitaryOperator,
+    irm_povm,
     phase_superpose_projectors,
     superpose_operators,
 )
@@ -129,7 +132,7 @@ def test_stacked_kernels_equal_the_per_matrix_loops(stack, seed):
         pairs = loop_pairs(ops)
         adjoint_lefts = np.array([[np.linalg.norm(mi.conj().T @ mj) for mj in ops] for mi in ops])
         adjoint_rights = np.array([[np.linalg.norm(mi @ mj.conj().T) for mj in ops] for mi in ops])
-        commutators = np.array([np.linalg.norm(linalg.commutator(u.matrix, p)) for p in ops])
+        commutators = np.array([np.linalg.norm(commutator(u.matrix, p)) for p in ops])
         stacked = linalg.frobenius_norms(stack)
         mirror = commutation_residuals(u, MeasurementOperatorSet(ops))
     adjoints = [np.conjugate(m.T, order="C") for m in ops]
@@ -349,7 +352,7 @@ def test_family_kernels_equal_the_per_operator_expressions(n, monkeypatch):
                 completeness = float(np.linalg.norm(total - np.eye(n)))
                 probs = np.array([float(np.linalg.norm(m @ psi.amplitudes) ** 2) for m in ops])
                 elements = tuple(linalg.adjoint(m) @ m for m in ops)
-                commutators = [float(np.linalg.norm(linalg.commutator(u.matrix, m))) for m in ops]
+                commutators = [float(np.linalg.norm(commutator(u.matrix, m))) for m in ops]
                 phase_sum = sum(np.tensordot(phases.phases[lo:lo + len(t)], t, axes=1)
                                 for lo, t in copied_tiles(ops))
                 preserved = np.concatenate([(moved.conj() * (t @ moved)).sum(axis=1).real
@@ -397,6 +400,83 @@ def test_povm_from_operators_takes_the_completeness_the_set_passed(n):
         assert povm.residuals["completeness"] == summed == Povm(povm.elements).residuals[
             "completeness"]
         assert np.float64(summed).tobytes() == np.float64(opset.completeness_residual).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 32])
+def test_irm_povm_takes_the_completeness_the_unitary_passed(n):
+    """{U^dag U} is judged with the unitarity_left its unitary passed, and that
+    float is ||U^dag U - I||_F of the POVM's own element, bit for bit."""
+    rng = np.random.default_rng(70 + n)
+    for _ in range(5):
+        u = random_unitary(rng, n)
+        povm = irm_povm(u)
+        assert "completeness" in vars(povm._judged)
+        left = UnitaryOperator(u).residuals["unitarity_left"]
+        assert np.float64(povm.residuals["completeness"]).tobytes() == np.float64(left).tobytes()
+        assert left == OperatorResiduals(povm._stack).completeness == Povm(povm.elements).residuals[
+            "completeness"]
+        np.testing.assert_array_equal(povm.elements[0], u.conj().T @ u, strict=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64])
+def test_povm_probabilities_equal_the_per_element_traces(n):
+    """tr(E_m rho), one product per tile, equals the loop's complex(np.trace(e @ rho)).real
+    bit for bit (zero signs too): one element, a full tile and a tile plus one."""
+    rng = np.random.default_rng(40 + n)
+    rho = QuantumState(random_state(rng, n)).density_matrix()
+    for count in family_counts(n):
+        povm = povm_from_operators(MeasurementOperatorSet(
+            [random_unitary(rng, n) / math.sqrt(count) for _ in range(count)]))
+        expected = np.array([complex(np.trace(e @ rho.matrix)).real for e in povm.elements])
+        probs = povm_probabilities(povm, rho)
+        assert probs.tobytes() == expected.tobytes() and probs.flags.c_contiguous
+
+
+def test_histogram_counts_equal_the_clip_form():
+    """Counts from the running sum with its last entry inf equal those of the
+    first inverse CDF (np.clip, np.searchsorted, np.minimum, np.bincount) on
+    probabilities with -1e-17 entries, first and last, and a total below 1."""
+    def clip_form(probs, shots, seed):
+        cum = np.cumsum(np.clip(probs, 0.0, None))
+        draws = np.random.default_rng(seed).random(shots)
+        picks = np.minimum(np.searchsorted(cum, draws, side="right"), len(probs) - 1)
+        return np.bincount(picks, minlength=len(probs))
+
+    cases = ([-1e-17, 0.5, 0.5], [0.5, -1e-17, 0.5], [0.5, 0.5, -1e-17], [0.25, 0.25, 0.5 - 1e-9],
+             [1.0], [0.3, 0.7])
+    for probs in map(np.array, cases):
+        for seed in range(10):
+            np.testing.assert_array_equal(measurement._histogram(probs, 1000, seed),
+                                          clip_form(probs, 1000, seed), strict=True)
+
+
+@pytest.mark.parametrize("n", [4, 9, 32, 64])  # below 4, a full tile holds thousands
+def test_judges_equal_the_per_matrix_expressions_on_one_and_several_tiles(n):
+    """What the POVM and the projector judges read, formed under the judge's own
+    errstate, against per-matrix ``np.linalg.norm`` and ``eigvalsh`` expressions, bit for
+    bit, on stacks of one matrix, a full 128 KiB tile and a tile plus one, at three
+    scales: Gaussian matrices (they fail hermiticity) and their Hermitian parts."""
+    rng = np.random.default_rng(300 + n)
+    for count in family_counts(n):
+        for scale in SCALES:
+            ops = scale * (rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n)))
+            for mats in (ops, (ops + ops.conj().transpose(0, 2, 1)) / 2.0):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    norms = np.array([np.linalg.norm(m) for m in mats])
+                    hermiticity = np.array([np.linalg.norm(m - m.conj().T) for m in mats])
+                    completeness = float(np.linalg.norm(sum(mats) - np.eye(n)))
+                    small = count <= 16  # the loop over a full tile's pairs is slow at small n
+                    pairs = loop_pairs(mats) if small else None
+                for povm in (True, False):
+                    res = OperatorResiduals(mats)
+                    failure = res.failure(1e-10, povm)
+                    assert failure is not None  # neither Gaussian nor Hermitian parts pass
+                    np.testing.assert_array_equal(res.norms, norms, strict=True)
+                    np.testing.assert_array_equal(res.hermiticity, hermiticity, strict=True)
+                    assert np.float64(res.completeness).tobytes() == np.float64(completeness).tobytes()
+                    np.testing.assert_array_equal(res.lowest, loop_lowest(mats), strict=True)
+                    if small:
+                        np.testing.assert_array_equal(res.pairs, pairs, strict=True)
 
 
 def test_family_calls_stay_within_budget():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import jacobi_eig, random_hermitian, unitarity_residuals
+from helpers import commutator, expm_oracle, jacobi_eig, random_hermitian, unitarity_residuals
 from qmeasure import linalg
 from qmeasure.errors import DimensionMismatch, NotHermitian, NotUnitary
 from qmeasure.measurement import DensityMatrix, spectral_decompose
@@ -31,13 +31,13 @@ def test_commutator_x_with_projector():
     # [X, diag(1,0)] worked out by hand
     p0 = np.diag([1.0, 0.0]).astype(complex)
     expected = np.array([[0, -1], [1, 0]], dtype=complex)
-    assert np.allclose(linalg.commutator(PAULI_X, p0), expected)
+    assert np.allclose(commutator(PAULI_X, p0), expected)
 
 
 def test_commutator_of_commuting_matrices_is_zero():
     a = np.diag([1.0, 2.0]).astype(complex)
     b = np.diag([3.0, 4.0]).astype(complex)
-    assert np.array_equal(linalg.commutator(a, b), np.zeros((2, 2)))
+    assert np.array_equal(commutator(a, b), np.zeros((2, 2)))
 
 
 def test_hermitian_eig_pauli_x_oracle():
@@ -141,23 +141,23 @@ def test_hermitian_eig_accepts_already_diagonal():
 def test_expm_oracle_pauli_x_oracle():
     # e^{iX} = cos(1) I + i sin(1) X, from X^2 = I
     expected = math.cos(1.0) * np.eye(2) + 1j * math.sin(1.0) * PAULI_X
-    assert np.allclose(linalg.expm_oracle(1j * PAULI_X), expected, atol=1e-14)
+    assert np.allclose(expm_oracle(1j * PAULI_X), expected, atol=1e-14)
 
 
 def test_expm_oracle_zero_matrix():
-    assert np.array_equal(linalg.expm_oracle(np.zeros((3, 3))), np.eye(3))
+    assert np.array_equal(expm_oracle(np.zeros((3, 3))), np.eye(3))
 
 
 def test_expm_oracle_nilpotent_series_is_exact():
     # N^2 = 0, so e^N = I + N and every later term is exactly zero
     nil = np.array([[0, 0.25], [0, 0]], dtype=complex)
-    assert np.array_equal(linalg.expm_oracle(nil), np.eye(2) + nil)
+    assert np.array_equal(expm_oracle(nil), np.eye(2) + nil)
 
 
 def test_expm_oracle_additivity_on_commuting_input():
     a = np.diag([0.3, -0.7, 1.1]).astype(complex)
-    lhs = linalg.expm_oracle(a) @ linalg.expm_oracle(a)
-    rhs = linalg.expm_oracle(2 * a)
+    lhs = expm_oracle(a) @ expm_oracle(a)
+    rhs = expm_oracle(2 * a)
     assert np.linalg.norm(lhs - rhs) < 1e-13
 
 
@@ -165,7 +165,7 @@ def test_expm_oracle_unitary_for_skew_hermitian():
     rng = np.random.default_rng(31)
     for n in (2, 4, 8):
         a = random_hermitian(rng, n)
-        u = linalg.expm_oracle(1j * a)
+        u = expm_oracle(1j * a)
         left, right = unitarity_residuals(u)
         assert left < 1e-12 and right < 1e-12
 
@@ -173,7 +173,7 @@ def test_expm_oracle_unitary_for_skew_hermitian():
 def test_expm_oracle_large_norm_uses_squaring():
     a = np.diag([5.0, -3.0]).astype(complex)
     expected = np.diag([math.exp(5.0), math.exp(-3.0)])
-    assert np.allclose(linalg.expm_oracle(a), expected, rtol=1e-12)
+    assert np.allclose(expm_oracle(a), expected, rtol=1e-12)
 
 
 @pytest.mark.parametrize("entry", [1e308, 1e155])
@@ -181,13 +181,13 @@ def test_expm_oracle_names_an_overflowed_norm(entry):
     # finite entries whose sum of squares overflows: the halving count
     # log2(inf) has no integer, and no squaring could be undone
     with pytest.raises(ValueError, match=r"^matrix norm overflowed to inf"):
-        linalg.expm_oracle(np.full((2, 2), entry))
+        expm_oracle(np.full((2, 2), entry))
 
 
 def test_expm_oracle_scales_the_largest_finite_norm():
     # ||a||_F = 2e153 needs 512 halvings, and e^a of this nilpotent is I + a
     nil = np.array([[0, 2e153], [0, 0]], dtype=complex)
-    assert np.array_equal(linalg.expm_oracle(nil), np.eye(2) + nil)
+    assert np.array_equal(expm_oracle(nil), np.eye(2) + nil)
 
 
 def test_unitarity_residuals_detects_both_sides():
@@ -208,8 +208,6 @@ SINGLE_MATRIX_ENTRY_POINTS = {
     "spectral_decompose": spectral_decompose,
     "DensityMatrix": DensityMatrix,
     "UnitaryOperator": UnitaryOperator,
-    "commutator": lambda a: linalg.commutator(a, a),
-    "expm_oracle": linalg.expm_oracle,
 }
 
 
