@@ -8,9 +8,9 @@ so the two outputs never disagree on a number.
 
 Exit codes: 0 command ran and its verdict passed, 1 command ran but the
 verdict failed (or a semantic domain error such as a non-unitary
-operator), 2 unusable input (file not found, malformed JSON, dimension
-mismatch, unknown outcome label, bad argument syntax), whatever the other
-inputs hold: files, flags and dimensions are checked before any judging.
+operator), 2 unusable input (file not found, malformed JSON, dimension mismatch,
+unknown outcome label, bad argument syntax, ``--shots`` too large for memory),
+whatever the other inputs hold: files, flags and dimensions are checked before any judging.
 """
 
 from __future__ import annotations
@@ -446,8 +446,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
-    except (ParseError, DimensionMismatch, UnknownOutcome, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParseError, DimensionMismatch, UnknownOutcome, OSError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except QmeasureError as exc:
         print(f"error: {exc}", file=sys.stderr)

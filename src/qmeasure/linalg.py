@@ -10,6 +10,7 @@ downstream algebra. Intended scale is dense desk-size problems (n <= 64).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import fields
 
@@ -20,6 +21,7 @@ from .errors import DimensionMismatch, NotHermitian, NotUnitary
 DEFAULT_TOL = 1e-10
 
 _STACK_ENTRIES = 8192  # complex128 entries (128 KiB) in one stacked temporary
+_identity = functools.cache(lambda n: freeze(identity(n)))  # read-only, so shared; keyed on n
 
 
 def as_matrix(a) -> np.ndarray:
@@ -190,7 +192,7 @@ def _require_unitary(u: np.ndarray, tol: float) -> dict[str, float]:
     ``unitarity_right`` ||U U^dag - I||_F of an ``as_matrix`` array pass
     ``within_tol`` against sqrt(n); return them. ``irm_povm`` forms U^dag U as it does."""
     _require_square(u)
-    eye, ud = identity(u.shape[0]), u.conj().T
+    eye, ud = _identity(u.shape[0]), u.conj().T
     left, right = _norm(ud @ u - eye), _norm(u @ ud - eye)
     residuals = {"unitarity_left": left, "unitarity_right": right}
     scale = math.sqrt(u.shape[0])

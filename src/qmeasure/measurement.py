@@ -30,7 +30,7 @@ from .errors import (
     UnknownOutcome,
     ZeroProbabilityOutcome,
 )
-from .linalg import DEFAULT_TOL, _adjoint, as_matrix, as_vector, freeze, identity
+from .linalg import DEFAULT_TOL, _adjoint, as_matrix, as_vector, freeze
 
 NORM_TOL = 1e-12  # |<psi|psi> - 1| admitted by the strict state constructor
 PROB_FLOOR = 1e-12  # outcomes below this probability are unrealizable
@@ -178,8 +178,8 @@ class _Family:
         ]).tolist())
 
     def _expectations(self, states: np.ndarray) -> np.ndarray:
-        """Re <s|M_m|s> for each operator M_m (row) and each column s of ``states``, one product."""
-        return (states.conj() * (self._stack @ states)).sum(axis=1).real
+        """Re <s|M_m|s>, a row for each column s of ``states``, over every M_m: one product."""
+        return (states.conj() * (self._stack @ states)).sum(axis=1).real.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +202,7 @@ class MeasurementOperatorSet(_Family):
     def completeness_residual(self) -> float:
         """||sum_m M_m^dag M_m - I||_F, the products added in label order; inf if it overflows."""
         products = (p for _, tile in linalg.stacks(self._stack) for p in _adjoint(tile) @ tile)
-        residual = linalg._norm(sum(products) - identity(self.dim))
+        residual = linalg._norm(sum(products) - linalg._identity(self.dim))
         return math.inf if math.isnan(residual) else residual
 
 
@@ -330,7 +330,7 @@ class OperatorResiduals:
 
     @cached_property
     def completeness(self) -> float:  # ||sum_k P_k - I||_F
-        return linalg._norm(sum(self.operators) - identity(len(self.operators[0])))
+        return linalg._norm(sum(self.operators) - linalg._identity(len(self.operators[0])))
 
     @cached_property
     def lowest(self) -> np.ndarray:  # smallest eigenvalue of each P_k
@@ -436,13 +436,11 @@ class _FactoredSet(ProjectorSet):
         return tuple(np.sqrt(np.bincount(labels, mass.sum(axis=1))
                              + np.bincount(labels, mass.sum(axis=0))).tolist())
 
-    def _expectations(self, states: np.ndarray) -> np.ndarray:
-        """P_m states = V_m (V_m^dag states): V^dag states split by eigenspace, one product."""
+    def _expectations(self, states: np.ndarray) -> list[np.ndarray]:
+        """Per column s, sum_{k in m} Re(s^dag V_k c_k) with c = V^dag s: c's rounding enters once."""
         vecs, labels = self._factor
-        split = np.zeros((len(vecs), len(self), states.shape[1]), complex)
-        split[np.arange(len(vecs)), labels] = vecs.conj().T @ states
-        mapped = (vecs @ split.reshape(len(vecs), -1)).reshape(split.shape)
-        return (states.conj()[:, None] * mapped).sum(axis=0).real
+        c = vecs.conj().T @ states
+        return [np.bincount(labels, (s @ (vecs * cs)).real) for s, cs in zip(states.conj().T, c.T)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,7 +481,7 @@ class Observable(linalg._Frozen):
 
 def _rounding_allowance(n: int) -> float:
     """eps_n = 4 n^(3/2) eps: the rounding of an n x n product, relative to its scale."""
-    return 4.0 * n ** 1.5 * np.finfo(float).eps
+    return 4.0 * n ** 1.5 * 2.0 ** -52  # eps = np.finfo(float).eps, folded when compiled
 
 
 def _gram_threshold(n: int, tol: float) -> float:
@@ -499,10 +497,9 @@ def _eigenspace_columns(labels: np.ndarray):
     """For each eigenspace size, ``(slots, cols)``: the eigenspaces of that size, and row by
     row the columns of each (``labels[k]`` is the eigenspace of column k, ascending)."""
     sizes = np.bincount(labels)
-    starts = np.cumsum(sizes) - sizes
     for size in set(sizes.tolist()):
-        slots = np.flatnonzero(sizes == size)
-        yield slots, starts[slots, None] + np.arange(size)
+        member = sizes == size  # as labels ascend, the columns of a member come in slot order
+        yield member.nonzero()[0], member[labels].nonzero()[0].reshape(-1, size)
 
 
 def _eigenspace_stack(vecs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -550,12 +547,12 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     a = as_matrix(a)
     vals, vecs, hermiticity, scale = linalg.guarded_eigh(a, tol)
     labels = np.zeros(len(vals), dtype=np.intp)  # the eigenspace of each column
-    np.cumsum(np.diff(vals) > CLUSTER_TOL, out=labels[1:])
+    (vals[1:] - vals[:-1] > CLUSTER_TOL).cumsum(out=labels[1:])  # np.diff's expression
     lams = np.empty(labels[-1] + 1)
-    for slots, cols in _eigenspace_columns(labels):
-        lams[slots] = vals[cols].mean(axis=1)
-    resid = linalg.frobenius_norm(a - (vecs * lams[labels]) @ vecs.conj().T)
-    gram = float(np.linalg.norm(vecs.conj().T @ vecs - identity(len(vals))))
+    for slots, cols in _eigenspace_columns(labels):  # np.mean's sum and division, bit for bit
+        lams[slots] = vals[cols].sum(axis=1) / cols.shape[1]
+    resid = linalg._norm(a - (vecs * lams[labels]) @ vecs.conj().T)
+    gram = linalg._norm(vecs.conj().T @ vecs - linalg._identity(len(vals)))
     if gram <= _rounding_allowance(len(vals)):  # V^dag V = I to rounding
         pset = object.__new__(_FactoredSet)
         vars(pset)["_factor"] = (freeze(vecs), freeze(labels))

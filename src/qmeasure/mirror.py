@@ -113,11 +113,11 @@ def verify_probability_preservation(u, pset: ProjectorSet, psi: QuantumState,
     unit = _as_unitary(u, tol, projectors=pset.dim, state=psi.dim)
     states = np.empty((psi.dim, 2), complex)  # column 0 psi, column 1 U psi
     states[:, 0], states[:, 1] = psi.amplitudes, unit.matrix @ psi.amplitudes
-    probs = pset._expectations(states)  # column 0 p(m), column 1 p'(m)
-    deviation = float(np.abs(probs[:, 1] - probs[:, 0]).max())
+    before, after = pset._expectations(states)  # p(m) and p'(m)
+    deviation = float(np.abs(after - before).max())
     return PreservationReport(
-        probabilities_before=tuple(probs[:, 0].tolist()),
-        probabilities_after=tuple(probs[:, 1].tolist()),
+        probabilities_before=tuple(before.tolist()),
+        probabilities_after=tuple(after.tolist()),
         max_deviation=deviation,
         passed=linalg.within_tol(deviation, tol),
     )

@@ -67,22 +67,24 @@ class PhaseVector(linalg._Frozen):
     phases: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.phases, dtype=np.complex128).reshape(-1)
+        self._judge(np.array(self.phases, dtype=np.complex128).reshape(-1))
+
+    def _judge(self, arr: np.ndarray) -> "PhaseVector":  # a 1-D complex128 array nothing else holds
         if arr.size == 0:
             raise ValueError("phase vector must be nonempty")
         if not np.isfinite(arr).all():
             raise ValueError("phases must be finite")
-        worst = float(np.max(np.abs(np.abs(arr) ** 2 - 1.0)))
+        worst = float(np.abs(np.abs(arr) ** 2 - 1.0).max())
         if worst > UNIMODULAR_TOL:
             raise PhaseNotUnimodular(f"phases deviate from the unit circle by {worst:.3e}",
                                      {"unimodularity_max": worst})
         object.__setattr__(self, "phases", freeze(arr))
+        return self
 
     @classmethod
     def from_angles(cls, angles) -> "PhaseVector":
-        """Map real angles lambda_m to e^{i lambda_m}."""
-        arr = np.array(angles, dtype=float).reshape(-1)
-        return cls(np.exp(1j * arr))
+        """Map real angles lambda_m to e^{i lambda_m}, judged as formed."""
+        return object.__new__(cls)._judge(np.exp(1j * np.array(angles, dtype=float).reshape(-1)))
 
     def __len__(self) -> int:
         return len(self.phases)
@@ -143,7 +145,7 @@ def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,
     linalg._require_same_dims(phases=len(phases), operators=len(opset))
     _check_pairwise_orthogonality(opset, tol)
     _require_complete(opset, tol)
-    return UnitaryOperator(opset._phase_sum(phases.phases), tol=tol)
+    return object.__new__(UnitaryOperator)._judge(freeze(opset._phase_sum(phases.phases)), tol)
 
 
 def phase_superpose_projectors(pset: ProjectorSet, phases: PhaseVector,
@@ -151,7 +153,7 @@ def phase_superpose_projectors(pset: ProjectorSet, phases: PhaseVector,
     """Unitary P_hat = sum_m alpha_m P_m over a complete orthogonal
     projector set; diagonal in the eigenbasis of the generating observable."""
     linalg._require_same_dims(phases=len(phases), projectors=len(pset))
-    return UnitaryOperator(pset._phase_sum(phases.phases), tol=tol)
+    return object.__new__(UnitaryOperator)._judge(freeze(pset._phase_sum(phases.phases)), tol)
 
 
 def exp_observable(obs: Observable, tol: float = DEFAULT_TOL) -> UnitaryOperator:

@@ -365,6 +365,23 @@ def test_measure_shots_forms_the_probabilities_once(monkeypatch, capsys):
     monkeypatch.setattr(cli, "outcome_probabilities", counted)
     assert run_cli(MEASURE_PLUS + ["--shots", "1000", "--seed", "42"], capsys)[0] == 0
     assert len(calls) == 1  # the counts themselves are pinned by the measure_shots golden
+
+
+@pytest.mark.parametrize("message,printed", [
+    ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64",
+     "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type float64"),
+    ("", "out of memory"),
+], ids=["numpy_message", "bare"])
+def test_shots_too_large_for_memory_exit_2(monkeypatch, capsys, message, printed):
+    """A draw that cannot be allocated is unusable input, not a traceback. The
+    draw is made to raise: whether a real one does depends on the machine."""
+    class Exhausted:
+        def random(self, size):
+            raise MemoryError(message)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Exhausted())
+    code, out, err = run_cli(MEASURE_PLUS + ["--shots", "1000000000000", "--seed", "1"], capsys)
+    assert (code, out, err) == (2, "", f"error: {printed}\n")
 MEASURE_INCOMPLETE = ["measure", "corpus/invalid_set.json", "corpus/state_plus.json"]
 TWO_IDENTITY = "{tmp}/two_identity.json"  # a dim-4 "unitary" file holding 2 I
 

@@ -103,6 +103,13 @@ def test_factored_values_agree_with_the_per_projector_ones(n, degenerate):
                         (random_unitary(rng, n), n == 1)):
         assert mirror_verdict(u, factored) is mirror_verdict(u, generic) is commutes
 
+    psi = QuantumState(random_state(rng, n))
+    for u in (mirror, random_unitary(rng, n)):
+        fast = verify_probability_preservation(u, factored, psi)
+        slow = verify_probability_preservation(u, generic, psi)
+        assert np.abs(np.subtract(fast.probabilities_before, slow.probabilities_before)).max() <= tol
+        assert np.abs(np.subtract(fast.probabilities_after, slow.probabilities_after)).max() <= tol
+
 
 def test_a_file_loaded_set_has_no_factor_and_the_per_projector_values(tmp_path):
     rng = np.random.default_rng(5)
@@ -287,6 +294,24 @@ def test_factored_probabilities_are_no_less_exact_than_the_dense_ones():
         vecs, labels = pset._factor
         unit = extend_mirror(PhaseVector(random_phases(rng, len(pset))), pset).unitary
         psi = QuantumState(random_state(rng, n))
+        exact = exact_probabilities(vecs, labels, np.stack(
+            [psi.amplitudes, unit.matrix @ psi.amplitudes], axis=1))
+        for form, judged in (("factored", pset), ("dense", ProjectorSet(pset.projectors))):
+            report = verify_probability_preservation(unit, judged, psi)
+            got = np.array([report.probabilities_before, report.probabilities_after]).T
+            worst[form] = max(worst[form], float(np.abs(got - exact).max()))
+    assert 0.0 < worst["factored"] <= worst["dense"] < 1e-15
+
+
+def test_factored_probabilities_at_n32_are_no_less_exact_than_the_dense_ones():
+    """The same check at the benchmark's n = 32, degenerate and not."""
+    worst = {"factored": 0.0, "dense": 0.0}
+    for seed in range(16):
+        rng = np.random.default_rng(900 + seed)
+        pset = spectral_decompose(random_hermitian(rng, 32, degenerate=seed % 2 == 0)).projector_set()
+        vecs, labels = pset._factor
+        unit = extend_mirror(PhaseVector(random_phases(rng, len(pset))), pset).unitary
+        psi = QuantumState(random_state(rng, 32))
         exact = exact_probabilities(vecs, labels, np.stack(
             [psi.amplitudes, unit.matrix @ psi.amplitudes], axis=1))
         for form, judged in (("factored", pset), ("dense", ProjectorSet(pset.projectors))):

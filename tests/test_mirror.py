@@ -43,7 +43,14 @@ from qmeasure.mirror import (
     truth_protocol,
     verify_probability_preservation,
 )
-from qmeasure.reversible import PhaseVector, UnitaryOperator, irm_povm, unitary_as_measurement
+from qmeasure.reversible import (
+    PhaseVector,
+    UnitaryOperator,
+    exp_observable,
+    irm_povm,
+    phase_superpose_projectors,
+    unitary_as_measurement,
+)
 
 RT2 = 1.0 / math.sqrt(2.0)
 ZERO = QuantumState(np.array([1, 0], dtype=complex))
@@ -439,7 +446,8 @@ def test_library_owned_arrays_are_coerced_once(monkeypatch):
     coerced again, so this as_matrix, and the one conversion of a family,
     raise on read-only input. A family is converted once, whatever its
     size, and never matrix by matrix; the POVMs the library forms from its
-    own products are not converted at all."""
+    own products, its phase sums and the phases of from_angles are not
+    converted at all."""
     rng = np.random.default_rng(5)
     unit = UnitaryOperator(random_unitary(rng, 4))
     psi = QuantumState(random_state(rng, 4))
@@ -447,6 +455,8 @@ def test_library_owned_arrays_are_coerced_once(monkeypatch):
     sets = [MeasurementOperatorSet(ops) for _ in range(2)]
     singleton = MeasurementOperatorSet((random_unitary(rng, 3),))
     certified = bell_mirrors()[3]
+    obs = spectral_decompose(np.diag([1.0, 2.0, 2.0, 3.0]).astype(complex))
+    file_set = ProjectorSet(obs.projector_set().projectors)  # dense, no factor
     coerce, calls = linalg.as_matrix, []
     coerce_family, family_calls = measurement._coerce_square_family, []
 
@@ -478,7 +488,27 @@ def test_library_owned_arrays_are_coerced_once(monkeypatch):
     irm_povm(unit)
     povm_from_operators(sets[1])
     unitary_as_measurement(unit)
-    assert (calls, family_calls) == ([], [])  # library products and arrays: not copied
+    copied_phases, judged_phases = [], []  # __post_init__ copies its input; _judge does not
+    post_init, judge = PhaseVector.__post_init__, PhaseVector._judge
+
+    def copying(self):
+        copied_phases.append(self)
+        post_init(self)
+
+    def judging(self, arr):
+        judged_phases.append(arr)
+        return judge(self, arr)
+
+    monkeypatch.setattr(PhaseVector, "__post_init__", copying)
+    monkeypatch.setattr(PhaseVector, "_judge", judging)
+    phases = PhaseVector.from_angles([0.5, -1.0, 2.0])
+    assert copied_phases == [] and len(judged_phases) == 1
+    assert phases.phases is judged_phases[0]  # e^{i lambda} as formed and judged
+    exp_observable(obs)
+    for pset in (obs.projector_set(), file_set):
+        phase_superpose_projectors(pset, phases)
+        extend_mirror(phases, pset)
+    assert (calls, family_calls, copied_phases) == ([], [], [])  # library products: not copied
     for count in (1, 4, 40):
         family = [random_unitary(rng, 4) / math.sqrt(count) for _ in range(count)]
         MeasurementOperatorSet(family)
