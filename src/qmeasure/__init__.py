@@ -22,7 +22,7 @@ from .errors import (
     UnknownOutcome,
     ZeroProbabilityOutcome,
 )
-from .linalg import DEFAULT_TOL, adjoint, identity
+from .linalg import DEFAULT_TOL, adjoint
 from .measurement import (
     CompletenessReport,
     DensityMatrix,
@@ -77,7 +77,7 @@ __all__ = [
     "UnknownOutcome", "NotUnitary", "OrthogonalityViolation",
     "PhaseNotUnimodular", "InvalidProjectorSet", "NotMirror",
     "NotBellCompatible", "ParseError",
-    "DEFAULT_TOL", "adjoint", "identity",
+    "DEFAULT_TOL", "adjoint",
     "QuantumState", "DensityMatrix", "MeasurementOperatorSet",
     "ProjectorSet", "Observable", "Povm", "MeasurementRecord",
     "MeasurementKind", "CompletenessReport", "validate_completeness",

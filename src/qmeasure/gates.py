@@ -27,15 +27,6 @@ CNOT = freeze(np.array(
 BELL_CIRCUIT = freeze(CNOT @ np.kron(HADAMARD, np.eye(2, dtype=np.complex128)))
 
 
-def basis_state(dim: int, k: int) -> np.ndarray:
-    """Computational basis vector e_k in C^dim."""
-    if not 0 <= k < dim:
-        raise ValueError(f"basis index {k} out of range for dimension {dim}")
-    vec = np.zeros(dim, dtype=np.complex128)
-    vec[k] = 1.0
-    return vec
-
-
 def computational_projectors(dim: int) -> list[np.ndarray]:
     """Rank-1 projectors |k><k| onto the computational basis of C^dim."""
     return [np.diag(row) for row in np.eye(dim, dtype=np.complex128)]
@@ -44,8 +35,8 @@ def computational_projectors(dim: int) -> list[np.ndarray]:
 # Maximally entangled two-qubit vectors, indexed 0..3 in this order.
 BELL_LABELS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
 BELL_VECTORS = (
-    freeze(_INV_SQRT2 * (basis_state(4, 0) + basis_state(4, 3))),
-    freeze(_INV_SQRT2 * (basis_state(4, 0) - basis_state(4, 3))),
-    freeze(_INV_SQRT2 * (basis_state(4, 1) + basis_state(4, 2))),
-    freeze(_INV_SQRT2 * (basis_state(4, 1) - basis_state(4, 2))),
+    freeze(_INV_SQRT2 * np.array([1, 0, 0, 1], dtype=np.complex128)),
+    freeze(_INV_SQRT2 * np.array([1, 0, 0, -1], dtype=np.complex128)),
+    freeze(_INV_SQRT2 * np.array([0, 1, 1, 0], dtype=np.complex128)),
+    freeze(_INV_SQRT2 * np.array([0, 1, -1, 0], dtype=np.complex128)),
 )

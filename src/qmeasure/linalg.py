@@ -21,7 +21,7 @@ from .errors import DimensionMismatch, NotHermitian, NotUnitary
 DEFAULT_TOL = 1e-10
 
 _STACK_ENTRIES = 8192  # complex128 entries (128 KiB) in one stacked temporary
-_identity = functools.cache(lambda n: freeze(identity(n)))  # read-only, so shared; keyed on n
+_identity = functools.cache(lambda n: freeze(np.eye(n, dtype=np.complex128)))  # read-only: shared
 
 
 def as_matrix(a) -> np.ndarray:
@@ -61,16 +61,6 @@ class _Frozen:
     def __setstate__(self, state: dict) -> None:  # the arrays come back writable: freeze them
         vars(self).update({k: freeze(v) if isinstance(v, np.ndarray) else v
                            for k, v in state.items()})
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n, dtype=np.complex128)
-
-
-@np.errstate(over="ignore")
-def frobenius_norm(a) -> float:
-    """||a||_F; inf when the sum of squares overflows."""
-    return float(np.linalg.norm(np.asarray(a)))
 
 
 def _norm(a: np.ndarray) -> float:
@@ -185,16 +175,18 @@ def _require_hermitian(a, tol: float) -> tuple[float, float]:
     return resid, scale
 
 
+def _unitarity_residuals(u: np.ndarray) -> dict[str, float]:
+    """``unitarity_left`` ||U^dag U - I||_F and ``unitarity_right`` ||U U^dag - I||_F, as judged."""
+    eye, ud = _identity(u.shape[0]), u.conj().T
+    return {"unitarity_left": _norm(ud @ u - eye), "unitarity_right": _norm(u @ ud - eye)}
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _require_unitary(u: np.ndarray, tol: float) -> dict[str, float]:
-    """The unitarity rule of every single matrix: raise ``NotUnitary`` unless
-    both residuals ``unitarity_left`` ||U^dag U - I||_F and
-    ``unitarity_right`` ||U U^dag - I||_F of an ``as_matrix`` array pass
-    ``within_tol`` against sqrt(n); return them. ``irm_povm`` forms U^dag U as it does."""
+    """The unitarity rule of every single matrix: raise ``NotUnitary`` unless both
+    :func:`_unitarity_residuals` of an ``as_matrix`` array pass ``within_tol`` against sqrt(n)."""
     _require_square(u)
-    eye, ud = _identity(u.shape[0]), u.conj().T
-    left, right = _norm(ud @ u - eye), _norm(u @ ud - eye)
-    residuals = {"unitarity_left": left, "unitarity_right": right}
+    left, right = (residuals := _unitarity_residuals(u)).values()
     scale = math.sqrt(u.shape[0])
     if not (within_tol(left, tol, scale) and within_tol(right, tol, scale)):
         raise NotUnitary(f"matrix is not unitary within {tol:g} "

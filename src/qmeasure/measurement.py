@@ -134,6 +134,8 @@ def _coerce_square_family(mats, what: str) -> np.ndarray:
 class _Family:
     """A family held once, as the frozen ``(N, n, n)`` stack ``_stack``; its tuple holds views."""
 
+    _gram = math.inf  # a factored set's eigenvector Gram residual g; a dense family has none
+
     def _hold(self, name: str, stack: np.ndarray):
         object.__setattr__(self, name, tuple(stack))
         object.__setattr__(self, "_stack", stack)
@@ -146,12 +148,12 @@ class _Family:
             raise failure
         return self
 
-    def __getstate__(self) -> dict:  # pickle and deepcopy: the stack or a factor, and no cache
-        return {k: v for k, v in vars(self).items() if k in ("_stack", "_factor")}
+    def __getstate__(self) -> dict:  # pickle and deepcopy: the stack or a factor and its g, no cache
+        return {k: v for k, v in vars(self).items() if k in ("_stack", "_factor", "_gram")}
 
     def __setstate__(self, state: dict) -> None:  # arrays come back writable, views as copies
         if "_factor" in state:  # its stack stays unformed unless it came formed
-            vars(self)["_factor"] = tuple(freeze(part) for part in state["_factor"])
+            vars(self).update(_factor=tuple(freeze(p) for p in state["_factor"]), _gram=state["_gram"])
         if "_stack" in state:
             self._hold(fields(self)[0].name, freeze(state["_stack"]))
 
@@ -165,6 +167,14 @@ class _Family:
     @cached_property
     def _judged(self) -> OperatorResiduals:  # formed on first read
         return OperatorResiduals(self._stack)
+
+    def _proves_unitary(self, delta: float, tol: float) -> bool:
+        """Whether g proves phase sums with ||alpha_m|^2 - 1| <= ``delta`` unitary at ``tol``: with
+        V^dag V = I + E and ||E||_F = g, both residuals of V D V^dag are at most g + (1 + g)(sqrt(n)
+        delta + (1 + delta) g), plus 5 eps_n sqrt(n) of rounding (README, Tolerances)."""
+        n, g = self.dim, self._gram
+        bound = g + (1 + g) * (math.sqrt(n) * delta + (1 + delta) * g)
+        return linalg.within_tol(bound + 5 * _rounding_allowance(n) * math.sqrt(n), tol, math.sqrt(n))
 
     def _phase_sum(self, alphas: np.ndarray) -> np.ndarray:
         """sum_m alpha_m M_m, one ``np.tensordot`` per 128 KiB stack."""
@@ -542,7 +552,8 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     Only if g <= eps_n is the set held as ``_factor`` = (V, labels), and
     its projectors formed only when read. Its phase sums, commutators and
     probabilities are then products in the basis V, each within
-    O(g + eps_n) = O(eps_n) of the per-projector value times its scale.
+    O(g + eps_n) = O(eps_n) of the per-projector value times its scale, and
+    g proves its phase sums unitary (``_Family._proves_unitary``).
     """
     a = as_matrix(a)
     vals, vecs, hermiticity, scale = linalg.guarded_eigh(a, tol)
@@ -555,7 +566,7 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     gram = linalg._norm(vecs.conj().T @ vecs - linalg._identity(len(vals)))
     if gram <= _rounding_allowance(len(vals)):  # V^dag V = I to rounding
         pset = object.__new__(_FactoredSet)
-        vars(pset)["_factor"] = (freeze(vecs), freeze(labels))
+        vars(pset).update(_factor=(freeze(vecs), freeze(labels)), _gram=gram)
     else:  # certified below
         pset = object.__new__(ProjectorSet)._hold("projectors", _eigenspace_stack(vecs, labels))
     obs = Observable(freeze(a), tuple(lams.tolist()), hermiticity, resid, pset)  # returned if judged

@@ -65,12 +65,6 @@ class MirrorUnitary:
         return out
 
 
-def commutation_residuals(u, pset: ProjectorSet) -> tuple[float, ...]:
-    """||[U, P_m]||_F for every projector in the set."""
-    unit = _as_unitary(u, projectors=pset.dim)
-    return pset._commutator_norms(unit.matrix)
-
-
 def is_mirror(u, pset: ProjectorSet, tol: float = DEFAULT_TOL) -> MirrorUnitary:
     """Certify a unitary as a mirror for ``pset``.
 

@@ -13,6 +13,7 @@ e^{iA} for the observable A with those eigenvalues.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -32,20 +33,25 @@ UNIMODULAR_TOL = 1e-12  # ||alpha|^2 - 1| admitted for phase coefficients
 
 @dataclass(frozen=True, eq=False)
 class UnitaryOperator(linalg._Frozen):
-    """Square matrix with U^dag U = U U^dag = I within tolerance, judged
-    with ``residuals`` ``unitarity_left`` ||U^dag U - I||_F and
-    ``unitarity_right`` ||U U^dag - I||_F."""
+    """Square matrix with U^dag U = U U^dag = I within tolerance, judged with ``residuals``
+    ``unitarity_left`` ||U^dag U - I||_F and ``unitarity_right`` ||U U^dag - I||_F, formed as
+    it is judged or, once a Gram bound proved it unitary, on first read."""
 
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
-    residuals: dict[str, float] = field(init=False, repr=False)
 
     def __post_init__(self, tol: float):
         self._judge(freeze(as_matrix(self.matrix)), tol)
 
-    def _judge(self, mat: np.ndarray, tol: float) -> "UnitaryOperator":  # a frozen as_matrix array
-        vars(self).update(matrix=mat, residuals=linalg._require_unitary(mat, tol))
+    def _judge(self, mat: np.ndarray, tol: float, proved: bool = False) -> "UnitaryOperator":
+        vars(self)["matrix"] = mat  # a frozen as_matrix array; judged unless ``proved`` unitary
+        if not proved:
+            vars(self)["residuals"] = linalg._require_unitary(mat, tol)
         return self
+
+    @cached_property
+    def residuals(self) -> dict[str, float]:  # of a proved unitary, by the judge's expressions
+        return linalg._unitarity_residuals(self.matrix)
 
     @property
     def dim(self) -> int:
@@ -62,9 +68,10 @@ def _as_unitary(u, tol: float = DEFAULT_TOL, role: str = "unitary", **dims: int)
 
 @dataclass(frozen=True, eq=False)
 class PhaseVector(linalg._Frozen):
-    """Unimodular coefficients alpha_m, each with |alpha_m|^2 = 1."""
+    """Unimodular coefficients alpha_m, each with |alpha_m|^2 = 1 to ``unimodularity_max``."""
 
     phases: np.ndarray
+    unimodularity_max: float = field(init=False, repr=False)  # max ||alpha_m|^2 - 1|
 
     def __post_init__(self):
         self._judge(np.array(self.phases, dtype=np.complex128).reshape(-1))
@@ -78,7 +85,7 @@ class PhaseVector(linalg._Frozen):
         if worst > UNIMODULAR_TOL:
             raise PhaseNotUnimodular(f"phases deviate from the unit circle by {worst:.3e}",
                                      {"unimodularity_max": worst})
-        object.__setattr__(self, "phases", freeze(arr))
+        vars(self).update(phases=freeze(arr), unimodularity_max=worst)
         return self
 
     @classmethod
@@ -151,13 +158,16 @@ def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,
 def phase_superpose_projectors(pset: ProjectorSet, phases: PhaseVector,
                                tol: float = DEFAULT_TOL) -> UnitaryOperator:
     """Unitary P_hat = sum_m alpha_m P_m over a complete orthogonal
-    projector set; diagonal in the eigenbasis of the generating observable."""
+    projector set; diagonal in the eigenbasis of the generating observable.
+    When the set's Gram bound proves P_hat unitary, its ``residuals`` are formed on first read."""
     linalg._require_same_dims(phases=len(phases), projectors=len(pset))
-    return object.__new__(UnitaryOperator)._judge(freeze(pset._phase_sum(phases.phases)), tol)
+    proved = pset._proves_unitary(phases.unimodularity_max, tol)  # else P_hat is judged
+    return object.__new__(UnitaryOperator)._judge(freeze(pset._phase_sum(phases.phases)), tol, proved)
 
 
 def exp_observable(obs: Observable, tol: float = DEFAULT_TOL) -> UnitaryOperator:
-    """e^{iA} assembled from the spectrum: sum_m e^{i lambda_m} P_m."""
+    """e^{iA} assembled from the spectrum: sum_m e^{i lambda_m} P_m, its ``residuals`` formed
+    on first read when the Gram bound of :func:`phase_superpose_projectors` proves it unitary."""
     return phase_superpose_projectors(
         obs.projector_set(), PhaseVector.from_angles(obs.eigenvalues), tol
     )

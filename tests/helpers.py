@@ -6,11 +6,15 @@ LAPACK (numpy's ``eigh``), so its eigensolver is checked against
 with LAPACK, instead of against itself. Its spectral exponentials are
 checked against :func:`expm_oracle`, a Taylor series that uses no
 eigensolver, and its commutator norms against :func:`commutator`.
+:func:`frobenius_norm` and :func:`commutation_residuals` are the norms the
+tests read directly; no code in the package calls either.
 """
 
 import math
 
 import numpy as np
+
+from qmeasure.reversible import _as_unitary
 
 JACOBI_MAX_SWEEPS = 60
 JACOBI_OFF_EPS = 1e-14  # off-diagonal Frobenius target, relative to ||a||_F
@@ -109,6 +113,20 @@ def commutator(a, b):
     """a @ b - b @ a."""
     a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
     return a @ b - b @ a
+
+
+def frobenius_norm(a):
+    """||a||_F; inf when the sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(np.asarray(a)))
+
+
+def commutation_residuals(u, pset):
+    """||[U, P_m]||_F for every projector in the set, by the set's own kernel
+    (the one ``is_mirror`` judges), after ``u``'s dims are checked and a raw
+    matrix is judged unitary."""
+    unit = _as_unitary(u, projectors=pset.dim)
+    return pset._commutator_norms(unit.matrix)
 
 
 def random_state(rng, n):

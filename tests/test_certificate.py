@@ -1,0 +1,184 @@
+"""The Gram certificate of a factored phase sum's unitarity.
+
+A spectral set held as its eigenvectors V (Gram residual g = ||V^dag V - I||_F)
+proves P_hat = V D V^dag unitary without forming U^dag U or U U^dag: with
+delta = max ||alpha_m|^2 - 1|, both residuals are at most
+g + (1 + g)(sqrt(n) delta + (1 + delta) g), plus 5 eps_n sqrt(n) of rounding.
+A bound within ``tol`` leaves the residuals to be formed on first read; any
+other input is judged by ``linalg._require_unitary`` as before. So a proved
+phase sum must pass that judge, with its residuals bit for bit, and every
+input left unproved must raise or pass exactly as the judge does.
+"""
+
+import copy
+import math
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from helpers import random_phases, random_unitary
+from qmeasure import linalg
+from qmeasure.errors import NotUnitary
+from qmeasure.fileio import load_operator_file, save_operator_file
+from qmeasure.measurement import ProjectorSet, spectral_decompose
+from qmeasure.mirror import extend_mirror
+from qmeasure.reversible import (
+    UNIMODULAR_TOL,
+    PhaseVector,
+    UnitaryOperator,
+    exp_observable,
+    phase_superpose_projectors,
+)
+
+
+def observable(rng, n, degenerate, scale):
+    """Q diag(lambda) Q^dag for a Haar Q, eigenvalues ``scale`` apart: n
+    eigenspaces, or random multiplicities when ``degenerate``."""
+    k = int(rng.integers(1, n + 1)) if degenerate else n
+    labels = np.sort(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+    q = random_unitary(rng, n)
+    return (q * (scale * (labels - rng.uniform(0, k)))) @ q.conj().T
+
+
+def judged_densely(mat, tol):
+    """What ``linalg._require_unitary`` gives the matrix: its residuals, or its error."""
+    try:
+        return linalg._require_unitary(mat, tol)
+    except NotUnitary as exc:
+        return exc
+
+
+def check_against_the_dense_judge(pset, phases, tol, build):
+    """``build()`` over the factored ``pset`` is proved exactly when the set says
+    so; proved, it passes the dense judge with its residuals; else it is that judge."""
+    expected = judged_densely(pset._phase_sum(phases.phases), tol)
+    proved = pset._proves_unitary(phases.unimodularity_max, tol)
+    try:
+        unit = build()
+    except NotUnitary as exc:
+        assert not proved and isinstance(expected, NotUnitary)
+        assert (str(exc), exc.residuals) == (str(expected), expected.residuals)
+        return proved
+    assert ("residuals" not in vars(unit)) is proved  # proved: formed on first read
+    assert not isinstance(expected, NotUnitary)
+    assert unit.residuals == expected  # float equality: bit for bit
+    return proved
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 32), degenerate=st.booleans(), scale_exp=st.integers(-6, 6),
+       seed=st.integers(0, 2 ** 32 - 1), deviation=st.none() | st.floats(0.0, 0.99),
+       tol_exp=st.floats(-15.0, -3.0), near=st.none() | st.floats(-0.5, 0.5))
+def test_a_proved_phase_sum_passes_the_dense_judge_bit_for_bit(n, degenerate, scale_exp, seed,
+                                                              deviation, tol_exp, near):
+    """tol is 10^tol_exp, or ``near`` the dense threshold: 10^near times the
+    tol at which the larger dense residual just passes."""
+    rng = np.random.default_rng(seed)
+    obs = spectral_decompose(observable(rng, n, degenerate, 10.0 ** scale_exp))
+    pset = obs.projector_set()
+    assume("_factor" in vars(pset))
+    if deviation is None:  # the phases of e^{iA}
+        phases = PhaseVector.from_angles(obs.eigenvalues)
+    else:  # every |alpha_m|^2 off 1 by the same amount, up to UNIMODULAR_TOL
+        signs = rng.choice([-1.0, 1.0], size=len(pset))
+        phases = PhaseVector(random_phases(rng, len(pset))
+                             * np.sqrt(1.0 + signs * deviation * UNIMODULAR_TOL))
+        assert phases.unimodularity_max <= UNIMODULAR_TOL
+    worst = max(linalg._unitarity_residuals(pset._phase_sum(phases.phases)).values())
+    tol = 10.0 ** tol_exp if near is None else worst / math.sqrt(n) * 10.0 ** near
+    if deviation is None:
+        check_against_the_dense_judge(pset, phases, tol, lambda: exp_observable(obs, tol))
+    else:
+        check_against_the_dense_judge(pset, phases, tol,
+                                      lambda: phase_superpose_projectors(pset, phases, tol))
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    """n = 32 eigenspaces and phases with |alpha_m|^2 = 1 + 0.9e-12."""
+    rng = np.random.default_rng(23)
+    q = random_unitary(rng, 32)
+    pset = spectral_decompose((q * np.arange(32.0)) @ q.conj().T).projector_set()
+    assert "_factor" in vars(pset)
+    return pset, PhaseVector(random_phases(rng, 32) * math.sqrt(1.0 + 0.9e-12))
+
+
+def test_the_phase_deviation_keeps_a_failing_sum_unproved(pinned):
+    pset, phases = pinned
+    left, right = linalg._unitarity_residuals(pset._phase_sum(phases.phases)).values()
+    assert left == pytest.approx(5.089e-12, abs=1e-15) and right == pytest.approx(5.089e-12, abs=1e-15)
+    passing = phase_superpose_projectors(pset, phases, 1e-12)
+    assert passing.residuals == {"unitarity_left": left, "unitarity_right": right}
+    with pytest.raises(NotUnitary) as exc:
+        phase_superpose_projectors(pset, phases, 1e-13)
+    assert exc.value.residuals == passing.residuals
+    # at 8.5e-13 the dense judge fails it (5.089e-12 > 8.5e-13 sqrt(32) = 4.808e-12), and
+    # a bound without the sqrt(n) delta term would have proved it
+    assert pset._proves_unitary(0.0, 8.5e-13)
+    assert not pset._proves_unitary(phases.unimodularity_max, 8.5e-13)
+    assert check_against_the_dense_judge(
+        pset, phases, 8.5e-13, lambda: phase_superpose_projectors(pset, phases, 8.5e-13)) is False
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+def test_a_tol_that_is_not_finite_and_positive_proves_nothing(pinned, tol):
+    pset, _ = pinned
+    phases = PhaseVector(random_phases(np.random.default_rng(7), len(pset)))
+    assert not pset._proves_unitary(phases.unimodularity_max, tol)
+    assert check_against_the_dense_judge(
+        pset, phases, tol, lambda: phase_superpose_projectors(pset, phases, tol)) is False
+
+
+def count_judges(monkeypatch):
+    calls = []
+    judge = linalg._require_unitary
+    monkeypatch.setattr(linalg, "_require_unitary",
+                        lambda mat, tol: calls.append(tol) or judge(mat, tol))
+    return calls
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_the_spectral_path_forms_no_unitarity_products(monkeypatch, degenerate):
+    rng = np.random.default_rng(32 + degenerate)
+    obs = spectral_decompose(observable(rng, 32, degenerate, 1.0))
+    pset = obs.projector_set()
+    calls = count_judges(monkeypatch)
+    expo = exp_observable(obs)
+    mirror = extend_mirror(PhaseVector.from_angles(rng.uniform(0, 7, len(pset))), pset)
+    assert calls == []
+    for unit in (expo, mirror.unitary):  # the residuals, formed when read, judge nothing
+        assert unit.residuals == judged_densely(unit.matrix, 1e-10)
+    assert calls == [1e-10, 1e-10]  # the two reference judges above
+
+
+def test_a_file_set_is_still_judged_once(monkeypatch, tmp_path):
+    rng = np.random.default_rng(4)
+    obs = spectral_decompose(observable(rng, 8, True, 1.0))
+    path = str(tmp_path / "projectors.json")
+    save_operator_file(path, "projector_set", obs.projector_set().projectors)
+    pset = ProjectorSet(load_operator_file(path).matrices)
+    calls = count_judges(monkeypatch)
+    mirror = extend_mirror(PhaseVector(random_phases(rng, len(pset))), pset)
+    assert calls == [1e-10] and "residuals" in vars(mirror.unitary)
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+@pytest.mark.parametrize("round_trip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_a_proved_unitary_keeps_its_residuals_through_pickle_and_deepcopy(round_trip, read_first):
+    obs = spectral_decompose(observable(np.random.default_rng(11), 16, False, 1.0))
+    unit = exp_observable(obs)
+    assert "residuals" not in vars(unit)
+    if read_first:
+        unit.residuals
+    back = round_trip(unit)
+    assert type(back) is UnitaryOperator and not back.matrix.flags.writeable
+    assert back.matrix.tobytes() == unit.matrix.tobytes()
+    assert back.residuals == unit.residuals == judged_densely(unit.matrix, 1e-10)
+    pset = round_trip(obs.projector_set())  # its Gram residual comes along, so it still proves
+    assert pset._gram == obs.projector_set()._gram
+    assert "residuals" not in vars(phase_superpose_projectors(
+        pset, PhaseVector.from_angles(obs.eigenvalues)))

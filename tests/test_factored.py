@@ -20,8 +20,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    commutation_residuals,
     commutator,
     expm_oracle,
+    frobenius_norm,
     random_hermitian,
     random_phases,
     random_state,
@@ -32,7 +34,6 @@ from qmeasure.errors import NotMirror
 from qmeasure.fileio import load_operator_file, save_operator_file
 from qmeasure.measurement import ProjectorSet, QuantumState, spectral_decompose
 from qmeasure.mirror import (
-    commutation_residuals,
     extend_mirror,
     is_mirror,
     verify_probability_preservation,
@@ -81,7 +82,7 @@ def test_factored_values_agree_with_the_per_projector_ones(n, degenerate):
     assert not hasattr(generic, "_factor")
     tol = eps_n(n)
 
-    recon = linalg.frobenius_norm(a - sum(lam * p for lam, p in obs.spectrum))
+    recon = frobenius_norm(a - sum(lam * p for lam, p in obs.spectrum))
     assert abs(obs.reconstruction_residual - recon) <= tol * max(1.0, np.linalg.norm(a))
 
     phases = PhaseVector(random_phases(rng, len(factored)))

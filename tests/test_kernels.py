@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    commutation_residuals,
     commutator,
+    frobenius_norm,
     orthogonal_family,
     random_hermitian,
     random_phases,
@@ -47,7 +49,6 @@ from qmeasure.measurement import (
 )
 from qmeasure.mirror import (
     bell_comparison,
-    commutation_residuals,
     extend_mirror,
     is_mirror,
     truth_protocol,
@@ -79,15 +80,15 @@ def loop_pairs(ops):
 def loop_two_sided(ops, tol):
     """First (i, j, residual) of the two-sided check, or None."""
     for i, mi in enumerate(ops):
-        ni = linalg.frobenius_norm(mi)
+        ni = frobenius_norm(mi)
         for j, mj in enumerate(ops):
             if i == j:
                 continue
-            scale = ni * linalg.frobenius_norm(mj)
-            left = linalg.frobenius_norm(linalg.adjoint(mi) @ mj)
+            scale = ni * frobenius_norm(mj)
+            left = frobenius_norm(linalg.adjoint(mi) @ mj)
             if not linalg.within_tol(left, tol, scale):
                 return i, j, left
-            right = linalg.frobenius_norm(mi @ linalg.adjoint(mj))
+            right = frobenius_norm(mi @ linalg.adjoint(mj))
             if not linalg.within_tol(right, tol, scale):
                 return i, j, right
     return None

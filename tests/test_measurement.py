@@ -43,7 +43,7 @@ from qmeasure.measurement import (
     spectral_decompose,
     validate_completeness,
 )
-from qmeasure.mirror import commutation_residuals, truth_protocol, verify_probability_preservation
+from qmeasure.mirror import is_mirror, truth_protocol, verify_probability_preservation
 from qmeasure.reversible import PhaseVector, UnitaryOperator
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -771,7 +771,7 @@ def test_every_dimension_rule_words_one_message():
         (lambda: apply_outcome(opset2, psi4, 0), "set 2, state 4"),
         (lambda: povm_probabilities(povm_from_operators(opset2), psi4.density_matrix()),
          "povm 2, state 4"),
-        (lambda: commutation_residuals(UnitaryOperator(np.eye(4)), pset2), "unitary 4, projectors 2"),
+        (lambda: is_mirror(UnitaryOperator(np.eye(4)), pset2), "unitary 4, projectors 2"),
         (lambda: verify_probability_preservation(unit2, pset2, psi4),
          "unitary 2, projectors 2, state 4"),
         (lambda: truth_protocol(unit2, psi4), "unitary 2, state 4"),

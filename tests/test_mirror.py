@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_state, random_unitary
+from helpers import frobenius_norm, random_state, random_unitary
 from qmeasure import linalg, measurement, mirror
 from qmeasure.errors import (
     DimensionMismatch,
@@ -319,7 +319,7 @@ def per_call_bell_report(bell_index, mirror_, tol):
     p = comp.projectors
     e0 = p[0] + p[3]
     e1 = p[1] + p[2]
-    sum_residual = linalg.frobenius_norm(e0 + e1 - np.eye(4, dtype=complex))
+    sum_residual = frobenius_norm(e0 + e1 - np.eye(4, dtype=complex))
     rho = bell.density_matrix()
     ext = povm_probabilities(Povm((e0, e1), tol=tol), rho)
     internal = float(povm_probabilities(
