@@ -168,12 +168,13 @@ class _Family:
     def _judged(self) -> OperatorResiduals:  # formed on first read
         return OperatorResiduals(self._stack)
 
-    def _proves_unitary(self, delta: float, tol: float) -> bool:
-        """Whether g proves phase sums with ||alpha_m|^2 - 1| <= ``delta`` unitary at ``tol``: with
-        V^dag V = I + E and ||E||_F = g, both residuals of V D V^dag are at most g + (1 + g)(sqrt(n)
-        delta + (1 + delta) g), plus 5 eps_n sqrt(n) of rounding (README, Tolerances)."""
-        n, g = self.dim, self._gram
-        bound = g + (1 + g) * (math.sqrt(n) * delta + (1 + delta) * g)
+    def _proves_mirror(self, phases, tol: float) -> bool:
+        """Whether g proves each phase sum U = V D V^dag a unitary mirror of the set at ``tol``, for
+        delta = ``phases.unimodularity_max``: with V^dag V = I + E and ||E||_F = g, (1 + g)(sqrt(n)
+        delta + (2 + delta) g) bounds both unitarity residuals and each ||[U, P_m]||_F (at most
+        2 (1 + g) sqrt(1 + delta) g), plus 5 eps_n sqrt(n) of rounding (README, Tolerances)."""
+        n, g, delta = self.dim, self._gram, phases.unimodularity_max
+        bound = (1 + g) * (math.sqrt(n) * delta + (2 + delta) * g)
         return linalg.within_tol(bound + 5 * _rounding_allowance(n) * math.sqrt(n), tol, math.sqrt(n))
 
     def _phase_sum(self, alphas: np.ndarray) -> np.ndarray:
@@ -553,7 +554,7 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     its projectors formed only when read. Its phase sums, commutators and
     probabilities are then products in the basis V, each within
     O(g + eps_n) = O(eps_n) of the per-projector value times its scale, and
-    g proves its phase sums unitary (``_Family._proves_unitary``).
+    g proves its phase sums unitary mirrors of the set (``_Family._proves_mirror``).
     """
     a = as_matrix(a)
     vals, vecs, hermiticity, scale = linalg.guarded_eigh(a, tol)

@@ -161,7 +161,7 @@ def phase_superpose_projectors(pset: ProjectorSet, phases: PhaseVector,
     projector set; diagonal in the eigenbasis of the generating observable.
     When the set's Gram bound proves P_hat unitary, its ``residuals`` are formed on first read."""
     linalg._require_same_dims(phases=len(phases), projectors=len(pset))
-    proved = pset._proves_unitary(phases.unimodularity_max, tol)  # else P_hat is judged
+    proved = pset._proves_mirror(phases, tol)  # else P_hat is judged
     return object.__new__(UnitaryOperator)._judge(freeze(pset._phase_sum(phases.phases)), tol, proved)
 
 
