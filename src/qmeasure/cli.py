@@ -131,12 +131,8 @@ def _fmt_value(value) -> str:
         return format_floats(value) or _fmt_value(value.tolist())
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_fmt_value(v) for v in value) + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format_float(value)
-    if value is None:
-        return "null"
     return str(value)
 
 

@@ -412,9 +412,9 @@ class ProjectorSet(_Family):
 
 
 class _FactoredSet(ProjectorSet):
-    """A spectral set held as its certified factor ``_factor`` = (V, labels), ``labels[k]``
-    the eigenspace of column k: its stack of P_m = V_m V_m^dag, and the views ``projectors``,
-    are formed on first read and kept (see :func:`spectral_decompose`)."""
+    """A spectral set held as its factor ``_factor`` = (V, labels) and its g, ``labels[k]`` the
+    eigenspace of column k: its stack of P_m = V_m V_m^dag (which the commutators read) and the
+    views ``projectors`` are formed on first read and kept (see :func:`spectral_decompose`)."""
 
     @property
     def dim(self) -> int:
@@ -437,15 +437,6 @@ class _FactoredSet(ProjectorSet):
     def _phase_sum(self, alphas: np.ndarray) -> np.ndarray:  # V diag(alpha[labels]) V^dag
         vecs, labels = self._factor
         return (vecs * alphas[labels]) @ vecs.conj().T
-
-    def _commutator_norms(self, u: np.ndarray) -> tuple[float, ...]:
-        """||[U, P_m]||_F as the root mass of the entries of B = V^dag U V with exactly one index
-        in eigenspace m; the others are zeroed before the sums (subtracting them would cancel)."""
-        vecs, labels = self._factor
-        b = vecs.conj().T @ u @ vecs
-        mass = np.where(labels[:, None] == labels, 0.0, b.real ** 2 + b.imag ** 2)
-        return tuple(np.sqrt(np.bincount(labels, mass.sum(axis=1))
-                             + np.bincount(labels, mass.sum(axis=0))).tolist())
 
     def _expectations(self, states: np.ndarray) -> list[np.ndarray]:
         """Per column s, sum_{k in m} Re(s^dag V_k c_k) with c = V^dag s: c's rounding enters once."""
@@ -550,11 +541,11 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     check, and ``InvalidProjectorSet`` names g, the threshold and the failure.
     Both failures after the eigensolver carry the ``Observable``'s residuals.
 
-    Only if g <= eps_n is the set held as ``_factor`` = (V, labels), and
-    its projectors formed only when read. Its phase sums, commutators and
-    probabilities are then products in the basis V, each within
-    O(g + eps_n) = O(eps_n) of the per-projector value times its scale, and
-    g proves its phase sums unitary mirrors of the set (``_Family._proves_mirror``).
+    Every set is held as ``_factor`` = (V, labels) with its g, and its
+    projectors formed only when read. Its phase sums and probabilities are
+    products in the basis V that equal the per-projector sums for any V, so
+    g <= tau alone certifies it, and g proves its phase sums unitary mirrors
+    of the set (``_Family._proves_mirror``); its commutators read the projectors.
     """
     a = as_matrix(a)
     vals, vecs, hermiticity, scale = linalg.guarded_eigh(a, tol)
@@ -565,11 +556,8 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
         lams[slots] = vals[cols].sum(axis=1) / cols.shape[1]
     resid = linalg._norm(a - (vecs * lams[labels]) @ vecs.conj().T)
     gram = linalg._norm(vecs.conj().T @ vecs - linalg._identity(len(vals)))
-    if gram <= _rounding_allowance(len(vals)):  # V^dag V = I to rounding
-        pset = object.__new__(_FactoredSet)
-        vars(pset).update(_factor=(freeze(vecs), freeze(labels)), _gram=gram)
-    else:  # certified below
-        pset = object.__new__(ProjectorSet)._hold("projectors", _eigenspace_stack(vecs, labels))
+    pset = object.__new__(_FactoredSet)  # certified below
+    vars(pset).update(_factor=(freeze(vecs), freeze(labels)), _gram=gram)
     obs = Observable(freeze(a), tuple(lams.tolist()), hermiticity, resid, pset)  # returned if judged
     if not linalg.within_tol(resid, tol, scale):
         raise QmeasureError(f"spectrum does not reconstruct the observable (residual {resid:.3e})",

@@ -44,7 +44,7 @@ _computational_set = functools.cache(computational_projector_set)  # immutable, 
 @dataclass(frozen=True, eq=False)
 class MirrorUnitary:
     """Unitary certified to commute with its reference projector set; its ``commutation_residuals``
-    ||[U, P_m]||_F are formed on first read, by the expression :func:`is_mirror` judges."""
+    ||[U, P_m]||_F are formed on first read over its projectors, as :func:`is_mirror` forms them."""
 
     unitary: UnitaryOperator
     reference_projectors: ProjectorSet
@@ -100,13 +100,12 @@ def verify_probability_preservation(u, pset: ProjectorSet, psi: QuantumState,
                                     tol: float = DEFAULT_TOL) -> PreservationReport:
     """State-level check that U preserves the probabilities of ``pset``.
 
-    Computes p(m) = <psi|P_m|psi> and p'(m) = <U psi|P_m|U psi> and reports
-    the largest |p'(m) - p(m)|, which ``passed`` judges at ``tol`` (scale 1);
-    it never raises on large deviations. Each, <psi|U^dag [P_m, U]|psi>, is at
-    most ||[U, P_m]||_F: tol * sqrt(n), not ``tol``, for a mirror :func:`is_mirror`
-    certifies at ``tol``, so its report can still fail; far below ``tol`` for a
-    spectral mirror :func:`extend_mirror` proves (2 (1 + g) sqrt(1 + delta) g
-    plus rounding, about 4.5e-12 at n = 32, against the default 1e-10).
+    Computes p(m) = <psi|P_m|psi> and p'(m) = <U psi|P_m|U psi> (from the factor of a spectral
+    set) and reports the largest |p'(m) - p(m)|, which ``passed`` judges at ``tol`` (scale 1);
+    it never raises on large deviations. Each, <psi|U^dag [P_m, U]|psi>, is at most ||[U, P_m]||_F:
+    tol * sqrt(n), not ``tol``, for a mirror :func:`is_mirror` certifies at ``tol``, so its report
+    can still fail; 2 (1 + g) sqrt(1 + delta) g plus rounding for a spectral mirror
+    :func:`extend_mirror` proves (about 4.5e-12 at n = 32 for the g of ``eigh``, against 1e-10).
     """
     unit = _as_unitary(u, tol, projectors=pset.dim, state=psi.dim)
     states = np.empty((psi.dim, 2), complex)  # column 0 psi, column 1 U psi
@@ -141,7 +140,7 @@ def extend_mirror(phases: PhaseVector, pset: ProjectorSet,
     """Mirror from unimodular phases over any complete projector set.
 
     Builds U = sum_m alpha_m P_m, which commutes with each P_m by construction.
-    When a factored spectral set's Gram residual proves U a mirror at ``tol``
+    When a spectral set's Gram residual proves U a mirror at ``tol``
     (``_Family._proves_mirror``), U is returned unjudged; otherwise :func:`is_mirror`
     certifies it, which can only fail (``NotMirror``) on numerically broken input.
     """

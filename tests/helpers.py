@@ -122,9 +122,9 @@ def frobenius_norm(a):
 
 
 def commutation_residuals(u, pset):
-    """||[U, P_m]||_F for every projector in the set, by the set's own kernel
-    (the one ``is_mirror`` judges), after ``u``'s dims are checked and a raw
-    matrix is judged unitary."""
+    """||[U, P_m]||_F for every projector in the set, by the one kernel
+    ``is_mirror`` judges, after ``u``'s dims are checked and a raw matrix is
+    judged unitary."""
     unit = _as_unitary(u, projectors=pset.dim)
     return pset._commutator_norms(unit.matrix)
 

@@ -1,20 +1,20 @@
 """The eigenvector factor a spectral projector set carries, against the
 per-projector paths every other set takes.
 
-``spectral_decompose`` keeps (V, labels) only when the eigenvector Gram
-residual g = ||V^dag V - I||_F is at most eps_n = 4 n^(3/2) eps. The phase
-sum and the commutation residuals are then formed in the basis V, and must
-agree with the per-projector values within eps_n times their scale. Any
-other set has no factor and must give the per-projector values bit for bit.
-The reconstruction residual is formed in the basis V on every spectral set:
-V diag(lambda[labels]) V^dag is the sum of lambda_m P_m for any V.
+``spectral_decompose`` keeps (V, labels) and the eigenvector Gram residual
+g = ||V^dag V - I||_F on every set it returns: on ``eigh`` output, where g is
+at most eps_n = 4 n^(3/2) eps, and on planted eigenpairs with g above it.
+The reconstruction residual, the phase sum and the preservation
+probabilities are formed in the basis V, which is the sum over the
+projectors P_m = V_m V_m^dag for any V, and must agree with the
+per-projector values within eps_n times their scale. The commutation
+residuals are formed over the projectors on every set, so they are the
+per-projector values bit for bit, however the set is held.
 
-A set with the factor forms its projector stack only when first read, with
-the bytes an eager decomposition formed, and takes its preservation
+A spectral set forms its projector stack only when first read, with the
+bytes an eager decomposition formed, and takes its preservation
 probabilities from V_m (V_m^dag psi), checked against exact values.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -39,7 +39,7 @@ from qmeasure.mirror import (
     verify_probability_preservation,
 )
 from qmeasure.reversible import PhaseVector, exp_observable, phase_superpose_projectors
-from test_measurement import decompose_planted, planted_eigenpairs
+from test_measurement import decompose_planted, planted_above_the_allowance, planted_eigenpairs
 
 DIMS = list(range(1, 10)) + [32, 64]
 
@@ -53,12 +53,12 @@ def stacked_phase_sum(projs, phases):
     return sum(np.tensordot(phases[lo:lo + len(s)], s, axes=1) for lo, s in linalg.stacks(projs))
 
 
-def mirror_verdict(u, pset):
+def mirror_outcome(u, pset):
+    """What ``is_mirror`` says of ``u``: pass or fail, its message and its residuals."""
     try:
-        is_mirror(u, pset)
-    except NotMirror:
-        return False
-    return True
+        return True, "", is_mirror(u, pset).residuals
+    except NotMirror as exc:
+        return False, str(exc), exc.residuals
 
 
 def nudged(u, rng, size):
@@ -70,12 +70,28 @@ def nudged(u, rng, size):
 @pytest.mark.parametrize("n", DIMS)
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_factored_values_agree_with_the_per_projector_ones(n, degenerate):
+    """On the ``eigh`` output of a random observable, and on eigenpairs planted with
+    g in (eps_n, tau] by each perturbation of :func:`planted_eigenpairs`: a quarter of
+    the way to tau, so that at n = 1 the phase sum, off unitary by 2 g, still passes."""
     rng = np.random.default_rng(100 + n)
-    a = random_hermitian(rng, n, degenerate=degenerate)
-    obs = spectral_decompose(a)
+    for plant in (None, "tilt", "stretch", "random"):
+        if plant is None:
+            a = random_hermitian(rng, n, degenerate=degenerate)
+            obs = spectral_decompose(a)
+        else:
+            vals, vecs = planted_above_the_allowance(rng, n, degenerate, plant, 0.25)
+            a = (vecs * vals) @ vecs.conj().T
+            obs = decompose_planted(vals, vecs, 1e-10)
+        check_the_factored_values(rng, a, obs, plant is None)
+
+
+def check_the_factored_values(rng, a, obs, from_eigh):
+    n = len(a)
     factored = obs.projector_set()
     vecs, labels = factored._factor
-    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)) <= eps_n(n)
+    gram = np.linalg.norm(vecs.conj().T @ vecs - np.eye(n))
+    assert factored._gram == gram and (gram <= eps_n(n)) == from_eigh
+    assert gram <= measurement._gram_threshold(n, 1e-10)
     assert labels.tolist() == [m for m, (_, p) in enumerate(obs.spectrum)
                                for _ in range(round(np.trace(p).real))]
     generic = ProjectorSet(factored.projectors)
@@ -93,23 +109,23 @@ def test_factored_values_agree_with_the_per_projector_ones(n, degenerate):
     assert np.linalg.norm(summed - looped) <= tol * max(1.0, np.linalg.norm(looped))
 
     for u in (mirror, random_unitary(rng, n)):
-        fast = commutation_residuals(u, factored)
-        slow = commutation_residuals(u, generic)
-        assert all(type(r) is float for r in fast)
-        assert np.abs(np.subtract(fast, slow)).max() <= tol * math.sqrt(n)
+        spectral = commutation_residuals(u, factored)
+        assert all(type(r) is float for r in spectral)
+        assert spectral == commutation_residuals(u, generic)  # floats: bit for bit
 
     # verdicts away from the threshold tol sqrt(n) of is_mirror: 1e-10 sqrt(n)
     for u, commutes in ((mirror, True), (nudged(mirror.matrix, rng, 1e-14), True),
                         (nudged(mirror.matrix, rng, 1e-6), n == 1),
                         (random_unitary(rng, n), n == 1)):
-        assert mirror_verdict(u, factored) is mirror_verdict(u, generic) is commutes
+        judged = mirror_outcome(u, factored)
+        assert judged == mirror_outcome(u, generic) and judged[0] is commutes
 
     psi = QuantumState(random_state(rng, n))
     for u in (mirror, random_unitary(rng, n)):
-        fast = verify_probability_preservation(u, factored, psi)
-        slow = verify_probability_preservation(u, generic, psi)
-        assert np.abs(np.subtract(fast.probabilities_before, slow.probabilities_before)).max() <= tol
-        assert np.abs(np.subtract(fast.probabilities_after, slow.probabilities_after)).max() <= tol
+        spectral = verify_probability_preservation(u, factored, psi)
+        dense = verify_probability_preservation(u, generic, psi)
+        assert np.abs(np.subtract(spectral.probabilities_before, dense.probabilities_before)).max() <= tol
+        assert np.abs(np.subtract(spectral.probabilities_after, dense.probabilities_after)).max() <= tol
 
 
 def test_a_file_loaded_set_has_no_factor_and_the_per_projector_values(tmp_path):
@@ -130,17 +146,18 @@ def test_a_file_loaded_set_has_no_factor_and_the_per_projector_values(tmp_path):
 
 @pytest.mark.parametrize("n", [2, 8, 32])
 def test_a_gram_residual_above_the_rounding_allowance_keeps_the_per_projector_values(n):
-    """g between eps_n and the certificate threshold: the set is certified
-    but carries no factor, so its phase sum and commutators are the
-    per-projector ones. Its reconstruction residual is still the one product
-    in the planted basis V, which needs no V^dag V = I."""
+    """g between eps_n and the certificate threshold: the set is certified and
+    carries its factor and g. Its reconstruction residual, phase sum and
+    probabilities are products in the planted basis V, which need no
+    V^dag V = I: within eps_n of the per-projector values. Its commutators are
+    formed over the projectors: the per-projector values bit for bit."""
     rng = np.random.default_rng(n)
     vals, vecs = planted_eigenpairs(rng, n, True, "tilt", 1e-12)
     gram = np.linalg.norm(vecs.conj().T @ vecs - np.eye(n))
     assert eps_n(n) < gram <= measurement._gram_threshold(n, 1e-10)
     obs = decompose_planted(vals, vecs, 1e-10)
     pset = obs.projector_set()
-    assert not hasattr(pset, "_factor")
+    assert pset._factor[0].tobytes() == vecs.tobytes() and pset._gram == gram
     a = (vecs * vals) @ vecs.conj().T
     labels = np.repeat(np.arange(len(pset)), [round(np.trace(p).real) for p in pset.projectors])
     recon = (vecs * np.array(obs.eigenvalues)[labels]) @ vecs.conj().T
@@ -149,18 +166,35 @@ def test_a_gram_residual_above_the_rounding_allowance_keeps_the_per_projector_va
     assert abs(obs.reconstruction_residual - np.linalg.norm(a - summed)) <= eps_n(n) * max(
         1.0, np.linalg.norm(a))
     phases = PhaseVector(random_phases(rng, len(pset)))
-    np.testing.assert_array_equal(phase_superpose_projectors(pset, phases).matrix,
-                                  stacked_phase_sum(pset.projectors, phases.phases))
+    summed = stacked_phase_sum(pset.projectors, phases.phases)
+    gap = np.linalg.norm(phase_superpose_projectors(pset, phases).matrix - summed)
+    assert gap <= eps_n(n) * max(1.0, np.linalg.norm(summed))
     u = random_unitary(rng, n)
     assert commutation_residuals(u, pset) == tuple(
         float(np.linalg.norm(commutator(u, p))) for p in pset.projectors)
+    psi = QuantumState(random_state(rng, n))
+    report = verify_probability_preservation(u, pset, psi)
+    for got, s in ((report.probabilities_before, psi.amplitudes),
+                   (report.probabilities_after, u @ psi.amplitudes)):
+        per_projector = [np.vdot(s, p @ s).real for p in pset.projectors]
+        assert np.abs(np.subtract(got, per_projector)).max() <= eps_n(n)
+
+
+def count_stack_builds(monkeypatch):
+    """Calls of the builder of a spectral set's projector stack."""
+    calls = []
+    build = measurement._eigenspace_stack
+    monkeypatch.setattr(measurement, "_eigenspace_stack",
+                        lambda vecs, labels: calls.append(len(vecs)) or build(vecs, labels))
+    return calls
 
 
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_the_spectral_pipeline_forms_no_per_projector_products(monkeypatch, degenerate):
-    """exp_observable, extend_mirror and is_mirror on an n = 32 spectral set
-    go through the eigenvector factor; every per-projector path stacks the
-    projectors with linalg.stacks, which may not run here."""
+    """exp_observable and extend_mirror on an n = 32 spectral set go through the
+    eigenvector factor; every per-projector path stacks the projectors with
+    linalg.stacks, which may not run there. is_mirror judges the commutators
+    over the projectors: the first call forms the stack, and every later one reads it."""
     rng = np.random.default_rng(32)
     obs = spectral_decompose(random_hermitian(rng, 32, degenerate=degenerate))
     pset = obs.projector_set()
@@ -173,9 +207,13 @@ def test_the_spectral_pipeline_forms_no_per_projector_products(monkeypatch, dege
     monkeypatch.setattr(measurement, "_eigenspace_stack", forbidden)
     exp_observable(obs)
     mirror = extend_mirror(phases, pset)
+    monkeypatch.undo()
+    builds = count_stack_builds(monkeypatch)
     is_mirror(mirror.unitary, pset)
+    stack = pset._stack
     with pytest.raises(NotMirror):
         is_mirror(random_unitary(rng, 32), pset)
+    assert builds == [32] and pset._stack is stack
 
 
 def forbid_the_stack(monkeypatch):
@@ -188,8 +226,9 @@ def forbid_the_stack(monkeypatch):
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_the_spectral_n32_op_sequence_forms_no_projector_stack(monkeypatch, degenerate):
     """The benchmark's op, with every read that needs only the factor: the
-    count and dimension, eigenvalues, residuals, reprs, the phase sum, the
-    commutators and the preservation probabilities."""
+    count and dimension, eigenvalues, residuals, reprs, the phase sum and the
+    preservation probabilities. The commutators, read after it, form the
+    stack once and keep it."""
     rng = np.random.default_rng(320 + degenerate)
     a = random_hermitian(rng, 32, degenerate=degenerate)
     psi = QuantumState(random_state(rng, 32))
@@ -199,12 +238,17 @@ def test_the_spectral_n32_op_sequence_forms_no_projector_stack(monkeypatch, dege
     expo = exp_observable(obs)
     mirror = extend_mirror(PhaseVector(random_phases(rng, len(pset))), pset)
     report = verify_probability_preservation(mirror.unitary, pset, psi)
-    commutation_residuals(expo, pset)
     assert (len(pset), pset.dim) == (len(obs.eigenvalues), 32)
     assert obs.residuals["n_eigenspaces"] == len(pset) == len(report.probabilities_before)
     assert "eigenvalues" in repr(obs) and repr(pset) == (
         f"ProjectorSet({len(pset)} eigenspace projectors of dim 32)")
     assert not {"_stack", "projectors"} & set(vars(pset)) and "spectrum" not in vars(obs)
+    monkeypatch.undo()
+    builds = count_stack_builds(monkeypatch)
+    commutation_residuals(expo, pset)
+    stack = pset._stack
+    mirror.commutation_residuals
+    assert builds == [32] and pset._stack is stack
 
 
 def test_validating_an_observable_file_forms_no_projector_stack(monkeypatch, capsys, corpus,
@@ -259,11 +303,12 @@ def test_a_factored_stack_formed_on_first_read_has_the_eager_bytes(n, degenerate
 
 
 @pytest.mark.parametrize("n", [8, 32])
-def test_a_set_without_the_factor_holds_the_eager_bytes_from_the_start(n):
-    """g above eps_n (a planted tilt): the stack is formed at once, by the same builder."""
+def test_a_set_with_g_above_eps_n_forms_the_eager_bytes_on_first_read(n):
+    """g above eps_n (a planted tilt): the set keeps its factor, and its stack is
+    formed when first read, by the same builder."""
     vals, vecs = planted_eigenpairs(np.random.default_rng(40 + n), n, True, "tilt", 1e-12)
     pset = decompose_planted(vals, vecs, 1e-10).projector_set()
-    assert "_stack" in vars(pset) and not hasattr(pset, "_factor")
+    assert pset._gram > eps_n(n) and "_factor" in vars(pset) and "_stack" not in vars(pset)
     assert pset._stack.tobytes() == eager_stack(vals, vecs).tobytes()
     assert all(p.base is pset._stack and not p.flags.writeable for p in pset.projectors)
 

@@ -550,6 +550,14 @@ def planted_eigenpairs(rng, n, degenerate, plant, gram_target):
     return vals, vecs
 
 
+def planted_above_the_allowance(rng, n, degenerate, plant, ratio):
+    """:func:`planted_eigenpairs` with g ``ratio`` of the way from eps_n to the
+    certificate threshold tau at the default tol: certified, but above eps_n."""
+    eps_n = measurement._rounding_allowance(n)
+    target = eps_n + ratio * (measurement._gram_threshold(n, 1e-10) - eps_n)
+    return planted_eigenpairs(rng, n, degenerate, plant, target)
+
+
 def eigenspace_projectors(vals, vecs):
     """V_g V_g^dag over the clusters of ``vals``, as spectral_decompose forms them."""
     groups = np.split(np.arange(len(vals)),
