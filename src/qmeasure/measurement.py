@@ -141,10 +141,10 @@ class _Family:
         object.__setattr__(self, "_stack", stack)
         return self
 
-    def _admit(self, tol: float, povm: bool = False):
+    def _admit(self, tol: float, povm: bool = False, proved: bool = False):
         """Raise the first requirement the held stack fails as a projector set (a POVM with
-        ``povm``). A stack the library just made is held on a bare instance, uncopied."""
-        if (failure := self._judged.failure(tol, povm)) is not None:
+        ``povm``; ``proved``: see ``failure``). A stack the library made is held uncopied."""
+        if (failure := self._judged.failure(tol, povm, proved)) is not None:
             raise failure
         return self
 
@@ -270,7 +270,7 @@ def apply_outcome(opset: MeasurementOperatorSet, psi: QuantumState, m: int,
         raise UnknownOutcome(f"outcome {m} not in 0..{len(opset) - 1}")
     _require_complete(opset, tol)
     mapped = opset.operators[m] @ psi.amplitudes
-    p = float(np.linalg.norm(mapped) ** 2)
+    p = float(np.float64(linalg._norm(mapped)) ** 2)  # inf, not OverflowError, past the range
     if p <= PROB_FLOOR:
         raise ZeroProbabilityOutcome(f"outcome {m} has probability {p:.3e} <= {PROB_FLOOR:g}; "
                                      "its post-measurement state is undefined", {"probability": p})
@@ -308,13 +308,12 @@ def sample_histogram(opset: MeasurementOperatorSet, psi: QuantumState,
 
 @dataclass(frozen=True, eq=False)
 class OperatorResiduals:
-    """Every residual a projector set or a POVM is judged on, each computed
-    once, when first read (norms and hermiticity together), under the errstate
-    of :meth:`failure`. Norms come from 128 KiB stacks and equal a per-matrix
-    ``np.linalg.norm`` bit for bit. Each passes :func:`linalg.within_tol` at
-    ``tol`` against its own scale: ``pair_scales`` for ``pairs``, ||P_k||_F for
-    hermiticity and sqrt(dim) for completeness. ``lowest`` eigenvalues pass at
-    or above ``PSD_FLOOR``."""
+    """Every residual a projector set or a POVM is judged on, each computed once, when first read
+    (norms and hermiticity together): under the errstate of :meth:`failure`, or by ``residuals``
+    for POVM elements that ``Povm._of_products`` proved. Norms come from 128 KiB stacks and equal
+    a per-matrix ``np.linalg.norm`` bit for bit. Each passes :func:`linalg.within_tol` at ``tol``
+    against its own scale: ``pair_scales`` for ``pairs``, ||P_k||_F for hermiticity and sqrt(dim)
+    for completeness. ``lowest`` eigenvalues pass at or above ``PSD_FLOOR``."""
 
     operators: np.ndarray  # a stack (or a sequence) of square matrices of one dimension
 
@@ -362,21 +361,21 @@ class OperatorResiduals:
         return out
 
     @np.errstate(over="ignore", invalid="ignore")
-    def failure(self, tol: float, povm: bool = False) -> QmeasureError | None:
+    def failure(self, tol: float, povm: bool = False, proved: bool = False) -> QmeasureError | None:
         """The error for the first requirement the operators violate at
         ``tol`` as a projector set, or with ``povm`` as a POVM, carrying
         :meth:`residuals`; None when they pass. Hermiticity is judged first,
         and only Hermitian operators get their pair products (projectors)
         or eigenvalues (POVM elements) formed and judged; completeness is
-        judged last."""
+        judged last, and alone for POVM elements ``proved`` Hermitian and positive."""
         what, not_hermitian = (("POVM element", NotHermitian) if povm
                                else ("projector", InvalidProjectorSet))
-        if not (passed := linalg.within_tol(self.hermiticity, tol, self.norms)).all():
+        if not proved and not (passed := linalg.within_tol(self.hermiticity, tol, self.norms)).all():
             k = int(passed.argmin())  # the first that fails
             note = linalg.residual_note(self.hermiticity[k], self.norms[k])
             return not_hermitian(f"{what} {k} is not Hermitian ({note})",
                                  self.residuals(povm, hermitian=False))
-        if povm and (bad := np.flatnonzero(self.lowest < PSD_FLOOR)).size:
+        if povm and not proved and (bad := np.flatnonzero(self.lowest < PSD_FLOOR)).size:
             return NotPositive(f"POVM element {bad[0]} has negative eigenvalue "
                                f"{self.lowest[bad[0]]:.3e}", self.residuals(povm))
         if not povm and (bad := np.argwhere(
@@ -581,6 +580,13 @@ class Povm(_Family):
     def __post_init__(self, tol: float):
         self._hold("elements", _coerce_square_family(self.elements, "POVM"))._admit(tol, povm=True)
 
+    def _of_products(self, completeness: float, tol: float) -> "Povm":
+        """Admit products E_m = M_m^dag M_m whose sum is I to ``completeness`` c. Each is Hermitian to
+        2k and >= -k, k = eps_n (n + sqrt(n) c) (README, Tolerances): if both pass, only c is judged."""
+        vars(self._judged)["completeness"] = completeness
+        bound = _rounding_allowance(n := self.dim) * (n + math.sqrt(n) * completeness)
+        return self._admit(tol, True, linalg.within_tol(2 * bound, tol) and -bound >= PSD_FLOOR)
+
     @property
     def residuals(self) -> dict[str, float]:
         return self._judged.residuals(povm=True)
@@ -588,16 +594,15 @@ class Povm(_Family):
 
 def povm_from_operators(opset: MeasurementOperatorSet,
                         tol: float = DEFAULT_TOL) -> Povm:
-    """POVM elements E_m = M_m^dag M_m of a complete measurement set."""
+    """POVM elements E_m = M_m^dag M_m of a complete measurement set. Its completeness residual
+    (the same sum, bit for bit) is the POVM's; if it proves them Hermitian and positive
+    (``Povm._of_products``), ``residuals`` forms their hermiticity and eigenvalues on first read."""
     _require_complete(opset, tol)
     elems = np.empty_like(opset._stack)
     for lo, tile in linalg.stacks(opset._stack):
         np.matmul(_adjoint(tile), tile, out=elems[lo:lo + len(tile)])
-    povm = object.__new__(Povm)._hold("elements", freeze(elems))
-    # sum(elements) - I adds the same products in the same (label) order as the set's
-    # completeness residual: the same bits, so the elements are not summed again
-    vars(povm._judged)["completeness"] = opset.completeness_residual
-    return povm._admit(tol, povm=True)
+    return object.__new__(Povm)._hold("elements", freeze(elems))._of_products(
+        opset.completeness_residual, tol)
 
 
 def povm_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:

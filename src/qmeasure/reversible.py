@@ -176,11 +176,11 @@ def exp_observable(obs: Observable, tol: float = DEFAULT_TOL) -> UnitaryOperator
 def irm_povm(u, tol: float = DEFAULT_TOL) -> Povm:
     """Singleton POVM {U^dag U} of a reversible measurement.
 
-    The lone element equals the identity (within tolerance), so every state
-    produces the unique outcome with probability one. Its completeness residual
-    ||U^dag U - I||_F is the judged ``unitarity_left``: the same expression, bit for bit.
+    The lone element equals the identity (within tolerance), so every state produces the unique
+    outcome with probability one. Its completeness residual ||U^dag U - I||_F is the judged
+    ``unitarity_left`` (the same expression, bit for bit); if it proves U^dag U Hermitian and
+    positive (``Povm._of_products``), ``residuals`` forms the rest on first read.
     """
     unit = _as_unitary(u, tol)
     povm = object.__new__(Povm)._hold("elements", freeze((unit.matrix.conj().T @ unit.matrix)[None]))
-    vars(povm._judged)["completeness"] = unit.residuals["unitarity_left"]
-    return povm._admit(tol, povm=True)
+    return povm._of_products(unit.residuals["unitarity_left"], tol)

@@ -351,3 +351,15 @@ def test_a_proved_mirror_keeps_its_residuals_through_pickle_and_deepcopy(round_t
         back.commutation_residuals = (0.0,) * len(pset)
     with pytest.raises(dataclasses.FrozenInstanceError):
         mirror.commutation_residuals = (0.0,) * len(pset)
+
+
+@pytest.mark.xfail(strict=True, raises=NotUnitary,
+                   reason="ROADMAP item 12: the phase sum of a certified set is off unitary "
+                   "by about 2 g, and its judge allows tol sqrt(n) < 2 tau for n < 4")
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_certified_spectral_set_gives_a_unitary_phase_sum_at_small_n(n):
+    """Planted ``stretch`` eigenpairs with g = 0.9 of the way from eps_n to tau pass
+    ``spectral_decompose`` at tol 1e-10, yet ``exp_observable`` raises ``NotUnitary``."""
+    rng = np.random.default_rng(n)
+    obs = planted_observable(rng, n, False, "stretch", 0.9)
+    exp_observable(obs, 1e-10)

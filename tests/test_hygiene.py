@@ -12,7 +12,9 @@ its spectral factor ``_factor``. The package stays within
 its line cap, a ratchet: lower ``LINE_CAP`` when the package shrinks, so that
 growth needs a visible edit here. ``ERRSTATE_CAP`` is the same ratchet on its
 ``np.errstate`` entries (each costs a few microseconds a call): one per public
-call, which runs its kernels inside it.
+call, which runs its kernels inside it. No module calls ``np.linalg.norm``:
+``linalg._norm`` and ``linalg.frobenius_norms`` give its values, bit for bit,
+without its dispatch.
 """
 
 import ast
@@ -26,7 +28,7 @@ PACKAGE = pathlib.Path(qmeasure.__file__).resolve().parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 RECEIVERS = {"self", "cls"}
-LINE_CAP = 2239  # lines in src/qmeasure/*.py, as ``wc -l`` counts them
+LINE_CAP = 2244  # lines in src/qmeasure/*.py, as ``wc -l`` counts them
 ERRSTATE_CAP = 8  # np.errstate calls in src/qmeasure/*.py, decorators and with blocks alike
 
 
@@ -202,3 +204,20 @@ def test_errstate_uses_are_found():
 def test_package_stays_within_its_errstate_cap():
     uses = sum(errstate_uses(ast.parse((PACKAGE / m).read_text(encoding="utf-8"))) for m in ALL_MODULES)
     assert uses <= ERRSTATE_CAP
+
+
+def numpy_norm_calls(tree: ast.AST) -> list[int]:
+    """Lines that call ``np.linalg.norm`` (or ``numpy.linalg.norm``); naming it in a string is no call."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("np.linalg.norm", "numpy.linalg.norm")]
+
+
+def test_numpy_norm_calls_are_found():
+    tree = ast.parse('"""np.linalg.norm(a)"""\nx = np.linalg.norm(a) ** 2\n'
+                     "y = numpy.linalg.norm\nz = linalg._norm(a)  # np.linalg.norm(a)\n")
+    assert numpy_norm_calls(tree) == [2]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_module_calls_numpy_norm(module):
+    assert numpy_norm_calls(ast.parse((PACKAGE / module).read_text(encoding="utf-8"))) == []

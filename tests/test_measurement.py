@@ -296,6 +296,24 @@ def test_apply_outcome_general_set_post_state():
     assert np.allclose(record.post_state.amplitudes, [1.0, 0.0])
 
 
+def test_apply_outcome_probability_is_the_squared_numpy_norm_bit_for_bit():
+    """p = ||M_m psi||^2 squares ``linalg._norm`` as an np.float64, bit for bit the
+    ``np.linalg.norm(M_m psi) ** 2`` it replaced: on vectors of n <= 8 at scales 1e-160 to
+    1e150, and on the outcomes of complete families."""
+    rng = np.random.default_rng(8)
+    for _ in range(3000):
+        v = rng.normal(size=(2, int(rng.integers(1, 9)))) * 10.0 ** rng.uniform(-160.0, 150.0)
+        v = v[0] + 1j * v[1]
+        assert np.float64(linalg._norm(v)) ** 2 == np.linalg.norm(v) ** 2
+    for n in (1, 2, 3, 8):
+        opset = MeasurementOperatorSet(orthogonal_family(rng, n, n))
+        psi = QuantumState(random_state(rng, n))
+        for m, op in enumerate(opset.operators):
+            with suppress(ZeroProbabilityOutcome):
+                p = apply_outcome(opset, psi, m).probability
+                assert p == min(float(np.linalg.norm(op @ psi.amplitudes) ** 2), 1.0)
+
+
 def test_apply_outcome_unknown_label():
     with pytest.raises(UnknownOutcome):
         apply_outcome(GENERAL_SET, PLUS, 2)
@@ -739,6 +757,16 @@ def test_povm_rejects_non_positive_element():
 def test_povm_rejects_incomplete():
     with pytest.raises(IncompleteSet):
         Povm((np.diag([0.5, 0.5]).astype(complex),))
+
+
+@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
+                   reason="ROADMAP item 2: POVM positivity is judged against the fixed "
+                   "PSD_FLOOR = -1e-10, not at tol")
+def test_povm_positivity_is_judged_at_tol():
+    """An eigenvalue of -5e-11 is 5000 times tol = 1e-14, yet passes the fixed floor. Mending
+    it moves the floor that ``Povm._of_products`` proves against too: both read one threshold."""
+    with pytest.raises(NotPositive):
+        Povm((np.diag([-5e-11, 1.0]), np.diag([1.0 + 5e-11, 0.0])), tol=1e-14)
 
 
 def test_povm_rejects_non_hermitian():

@@ -426,9 +426,10 @@ def test_bell_references_are_read_only_and_built_once(monkeypatch):
         assert all(not p.flags.writeable for p in shared.projectors)
     assert computational_projector_set(4) is not computational_projector_set(4)  # public, uncached
     built = {cls: 0 for cls in (ProjectorSet, Povm, DensityMatrix)}
-    # every Povm is admitted by _admit, also one the library builds without __post_init__
-    hooks = {ProjectorSet: "__post_init__", Povm: "_admit", DensityMatrix: "__post_init__"}
-    for cls, hook in hooks.items():
+    # a Povm enters by __post_init__ or, built from products M^dag M, by _of_products, proved or not
+    hooks = [(ProjectorSet, "__post_init__"), (Povm, "__post_init__"), (Povm, "_of_products"),
+             (DensityMatrix, "__post_init__")]
+    for cls, hook in hooks:
         def counted(self, *args, _cls=cls, _init=getattr(cls, hook), **kwargs):
             built[_cls] += 1
             return _init(self, *args, **kwargs)

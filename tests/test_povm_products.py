@@ -1,0 +1,176 @@
+"""The bound that proves the POVMs of products E_m = M_m^dag M_m Hermitian and positive.
+
+``povm_from_operators`` and ``irm_povm`` admit their elements through
+``Povm._of_products`` with the completeness residual c their factors already
+passed. As sum_m ||M_m||_F^2 = tr(sum_m E_m) <= n + sqrt(n) c, each computed
+E_m is Hermitian to 2k and has no computed eigenvalue below -k, for
+k = eps_n (n + sqrt(n) c) and eps_n = 4 n^(3/2) eps (README, Tolerances).
+When 2k passes ``within_tol`` at ``tol`` and -k is at or above the floor the
+positivity judge reads (``PSD_FLOOR``), only c is judged, and the
+hermiticity and the eigenvalues are formed when ``residuals`` is first read.
+Otherwise every leg is judged, as ``Povm(elements, tol)`` judges it. So a
+proved POVM must pass that judge with its residuals bit for bit, and every
+POVM, proved or not, must raise or pass exactly as the judge does.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_partition, random_unitary
+from qmeasure import linalg, measurement
+from qmeasure.errors import IncompleteSet, NotUnitary, QmeasureError
+from qmeasure.measurement import (
+    MeasurementOperatorSet,
+    OperatorResiduals,
+    Povm,
+    povm_from_operators,
+)
+from qmeasure.reversible import irm_povm
+
+EPS = 2.0 ** -52  # np.finfo(float).eps
+FORMED = ("_norms_and_hermiticity", "lowest")  # what the two proved legs would form
+
+
+def allowance(n, c):
+    """k = eps_n (n + sqrt(n) c): each element is Hermitian to 2k and >= -k."""
+    return 4.0 * n ** 1.5 * EPS * (n + math.sqrt(n) * c)
+
+
+def proves(n, c, tol):
+    """The README's predicate: 2k within ``tol`` (scale 1), and -k at or above the PSD floor."""
+    k = allowance(n, c)
+    return bool(linalg.within_tol(2 * k, tol) and -k >= measurement.PSD_FLOOR)
+
+
+def of_products(elements, completeness, tol):
+    """``Povm._of_products`` on a fresh frozen copy of the stack, as the builders call it."""
+    stack = linalg.freeze(np.array(elements, dtype=np.complex128))
+    return object.__new__(Povm)._hold("elements", stack)._of_products(completeness, tol)
+
+
+def unformed(povm):
+    return not any(name in vars(povm._judged) for name in FORMED)
+
+
+def outcome(build):
+    """What ``build()`` gives: its elements and residuals, or its error's type, message and residuals."""
+    try:
+        povm = build()
+    except QmeasureError as exc:
+        return type(exc), str(exc), exc.residuals
+    return povm._stack.tobytes(), povm.residuals
+
+
+def complete_family(rng, n, kind):
+    """A complete family {M_m}: rank-1 M_k = v_k w_k^dag, with v_k Haar unit vectors and
+    w_k^dag the rows of a Haar W, or Q_m P_m R, with P_m the indicators of a random
+    partition into k groups and Q_m, R Haar."""
+    r = random_unitary(rng, n)
+    if kind == "rank1":
+        return np.array([np.outer(random_unitary(rng, n)[:, 0], r[k]) for k in range(n)])
+    groups = random_partition(rng, n, int(rng.integers(1, n + 1)))
+    return np.array([(random_unitary(rng, n)[:, g]) @ r[g] for g in groups])
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 4, 5, 8, 32]), kind=st.sampled_from(["rank1", "qpr"]),
+       log_scale=st.one_of(st.just(0.0), st.floats(-3.0, 3.0)), log_ratio=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_povm_of_products_is_judged_as_the_judge_judges_its_elements(
+        n, kind, log_scale, log_ratio, seed):
+    """The family is complete, then scaled by 10^log_scale (1e-3 to 1e3), and tol is
+    10^log_ratio times the bound 2k (within a factor 10 of it). The proof and the
+    judge's two legs agree, and the products' POVM raises or passes as the judge does."""
+    rng = np.random.default_rng(seed)
+    opset = MeasurementOperatorSet(complete_family(rng, n, kind) * 10.0 ** log_scale)
+    elements = np.array([linalg._adjoint(m) @ m for m in opset.operators])
+    c = opset.completeness_residual
+    tol = 2 * allowance(n, c) * 10.0 ** log_ratio
+    proved = proves(n, c, tol)
+    if proved:  # the legs the proof skips pass the judge; only completeness may fail
+        failure = OperatorResiduals(elements).failure(tol, povm=True)
+        assert failure is None or isinstance(failure, IncompleteSet)
+    built = [None]
+
+    def build():
+        built[0] = povm = of_products(elements, c, tol)
+        assert unformed(povm) == proved  # proved: no hermiticity or eigenvalue yet
+        return povm
+    expected = outcome(lambda: Povm(elements, tol=tol))
+    assert outcome(build) == expected  # floats compared with ==: bit for bit
+    if built[0] is not None and log_scale == 0.0:  # complete: povm_from_operators is this POVM
+        povm = povm_from_operators(opset, tol)
+        assert unformed(povm) == proved and outcome(lambda: povm) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.sampled_from([1, 2, 3, 4, 8, 32]), log_ratio=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_irm_povm_of_a_haar_unitary_is_judged_as_the_judge_judges_its_element(n, log_ratio, seed):
+    """{U^dag U} with c = unitarity_left, at tol within a factor 10 of the bound 2k."""
+    u = random_unitary(np.random.default_rng(seed), n)
+    c = linalg._unitarity_residuals(u)["unitarity_left"]
+    tol = 2 * allowance(n, c) * 10.0 ** log_ratio
+    try:
+        povm = irm_povm(u, tol)
+    except NotUnitary:  # the unitary itself fails at this tol (n = 1 only): no POVM is formed
+        assert n == 1
+        return
+    assert unformed(povm) == proves(n, c, tol)
+    assert outcome(lambda: povm) == outcome(lambda: Povm([u.conj().T @ u], tol=tol))
+
+
+def test_a_proved_povm_forms_no_eigenvalue_until_its_residuals_are_read(monkeypatch):
+    calls, lowest = [], linalg.lowest_eigenvalue
+    monkeypatch.setattr(linalg, "lowest_eigenvalue", lambda a: calls.append(len(a)) or lowest(a))
+    rng = np.random.default_rng(11)
+    opset = MeasurementOperatorSet(complete_family(rng, 4, "qpr"))
+    for povm in (povm_from_operators(opset), irm_povm(random_unitary(rng, 4))):
+        assert calls == [] and unformed(povm)
+        residuals = povm.residuals
+        assert calls == [len(povm)]  # one eigvalsh call for the one tile
+        assert residuals == Povm(povm.elements).residuals  # which judges them: one more call
+        calls.clear()
+
+
+@pytest.mark.parametrize("n, s, tol, proved", [
+    (8, 1.0, "2k", True),  # the hermiticity leg at its edge
+    (8, 1.0, "2k-", False),  # one ulp below it
+    (8, 1.0, "1.5k", False),  # the factor 2 is needed
+    (64, 2.25, 3.0, True),  # k = eps_n (64 + 8 * 10) = 6.5e-11 is above -PSD_FLOOR ...
+    (64, 3.5, 3.0, False),  # ... and at c = 20 it is 1.02e-10: the sqrt(n) c term is needed
+    (2, 0.5, 1e-10, True),  # proved, yet c = 0.707: completeness is still judged
+    (2, 1.0, math.inf, False),  # a tol no check passes
+    (2, 1.0, math.nan, False),
+    (2, 1.0, -1.0, False),
+])
+def test_the_proof_is_the_documented_bound(n, s, tol, proved):
+    """The one element s I (completeness c = |s - 1| sqrt(n)) is proved exactly as the
+    README's bound says; proved or not, it is admitted or refused as the judge does."""
+    elements = [s * np.eye(n, dtype=complex)]
+    c = OperatorResiduals(np.array(elements)).completeness
+    k = allowance(n, c)
+    tol = {"2k": 2 * k, "2k-": np.nextafter(2 * k, 0.0), "1.5k": 1.5 * k}.get(tol, tol)
+    assert proves(n, c, tol) == proved
+    expected = outcome(lambda: Povm(elements, tol=tol))
+    try:
+        povm = of_products(elements, c, tol)
+    except QmeasureError as exc:  # proved, only completeness can fail
+        assert not proved or isinstance(exc, IncompleteSet)
+        assert (type(exc), str(exc), exc.residuals) == expected
+        return
+    assert unformed(povm) == proved and outcome(lambda: povm) == expected
+
+
+def test_the_proof_reads_the_floor_the_positivity_judge_reads(monkeypatch):
+    """A floor at -k lets the bound prove; a floor one ulp above -k stops it."""
+    elements, c = [np.eye(8, dtype=complex)], 0.0
+    k = allowance(8, c)
+    for floor, proved in ((-k, True), (np.nextafter(-k, 0.0), False)):
+        monkeypatch.setattr(measurement, "PSD_FLOOR", floor)
+        assert unformed(of_products(elements, c, 1e-10)) == proved
+
