@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Build unitaries out of measurement operators two ways and check both.
 
-First: take a complete two-sided-orthogonal operator family (group
-indicators U D_m V over a partition of basis indices), attach unimodular
-phases, and sum. Second: phase-combine the spectral projectors of a random
+First: take a complete operator family with M_i^dag M_j = 0 for i != j
+(group indicators U D_m V over a partition of basis indices), attach
+unimodular phases, and sum. Second: phase-combine the spectral projectors of a random
 observable A into sum_m e^{i lambda_m} P_m and compare against the closed
 form V diag(e^{i w}) V^dag of e^{iA} from numpy's eigh.
 
@@ -26,7 +26,7 @@ def haar_unitary(rng, n):
 
 def indicator_family(rng, n, k):
     """k operators U D_m V, with D_m the indicator of one block of a random
-    partition of range(n); pairwise two-sided orthogonal and complete."""
+    partition of range(n); pairwise orthogonal and complete."""
     u, v = haar_unitary(rng, n), haar_unitary(rng, n)
     labels = rng.integers(0, k, size=n)
     labels[rng.permutation(n)[:k]] = np.arange(k)  # no empty blocks

@@ -46,8 +46,8 @@ class NotUnitary(QmeasureError):
 
 
 class OrthogonalityViolation(QmeasureError):
-    """A pair of measurement operators violates the two-sided
-    orthogonality condition needed for superposition."""
+    """A family of measurement operators fails the orthogonality
+    aggregate needed for superposition."""
 
 
 class PhaseNotUnimodular(QmeasureError):

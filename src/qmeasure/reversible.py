@@ -3,15 +3,16 @@
 A unitary U is a generalized measurement whose collection holds the single
 operator U: the lone outcome has probability one and the post-state is
 U|psi>, so the operation is invertible. The converse construction also
-works: a complete operator family that is two-sided orthogonal
-(M_i^dag M_j = M_i M_j^dag = 0 for i != j) combines with unimodular phases
-into a unitary M = sum_m alpha_m M_m. Specializing to projectors gives
-P_hat = sum_m alpha_m P_m, and with alpha_m = e^{i lambda_m} this equals
-e^{iA} for the observable A with those eigenvalues.
+works: a complete family with M_i^dag M_j = 0 for i != j, judged as one
+aggregate that bounds both unitarity residuals of M = sum_m alpha_m M_m for
+any unimodular phases, combines into that unitary. Specializing to
+projectors gives P_hat = sum_m alpha_m P_m, and with alpha_m = e^{i lambda_m}
+this equals e^{iA} for the observable A with those eigenvalues.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -107,51 +108,36 @@ def unitary_as_measurement(u, tol: float = DEFAULT_TOL) -> MeasurementOperatorSe
     return object.__new__(MeasurementOperatorSet)._hold("operators", unit.matrix[None])
 
 
-class _Adjoints:
-    """Adjoints of square matrices, each formed (C-ordered) only when indexed or sliced."""
-
-    def __init__(self, ops):
-        self.ops = ops
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def __getitem__(self, key) -> np.ndarray:
-        return _adjoint(self.ops[key])
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _check_pairwise_orthogonality(opset: MeasurementOperatorSet, tol: float) -> None:
-    """Raise ``OrthogonalityViolation`` for the first pair i != j, in
-    row-major order, whose ||M_i^dag M_j||_F, or else ||M_i M_j^dag||_F,
-    fails ``within_tol`` against ||M_i||_F ||M_j||_F."""
-    ops, adjoints = opset._stack, _Adjoints(opset._stack)
-    lefts = linalg.orthogonality_residuals(adjoints, ops)
-    rights = linalg.orthogonality_residuals(ops, adjoints)
-    scale = np.outer(opset._judged.norms, opset._judged.norms)
-    left_ok = within_tol(lefts, tol, scale)
-    bad = ~(left_ok & within_tol(rights, tol, scale))
-    np.fill_diagonal(bad, False)  # the diagonal holds no orthogonality pair
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        residual = rights[i, j] if left_ok[i, j] else lefts[i, j]
-        raise OrthogonalityViolation(f"operators ({i}, {j}) are not two-sided orthogonal "
-                                     f"(residual {residual:.3e})", {"orthogonality": float(residual)})
+def _require_superposable(opset: MeasurementOperatorSet, tol: float) -> None:
+    """Raise ``OrthogonalityViolation``, naming a and the worst pair, unless the aggregate
+    a = sum_{i != j} ||M_i^dag M_j||_F, plus the completeness residual c if c passes,
+    is within ``tol`` against sqrt(n); then ``IncompleteSet`` unless c passes."""
+    pairs = linalg.orthogonality_residuals(_adjoint(opset._stack), opset._stack)
+    np.fill_diagonal(pairs, 0.0)  # ||M_i^dag M_i - M_i^dag||_F is no pair
+    scale, c = math.sqrt(opset.dim), opset.completeness_residual
+    aggregate = float(pairs.sum()) + (c if within_tol(c, tol, scale) else 0.0)
+    if not within_tol(aggregate, tol, scale):
+        i, j = np.unravel_index(np.argmax(pairs), pairs.shape)  # a NaN pair first
+        raise OrthogonalityViolation(f"operators are not orthogonal within {tol:g}: aggregate "
+                                     f"{aggregate:.3e} exceeds {tol * scale:.3e} (worst pair ({i}, {j}), "
+                                     f"residual {pairs[i, j]:.3e})", {"orthogonality": aggregate})
+    _require_complete(opset, tol)
 
 
 def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,
                         tol: float = DEFAULT_TOL) -> UnitaryOperator:
-    """Combine a two-sided-orthogonal complete family into the unitary
-    M = sum_m alpha_m M_m.
+    """The unitary M = sum_m alpha_m M_m of a complete family with M_i^dag M_j = 0 (i != j).
 
-    Preconditions are enforced hard: one phase per operator, two-sided
-    pairwise orthogonality, and completeness. Unitarity of the result is
-    verified rather than trusted, so a family sneaking past the checks
-    still fails loudly instead of returning a non-unitary.
+    Preconditions are enforced hard: one phase per operator, then the aggregate a of
+    :func:`_require_superposable`, then completeness. M^dag M - I = (sum_m M_m^dag M_m - I) +
+    sum_{i != j} conj(alpha_i) alpha_j M_i^dag M_j, so ||M^dag M - I||_F <= a for every phase
+    vector; M M^dag - I has the same singular values (M is square), and the mean over the phases
+    of conj(alpha_i) alpha_j (M M^dag - I) is M_i M_j^dag, so ||M_i M_j^dag||_F <= a: the right
+    pairs are implied. The result is still judged, so nothing non-unitary is returned.
     """
     linalg._require_same_dims(phases=len(phases), operators=len(opset))
-    _check_pairwise_orthogonality(opset, tol)
-    _require_complete(opset, tol)
+    _require_superposable(opset, tol)
     return object.__new__(UnitaryOperator)._judge(freeze(opset._phase_sum(phases.phases)), tol)
 
 

@@ -188,3 +188,61 @@ def orthogonal_family(rng, n, k):
 
 def random_phases(rng, k):
     return np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=k))
+
+
+def superposition_residuals(ops):
+    """(pairs, c) of a family by per-pair loops: pairs[i, j] = ||M_i^dag M_j||_F for
+    i != j (0 on the diagonal) and c = ||sum_m M_m^dag M_m - I||_F, the products
+    added in label order, each by ``np.linalg.norm`` with the adjoint a C-ordered copy."""
+    adjoints = [np.conjugate(m.T, order="C") for m in ops]
+    pairs = np.array([[0.0 if i == j else np.linalg.norm(mi @ mj) for j, mj in enumerate(ops)]
+                      for i, mi in enumerate(adjoints)])
+    c = np.linalg.norm(sum(mi @ m for mi, m in zip(adjoints, ops)) - np.eye(len(ops[0])))
+    return pairs, float(c)
+
+
+def superposition_aggregate(ops, tol):
+    """(a, pairs, c): the aggregate a that the superposition rule judges, the pair sum
+    plus c when c passes at ``tol`` against sqrt(n), from :func:`superposition_residuals`."""
+    pairs, c = superposition_residuals(ops)
+    return float(pairs.sum()) + (c if c <= tol * math.sqrt(len(ops[0])) else 0.0), pairs, c
+
+
+def near_threshold_family(rng, kind, n, k, target):
+    """k operators on C^n whose pair sum plus completeness residual, as
+    :func:`superposition_residuals` forms them, is ``target`` to about 1e-12:
+
+    - ``rank1`` (k = n >= 2): M_m = v_m q_m^dag, q the columns of a Haar unitary and
+      v_m unit vectors tilted from e_m by t W, so completeness stays near 0;
+    - ``qpr``: M_m = Q (P_m + t E_m) R, with P_m the indicator of group m of a
+      partition, E_m of unit norm and Q, R Haar, so both pairs and completeness move;
+    - ``stretch``: M_m = Q P_m R with M_0 scaled by sqrt(1 + t): only completeness moves.
+
+    t is found by the fixed point t <- t target / f(t), f(t) ~ t near 0."""
+    q, r = random_unitary(rng, n), random_unitary(rng, n)
+    tilt = rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n))
+    if kind == "rank1":
+        def family(t):
+            v = np.eye(n) + t * tilt[0]
+            v /= np.linalg.norm(v, axis=0)
+            return [np.outer(v[:, m], r[:, m].conj()) for m in range(n)]
+    else:
+        blocks = []
+        for m, group in enumerate(random_partition(rng, n, k)):
+            d = np.zeros((n, n), complex)
+            d[group, group] = 1.0
+            blocks.append((d, tilt[m] / np.linalg.norm(tilt[m])))
+
+        def family(t):
+            if kind == "qpr":
+                return [q @ (d + t * e) @ r for d, e in blocks]
+            return [math.sqrt(1.0 + t) * q @ d @ r if m == 0 else q @ d @ r
+                    for m, (d, _) in enumerate(blocks)]
+    t = target
+    for _ in range(20):
+        pairs, c = superposition_residuals(ops := family(t))
+        total = float(pairs.sum()) + c
+        if abs(total - target) <= 1e-12 * target:
+            break
+        t *= target / total
+    return ops

@@ -59,8 +59,9 @@ COMPUTATIONAL = MeasurementOperatorSet([P0, np.diag([0.0, 1.0])])
      {"probability": 0.0}),
     (lambda: superpose_operators(MeasurementOperatorSet([P0, P0]), PhaseVector([1.0, 1.0])),
      errors.OrthogonalityViolation,
-     "operators (0, 1) are not two-sided orthogonal (residual 1.000e+00)",
-     {"orthogonality": 1.0}),
+     "operators are not orthogonal within 1e-10: aggregate 2.000e+00 exceeds 1.414e-10 "
+     "(worst pair (0, 1), residual 1.000e+00)",
+     {"orthogonality": 2.0}),
 ], ids=["incomplete_set", "not_positive", "phase_not_unimodular", "zero_probability_outcome",
         "orthogonality_violation"])
 def test_a_failing_check_carries_its_residuals(trigger, cls, message, residuals):

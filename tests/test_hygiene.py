@@ -14,11 +14,13 @@ growth needs a visible edit here. ``ERRSTATE_CAP`` is the same ratchet on its
 ``np.errstate`` entries (each costs a few microseconds a call): one per public
 call, which runs its kernels inside it. No module calls ``np.linalg.norm``:
 ``linalg._norm`` and ``linalg.frobenius_norms`` give its values, bit for bit,
-without its dispatch.
+without its dispatch. Every private name the README puts in backticks, outside
+its ``## Removed names`` section, is a name in the package.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -28,7 +30,7 @@ PACKAGE = pathlib.Path(qmeasure.__file__).resolve().parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 RECEIVERS = {"self", "cls"}
-LINE_CAP = 2244  # lines in src/qmeasure/*.py, as ``wc -l`` counts them
+LINE_CAP = 2230  # lines in src/qmeasure/*.py, as ``wc -l`` counts them
 ERRSTATE_CAP = 8  # np.errstate calls in src/qmeasure/*.py, decorators and with blocks alike
 
 
@@ -221,3 +223,42 @@ def test_numpy_norm_calls_are_found():
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_no_module_calls_numpy_norm(module):
     assert numpy_norm_calls(ast.parse((PACKAGE / module).read_text(encoding="utf-8"))) == []
+
+
+def readme_private_names(text: str) -> set[str]:
+    """The private parts (``_x``, no dunder) of the dotted names in the backticked spans of
+    ``text``, outside its fenced code and its ``## Removed names`` section; ``_F`` after
+    ``||`` is a subscript."""
+    kept = re.sub(r"^```.*?^```$|^## Removed names$.*?(?=^## |\Z)", "", text, flags=re.M | re.S)
+    dotted = (name for span in re.findall(r"`([^`]+)`", kept)
+              for name in re.findall(r"(?<![\w|)\]])[A-Za-z_]\w*(?:\.\w+)*", span))
+    return {part for name in dotted for part in name.split(".") if re.fullmatch(r"_[A-Za-z]\w*", part)}
+
+
+def package_names() -> set[str]:
+    """Every name the package binds or reads: definitions, arguments, names, attributes,
+    imported names, and identifier strings (``vars(self)["_stack"]``)."""
+    names = set()
+    for module in ALL_MODULES:
+        for node in ast.walk(ast.parse((PACKAGE / module).read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.arg):
+                names.add(node.arg)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+            names.add(getattr(node, "id", None) or getattr(node, "attr", None))
+    return names
+
+
+def test_readme_private_names_are_found():
+    text = ("`linalg._norm(a)` and `||A||_F` and `[U, P]_F` and `__all__`\n```\nx = 1  # `\n```\n"
+            "## Removed names\n`_gone`\n## File formats\n`pset._stack` and `_Family._proves_mirror`\n")
+    assert readme_private_names(text) == {"_norm", "_stack", "_Family", "_proves_mirror"}
+
+
+def test_every_private_name_in_the_readme_is_in_the_package():
+    text = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    assert sorted(readme_private_names(text) - package_names()) == []

@@ -18,15 +18,16 @@ from hypothesis import strategies as st
 from helpers import (
     commutation_residuals,
     commutator,
-    frobenius_norm,
     orthogonal_family,
     random_hermitian,
     random_phases,
     random_state,
     random_unitary,
+    superposition_aggregate,
 )
 from qmeasure import fileio, linalg, measurement
 from qmeasure.errors import (
+    IncompleteSet,
     InvalidProjectorSet,
     NotPositive,
     OrthogonalityViolation,
@@ -75,23 +76,6 @@ def loop_pairs(ops):
                 prod -= pi
             out[i, j] = np.linalg.norm(prod)
     return out
-
-
-def loop_two_sided(ops, tol):
-    """First (i, j, residual) of the two-sided check, or None."""
-    for i, mi in enumerate(ops):
-        ni = frobenius_norm(mi)
-        for j, mj in enumerate(ops):
-            if i == j:
-                continue
-            scale = ni * frobenius_norm(mj)
-            left = frobenius_norm(linalg.adjoint(mi) @ mj)
-            if not linalg.within_tol(left, tol, scale):
-                return i, j, left
-            right = frobenius_norm(mi @ linalg.adjoint(mj))
-            if not linalg.within_tol(right, tol, scale):
-                return i, j, right
-    return None
 
 
 def rank1_projectors(rng, n):
@@ -248,7 +232,10 @@ def test_planted_bad_pair_gives_the_loop_violation():
 @given(st.integers(min_value=0, max_value=2**32 - 1),
        st.sampled_from([2, 3, 5, 8, 32]),
        st.sampled_from(["none", "both", "right_only"]))
-def test_two_sided_check_raises_the_loop_violation(seed, n, plant):
+def test_aggregate_check_raises_the_loop_violation(seed, n, plant):
+    """The superposition rule judges the per-pair loop's aggregate, bit for bit: the sum of
+    every ||M_i^dag M_j||_F (i != j), plus the completeness residual when it passes. A
+    ``right_only`` plant leaves every left pair at 0 and breaks completeness instead."""
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, min(n, 9) + 1))
     family = orthogonal_family(rng, n, k)
@@ -259,18 +246,24 @@ def test_two_sided_check_raises_the_loop_violation(seed, n, plant):
         # rows of M_a gain a component along the rows of M_b; columns do not
         x = random_unitary(rng, n)
         family[a] = family[a] + 1e-6 * (family[a] @ x @ family[b].conj().T @ family[b])
-    expected = loop_two_sided(family, 1e-10)
+    aggregate, pairs, c = superposition_aggregate(family, 1e-10)
+    threshold = 1e-10 * math.sqrt(n)
     opset = MeasurementOperatorSet(tuple(family))
     phases = PhaseVector(random_phases(rng, k))
-    if expected is None:
-        superpose_operators(opset, phases)
+    if aggregate <= threshold:
+        if c <= threshold:
+            superpose_operators(opset, phases)
+        else:
+            with pytest.raises(IncompleteSet):
+                superpose_operators(opset, phases)
         return
     with pytest.raises(OrthogonalityViolation) as exc:
         superpose_operators(opset, phases)
-    i, j, residual = expected
-    assert str(exc.value) == (f"operators ({i}, {j}) are not two-sided orthogonal "
-                              f"(residual {residual:.3e})")
-    assert exc.value.residuals == {"orthogonality": residual}
+    i, j = np.unravel_index(np.argmax(pairs), pairs.shape)
+    assert str(exc.value) == (f"operators are not orthogonal within 1e-10: aggregate "
+                              f"{aggregate:.3e} exceeds {threshold:.3e} (worst pair ({i}, {j}), "
+                              f"residual {pairs[i, j]:.3e})")
+    assert exc.value.residuals == {"orthogonality": aggregate}
     assert type(exc.value.residuals["orthogonality"]) is float
 
 

@@ -769,6 +769,18 @@ def test_povm_positivity_is_judged_at_tol():
         Povm((np.diag([-5e-11, 1.0]), np.diag([1.0 + 5e-11, 0.0])), tol=1e-14)
 
 
+@pytest.mark.xfail(strict=True, raises=NotPositive,
+                   reason="ROADMAP item 2: POVM positivity is judged against the fixed "
+                   "PSD_FLOOR = -1e-10, not at the scale of the elements")
+def test_povm_of_scaled_products_is_not_rejected_for_rounding():
+    """M_k = 1e3 e_k q_k^dag at n = 32, q Haar: each element 1e6 q_k q_k^dag is positive by
+    construction, and completeness passes at tol = 1.01e6, yet eigvalsh rounds an eigenvalue
+    of about -1e-10 at that scale, below the fixed floor."""
+    q = random_unitary(np.random.default_rng(32), 32)
+    ops = [1e3 * np.outer(np.eye(32)[k], q[:, k].conj()) for k in range(32)]
+    povm_from_operators(MeasurementOperatorSet(ops), tol=1.01e6)
+
+
 def test_povm_rejects_non_hermitian():
     e = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
     with pytest.raises(NotHermitian):

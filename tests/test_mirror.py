@@ -113,6 +113,25 @@ def test_mirror_preserves_probabilities_random_states():
         assert report.max_deviation <= 1e-12
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 12: is_mirror accepts every ||[U, P_m]||_F up to "
+                   "tol sqrt(n), which lets a probability move by more than tol")
+def test_an_accepted_mirror_preserves_probabilities_within_tol():
+    """A rotation by 3.9 tol between e_0 and e_1 at n = 32 has commutators of sqrt(2) sin(3.9 tol)
+    = 5.5 tol, under tol sqrt(32) = 5.66 tol, yet moves the probabilities of (e_0 + e_1)/sqrt(2)
+    by 3.9 tol. An accepted mirror must preserve them within tol (or not be accepted)."""
+    n, tol, theta = 32, 1e-10, 3.9e-10
+    u = np.eye(n, dtype=complex)
+    u[:2, :2] = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    pset = computational_projector_set(n)
+    try:
+        accepted = is_mirror(u, pset, tol)
+    except NotMirror:
+        return
+    psi = QuantumState(np.eye(n)[0] + np.eye(n)[1], normalize=True)
+    assert verify_probability_preservation(accepted.unitary, pset, psi, tol).passed
+
+
 # ---------------------------------------------------------------------------
 # qubit mirror construction
 

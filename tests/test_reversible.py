@@ -32,7 +32,6 @@ from qmeasure.measurement import (
 )
 from qmeasure.reversible import (
     PhaseVector,
-    _Adjoints,
     UnitaryOperator,
     exp_observable,
     irm_povm,
@@ -169,21 +168,6 @@ def test_superpose_rejects_count_mismatch():
                                     np.diag([0.0, 1.0]).astype(complex)))
     with pytest.raises(DimensionMismatch):
         superpose_operators(opset, PhaseVector([1.0]))
-
-
-def test_lazy_adjoints_index_slice_and_iterate_as_the_adjoints():
-    """The two-sided orthogonality check reads the adjoints by index and by
-    slice; iterating over them and np.array give the adjoints as well."""
-    rng = np.random.default_rng(3)
-    ops = tuple(random_unitary(rng, 3) for _ in range(4))
-    expected = np.array([m.conj().T for m in ops])
-    adjoints = _Adjoints(ops)
-    assert len(adjoints) == 4
-    np.testing.assert_array_equal(np.array(list(adjoints)), expected, strict=True)
-    np.testing.assert_array_equal(np.array(adjoints), expected, strict=True)
-    np.testing.assert_array_equal(adjoints[1:3], expected[1:3], strict=True)
-    np.testing.assert_array_equal(adjoints[-1], expected[-1], strict=True)
-    assert adjoints[2].flags.c_contiguous and adjoints[:2].flags.c_contiguous
 
 
 def test_superpose_random_families_are_unitary():
