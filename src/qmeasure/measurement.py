@@ -34,10 +34,6 @@ from .linalg import DEFAULT_TOL, _adjoint, as_matrix, as_vector, freeze
 
 NORM_TOL = 1e-12  # |<psi|psi> - 1| admitted by the strict state constructor
 PROB_FLOOR = 1e-12  # outcomes below this probability are unrealizable
-PSD_FLOOR = -1e-10  # smallest eigenvalue tolerated as "positive"
-TRACE_TOL = 1e-10  # |tr(rho) - 1| admitted by DensityMatrix
-IMAG_TOL = 1e-10  # largest imaginary residue tolerated in a probability
-CLUSTER_TOL = 1e-8  # eigenvalues closer than this share one eigenspace
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,19 +84,20 @@ def fidelity(a: QuantumState, b: QuantumState) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix(linalg._Frozen):
-    """Hermitian, unit-trace, positive-semidefinite matrix rho."""
+    """Hermitian, unit-trace, positive-semidefinite matrix rho, judged at ``tol``: |tr rho - 1|
+    against 1, hermiticity and the negated smallest eigenvalue against ||rho||_F."""
 
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
 
     def __post_init__(self, tol: float):
         mat = as_matrix(self.matrix)
-        linalg._require_hermitian(mat, tol)
+        _, scale = linalg._require_hermitian(mat, tol)
         trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TRACE_TOL:
+        if not linalg.within_tol(abs(trace - 1.0), tol):
             raise ValueError(f"density matrix trace {trace!r} is not 1")
         lowest = float(linalg.lowest_eigenvalue(mat))
-        if lowest < PSD_FLOOR:
+        if not linalg.within_tol(-lowest, tol, scale):
             raise NotPositive(f"density matrix has negative eigenvalue {lowest:.3e}",
                               {"min_eigenvalue": lowest})
         object.__setattr__(self, "matrix", freeze(mat))
@@ -312,8 +309,8 @@ class OperatorResiduals:
     (norms and hermiticity together): under the errstate of :meth:`failure`, or by ``residuals``
     for POVM elements that ``Povm._of_products`` proved. Norms come from 128 KiB stacks and equal
     a per-matrix ``np.linalg.norm`` bit for bit. Each passes :func:`linalg.within_tol` at ``tol``
-    against its own scale: ``pair_scales`` for ``pairs``, ||P_k||_F for hermiticity and sqrt(dim)
-    for completeness. ``lowest`` eigenvalues pass at or above ``PSD_FLOOR``."""
+    against its own scale: ``pair_scales`` for ``pairs``, ||P_k||_F for hermiticity and for the
+    negated ``lowest`` eigenvalue (positivity), and sqrt(dim) for completeness."""
 
     operators: np.ndarray  # a stack (or a sequence) of square matrices of one dimension
 
@@ -375,7 +372,8 @@ class OperatorResiduals:
             note = linalg.residual_note(self.hermiticity[k], self.norms[k])
             return not_hermitian(f"{what} {k} is not Hermitian ({note})",
                                  self.residuals(povm, hermitian=False))
-        if povm and not proved and (bad := np.flatnonzero(self.lowest < PSD_FLOOR)).size:
+        if povm and not proved and (bad := np.flatnonzero(
+                ~linalg.within_tol(-self.lowest, tol, self.norms))).size:
             return NotPositive(f"POVM element {bad[0]} has negative eigenvalue "
                                f"{self.lowest[bad[0]]:.3e}", self.residuals(povm))
         if not povm and (bad := np.argwhere(
@@ -521,12 +519,12 @@ def _eigenspace_stack(vecs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     """Spectral decomposition of a Hermitian matrix into eigenspaces.
 
-    :func:`linalg.guarded_eigh` judges ||A - A^dag||_F and runs LAPACK
-    ``eigh``. Eigenvalues at most ``CLUSTER_TOL`` apart share an eigenspace,
-    valued at their mean, with projector P_g = V_g V_g^dag over its
-    eigenvectors V_g. ||A - sum_g lambda_g P_g||_F must pass at ``tol``; it
-    is formed as ||A - V diag(lambda[labels]) V^dag||_F, one product that
-    equals the sum for any V (``labels[k]`` is the eigenspace of column k).
+    :func:`linalg.guarded_eigh` judges ||A - A^dag||_F and runs LAPACK ``eigh``. Neighbours at
+    most eps_n ||A||_F apart (``eigh``'s rounding, whatever ``tol``) share an eigenspace, valued
+    at their mean, with projector P_g = V_g V_g^dag over its eigenvectors V_g.
+    ||A - sum_g lambda_g P_g||_F must pass at ``tol``; it is formed as
+    ||A - V diag(lambda[labels]) V^dag||_F, one product that equals the sum for any V
+    (``labels[k]`` is the eigenspace of column k).
 
     The projectors are certified by g = ||V^dag V - I||_F, not by the N^2
     products of :class:`ProjectorSet`. As P_i P_j - delta_ij P_i =
@@ -549,7 +547,7 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     a = as_matrix(a)
     vals, vecs, hermiticity, scale = linalg.guarded_eigh(a, tol)
     labels = np.zeros(len(vals), dtype=np.intp)  # the eigenspace of each column
-    (vals[1:] - vals[:-1] > CLUSTER_TOL).cumsum(out=labels[1:])  # np.diff's expression
+    (vals[1:] - vals[:-1] > _rounding_allowance(len(vals)) * scale).cumsum(out=labels[1:])
     lams = np.empty(labels[-1] + 1)
     for slots, cols in _eigenspace_columns(labels):  # np.mean's sum and division, bit for bit
         lams[slots] = vals[cols].sum(axis=1) / cols.shape[1]
@@ -581,11 +579,11 @@ class Povm(_Family):
         self._hold("elements", _coerce_square_family(self.elements, "POVM"))._admit(tol, povm=True)
 
     def _of_products(self, completeness: float, tol: float) -> "Povm":
-        """Admit products E_m = M_m^dag M_m whose sum is I to ``completeness`` c. Each is Hermitian to
-        2k and >= -k, k = eps_n (n + sqrt(n) c) (README, Tolerances): if both pass, only c is judged."""
+        """Admit products E_m = M_m^dag M_m summing to I within ``completeness`` c. Each is Hermitian
+        to 2k and >= -k, k = eps_n (n + sqrt(n) c) (README): if 2k passes, only c is judged."""
         vars(self._judged)["completeness"] = completeness
         bound = _rounding_allowance(n := self.dim) * (n + math.sqrt(n) * completeness)
-        return self._admit(tol, True, linalg.within_tol(2 * bound, tol) and -bound >= PSD_FLOOR)
+        return self._admit(tol, True, linalg.within_tol(2 * bound, tol))
 
     @property
     def residuals(self) -> dict[str, float]:
@@ -606,12 +604,11 @@ def povm_from_operators(opset: MeasurementOperatorSet,
 
 
 def povm_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:
-    """Outcome statistics p(m) = tr(E_m rho)."""
+    """Outcome statistics p(m) = Re tr(E_m rho): tr(H K) is real for Hermitian H, K, so with h_E,
+    h_rho the admitted hermiticity, |Im tr(E_m rho)| <= (h_E ||rho||_F + ||E_m||_F h_rho) / 2."""
     linalg._require_same_dims(povm=povm.dim, state=rho.dim)
     vals = np.concatenate([np.trace(s @ rho.matrix, axis1=1, axis2=2)  # tr(E_m rho), one per tile
                            for _, s in linalg.stacks(povm._stack)])
-    if (bad := np.flatnonzero(np.abs(vals.imag) > IMAG_TOL)).size:
-        raise ValueError(f"tr(E_{bad[0]} rho) has imaginary residue {vals.imag[bad[0]]:.3e}")
     return vals.real.copy()
 
 

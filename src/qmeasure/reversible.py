@@ -27,6 +27,7 @@ from .measurement import (
     Povm,
     ProjectorSet,
     _require_complete,
+    _rounding_allowance,
 )
 
 UNIMODULAR_TOL = 1e-12  # ||alpha|^2 - 1| admitted for phase coefficients
@@ -110,14 +111,14 @@ def unitary_as_measurement(u, tol: float = DEFAULT_TOL) -> MeasurementOperatorSe
 
 @np.errstate(over="ignore", invalid="ignore")
 def _require_superposable(opset: MeasurementOperatorSet, tol: float) -> None:
-    """Raise ``OrthogonalityViolation``, naming a and the worst pair, unless the aggregate
-    a = sum_{i != j} ||M_i^dag M_j||_F, plus the completeness residual c if c passes,
-    is within ``tol`` against sqrt(n); then ``IncompleteSet`` unless c passes."""
+    """Raise ``OrthogonalityViolation`` (naming a and the worst pair) unless a = sum_{i != j}
+    ||M_i^dag M_j||_F (+ c, the completeness residual, if it passes) plus eps_n (n + sqrt(n) a),
+    the rounding of the sum's unitarity judge, passes ``tol`` against sqrt(n); then c must pass."""
     pairs = linalg.orthogonality_residuals(_adjoint(opset._stack), opset._stack)
     np.fill_diagonal(pairs, 0.0)  # ||M_i^dag M_i - M_i^dag||_F is no pair
-    scale, c = math.sqrt(opset.dim), opset.completeness_residual
+    scale, c = math.sqrt(n := opset.dim), opset.completeness_residual
     aggregate = float(pairs.sum()) + (c if within_tol(c, tol, scale) else 0.0)
-    if not within_tol(aggregate, tol, scale):
+    if not within_tol(aggregate + _rounding_allowance(n) * (n + scale * aggregate), tol, scale):
         i, j = np.unravel_index(np.argmax(pairs), pairs.shape)  # a NaN pair first
         raise OrthogonalityViolation(f"operators are not orthogonal within {tol:g}: aggregate "
                                      f"{aggregate:.3e} exceeds {tol * scale:.3e} (worst pair ({i}, {j}), "
@@ -134,7 +135,8 @@ def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,
     sum_{i != j} conj(alpha_i) alpha_j M_i^dag M_j, so ||M^dag M - I||_F <= a for every phase
     vector; M M^dag - I has the same singular values (M is square), and the mean over the phases
     of conj(alpha_i) alpha_j (M M^dag - I) is M_i M_j^dag, so ||M_i M_j^dag||_F <= a: the right
-    pairs are implied. The result is still judged, so nothing non-unitary is returned.
+    pairs are implied. As the rule counts the rounding of the sum's unitarity judge, that judge,
+    which still runs, passes every sum whose preconditions pass.
     """
     linalg._require_same_dims(phases=len(phases), operators=len(opset))
     _require_superposable(opset, tol)

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from qmeasure import measurement
 from qmeasure.reversible import _as_unitary
 
 JACOBI_MAX_SWEEPS = 60
@@ -148,6 +149,13 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def eigenspace_groups(vals, scale):
+    """The columns of each eigenspace, as ``spectral_decompose`` groups ascending eigenvalues:
+    neighbours at most eps_n ``scale`` apart (``scale`` = ||A||_F) share one."""
+    gaps = np.diff(vals) > measurement._rounding_allowance(len(vals)) * scale
+    return np.split(np.arange(len(vals)), np.flatnonzero(gaps) + 1)
+
+
 def random_hermitian(rng, n, degenerate=False):
     if degenerate:
         u = random_unitary(rng, n)
@@ -202,10 +210,16 @@ def superposition_residuals(ops):
 
 
 def superposition_aggregate(ops, tol):
-    """(a, pairs, c): the aggregate a that the superposition rule judges, the pair sum
+    """(a, pairs, c): the aggregate a that the superposition rule reports, the pair sum
     plus c when c passes at ``tol`` against sqrt(n), from :func:`superposition_residuals`."""
     pairs, c = superposition_residuals(ops)
     return float(pairs.sum()) + (c if c <= tol * math.sqrt(len(ops[0])) else 0.0), pairs, c
+
+
+def superposition_rounding(aggregate, n):
+    """eps_n (n + sqrt(n) a): the rounding of the sum's unitarity judge, which the superposition
+    rule adds to the aggregate a before it judges it (||M||_F^2 <= n + sqrt(n) a)."""
+    return measurement._rounding_allowance(n) * (n + math.sqrt(n) * aggregate)
 
 
 def near_threshold_family(rng, kind, n, k, target):

@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import random_unitary
 from qmeasure import cli, linalg, measurement
 from qmeasure.cli import build_parser, main, parse_complex, parse_complex_list, render_human
 from qmeasure.errors import NotMirror, ParseError, QmeasureError
@@ -534,11 +535,15 @@ OVERFLOW_OBSERVABLE = [[0, 1e200], [0, 0]]
 OVERFLOW_UNITARY = [[1e200, 1e200], [1e200, -1e200]]
 # sum_m M_m^dag M_m overflows to inf
 OVERFLOW_MEASUREMENT_SET = [[1e200, 0], [0, 1]]
+_Q32 = random_unitary(np.random.default_rng(0), 32)
+UNRECONSTRUCTED_OBSERVABLE = (_Q32 * np.arange(32.0)) @ _Q32.conj().T
 # sum_k P_k overflows in the addition; each ||P_k||_F overflows too
 OVERFLOW_DIAGONALS = [np.diag([1e308, 0.0]), np.diag([1e308, 1.0])]
 
 # One failing input per kind, plus those whose residuals overflow. The
 # incomplete POVM misses the identity by 1e-6, so it passes at --tol 1e-3.
+# The unreconstructed observable, Q diag(0, ..., 31) Q^dag, reconstructs to
+# about 1.8e-13, so it fails only at a tol as small as 1e-15.
 FAILING_INPUTS = {
     "non_hermitian_projector": ("projector_set", [[[1, 1], [0, 0]], [[0, -1], [0, 1]]]),
     "povm_not_psd": ("povm", [np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])]),
@@ -546,8 +551,7 @@ FAILING_INPUTS = {
     "non_unitary": ("unitary", [[[1, 1], [0, 1]]]),
     "non_hermitian_observable": ("observable", [[[0, 1], [0, 0]]]),
     "overflow_observable": ("observable", [OVERFLOW_OBSERVABLE]),
-    # eigenvalues within CLUSTER_TOL share one eigenspace, valued at their mean
-    "unreconstructed_observable": ("observable", [np.diag([1e-9, 2e-9])]),
+    "unreconstructed_observable": ("observable", [UNRECONSTRUCTED_OBSERVABLE]),
     "overflow_unitary": ("unitary", [OVERFLOW_UNITARY]),
     "overflow_measurement_set": ("measurement_set", [OVERFLOW_MEASUREMENT_SET]),
     "overflow_projector_set": ("projector_set", OVERFLOW_DIAGONALS),
@@ -635,11 +639,20 @@ def test_validate_fails_observable_with_overflowing_residual(tmp_path, capsys):
 
 
 def test_validate_fails_an_observable_its_spectrum_does_not_reconstruct(tmp_path, capsys):
-    code, out, err = run_cli(
-        ["validate", str(write_input(tmp_path, "unreconstructed_observable"))], capsys)
+    code, out, err = run_cli(["validate", str(write_input(tmp_path, "unreconstructed_observable")),
+                              "--tol", "1e-15"], capsys)
     assert (code, err) == (1, "")
     assert out.endswith(
-        "details: spectrum does not reconstruct the observable (residual 7.071e-10)\n")
+        "details: spectrum does not reconstruct the observable (residual 1.760e-13)\n")
+
+
+def test_validate_keeps_tiny_distinct_eigenvalues_apart(tmp_path, capsys):
+    """diag(1e-9, 2e-9): a gap of 1e-9 is far above eps_n ||A||_F, so two eigenspaces."""
+    path = tmp_path / "tiny.json"
+    save_operator_file(path, "observable", [np.diag([1e-9, 2e-9]).astype(complex)])
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert "verdict: pass" in out and "n_eigenspaces: 2\n" in out
 
 
 @pytest.mark.parametrize("name,subject", [("overflow_projector_set", "projector"),

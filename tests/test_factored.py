@@ -22,6 +22,7 @@ import pytest
 from helpers import (
     commutation_residuals,
     commutator,
+    eigenspace_groups,
     expm_oracle,
     frobenius_norm,
     random_hermitian,
@@ -262,11 +263,12 @@ def test_validating_an_observable_file_forms_no_projector_stack(monkeypatch, cap
         assert "n_eigenspaces" in capsys.readouterr().out
 
 
-def eager_stack(vals, vecs):
+def eager_stack(vals, vecs, scale):
     """The projector stack as spectral_decompose formed it on every call
-    before a factored set formed it on first read: one batched product when
-    every eigenspace has one size, one product per eigenspace otherwise."""
-    starts = np.flatnonzero(np.r_[True, np.diff(vals) > measurement.CLUSTER_TOL])
+    before a factored set formed it on first read (eigenspaces grouped at
+    ||A||_F = ``scale``): one batched product when every eigenspace has one
+    size, one product per eigenspace otherwise."""
+    starts = np.array([g[0] for g in eigenspace_groups(vals, scale)])
     sizes = np.diff(np.r_[starts, len(vals)])
     groups = set(sizes.tolist())
     stack = None if len(groups) == 1 else np.empty((len(starts), len(vals), len(vals)), complex)
@@ -286,8 +288,8 @@ def eager_stack(vals, vecs):
 @pytest.mark.parametrize("first", ["projectors", "_stack", "spectrum"])
 def test_a_factored_stack_formed_on_first_read_has_the_eager_bytes(n, degenerate, first):
     a = random_hermitian(np.random.default_rng(n + degenerate), n, degenerate=degenerate)
-    vals, vecs, _, _ = linalg.guarded_eigh(linalg.as_matrix(a))
-    expected = eager_stack(vals, vecs)
+    vals, vecs, _, scale = linalg.guarded_eigh(linalg.as_matrix(a))
+    expected = eager_stack(vals, vecs, scale)
     obs = spectral_decompose(a)
     pset = obs.projector_set()
     assert "_stack" not in vars(pset)
@@ -309,7 +311,8 @@ def test_a_set_with_g_above_eps_n_forms_the_eager_bytes_on_first_read(n):
     vals, vecs = planted_eigenpairs(np.random.default_rng(40 + n), n, True, "tilt", 1e-12)
     pset = decompose_planted(vals, vecs, 1e-10).projector_set()
     assert pset._gram > eps_n(n) and "_factor" in vars(pset) and "_stack" not in vars(pset)
-    assert pset._stack.tobytes() == eager_stack(vals, vecs).tobytes()
+    scale = np.linalg.norm((vecs * vals) @ vecs.conj().T)  # as decompose_planted judges it
+    assert pset._stack.tobytes() == eager_stack(vals, vecs, scale).tobytes()
     assert all(p.base is pset._stack and not p.flags.writeable for p in pset.projectors)
 
 

@@ -15,7 +15,9 @@ growth needs a visible edit here. ``ERRSTATE_CAP`` is the same ratchet on its
 call, which runs its kernels inside it. No module calls ``np.linalg.norm``:
 ``linalg._norm`` and ``linalg.frobenius_norms`` give its values, bit for bit,
 without its dispatch. Every private name the README puts in backticks, outside
-its ``## Removed names`` section, is a name in the package.
+its ``## Removed names`` section, is a name in the package. No module binds a
+float literal at its top level outside ``FIXED_FLOATS``: every other threshold
+is a residual judged at the caller's ``tol`` against a stated scale.
 """
 
 import ast
@@ -30,8 +32,10 @@ PACKAGE = pathlib.Path(qmeasure.__file__).resolve().parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 RECEIVERS = {"self", "cls"}
-LINE_CAP = 2230  # lines in src/qmeasure/*.py, as ``wc -l`` counts them
+LINE_CAP = 2229  # lines in src/qmeasure/*.py, as ``wc -l`` counts them
 ERRSTATE_CAP = 8  # np.errstate calls in src/qmeasure/*.py, decorators and with blocks alike
+# the module-level float literals whose judges take no tol (README, Tolerances)
+FIXED_FLOATS = {"DEFAULT_TOL", "NORM_TOL", "PROB_FLOOR", "UNIMODULAR_TOL"}
 
 
 def imported_names(tree: ast.AST) -> set[str]:
@@ -223,6 +227,32 @@ def test_numpy_norm_calls_are_found():
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_no_module_calls_numpy_norm(module):
     assert numpy_norm_calls(ast.parse((PACKAGE / module).read_text(encoding="utf-8"))) == []
+
+
+def module_float_literals(tree: ast.Module) -> list[str]:
+    """The names a module's top-level statements bind to a float literal, signed or not."""
+    names = []
+    for node in tree.body:
+        value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+        if isinstance(value, ast.UnaryOp) and isinstance(value.op, (ast.USub, ast.UAdd)):
+            value = value.operand
+        if isinstance(value, ast.Constant) and isinstance(value.value, float):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [name.id for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name)]
+    return names
+
+
+def test_module_float_literals_are_found():
+    tree = ast.parse("A = 1e-8\nB: float = -1e-10\nC = 8192\nD = E = 0.5\nF = 2.0 ** -52\n"
+                     "def f():\n    G = 1.0\nH = 'x'\n")
+    assert module_float_literals(tree) == ["A", "B", "D", "E"]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_module_binds_an_unlisted_float_literal(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert sorted(set(module_float_literals(tree)) - FIXED_FLOATS) == []
 
 
 def readme_private_names(text: str) -> set[str]:

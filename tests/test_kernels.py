@@ -24,6 +24,7 @@ from helpers import (
     random_state,
     random_unitary,
     superposition_aggregate,
+    superposition_rounding,
 )
 from qmeasure import fileio, linalg, measurement
 from qmeasure.errors import (
@@ -34,7 +35,6 @@ from qmeasure.errors import (
     QmeasureError,
 )
 from qmeasure.measurement import (
-    PSD_FLOOR,
     MeasurementOperatorSet,
     OperatorResiduals,
     Povm,
@@ -169,7 +169,8 @@ def test_povm_with_negative_elements_names_the_first_as_before(n):
     weights[0] = 1.0 - weights[1:].sum(axis=0)  # positive: the others sum to less than 1
     elements = tuple((q * w) @ q.conj().T for w in weights)
     lowest = loop_lowest(elements)
-    first = int(np.flatnonzero(lowest < PSD_FLOOR)[0])
+    norms = np.array([np.linalg.norm(e) for e in elements])
+    first = int(np.flatnonzero(~linalg.within_tol(-lowest, 1e-10, norms))[0])
     assert first == 2
     with pytest.raises(NotPositive) as exc:
         Povm(elements)
@@ -234,7 +235,8 @@ def test_planted_bad_pair_gives_the_loop_violation():
        st.sampled_from(["none", "both", "right_only"]))
 def test_aggregate_check_raises_the_loop_violation(seed, n, plant):
     """The superposition rule judges the per-pair loop's aggregate, bit for bit: the sum of
-    every ||M_i^dag M_j||_F (i != j), plus the completeness residual when it passes. A
+    every ||M_i^dag M_j||_F (i != j), plus the completeness residual when it passes, plus the
+    rounding of the sum's unitarity judge. A
     ``right_only`` plant leaves every left pair at 0 and breaks completeness instead."""
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, min(n, 9) + 1))
@@ -250,7 +252,7 @@ def test_aggregate_check_raises_the_loop_violation(seed, n, plant):
     threshold = 1e-10 * math.sqrt(n)
     opset = MeasurementOperatorSet(tuple(family))
     phases = PhaseVector(random_phases(rng, k))
-    if aggregate <= threshold:
+    if aggregate + superposition_rounding(aggregate, n) <= threshold:
         if c <= threshold:
             superpose_operators(opset, phases)
         else:

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import orthogonal_family, random_hermitian, random_state, random_unitary
+from helpers import (
+    eigenspace_groups,
+    orthogonal_family,
+    random_hermitian,
+    random_state,
+    random_unitary,
+)
 from qmeasure import gates, linalg, measurement
 from qmeasure.errors import (
     DimensionMismatch,
@@ -223,6 +229,29 @@ def test_density_matrix_rejects_bad_trace():
 def test_density_matrix_rejects_negative():
     with pytest.raises(NotPositive, match=r"^density matrix has negative eigenvalue -5.000e-01$"):
         DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+
+
+def test_density_matrix_trace_and_positivity_are_judged_at_tol():
+    """|tr rho - 1| passes within tol, -lambda_min within tol ||rho||_F."""
+    off_trace, negative = _diag(0.5, 0.5 + 1e-12), _diag(1.0 + 5e-11, -5e-11)
+    for rho in (off_trace, negative):
+        DensityMatrix(rho)  # within the default tol 1e-10
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix(off_trace, tol=1e-14)
+    with pytest.raises(NotPositive):
+        DensityMatrix(negative, tol=1e-14)
+
+
+def test_povm_probabilities_drop_an_imaginary_part_the_hermiticity_bounds():
+    """E_0 off Hermitian by h_E = 1e-4 sqrt(2), admitted at tol 1e-3: tr(E_0 rho) keeps an
+    imaginary part under (h_E ||rho||_F + ||E_0||_F h_rho) / 2, and p is its real part."""
+    e0 = np.array([[0.5, 1e-4j], [0.0, 0.5]])
+    povm = Povm((e0, np.eye(2) - e0), tol=1e-3)
+    rho = DensityMatrix(PLUS.density_matrix().matrix)
+    traces = np.array([np.trace(e @ rho.matrix) for e in povm.elements])
+    assert np.array_equal(povm_probabilities(povm, rho), traces.real)
+    bound = np.linalg.norm(e0 - e0.conj().T) * np.linalg.norm(rho.matrix) / 2
+    assert 0 < abs(traces[0].imag) <= bound
 
 
 def test_density_matrix_rejects_non_hermitian():
@@ -529,11 +558,20 @@ def test_observable_rejects_overflowing_hermiticity_residual():
 
 
 def test_failed_reconstruction_is_a_qmeasure_error():
-    # eigenvalues within CLUSTER_TOL share one eigenspace, valued at their mean
+    """Q diag(0, ..., 31) Q^dag reconstructs to about 1.8e-13, above tol ||A||_F = 1.02e-13 at
+    tol = 1e-15: ``eigh``'s own rounding, which no grouping removes, fails the check."""
+    q = random_unitary(np.random.default_rng(0), 32)
     with pytest.raises(QmeasureError) as exc:
-        spectral_decompose(_diag(1e-9, 2e-9))
+        spectral_decompose((q * np.arange(32.0)) @ q.conj().T, tol=1e-15)
     assert type(exc.value) is QmeasureError
-    assert str(exc.value) == "spectrum does not reconstruct the observable (residual 7.071e-10)"
+    assert str(exc.value) == "spectrum does not reconstruct the observable (residual 1.760e-13)"
+    assert exc.value.residuals["n_eigenspaces"] == 32
+
+
+def test_tiny_distinct_eigenvalues_keep_their_eigenspaces():
+    """A gap of 1e-9 is far above eps_n ||A||_F, so diag(1e-9, 2e-9) keeps two eigenspaces."""
+    obs = spectral_decompose(_diag(1e-9, 2e-9))
+    assert obs.eigenvalues == (1e-9, 2e-9) and obs.reconstruction_residual == 0.0
 
 
 def test_observable_reconstruction_random():
@@ -576,11 +614,15 @@ def planted_above_the_allowance(rng, n, degenerate, plant, ratio):
     return planted_eigenpairs(rng, n, degenerate, plant, target)
 
 
-def eigenspace_projectors(vals, vecs):
-    """V_g V_g^dag over the clusters of ``vals``, as spectral_decompose forms them."""
-    groups = np.split(np.arange(len(vals)),
-                      np.flatnonzero(np.diff(vals) > measurement.CLUSTER_TOL) + 1)
-    return [vecs[:, g] @ vecs[:, g].conj().T for g in groups]
+def eigenspace_projectors(vals, vecs, scale):
+    """V_g V_g^dag over the eigenspaces of ``vals`` for ||A||_F = ``scale``, as
+    spectral_decompose forms them."""
+    return [vecs[:, g] @ vecs[:, g].conj().T for g in eigenspace_groups(vals, scale)]
+
+
+def planted_projectors(vals, vecs):
+    """:func:`eigenspace_projectors` of the planted pairs, at the scale decompose_planted judges."""
+    return eigenspace_projectors(vals, vecs, np.linalg.norm((vecs * vals) @ vecs.conj().T))
 
 
 def decompose_planted(vals, vecs, tol):
@@ -609,7 +651,7 @@ def test_gram_certificate_implies_the_generic_projector_check(n, degenerate, pla
     vals, vecs = planted_eigenpairs(np.random.default_rng(seed), n, degenerate, plant,
                                     ratio * tau)
     gram = np.linalg.norm(vecs.conj().T @ vecs - np.eye(n))
-    oracle = OperatorResiduals(eigenspace_projectors(vals, vecs)).failure(tol)
+    oracle = OperatorResiduals(planted_projectors(vals, vecs)).failure(tol)
     if gram <= tau:
         assert oracle is None
     try:
@@ -630,7 +672,7 @@ def test_gram_certificate_skips_the_pair_check_only_within_its_threshold(plant):
     tau = measurement._gram_threshold(8, tol)
     for ratio, pair_checks in ((0.9, 0), (1.1, 1)):
         vals, vecs = planted_eigenpairs(rng, 8, False, plant, ratio * tau)
-        oracle = OperatorResiduals(eigenspace_projectors(vals, vecs)).failure(tol)
+        oracle = OperatorResiduals(planted_projectors(vals, vecs)).failure(tol)
         with mock.patch.object(measurement, "OperatorResiduals",
                                wraps=OperatorResiduals) as spy:
             if oracle is None:
@@ -688,10 +730,10 @@ def test_spectral_projectors_are_the_eigenvector_products(degenerate):
     a = random_hermitian(np.random.default_rng(41), 32, degenerate=degenerate)
     obs = spectral_decompose(a)
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
-    groups = np.split(np.arange(32), np.flatnonzero(np.diff(vals) > measurement.CLUSTER_TOL) + 1)
+    groups = eigenspace_groups(vals, np.linalg.norm(a))
     assert len(obs.spectrum) == len(groups) == (17 if degenerate else 32)
     for (lam, p), q, g, r in zip(obs.spectrum, obs.projector_set().projectors, groups,
-                                 eigenspace_projectors(vals, vecs)):
+                                 eigenspace_projectors(vals, vecs, np.linalg.norm(a))):
         assert p is q and not p.flags.writeable
         assert np.array_equal(p, r)
         assert lam == np.mean(vals[g])
@@ -709,7 +751,7 @@ def test_spectral_groups_of_mixed_sizes_keep_their_slots(mults, rotated):
     and lambda_g bit for bit the per-group V_g V_g^dag and mean."""
     rng = np.random.default_rng(len(mults))
     n = sum(mults)
-    levels = np.cumsum(rng.uniform(0.5, 2.0, size=len(mults)))  # gaps > CLUSTER_TOL
+    levels = np.cumsum(rng.uniform(0.5, 2.0, size=len(mults)))  # gaps far above eps_n ||A||_F
     u = random_unitary(rng, n) if rotated else np.eye(n)
     a = (u * np.repeat(levels, mults)) @ u.conj().T
     obs = spectral_decompose(a)
@@ -759,23 +801,19 @@ def test_povm_rejects_incomplete():
         Povm((np.diag([0.5, 0.5]).astype(complex),))
 
 
-@pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                   reason="ROADMAP item 2: POVM positivity is judged against the fixed "
-                   "PSD_FLOOR = -1e-10, not at tol")
 def test_povm_positivity_is_judged_at_tol():
-    """An eigenvalue of -5e-11 is 5000 times tol = 1e-14, yet passes the fixed floor. Mending
-    it moves the floor that ``Povm._of_products`` proves against too: both read one threshold."""
+    """An eigenvalue of -5e-11 is 5000 times tol = 1e-14 and fails; one of -1e-8 passes at
+    tol = 1e-3. Positivity is judged as -lambda_min within tol against ||E_m||_F."""
     with pytest.raises(NotPositive):
         Povm((np.diag([-5e-11, 1.0]), np.diag([1.0 + 5e-11, 0.0])), tol=1e-14)
+    povm = Povm((np.diag([-1e-8, 1.0]), np.diag([1.0 + 1e-8, 0.0])), tol=1e-3)
+    assert povm.residuals["min_eigenvalue"] == -1e-8
 
 
-@pytest.mark.xfail(strict=True, raises=NotPositive,
-                   reason="ROADMAP item 2: POVM positivity is judged against the fixed "
-                   "PSD_FLOOR = -1e-10, not at the scale of the elements")
 def test_povm_of_scaled_products_is_not_rejected_for_rounding():
     """M_k = 1e3 e_k q_k^dag at n = 32, q Haar: each element 1e6 q_k q_k^dag is positive by
-    construction, and completeness passes at tol = 1.01e6, yet eigvalsh rounds an eigenvalue
-    of about -1e-10 at that scale, below the fixed floor."""
+    construction, and completeness passes at tol = 1.01e6, while eigvalsh rounds an eigenvalue
+    to about -1e-10 at that scale, far within tol ||E_m||_F."""
     q = random_unitary(np.random.default_rng(32), 32)
     ops = [1e3 * np.outer(np.eye(32)[k], q[:, k].conj()) for k in range(32)]
     povm_from_operators(MeasurementOperatorSet(ops), tol=1.01e6)

@@ -5,8 +5,8 @@
 passed. As sum_m ||M_m||_F^2 = tr(sum_m E_m) <= n + sqrt(n) c, each computed
 E_m is Hermitian to 2k and has no computed eigenvalue below -k, for
 k = eps_n (n + sqrt(n) c) and eps_n = 4 n^(3/2) eps (README, Tolerances).
-When 2k passes ``within_tol`` at ``tol`` and -k is at or above the floor the
-positivity judge reads (``PSD_FLOOR``), only c is judged, and the
+When 2k passes ``within_tol`` at ``tol``, so does k against any element's
+scale, which is the positivity judge's rule; then only c is judged, and the
 hermiticity and the eigenvalues are formed when ``residuals`` is first read.
 Otherwise every leg is judged, as ``Povm(elements, tol)`` judges it. So a
 proved POVM must pass that judge with its residuals bit for bit, and every
@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_partition, random_unitary
-from qmeasure import linalg, measurement
-from qmeasure.errors import IncompleteSet, NotUnitary, QmeasureError
+from qmeasure import linalg
+from qmeasure.errors import IncompleteSet, NotPositive, NotUnitary, QmeasureError
 from qmeasure.measurement import (
     MeasurementOperatorSet,
     OperatorResiduals,
@@ -41,9 +41,8 @@ def allowance(n, c):
 
 
 def proves(n, c, tol):
-    """The README's predicate: 2k within ``tol`` (scale 1), and -k at or above the PSD floor."""
-    k = allowance(n, c)
-    return bool(linalg.within_tol(2 * k, tol) and -k >= measurement.PSD_FLOOR)
+    """The README's predicate: 2k within ``tol`` (scale 1)."""
+    return bool(linalg.within_tol(2 * allowance(n, c), tol))
 
 
 def of_products(elements, completeness, tol):
@@ -141,8 +140,8 @@ def test_a_proved_povm_forms_no_eigenvalue_until_its_residuals_are_read(monkeypa
     (8, 1.0, "2k", True),  # the hermiticity leg at its edge
     (8, 1.0, "2k-", False),  # one ulp below it
     (8, 1.0, "1.5k", False),  # the factor 2 is needed
-    (64, 2.25, 3.0, True),  # k = eps_n (64 + 8 * 10) = 6.5e-11 is above -PSD_FLOOR ...
-    (64, 3.5, 3.0, False),  # ... and at c = 20 it is 1.02e-10: the sqrt(n) c term is needed
+    (64, 2.25, 3.0, True),  # k = eps_n (64 + 8 * 10) = 6.5e-11, proved at any tol >= 2k ...
+    (64, 3.5, 1.5e-10, False),  # ... but at c = 20, 2k = 2.04e-10: the sqrt(n) c term is needed
     (2, 0.5, 1e-10, True),  # proved, yet c = 0.707: completeness is still judged
     (2, 1.0, math.inf, False),  # a tol no check passes
     (2, 1.0, math.nan, False),
@@ -166,11 +165,11 @@ def test_the_proof_is_the_documented_bound(n, s, tol, proved):
     assert unformed(povm) == proved and outcome(lambda: povm) == expected
 
 
-def test_the_proof_reads_the_floor_the_positivity_judge_reads(monkeypatch):
-    """A floor at -k lets the bound prove; a floor one ulp above -k stops it."""
-    elements, c = [np.eye(8, dtype=complex)], 0.0
-    k = allowance(8, c)
-    for floor, proved in ((-k, True), (np.nextafter(-k, 0.0), False)):
-        monkeypatch.setattr(measurement, "PSD_FLOOR", floor)
-        assert unformed(of_products(elements, c, 1e-10)) == proved
-
+def test_the_proof_implies_the_positivity_judge():
+    """An element whose lowest eigenvalue is -k, the least the bound allows, passes the
+    positivity judge at every tol >= 2k that proves it; one ulp under tol = k it fails."""
+    k = allowance(8, 0.0)
+    element = np.diag([-k, 0.5] + [0.0] * 6).astype(complex)  # ||E||_F < 1: scale 1
+    for tol, positive in ((2 * k, True), (k, True), (np.nextafter(k, 0.0), False)):
+        failure = OperatorResiduals(np.array([element])).failure(tol, povm=True)
+        assert isinstance(failure, NotPositive) != positive

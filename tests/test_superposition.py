@@ -1,26 +1,34 @@
 """The superposition rule of ``superpose_operators`` near its threshold.
 
-The rule judges one aggregate, a = sum_{i != j} ||M_i^dag M_j||_F plus the
-completeness residual c when c passes, against tol sqrt(n). For every
-phase vector a bounds ||M^dag M - I||_F and ||M M^dag - I||_F, and every
-right pair ||M_i M_j^dag||_F (README, Tolerances). The families here are
-drawn with a at the threshold times 1 +- 10^-k, k = 1..6, so rounding is
-the only slack. Each float verdict is allowed to differ from the exact one
-only inside the band threshold +- eps_n s, where eps_n = 4 n^(3/2) eps is
-the rounding of one n x n product relative to its scale and
-s = (sum_m ||M_m||_F)^2 + sqrt(n) bounds the scales of every pair product
-(sum_{i, j} ||M_i||_F ||M_j||_F) and of the completeness sum.
+The rule judges one aggregate against tol sqrt(n): a = sum_{i != j}
+||M_i^dag M_j||_F plus the completeness residual c when c passes, plus the
+rounding eps_n (n + sqrt(n) a) of the sum's unitarity judge, where
+eps_n = 4 n^(3/2) eps is the rounding of one n x n product relative to its
+scale; errors report a without that rounding. For every phase vector a
+bounds ||M^dag M - I||_F and ||M M^dag - I||_F, and every right pair
+||M_i M_j^dag||_F (README, Tolerances), so the unitarity judge passes every
+sum whose preconditions passed. The families here are drawn with the pair sum plus c at the
+threshold times 1 +- 10^-k, k = 1..6, so rounding is the only slack. Each
+float verdict is allowed to differ from the exact one only inside the band
+threshold +- eps_n s, where s = (sum_m ||M_m||_F)^2 + sqrt(n) bounds the
+scales of every pair product (sum_{i, j} ||M_i||_F ||M_j||_F) and of the
+completeness sum.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from helpers import near_threshold_family, random_phases, superposition_aggregate
-from qmeasure.errors import IncompleteSet, NotUnitary, OrthogonalityViolation
+from helpers import (
+    near_threshold_family,
+    random_phases,
+    superposition_aggregate,
+    superposition_rounding,
+)
+from qmeasure.errors import IncompleteSet, OrthogonalityViolation
 from qmeasure.measurement import MeasurementOperatorSet
 from qmeasure.reversible import PhaseVector, superpose_operators
 
@@ -37,7 +45,8 @@ def rounding_band(ops):
 
 
 def draw_family(seed, kind, n, tol, ratio):
-    assume(n > 1 or kind != "rank1")  # one rank-1 operator has no pair to tilt
+    if n == 1 and kind == "rank1":
+        reject()  # one rank-1 operator has no pair to tilt
     rng = np.random.default_rng(seed)
     k = n if kind == "rank1" else int(rng.integers(1, n + 1))
     ops = near_threshold_family(rng, kind, n, k, ratio * tol * math.sqrt(n))
@@ -76,25 +85,32 @@ def test_pairs_that_pass_one_by_one_fail_as_an_aggregate():
        st.sampled_from([1, 2, 3, 5, 8, 32]), st.sampled_from([1e-4, 1e-6, 1e-8, 1e-10, 1e-12]),
        RATIOS | st.sampled_from([0.5, 2.0]))
 def test_a_superposable_family_sums_to_a_unitary_within_its_aggregate(seed, kind, n, tol, ratio):
-    """Whenever the preconditions pass, both unitarity residuals of the sum, every right pair
-    ||M_i M_j^dag||_F and ||sum_m M_m M_m^dag - I||_F are at most a plus the band; so the
-    unitarity judge fails only when a is within the band of the threshold."""
+    """Whenever the preconditions pass, the sum is a unitary (``verdict`` lets no
+    ``NotUnitary`` through), and both its unitarity residuals, every right pair
+    ||M_i M_j^dag||_F and ||sum_m M_m M_m^dag - I||_F are at most the judged aggregate."""
     ops, phases = draw_family(seed, kind, n, tol, ratio)
     aggregate, _, _ = superposition_aggregate(ops, tol)
-    band = rounding_band(ops)
-    try:
-        rule, unit = verdict(ops, phases, tol)
-    except NotUnitary:
-        assert aggregate > tol * math.sqrt(n) - band
-        return
+    judged = aggregate + superposition_rounding(aggregate, n)
+    rule, unit = verdict(ops, phases, tol)
     if rule != "unitary":
         return
-    assert max(unit.residuals.values()) <= aggregate + band
+    assert max(unit.residuals.values()) <= judged
     adjoints = [m.conj().T for m in ops]
     rights = [np.linalg.norm(mi @ adjoints[j]) for i, mi in enumerate(ops)
               for j in range(len(ops)) if i != j]
     completeness = np.linalg.norm(sum(m @ mh for m, mh in zip(ops, adjoints)) - np.eye(n))
-    assert max(rights + [completeness]) <= aggregate + band
+    assert max(rights + [completeness]) <= judged
+
+
+def test_a_passing_aggregate_inside_the_band_is_refused_not_judged_unitary():
+    """The pair sum plus c of this family, 1.41421322e-10, is under tol sqrt(2) =
+    1.41421356e-10 by less than the rounding of the unitarity judge, and its sum is off
+    unitary by more than tol sqrt(2): the rule counts that rounding, so it raises the
+    violation, not ``NotUnitary``."""
+    ops, phases = draw_family(164, "stretch", 2, 1e-10, 0.999999)
+    aggregate, _, _ = superposition_aggregate(ops, 1e-10)
+    assert aggregate < 1e-10 * math.sqrt(2) < aggregate + superposition_rounding(aggregate, 2)
+    assert verdict(ops, phases, 1e-10) == ("orthogonality", None)
 
 
 def exact_residuals(ops, mpmath):
@@ -125,6 +141,7 @@ def test_the_superposition_verdict_is_the_exact_verdict_outside_the_band(seed, k
         pairs, c = exact_residuals(ops, mpmath)
         threshold = mpmath.mpf(tol) * mpmath.sqrt(n)
         aggregate = pairs + (c if c <= threshold else 0)
+        aggregate += superposition_rounding(aggregate, n)
         assume(abs(c - threshold) > band and abs(aggregate - threshold) > band)
         exact = ("orthogonality" if aggregate > threshold else
                  "completeness" if c > threshold else "unitary")
