@@ -4,8 +4,8 @@ A + cI, sA (s > 0) and W A W^dag (W unitary) have the eigenspaces of A, so
 each keeps A's eigenspace count and, for every state, its eigenspace
 probabilities. Rounding moves a computed projector by about
 eps_n ||A||_F / gap (Davis-Kahan for a perturbation of ``eigh``'s size),
-gap the smallest distance between distinct eigenvalues, and each
-probability by eps_n more, so the probabilities may differ by that much,
+gap the smallest distance between distinct eigenvalues, and each of the
+two probabilities by eps_n more, so they may differ by that plus 2 eps_n,
 eps_n = 4 n^(3/2) eps as in ``measurement._rounding_allowance``. Each
 spectrum is kept where the rule can still separate it: the gap above twice
 the floor eps_n ||A||_F under which ``spectral_decompose`` merges
@@ -66,12 +66,14 @@ def smallest_gap(levels):
 
 def assert_same_eigenspaces(a, b, psi_a, psi_b, gap):
     """A and B keep one eigenspace count, and their probabilities agree within
-    eps_n ||.||_F / gap, plus eps_n for the rounding of the probabilities themselves."""
+    eps_n ||.||_F / gap, plus eps_n for the rounding of each of the two probabilities: over
+    3000 draws at n = 1 (a Haar phase w, gap infinite) they differ by up to 5 eps = 1.25 eps_1."""
     assume(2 * max(floor(a), floor(b)) < gap)  # the rule can still separate the spectrum
     count_a, p_a = probabilities(a, psi_a)
     count_b, p_b = probabilities(b, psi_b)
     assert count_a == count_b
-    assert np.abs(p_a - p_b).max() <= max(floor(a), floor(b)) / gap + _rounding_allowance(len(a))
+    bound = max(floor(a), floor(b)) / gap + 2 * _rounding_allowance(len(a))
+    assert np.abs(p_a - p_b).max() <= bound
 
 
 @settings(max_examples=120, deadline=None)
