@@ -116,8 +116,7 @@ def _load_unitary_matrix(path: str) -> np.ndarray:
 
 def _load_state(path: str, warnings: list[str]) -> QuantumState:
     vec = load_state_file(path)
-    scale, norm = vector_norm(vec)
-    norm *= scale
+    norm = math.prod(vector_norm(vec))  # scale * norm, as QuantumState forms it
     if abs(norm - 1.0) > NORM_TOL:
         warnings.append(f"input state renormalized (norm was {format_float(norm)})")
     return QuantumState(vec, normalize=True)
@@ -147,9 +146,7 @@ def render_human(report: dict, indent: int = 0) -> str:
 
 
 def render_report(report: dict, fmt: str) -> str:
-    if fmt == "machine":
-        return dumps_document(report) + "\n"
-    return render_human(report)
+    return dumps_document(report) + "\n" if fmt == "machine" else render_human(report)
 
 
 def _finish(report: dict, details: list[str]) -> dict:

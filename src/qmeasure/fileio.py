@@ -97,8 +97,7 @@ def dumps_document(doc: dict) -> str:
     """Serialize a report or file document with stable float formatting."""
     out: list[str] = []
     _dump(doc, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return "".join(out) + "\n"
 
 
 def complex_pairs(array) -> np.ndarray:
@@ -226,10 +225,7 @@ def operator_document(kind: str, matrices) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "dim": pairs.shape[1],
-        "operators": [
-            {"label": label, "matrix": matrix}
-            for label, matrix in enumerate(pairs)
-        ],
+        "operators": [{"label": label, "matrix": matrix} for label, matrix in enumerate(pairs)],
     }
 
 
@@ -238,11 +234,7 @@ def state_document(amplitudes) -> dict:
     amps = _complex_array(amplitudes)
     if amps.ndim != 1 or not (np.isfinite(amps).all() and amps.any()):
         raise ValueError(f"amplitudes must be a finite nonzero vector, got shape {amps.shape}")
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "dim": len(amps),
-        "amplitudes": complex_pairs(amps),
-    }
+    return {"schema_version": SCHEMA_VERSION, "dim": len(amps), "amplitudes": complex_pairs(amps)}
 
 
 def save_operator_file(path: str, kind: str, matrices) -> None:

@@ -94,8 +94,8 @@ class DensityMatrix(linalg._Frozen):
         mat = as_matrix(self.matrix)
         _, scale = linalg._require_hermitian(mat, tol)
         trace = complex(np.trace(mat))
-        if not linalg.within_tol(abs(trace - 1.0), tol):
-            raise ValueError(f"density matrix trace {trace!r} is not 1")
+        if not linalg.within_tol(off := abs(trace - 1.0), tol):
+            raise QmeasureError(f"density matrix trace {trace!r} is not 1", {"trace": off})
         lowest = float(linalg.lowest_eigenvalue(mat))
         if not linalg.within_tol(-lowest, tol, scale):
             raise NotPositive(f"density matrix has negative eigenvalue {lowest:.3e}",

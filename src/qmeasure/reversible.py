@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import OrthogonalityViolation, PhaseNotUnimodular
+from .errors import NotUnitary, OrthogonalityViolation, PhaseNotUnimodular
 from .linalg import DEFAULT_TOL, _adjoint, as_matrix, freeze, within_tol
 from .measurement import (
     MeasurementOperatorSet,
@@ -110,20 +110,22 @@ def unitary_as_measurement(u, tol: float = DEFAULT_TOL) -> MeasurementOperatorSe
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _require_superposable(opset: MeasurementOperatorSet, tol: float) -> None:
-    """Raise ``OrthogonalityViolation`` (naming a and the worst pair) unless a = sum_{i != j}
-    ||M_i^dag M_j||_F (+ c, the completeness residual, if it passes) plus eps_n (n + sqrt(n) a),
-    the rounding of the sum's unitarity judge, passes ``tol`` against sqrt(n); then c must pass."""
+def _require_superposable(opset: MeasurementOperatorSet, tol: float) -> tuple[float, bool]:
+    """(a, banded): raise ``OrthogonalityViolation`` (naming a and the worst pair) unless
+    a = sum_{i != j} ||M_i^dag M_j||_F (+ c, the completeness residual, if it passes) passes
+    ``tol`` against sqrt(n), then unless c passes; ``banded`` if a + eps_n (n + sqrt(n) a) fails."""
     pairs = linalg.orthogonality_residuals(_adjoint(opset._stack), opset._stack)
     np.fill_diagonal(pairs, 0.0)  # ||M_i^dag M_i - M_i^dag||_F is no pair
     scale, c = math.sqrt(n := opset.dim), opset.completeness_residual
     aggregate = float(pairs.sum()) + (c if within_tol(c, tol, scale) else 0.0)
-    if not within_tol(aggregate + _rounding_allowance(n) * (n + scale * aggregate), tol, scale):
+    if not within_tol(aggregate, tol, scale):
         i, j = np.unravel_index(np.argmax(pairs), pairs.shape)  # a NaN pair first
         raise OrthogonalityViolation(f"operators are not orthogonal within {tol:g}: aggregate "
                                      f"{aggregate:.3e} exceeds {tol * scale:.3e} (worst pair ({i}, {j}), "
                                      f"residual {pairs[i, j]:.3e})", {"orthogonality": aggregate})
     _require_complete(opset, tol)
+    bound = aggregate + _rounding_allowance(n) * (n + scale * aggregate)
+    return aggregate, not within_tol(bound, tol, scale)
 
 
 def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,
@@ -135,12 +137,20 @@ def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,
     sum_{i != j} conj(alpha_i) alpha_j M_i^dag M_j, so ||M^dag M - I||_F <= a for every phase
     vector; M M^dag - I has the same singular values (M is square), and the mean over the phases
     of conj(alpha_i) alpha_j (M M^dag - I) is M_i M_j^dag, so ||M_i M_j^dag||_F <= a: the right
-    pairs are implied. As the rule counts the rounding of the sum's unitarity judge, that judge,
-    which still runs, passes every sum whose preconditions pass.
+    pairs are implied. eps_n (n + sqrt(n) a) bounds the rounding of the sum's unitarity judge,
+    which still runs: when a passed by less than that, its failure is raised as the violation.
     """
     linalg._require_same_dims(phases=len(phases), operators=len(opset))
-    _require_superposable(opset, tol)
-    return object.__new__(UnitaryOperator)._judge(freeze(opset._phase_sum(phases.phases)), tol)
+    aggregate, banded = _require_superposable(opset, tol)
+    try:
+        return object.__new__(UnitaryOperator)._judge(freeze(opset._phase_sum(phases.phases)), tol)
+    except NotUnitary as exc:
+        if not banded:  # a failure a does not explain: the phases are off the unit circle
+            raise
+        raise OrthogonalityViolation(
+            f"operators are not orthogonal within {tol:g}: aggregate {aggregate:.3e} passes by less "
+            f"than the rounding of their sum, which failed: {exc}",
+            {"orthogonality": aggregate, **exc.residuals}) from exc
 
 
 def phase_superpose_projectors(pset: ProjectorSet, phases: PhaseVector,

@@ -24,7 +24,6 @@ from helpers import (
     random_state,
     random_unitary,
     superposition_aggregate,
-    superposition_rounding,
 )
 from qmeasure import fileio, linalg, measurement
 from qmeasure.errors import (
@@ -235,8 +234,7 @@ def test_planted_bad_pair_gives_the_loop_violation():
        st.sampled_from(["none", "both", "right_only"]))
 def test_aggregate_check_raises_the_loop_violation(seed, n, plant):
     """The superposition rule judges the per-pair loop's aggregate, bit for bit: the sum of
-    every ||M_i^dag M_j||_F (i != j), plus the completeness residual when it passes, plus the
-    rounding of the sum's unitarity judge. A
+    every ||M_i^dag M_j||_F (i != j), plus the completeness residual when it passes. A
     ``right_only`` plant leaves every left pair at 0 and breaks completeness instead."""
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, min(n, 9) + 1))
@@ -252,7 +250,7 @@ def test_aggregate_check_raises_the_loop_violation(seed, n, plant):
     threshold = 1e-10 * math.sqrt(n)
     opset = MeasurementOperatorSet(tuple(family))
     phases = PhaseVector(random_phases(rng, k))
-    if aggregate + superposition_rounding(aggregate, n) <= threshold:
+    if aggregate <= threshold:
         if c <= threshold:
             superpose_operators(opset, phases)
         else:

@@ -222,8 +222,9 @@ def test_density_matrix_from_state():
 
 
 def test_density_matrix_rejects_bad_trace():
-    with pytest.raises(ValueError):
+    with pytest.raises(QmeasureError, match=r"^density matrix trace \(2\+0j\) is not 1$") as exc:
         DensityMatrix(np.diag([1.0, 1.0]).astype(complex))
+    assert exc.value.residuals == {"trace": 1.0}
 
 
 def test_density_matrix_rejects_negative():
@@ -236,8 +237,9 @@ def test_density_matrix_trace_and_positivity_are_judged_at_tol():
     off_trace, negative = _diag(0.5, 0.5 + 1e-12), _diag(1.0 + 5e-11, -5e-11)
     for rho in (off_trace, negative):
         DensityMatrix(rho)  # within the default tol 1e-10
-    with pytest.raises(ValueError, match="trace"):
+    with pytest.raises(QmeasureError, match="trace") as exc:
         DensityMatrix(off_trace, tol=1e-14)
+    assert 1e-14 < exc.value.residuals["trace"] < 2e-12
     with pytest.raises(NotPositive):
         DensityMatrix(negative, tol=1e-14)
 

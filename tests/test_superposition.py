@@ -1,15 +1,15 @@
 """The superposition rule of ``superpose_operators`` near its threshold.
 
-The rule judges one aggregate against tol sqrt(n): a = sum_{i != j}
-||M_i^dag M_j||_F plus the completeness residual c when c passes, plus the
-rounding eps_n (n + sqrt(n) a) of the sum's unitarity judge, where
-eps_n = 4 n^(3/2) eps is the rounding of one n x n product relative to its
-scale; errors report a without that rounding. For every phase vector a
-bounds ||M^dag M - I||_F and ||M M^dag - I||_F, and every right pair
-||M_i M_j^dag||_F (README, Tolerances), so the unitarity judge passes every
-sum whose preconditions passed. The families here are drawn with the pair sum plus c at the
-threshold times 1 +- 10^-k, k = 1..6, so rounding is the only slack. Each
-float verdict is allowed to differ from the exact one only inside the band
+The rule judges one aggregate, a = sum_{i != j} ||M_i^dag M_j||_F plus the
+completeness residual c when c passes, against tol sqrt(n). For every
+phase vector a bounds ||M^dag M - I||_F and ||M M^dag - I||_F, and every
+right pair ||M_i M_j^dag||_F (README, Tolerances). The sum is still judged;
+when a passed by less than the rounding eps_n (n + sqrt(n) a) of that
+judge, a failure there is the violation, so no family whose preconditions
+pass meets ``NotUnitary``. Here eps_n = 4 n^(3/2) eps is the rounding of
+one n x n product relative to its scale. The families here are drawn with a at the threshold times
+1 +- 10^-k, k = 1..6, so rounding is the only slack. Each float verdict is
+allowed to differ from the exact one only inside the band
 threshold +- eps_n s, where s = (sum_m ||M_m||_F)^2 + sqrt(n) bounds the
 scales of every pair product (sum_{i, j} ||M_i||_F ||M_j||_F) and of the
 completeness sum.
@@ -28,7 +28,7 @@ from helpers import (
     superposition_aggregate,
     superposition_rounding,
 )
-from qmeasure.errors import IncompleteSet, OrthogonalityViolation
+from qmeasure.errors import IncompleteSet, NotUnitary, OrthogonalityViolation
 from qmeasure.measurement import MeasurementOperatorSet
 from qmeasure.reversible import PhaseVector, superpose_operators
 
@@ -87,7 +87,7 @@ def test_pairs_that_pass_one_by_one_fail_as_an_aggregate():
 def test_a_superposable_family_sums_to_a_unitary_within_its_aggregate(seed, kind, n, tol, ratio):
     """Whenever the preconditions pass, the sum is a unitary (``verdict`` lets no
     ``NotUnitary`` through), and both its unitarity residuals, every right pair
-    ||M_i M_j^dag||_F and ||sum_m M_m M_m^dag - I||_F are at most the judged aggregate."""
+    ||M_i M_j^dag||_F and ||sum_m M_m M_m^dag - I||_F are at most a plus its rounding."""
     ops, phases = draw_family(seed, kind, n, tol, ratio)
     aggregate, _, _ = superposition_aggregate(ops, tol)
     judged = aggregate + superposition_rounding(aggregate, n)
@@ -105,12 +105,37 @@ def test_a_superposable_family_sums_to_a_unitary_within_its_aggregate(seed, kind
 def test_a_passing_aggregate_inside_the_band_is_refused_not_judged_unitary():
     """The pair sum plus c of this family, 1.41421322e-10, is under tol sqrt(2) =
     1.41421356e-10 by less than the rounding of the unitarity judge, and its sum is off
-    unitary by more than tol sqrt(2): the rule counts that rounding, so it raises the
-    violation, not ``NotUnitary``."""
+    unitary by more than tol sqrt(2): that judge's failure is raised as the violation, with
+    a and both unitarity residuals, not as ``NotUnitary``."""
     ops, phases = draw_family(164, "stretch", 2, 1e-10, 0.999999)
     aggregate, _, _ = superposition_aggregate(ops, 1e-10)
     assert aggregate < 1e-10 * math.sqrt(2) < aggregate + superposition_rounding(aggregate, 2)
-    assert verdict(ops, phases, 1e-10) == ("orthogonality", None)
+    with pytest.raises(OrthogonalityViolation, match="by less than the rounding") as exc:
+        superpose_operators(MeasurementOperatorSet(tuple(ops)), phases, 1e-10)
+    assert exc.value.residuals.keys() == {"orthogonality", "unitarity_left", "unitarity_right"}
+    assert exc.value.residuals["orthogonality"] == aggregate
+    assert max(exc.value.residuals.values()) > 1e-10 * math.sqrt(2)
+
+
+@pytest.mark.parametrize("n, tol", [(4, 1e-14), (16, 1e-13), (34, 1e-12)])
+def test_exactly_orthogonal_projectors_superpose_below_the_rounding_term(n, tol):
+    """Computational projectors have a = 0, yet eps_n n exceeds tol sqrt(n) here: the
+    rounding term is no precondition, so the sum reaches its judge, which passes it."""
+    ops = tuple(np.diag(row).astype(complex) for row in np.eye(n))
+    assert superposition_rounding(0.0, n) > tol * math.sqrt(n)
+    unit = superpose_operators(MeasurementOperatorSet(ops), PhaseVector.from_angles(np.arange(n)), tol)
+    assert max(unit.residuals.values()) <= tol * math.sqrt(n)
+
+
+def test_phases_off_the_unit_circle_still_fail_as_not_unitary():
+    """Exact projectors (a = 0) and phases with |alpha|^2 - 1 = 5e-13, inside
+    ``UNIMODULAR_TOL``: at tol 1e-14 a passes with its rounding, so the judge's failure is the
+    phases', and is raised as ``NotUnitary``."""
+    phases = PhaseVector(np.sqrt(1 + 5e-13) * np.array([1.0, 1j]))
+    ops = MeasurementOperatorSet(tuple(np.diag(row).astype(complex) for row in np.eye(2)))
+    assert superposition_rounding(0.0, 2) < 1e-14 * math.sqrt(2)
+    with pytest.raises(NotUnitary):
+        superpose_operators(ops, phases, 1e-14)
 
 
 def exact_residuals(ops, mpmath):
@@ -141,7 +166,6 @@ def test_the_superposition_verdict_is_the_exact_verdict_outside_the_band(seed, k
         pairs, c = exact_residuals(ops, mpmath)
         threshold = mpmath.mpf(tol) * mpmath.sqrt(n)
         aggregate = pairs + (c if c <= threshold else 0)
-        aggregate += superposition_rounding(aggregate, n)
         assume(abs(c - threshold) > band and abs(aggregate - threshold) > band)
         exact = ("orthogonality" if aggregate > threshold else
                  "completeness" if c > threshold else "unitary")
