@@ -307,10 +307,10 @@ def sample_histogram(opset: MeasurementOperatorSet, psi: QuantumState,
 class OperatorResiduals:
     """Every residual a projector set or a POVM is judged on, each computed once, when first read
     (norms and hermiticity together): under the errstate of :meth:`failure`, or by ``residuals``
-    for POVM elements that ``Povm._of_products`` proved. Norms come from 128 KiB stacks and equal
-    a per-matrix ``np.linalg.norm`` bit for bit. Each passes :func:`linalg.within_tol` at ``tol``
-    against its own scale: ``pair_scales`` for ``pairs``, ||P_k||_F for hermiticity and for the
-    negated ``lowest`` eigenvalue (positivity), and sqrt(dim) for completeness."""
+    for POVM elements that :func:`povm_from_operators` proved. Norms come from 128 KiB stacks and
+    equal a per-matrix ``np.linalg.norm`` bit for bit. Each passes :func:`linalg.within_tol` at
+    ``tol`` against its own scale: ``pair_scales`` for ``pairs``, ||P_k||_F for hermiticity and for
+    the negated ``lowest`` eigenvalue (positivity), and sqrt(dim) for completeness."""
 
     operators: np.ndarray  # a stack (or a sequence) of square matrices of one dimension
 
@@ -523,8 +523,8 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     most eps_n ||A||_F apart (``eigh``'s rounding, whatever ``tol``) share an eigenspace, valued
     at their mean, with projector P_g = V_g V_g^dag over its eigenvectors V_g.
     ||A - sum_g lambda_g P_g||_F must pass at ``tol``; it is formed as
-    ||A - V diag(lambda[labels]) V^dag||_F, one product that equals the sum for any V
-    (``labels[k]`` is the eigenspace of column k).
+    ||A - V diag(lambda[labels]) V^dag||_F, the set's own phase sum: one product that equals the
+    sum for any V (``labels[k]`` is the eigenspace of column k).
 
     The projectors are certified by g = ||V^dag V - I||_F, not by the N^2
     products of :class:`ProjectorSet`. As P_i P_j - delta_ij P_i =
@@ -551,10 +551,10 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     lams = np.empty(labels[-1] + 1)
     for slots, cols in _eigenspace_columns(labels):  # np.mean's sum and division, bit for bit
         lams[slots] = vals[cols].sum(axis=1) / cols.shape[1]
-    resid = linalg._norm(a - (vecs * lams[labels]) @ vecs.conj().T)
     gram = linalg._norm(vecs.conj().T @ vecs - linalg._identity(len(vals)))
     pset = object.__new__(_FactoredSet)  # certified below
     vars(pset).update(_factor=(freeze(vecs), freeze(labels)), _gram=gram)
+    resid = linalg._norm(a - pset._phase_sum(lams))
     obs = Observable(freeze(a), tuple(lams.tolist()), hermiticity, resid, pset)  # returned if judged
     if not linalg.within_tol(resid, tol, scale):
         raise QmeasureError(f"spectrum does not reconstruct the observable (residual {resid:.3e})",
@@ -578,13 +578,6 @@ class Povm(_Family):
     def __post_init__(self, tol: float):
         self._hold("elements", _coerce_square_family(self.elements, "POVM"))._admit(tol, povm=True)
 
-    def _of_products(self, completeness: float, tol: float) -> "Povm":
-        """Admit products E_m = M_m^dag M_m summing to I within ``completeness`` c. Each is Hermitian
-        to 2k and >= -k, k = eps_n (n + sqrt(n) c) (README): if 2k passes, only c is judged."""
-        vars(self._judged)["completeness"] = completeness
-        bound = _rounding_allowance(n := self.dim) * (n + math.sqrt(n) * completeness)
-        return self._admit(tol, True, linalg.within_tol(2 * bound, tol))
-
     @property
     def residuals(self) -> dict[str, float]:
         return self._judged.residuals(povm=True)
@@ -592,15 +585,17 @@ class Povm(_Family):
 
 def povm_from_operators(opset: MeasurementOperatorSet,
                         tol: float = DEFAULT_TOL) -> Povm:
-    """POVM elements E_m = M_m^dag M_m of a complete measurement set. Its completeness residual
-    (the same sum, bit for bit) is the POVM's; if it proves them Hermitian and positive
-    (``Povm._of_products``), ``residuals`` forms their hermiticity and eigenvalues on first read."""
+    """POVM elements E_m = M_m^dag M_m of a complete measurement set, the one site that admits
+    products. Each is Hermitian to 2k and >= -k, k = eps_n (n + sqrt(n) c), c the set's
+    completeness residual, the POVM's bit for bit (README): if 2k passes, only c is judged."""
     _require_complete(opset, tol)
     elems = np.empty_like(opset._stack)
     for lo, tile in linalg.stacks(opset._stack):
         np.matmul(_adjoint(tile), tile, out=elems[lo:lo + len(tile)])
-    return object.__new__(Povm)._hold("elements", freeze(elems))._of_products(
-        opset.completeness_residual, tol)
+    povm = object.__new__(Povm)._hold("elements", freeze(elems))
+    vars(povm._judged)["completeness"] = c = opset.completeness_residual
+    bound = _rounding_allowance(n := opset.dim) * (n + math.sqrt(n) * c)
+    return povm._admit(tol, True, linalg.within_tol(2 * bound, tol))
 
 
 def povm_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:

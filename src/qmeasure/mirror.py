@@ -139,13 +139,13 @@ def extend_mirror(phases: PhaseVector, pset: ProjectorSet,
                   tol: float = DEFAULT_TOL) -> MirrorUnitary:
     """Mirror from unimodular phases over any complete projector set.
 
-    Builds U = sum_m alpha_m P_m, which commutes with each P_m by construction.
-    When a spectral set's Gram residual proves U a mirror at ``tol``
-    (``_Family._proves_mirror``), U is returned unjudged; otherwise :func:`is_mirror`
-    certifies it, which can only fail (``NotMirror``) on numerically broken input.
+    Builds U = sum_m alpha_m P_m, which commutes with each P_m by construction. When a spectral
+    set's Gram residual proves U a mirror at ``tol`` (``_Family._proves_mirror``), U is returned
+    unjudged, its ``residuals`` unformed; otherwise :func:`is_mirror` certifies it, which can only
+    fail (``NotMirror``) on numerically broken input.
     """
     unit = phase_superpose_projectors(pset, phases, tol)
-    return MirrorUnitary(unit, pset) if pset._proves_mirror(phases, tol) else is_mirror(unit, pset, tol)
+    return MirrorUnitary(unit, pset) if "residuals" not in vars(unit) else is_mirror(unit, pset, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +177,8 @@ class BellComparisonReport:
 def _bell_references() -> tuple:
     """Built once per process for every :func:`bell_comparison`: ||E_0 + E_1 - I||_F
     of the parity POVM, and each Bell state's density matrix and (p(E_0), p(E_1)),
-    all immutable. Only that POVM is judged at the caller's tol, with residuals exactly 0, and
-    a call gets here only at a tol ``is_mirror`` accepted (finite, not negative): it passes."""
+    all immutable. That POVM is judged once, at ``DEFAULT_TOL``; its residuals are exactly 0, so
+    it passes at any finite tol >= 0, which ``is_mirror`` requires of every call that gets here."""
     p = _computational_set(4).projectors
     parity = Povm((p[0] + p[3], p[1] + p[2]))
     rhos = tuple(bell.density_matrix() for bell in BELL_STATES)

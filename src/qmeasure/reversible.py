@@ -28,6 +28,7 @@ from .measurement import (
     ProjectorSet,
     _require_complete,
     _rounding_allowance,
+    povm_from_operators,
 )
 
 UNIMODULAR_TOL = 1e-12  # ||alpha|^2 - 1| admitted for phase coefficients
@@ -102,11 +103,13 @@ class PhaseVector(linalg._Frozen):
 def unitary_as_measurement(u, tol: float = DEFAULT_TOL) -> MeasurementOperatorSet:
     """Read a unitary as the singleton measurement collection {U}.
 
-    The set is complete by unitarity, every state yields the unique outcome
-    with probability one, and the post-state is U|psi>.
+    The set is complete by unitarity (its completeness residual is ``unitarity_left``, bit for
+    bit), every state yields the unique outcome with probability one, and the post-state is U|psi>.
     """
     unit = _as_unitary(u, tol)
-    return object.__new__(MeasurementOperatorSet)._hold("operators", unit.matrix[None])
+    opset = object.__new__(MeasurementOperatorSet)._hold("operators", unit.matrix[None])
+    vars(opset)["completeness_residual"] = unit.residuals["unitarity_left"]
+    return opset
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -172,13 +175,10 @@ def exp_observable(obs: Observable, tol: float = DEFAULT_TOL) -> UnitaryOperator
 
 
 def irm_povm(u, tol: float = DEFAULT_TOL) -> Povm:
-    """Singleton POVM {U^dag U} of a reversible measurement.
+    """Singleton POVM {U^dag U} of a reversible measurement: the POVM of {U}, which
+    :func:`povm_from_operators` forms and admits.
 
     The lone element equals the identity (within tolerance), so every state produces the unique
-    outcome with probability one. Its completeness residual ||U^dag U - I||_F is the judged
-    ``unitarity_left`` (the same expression, bit for bit); if it proves U^dag U Hermitian and
-    positive (``Povm._of_products``), ``residuals`` forms the rest on first read.
+    outcome with probability one. Its completeness residual is ``unitarity_left``, bit for bit.
     """
-    unit = _as_unitary(u, tol)
-    povm = object.__new__(Povm)._hold("elements", freeze((unit.matrix.conj().T @ unit.matrix)[None]))
-    return povm._of_products(unit.residuals["unitarity_left"], tol)
+    return povm_from_operators(unitary_as_measurement(u, tol), tol)

@@ -19,7 +19,14 @@ from helpers import random_unitary
 from qmeasure import cli, linalg, measurement
 from qmeasure.cli import build_parser, main, parse_complex, parse_complex_list, render_human
 from qmeasure.errors import NotMirror, ParseError, QmeasureError
-from qmeasure.fileio import format_float, load_operator_file, load_state_file, save_operator_file
+from qmeasure.fileio import (
+    format_float,
+    load_operator_file,
+    load_state_file,
+    save_operator_file,
+    save_state_file,
+)
+from qmeasure.gates import computational_projectors
 from qmeasure.measurement import (
     MeasurementOperatorSet,
     Povm,
@@ -274,6 +281,28 @@ def test_built_mirror_passes_check(tmp_path, capsys):
     assert "verdict: pass" in out
 
 
+def test_mirror_check_fails_an_accepted_mirror_that_moves_a_probability(tmp_path, capsys):
+    """A rotation by 3.9 tol between e_0 and e_1 at n = 32 passes ``is_mirror`` (commutators
+    sqrt(2) sin(3.9 tol) = 5.5 tol, under tol sqrt(32)) but moves the probabilities of
+    (e_0 + e_1)/sqrt(2) by 3.9 tol, so ``--state`` fails it. ROADMAP item 12 may make
+    ``is_mirror`` refuse it, which would flip this case to a commutator failure."""
+    n, theta = 32, 3.9e-10
+    u = np.eye(n, dtype=complex)
+    u[:2, :2] = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    psi = np.zeros(n, dtype=complex)
+    psi[:2] = 1.0 / math.sqrt(2.0)
+    save_operator_file(tmp_path / "u.json", "unitary", [u])
+    save_operator_file(tmp_path / "p.json", "projector_set", list(computational_projectors(n)))
+    save_state_file(tmp_path / "psi.json", psi)
+    code, out, err = run_cli(["mirror", "check", str(tmp_path / "u.json"), str(tmp_path / "p.json"),
+                              "--state", str(tmp_path / "psi.json"), "--format", "machine"], capsys)
+    report = json.loads(out)
+    assert (code, err, report["verdict"]) == (1, "", "fail")
+    assert report["residuals"]["commutation_max"] == 5.5154328932550702e-10 < 1e-10 * math.sqrt(n)
+    assert report["residuals"]["preservation_max"] == 3.900000322687447e-10
+    assert report["details"] == "projective probabilities not preserved"
+
+
 def test_machine_and_human_report_identical_numbers(capsys):
     argv = ["bell", "--index", "0", "--mirror", "corpus/mirror_diag.json"]
     _, human, _ = run_cli(argv, capsys)
@@ -418,6 +447,14 @@ NON_UNITARY = "{tmp}/non_unitary.json"  # [[1, 1], [0, 1]]
 BAD_PROJECTORS = "{tmp}/bad_projectors.json"  # a projector set that fails hermiticity
 MISSING = "{tmp}/missing.json"
 MISSING_MESSAGE = "cannot read {tmp}/missing.json: [Errno 2] No such file or directory"
+HEADER = '"schema_version": "1", "kind": "unitary", "dim": '
+UNUSABLE_FILES = {  # operator files the loader refuses, each named for what is wrong
+    "top_level_list": "[]",
+    "dim_0": "{" + HEADER + '0, "operators": []}',
+    "no_operators": "{" + HEADER + '1, "operators": []}',
+    "operator_list": "{" + HEADER + '1, "operators": [[]]}',
+    "label_string": "{" + HEADER + '1, "operators": [{"label": "0", "matrix": [[[1, 0]]]}]}',
+}
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -440,16 +477,30 @@ MISSING_MESSAGE = "cannot read {tmp}/missing.json: [Errno 2] No such file or dir
      "outcome 7 not in 0..0\n"),
     (["bell", "--index", "0", "--mirror", NON_UNITARY], "dims differ: mirror 2, bell_state 4\n"),
     (["truth", NON_UNITARY, "corpus/state_00.json"], "dims differ: unitary 2, state 4\n"),
+    (["mirror", "build", "--projectors", BAD_PROJECTORS, "--angles", "0,x"],
+     "cannot parse number 'x'\n"),
+    (["validate", "{tmp}/top_level_list.json"],
+     "{tmp}/top_level_list.json: top level must be an object\n"),
+    (["validate", "{tmp}/dim_0.json"], "{tmp}/dim_0.json: dim must be a positive integer\n"),
+    (["validate", "{tmp}/no_operators.json"],
+     "{tmp}/no_operators.json: operators must be a nonempty array\n"),
+    (["validate", "{tmp}/operator_list.json"],
+     "{tmp}/operator_list.json: operators[0] must be an object\n"),
+    (["validate", "{tmp}/label_string.json"],
+     "{tmp}/label_string.json: operators[0].label must be an integer\n"),
 ], ids=["truth_non_unitary_missing_state", "mirror_check_non_mirror_missing_state",
         "mirror_check_non_mirror_state_dim", "mirror_check_bad_projectors_missing_state",
         "mirror_check_non_unitary_projector_dim", "mirror_build_bad_projectors_bad_phase",
         "mirror_build_bad_projectors_phase_count", "mirror_build_bad_projectors_inf_phase",
         "measure_incomplete_set_unknown_outcome", "bell_non_unitary_dim_2",
-        "truth_non_unitary_state_dim"])
+        "truth_non_unitary_state_dim", "mirror_build_bad_projectors_bad_angle",
+        *(f"validate_{name}" for name in UNUSABLE_FILES)])
 def test_unusable_input_exits_2_before_anything_is_judged(argv, message, capsys, tmp_path):
     save_operator_file(NON_UNITARY.format(tmp=tmp_path), "unitary", [[[1, 1], [0, 1]]])
     save_operator_file(BAD_PROJECTORS.format(tmp=tmp_path), "projector_set",
                        [[[1, 1], [0, 0]], [[0, -1], [0, 1]]])
+    for name, text in UNUSABLE_FILES.items():
+        (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
     code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message.format(tmp=tmp_path)}")

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 from contextlib import suppress
 from unittest import mock
 
@@ -84,6 +85,12 @@ def test_state_normalize_flag_rescales():
 def test_state_rejects_zero_vector():
     with pytest.raises(ValueError):
         QuantumState(np.zeros(2, dtype=complex), normalize=True)
+
+
+@pytest.mark.parametrize("amps,shape", [(np.eye(2), "(2, 2)"), ([], "(0,)")])
+def test_state_rejects_anything_but_a_nonempty_vector(amps, shape):
+    with pytest.raises(ValueError, match=rf"^expected a 1-D vector, got shape {re.escape(shape)}$"):
+        QuantumState(amps)
 
 
 @pytest.mark.parametrize("base,scale", [

@@ -11,6 +11,7 @@ from helpers import frobenius_norm, random_state, random_unitary
 from qmeasure import linalg, measurement, mirror
 from qmeasure.errors import (
     DimensionMismatch,
+    IncompleteSet,
     NotBellCompatible,
     NotMirror,
     NotUnitary,
@@ -341,6 +342,10 @@ def per_call_bell_report(bell_index, mirror_, tol):
     sum_residual = frobenius_norm(e0 + e1 - np.eye(4, dtype=complex))
     rho = bell.density_matrix()
     ext = povm_probabilities(Povm((e0, e1), tol=tol), rho)
+    left = unit.residuals["unitarity_left"]  # {U}'s completeness: a U judged at a looser tol
+    if not linalg.within_tol(left, tol, 2.0):  # is refused as an incomplete set
+        raise IncompleteSet(f"operator set fails completeness (residual {left:.3e}); "
+                            "it cannot be measured", {"completeness": left})
     internal = float(povm_probabilities(
         Povm((unit.matrix.conj().T.copy() @ unit.matrix,), tol=tol), rho)[0])
     preservation = verify_probability_preservation(unit, comp, bell, tol)
@@ -445,9 +450,9 @@ def test_bell_references_are_read_only_and_built_once(monkeypatch):
         assert all(not p.flags.writeable for p in shared.projectors)
     assert computational_projector_set(4) is not computational_projector_set(4)  # public, uncached
     built = {cls: 0 for cls in (ProjectorSet, Povm, DensityMatrix)}
-    # a Povm enters by __post_init__ or, built from products M^dag M, by _of_products, proved or not
-    hooks = [(ProjectorSet, "__post_init__"), (Povm, "__post_init__"), (Povm, "_of_products"),
-             (DensityMatrix, "__post_init__")]
+    # a Povm is admitted by _admit, from __post_init__ or, built from products M^dag M, from
+    # povm_from_operators, proved or not
+    hooks = [(ProjectorSet, "__post_init__"), (Povm, "_admit"), (DensityMatrix, "__post_init__")]
     for cls, hook in hooks:
         def counted(self, *args, _cls=cls, _init=getattr(cls, hook), **kwargs):
             built[_cls] += 1

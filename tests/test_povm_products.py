@@ -1,16 +1,16 @@
 """The bound that proves the POVMs of products E_m = M_m^dag M_m Hermitian and positive.
 
-``povm_from_operators`` and ``irm_povm`` admit their elements through
-``Povm._of_products`` with the completeness residual c their factors already
-passed. As sum_m ||M_m||_F^2 = tr(sum_m E_m) <= n + sqrt(n) c, each computed
+``povm_from_operators`` admits them, for ``irm_povm`` too (the POVM of {U}),
+with the completeness residual c its set already passed: it refuses an incomplete
+set first. As sum_m ||M_m||_F^2 = tr(sum_m E_m) <= n + sqrt(n) c, each computed
 E_m is Hermitian to 2k and has no computed eigenvalue below -k, for
 k = eps_n (n + sqrt(n) c) and eps_n = 4 n^(3/2) eps (README, Tolerances).
 When 2k passes ``within_tol`` at ``tol``, so does k against any element's
 scale, which is the positivity judge's rule; then only c is judged, and the
 hermiticity and the eigenvalues are formed when ``residuals`` is first read.
 Otherwise every leg is judged, as ``Povm(elements, tol)`` judges it. So a
-proved POVM must pass that judge with its residuals bit for bit, and every
-POVM, proved or not, must raise or pass exactly as the judge does.
+proved POVM must pass that judge with its residuals bit for bit, and the POVM
+of every complete set, proved or not, must raise or pass exactly as the judge does.
 """
 
 import math
@@ -45,10 +45,14 @@ def proves(n, c, tol):
     return bool(linalg.within_tol(2 * allowance(n, c), tol))
 
 
-def of_products(elements, completeness, tol):
-    """``Povm._of_products`` on a fresh frozen copy of the stack, as the builders call it."""
-    stack = linalg.freeze(np.array(elements, dtype=np.complex128))
-    return object.__new__(Povm)._hold("elements", stack)._of_products(completeness, tol)
+def expected_outcome(opset, elements, tol):
+    """What ``povm_from_operators(opset, tol)`` must give: the refusal of an incomplete set,
+    else the judge's outcome on the products ``elements``."""
+    c = opset.completeness_residual
+    if not linalg.within_tol(c, tol, math.sqrt(opset.dim)):
+        return (IncompleteSet, f"operator set fails completeness (residual {c:.3e}); "
+                "it cannot be measured", {"completeness": c})
+    return outcome(lambda: Povm(elements, tol=tol))
 
 
 def unformed(povm):
@@ -83,7 +87,8 @@ def test_a_povm_of_products_is_judged_as_the_judge_judges_its_elements(
         n, kind, log_scale, log_ratio, seed):
     """The family is complete, then scaled by 10^log_scale (1e-3 to 1e3), and tol is
     10^log_ratio times the bound 2k (within a factor 10 of it). The proof and the
-    judge's two legs agree, and the products' POVM raises or passes as the judge does."""
+    judge's two legs agree, and the set's POVM is refused as incomplete or raises or passes
+    as the judge does."""
     rng = np.random.default_rng(seed)
     opset = MeasurementOperatorSet(complete_family(rng, n, kind) * 10.0 ** log_scale)
     elements = np.array([linalg._adjoint(m) @ m for m in opset.operators])
@@ -93,17 +98,12 @@ def test_a_povm_of_products_is_judged_as_the_judge_judges_its_elements(
     if proved:  # the legs the proof skips pass the judge; only completeness may fail
         failure = OperatorResiduals(elements).failure(tol, povm=True)
         assert failure is None or isinstance(failure, IncompleteSet)
-    built = [None]
 
     def build():
-        built[0] = povm = of_products(elements, c, tol)
+        povm = povm_from_operators(opset, tol)
         assert unformed(povm) == proved  # proved: no hermiticity or eigenvalue yet
         return povm
-    expected = outcome(lambda: Povm(elements, tol=tol))
-    assert outcome(build) == expected  # floats compared with ==: bit for bit
-    if built[0] is not None and log_scale == 0.0:  # complete: povm_from_operators is this POVM
-        povm = povm_from_operators(opset, tol)
-        assert unformed(povm) == proved and outcome(lambda: povm) == expected
+    assert outcome(build) == expected_outcome(opset, elements, tol)  # floats with ==: bit for bit
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,16 +148,19 @@ def test_a_proved_povm_forms_no_eigenvalue_until_its_residuals_are_read(monkeypa
     (2, 1.0, -1.0, False),
 ])
 def test_the_proof_is_the_documented_bound(n, s, tol, proved):
-    """The one element s I (completeness c = |s - 1| sqrt(n)) is proved exactly as the
-    README's bound says; proved or not, it is admitted or refused as the judge does."""
-    elements = [s * np.eye(n, dtype=complex)]
-    c = OperatorResiduals(np.array(elements)).completeness
+    """The one element s I of {sqrt(s) I} (completeness c about |s - 1| sqrt(n)) is proved
+    exactly as the README's bound says; proved or not, it is admitted or refused as the judge
+    does once the set is complete, and an incomplete set is refused first."""
+    opset = MeasurementOperatorSet([math.sqrt(s) * np.eye(n, dtype=complex)])
+    elements = [linalg._adjoint(opset.operators[0]) @ opset.operators[0]]
+    c = opset.completeness_residual
+    assert c == OperatorResiduals(np.array(elements)).completeness
     k = allowance(n, c)
     tol = {"2k": 2 * k, "2k-": np.nextafter(2 * k, 0.0), "1.5k": 1.5 * k}.get(tol, tol)
     assert proves(n, c, tol) == proved
-    expected = outcome(lambda: Povm(elements, tol=tol))
+    expected = expected_outcome(opset, elements, tol)
     try:
-        povm = of_products(elements, c, tol)
+        povm = povm_from_operators(opset, tol)
     except QmeasureError as exc:  # proved, only completeness can fail
         assert not proved or isinstance(exc, IncompleteSet)
         assert (type(exc), str(exc), exc.residuals) == expected

@@ -259,3 +259,16 @@ def test_irm_povm_from_phase_superposition():
     u = phase_superpose_projectors(pset, PhaseVector.from_angles([0.1, 2.2, -0.7, 3.0]))
     povm = irm_povm(u)
     assert np.linalg.norm(povm.elements[0] - np.eye(4)) <= 1e-10
+
+
+def test_irm_povm_refuses_a_unitary_whose_left_residual_fails_the_stricter_tol():
+    """A UnitaryOperator is not judged again: at a tol its unitarity_left fails, {U} is
+    refused as an incomplete set, with that residual as its completeness."""
+    u = UnitaryOperator(random_unitary(np.random.default_rng(13), 8), tol=1e-3)
+    left = u.residuals["unitarity_left"]
+    assert left > 0.0
+    with pytest.raises(IncompleteSet) as exc:
+        irm_povm(u, tol=left / 10)
+    assert str(exc.value) == (f"operator set fails completeness (residual {left:.3e}); "
+                              "it cannot be measured")
+    assert exc.value.residuals == {"completeness": left}
