@@ -10,7 +10,6 @@ from .errors import (
     DimensionMismatch,
     IncompleteSet,
     InvalidProjectorSet,
-    NotBellCompatible,
     NotHermitian,
     NotMirror,
     NotPositive,
@@ -75,8 +74,7 @@ __all__ = [
     "QmeasureError", "DimensionMismatch", "NotHermitian", "NotPositive",
     "IncompleteSet", "ZeroProbabilityOutcome",
     "UnknownOutcome", "NotUnitary", "OrthogonalityViolation",
-    "PhaseNotUnimodular", "InvalidProjectorSet", "NotMirror",
-    "NotBellCompatible", "ParseError",
+    "PhaseNotUnimodular", "InvalidProjectorSet", "NotMirror", "ParseError",
     "DEFAULT_TOL", "adjoint",
     "QuantumState", "DensityMatrix", "MeasurementOperatorSet",
     "ProjectorSet", "Observable", "Povm", "MeasurementRecord",

@@ -55,17 +55,12 @@ class PhaseNotUnimodular(QmeasureError):
 
 
 class InvalidProjectorSet(QmeasureError):
-    """Matrices fail the projector-set requirements (hermiticity,
-    orthogonality/idempotence, completeness)."""
+    """Projectors fail a pair requirement (idempotence or orthogonality), or an
+    eigenbasis fails its Gram certificate and then the projector-set check."""
 
 
 class NotMirror(QmeasureError):
     """A unitary does not commute with a projector set within tolerance."""
-
-
-class NotBellCompatible(NotMirror):
-    """Operator is not a mirror with respect to the two-qubit
-    computational projectors."""
 
 
 class ParseError(QmeasureError):

@@ -227,4 +227,5 @@ def vector_norm(v: np.ndarray) -> tuple[float, float]:
     peak = max(float(np.abs(v.real).max()), float(np.abs(v.imag).max()))
     if peak == 0.0:
         return 0.0, 0.0
+    peak = max(peak, 2.0 ** -1022)  # complex division takes 1 / peak, inf below the normals
     return peak, _norm(v / peak)

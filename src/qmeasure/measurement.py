@@ -138,10 +138,10 @@ class _Family:
         object.__setattr__(self, "_stack", stack)
         return self
 
-    def _admit(self, tol: float, povm: bool = False, proved: bool = False):
+    def _admit(self, tol: float, povm: bool = False):
         """Raise the first requirement the held stack fails as a projector set (a POVM with
-        ``povm``; ``proved``: see ``failure``). A stack the library made is held uncopied."""
-        if (failure := self._judged.failure(tol, povm, proved)) is not None:
+        ``povm``). A stack the library made is held uncopied."""
+        if (failure := self._judged.failure(tol, povm)) is not None:
             raise failure
         return self
 
@@ -358,22 +358,20 @@ class OperatorResiduals:
         return out
 
     @np.errstate(over="ignore", invalid="ignore")
-    def failure(self, tol: float, povm: bool = False, proved: bool = False) -> QmeasureError | None:
+    def failure(self, tol: float, povm: bool = False) -> QmeasureError | None:
         """The error for the first requirement the operators violate at
         ``tol`` as a projector set, or with ``povm`` as a POVM, carrying
         :meth:`residuals`; None when they pass. Hermiticity is judged first,
         and only Hermitian operators get their pair products (projectors)
         or eigenvalues (POVM elements) formed and judged; completeness is
-        judged last, and alone for POVM elements ``proved`` Hermitian and positive."""
-        what, not_hermitian = (("POVM element", NotHermitian) if povm
-                               else ("projector", InvalidProjectorSet))
-        if not proved and not (passed := linalg.within_tol(self.hermiticity, tol, self.norms)).all():
+        judged last. Each condition raises its one class, whatever the kind."""
+        what = "POVM element" if povm else "projector"
+        if not (passed := linalg.within_tol(self.hermiticity, tol, self.norms)).all():
             k = int(passed.argmin())  # the first that fails
             note = linalg.residual_note(self.hermiticity[k], self.norms[k])
-            return not_hermitian(f"{what} {k} is not Hermitian ({note})",
-                                 self.residuals(povm, hermitian=False))
-        if povm and not proved and (bad := np.flatnonzero(
-                ~linalg.within_tol(-self.lowest, tol, self.norms))).size:
+            return NotHermitian(f"{what} {k} is not Hermitian ({note})",
+                                self.residuals(povm, hermitian=False))
+        if povm and (bad := np.flatnonzero(~linalg.within_tol(-self.lowest, tol, self.norms))).size:
             return NotPositive(f"POVM element {bad[0]} has negative eigenvalue "
                                f"{self.lowest[bad[0]]:.3e}", self.residuals(povm))
         if not povm and (bad := np.argwhere(
@@ -383,9 +381,8 @@ class OperatorResiduals:
             return InvalidProjectorSet(f"projectors ({i}, {j}) violate {kind} "
                                        f"(residual {self.pairs[i, j]:.3e})", self.residuals())
         if not linalg.within_tol(self.completeness, tol, math.sqrt(len(self.operators[0]))):
-            return (IncompleteSet if povm else InvalidProjectorSet)(
-                f"{what}s do not sum to the identity (residual {self.completeness:.3e})",
-                self.residuals(povm))
+            return IncompleteSet(f"{what}s do not sum to the identity "
+                                 f"(residual {self.completeness:.3e})", self.residuals(povm))
         return None
 
 
@@ -587,15 +584,14 @@ def povm_from_operators(opset: MeasurementOperatorSet,
                         tol: float = DEFAULT_TOL) -> Povm:
     """POVM elements E_m = M_m^dag M_m of a complete measurement set, the one site that admits
     products. Each is Hermitian to 2k and >= -k, k = eps_n (n + sqrt(n) c), c the set's
-    completeness residual, the POVM's bit for bit (README): if 2k passes, only c is judged."""
+    completeness residual, the POVM's bit for bit (README): if 2k passes, none is judged again."""
     _require_complete(opset, tol)
     elems = np.empty_like(opset._stack)
     for lo, tile in linalg.stacks(opset._stack):
         np.matmul(_adjoint(tile), tile, out=elems[lo:lo + len(tile)])
     povm = object.__new__(Povm)._hold("elements", freeze(elems))
-    vars(povm._judged)["completeness"] = c = opset.completeness_residual
-    bound = _rounding_allowance(n := opset.dim) * (n + math.sqrt(n) * c)
-    return povm._admit(tol, True, linalg.within_tol(2 * bound, tol))
+    bound = _rounding_allowance(n := opset.dim) * (n + math.sqrt(n) * opset.completeness_residual)
+    return povm if linalg.within_tol(2 * bound, tol) else povm._admit(tol, povm=True)
 
 
 def povm_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:

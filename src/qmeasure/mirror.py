@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gates, linalg
-from .errors import NotBellCompatible, NotMirror
+from .errors import NotMirror
 from .linalg import DEFAULT_TOL, _adjoint
 from .measurement import Povm, ProjectorSet, QuantumState, fidelity, povm_probabilities
 from .reversible import PhaseVector, UnitaryOperator, _as_unitary, irm_povm, phase_superpose_projectors
@@ -197,21 +197,15 @@ def bell_comparison(bell_index: int, mirror,
     computational outcomes.
 
     ``mirror`` may be a certified :class:`MirrorUnitary` or any unitary;
-    either way it is (re)checked against the computational projectors and
-    rejected with ``NotBellCompatible`` when it fails to commute.
+    either way :func:`is_mirror` (re)checks it against the computational projectors and
+    raises its ``NotMirror``, with its residuals, when it fails to commute.
     """
     if not 0 <= bell_index <= 3:
         raise ValueError(f"bell_index must be 0..3, got {bell_index}")
     unit = _as_unitary(mirror.unitary if isinstance(mirror, MirrorUnitary) else mirror, tol,
                        "mirror", bell_state=4)
     comp = _computational_set(4)
-    try:
-        is_mirror(unit, comp, tol)
-    except NotMirror as exc:
-        raise NotBellCompatible(
-            f"operator does not commute with the computational projectors "
-            f"(worst residual {exc.residuals['commutation_max']:.3e})", exc.residuals
-        ) from None
+    is_mirror(unit, comp, tol)
     sum_residual, rhos, externals = _bell_references()
     internal = float(povm_probabilities(irm_povm(unit, tol), rhos[bell_index])[0])
     preservation = verify_probability_preservation(unit, comp, BELL_STATES[bell_index], tol)

@@ -79,6 +79,7 @@ class PhaseVector(linalg._Frozen):
     def __post_init__(self):
         self._judge(np.array(self.phases, dtype=np.complex128).reshape(-1))
 
+    @np.errstate(over="ignore")  # |alpha|^2 of a huge phase is inf, and fails as such
     def _judge(self, arr: np.ndarray) -> "PhaseVector":  # a 1-D complex128 array nothing else holds
         if arr.size == 0:
             raise ValueError("phase vector must be nonempty")

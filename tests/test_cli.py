@@ -20,6 +20,7 @@ from qmeasure import cli, linalg, measurement
 from qmeasure.cli import build_parser, main, parse_complex, parse_complex_list, render_human
 from qmeasure.errors import NotMirror, ParseError, QmeasureError
 from qmeasure.fileio import (
+    OPERATOR_KINDS,
     format_float,
     load_operator_file,
     load_state_file,
@@ -213,7 +214,7 @@ def test_exit_1_on_non_mirror_bell(capsys):
         ["bell", "--index", "0", "--mirror", "corpus/bell_circuit.json"], capsys
     )
     assert code == 1
-    assert "commute" in err
+    assert err == "error: commutator 2 exceeds tolerance 1e-10\n"
 
 
 def test_exit_2_on_povm_where_measurement_expected(capsys):
@@ -847,3 +848,78 @@ def test_cli_verdict_is_the_library_verdict(command, tol, corpus):
         seen.add(expected if isinstance(expected, str) else expected[0].__name__)
     # every corpus round trip passes at a positive tol, so only bell and mirror check fail there
     assert len(seen) > 1 or (command == "truth" and tol > 0), seen
+
+
+EXTREME_ENTRIES = {"huge": [[1e308, -1e308], [-1e308, 1e308]], "tiny": [[1e-320, 0], [0, 1e-320]]}
+EXTREME_STATES = {"huge": [1e308, 1e308], "subnormal": [5e-324, 0]}
+OPERATOR_COMMANDS = [  # {f}: an operator file of any kind; {f4}: the same at dim 4
+    ["validate", "{f}"], ["classify", "{f}"],
+    ["measure", "{f}", "corpus/state_plus.json"],
+    ["measure", "{f}", "corpus/state_plus.json", "--outcome", "0"],
+    ["measure", "{f}", "corpus/state_plus.json", "--shots", "10", "--seed", "1"],
+    ["mirror", "check", "{f}", "corpus/projectors_n2.json", "--state", "corpus/state_plus.json"],
+    ["mirror", "check", "corpus/pauli_z.json", "{f}", "--state", "corpus/state_plus.json"],
+    ["mirror", "build", "--phases", "1,1", "--projectors", "{f}"],
+    ["truth", "{f}", "corpus/state_plus.json"],
+    ["bell", "--index", "0", "--mirror", "{f4}"],
+]
+STATE_COMMANDS = [  # {s}: a state file
+    ["measure", "corpus/projectors_n2.json", "{s}"],
+    ["measure", "corpus/projectors_n2.json", "{s}", "--outcome", "0"],
+    ["measure", "corpus/projectors_n2.json", "{s}", "--shots", "10", "--seed", "1"],
+    ["measure", "corpus/general_set.json", "{s}"],
+    ["mirror", "check", "corpus/pauli_z.json", "corpus/projectors_n2.json", "--state", "{s}"],
+    ["truth", "corpus/hadamard.json", "{s}"],
+]
+PHASE_COMMANDS = [
+    ["mirror", "build", "--theta", "0", "--alpha", "1e200+1e200i"],
+    ["mirror", "build", "--phases", "1,1e200", "--projectors", "corpus/projectors_n2.json"],
+]
+
+
+def extreme_commands(tmp_path):
+    """Every subcommand over operator files of each kind with entries +-1e308 or 1e-320, over
+    the states [1e308, 1e308] and [5e-324, 0], and over phases of modulus 1e200."""
+    for kind in OPERATOR_KINDS:
+        for name, entries in EXTREME_ENTRIES.items():
+            files = {}
+            for key, dim in (("f", 2), ("f4", 4)):
+                files[key] = tmp_path / f"{kind}_{name}_{dim}.json"
+                save_operator_file(files[key], kind, [np.kron(np.eye(dim // 2), entries)])
+            yield from ([a.format(**files) for a in argv] for argv in OPERATOR_COMMANDS)
+    for name, amplitudes in EXTREME_STATES.items():
+        save_state_file(state := tmp_path / f"state_{name}.json", np.array(amplitudes, complex))
+        yield from ([a.format(s=state) for a in argv] for argv in STATE_COMMANDS)
+    yield from PHASE_COMMANDS
+
+
+def test_extreme_inputs_give_a_verdict_or_a_usage_error_and_never_a_warning(tmp_path, capsys):
+    """Every command, run with every warning an error, returns 0, 1 or 2 from ``main``, and a
+    report that passes prints no NaN."""
+    runs = 0
+    for argv in extreme_commands(tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(argv, capsys)
+        assert code in (0, 1, 2), argv
+        assert code != 0 or "nan" not in out.lower(), argv
+        runs += 1
+    assert runs == len(OPERATOR_KINDS) * 2 * len(OPERATOR_COMMANDS) + 2 * len(STATE_COMMANDS) + 2
+
+
+def test_measure_normalizes_a_subnormal_state(tmp_path, capsys):
+    save_state_file(path := tmp_path / "tiny.json", np.array([5e-324, 0], dtype=complex))
+    code, out, _ = run_cli(["measure", "corpus/projectors_n2.json", str(path),
+                            "--format", "machine"], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["probabilities"] == [1.0, 0.0]
+    assert doc["residuals"]["probability_sum"] == 0.0
+    assert doc["details"] == "input state renormalized (norm was 4.9406564584124654e-324)"
+
+
+def test_phases_of_huge_modulus_fail_without_a_warning(capsys):
+    for argv in PHASE_COMMANDS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(argv, capsys)
+        assert (code, err) == (1, "error: phases deviate from the unit circle by inf\n")

@@ -27,7 +27,7 @@ def instance(cls):
 
 
 def test_every_exception_class_is_covered():
-    assert len(CLASSES) == 14
+    assert len(CLASSES) == 13
     assert errors.QmeasureError in CLASSES and errors.OrthogonalityViolation in CLASSES
 
 

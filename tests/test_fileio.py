@@ -85,6 +85,11 @@ def test_dumps_document_writes_non_finite_floats_as_strings():
     assert json.loads(text, parse_constant=pytest.fail)
 
 
+def test_dumps_document_refuses_an_object_it_cannot_write():
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        dumps_document({"x": object()})
+
+
 def test_labels_are_ordered_on_load(tmp_path):
     doc = operator_document("measurement_set",
                             [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])

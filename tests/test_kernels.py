@@ -331,7 +331,8 @@ def test_family_kernels_equal_the_per_operator_expressions(n, monkeypatch):
     generic commutators. The phase sum and the preservation probabilities
     are no per-operator sums; they equal the same expressions formed on
     copied tiles. The completeness gate is passed by hand, so that every
-    kernel also runs on incomplete and overflowing families."""
+    kernel also runs on incomplete and overflowing families; the POVM's verdict
+    is compared with the gate in place."""
     rng = np.random.default_rng(200 + n)
     u = UnitaryOperator(random_unitary(rng, n))
     psi = QuantumState(random_state(rng, n))
@@ -361,7 +362,9 @@ def test_family_kernels_equal_the_per_operator_expressions(n, monkeypatch):
                     patch.setattr(measurement, "_require_complete", lambda opset, tol: None)
                     np.testing.assert_array_equal(outcome_probabilities(opset, psi), probs,
                                                   strict=True)
-                    povm = value_or_error(lambda: povm_from_operators(opset))
+                    formed = value_or_error(lambda: povm_from_operators(opset))
+                povm = value_or_error(lambda: povm_from_operators(opset))
+                gated = value_or_error(lambda: measurement._require_complete(opset, linalg.DEFAULT_TOL))
                 assert commutation_residuals(u, opset) == tuple(commutators)
                 with monkeypatch.context() as patch:  # the sum as formed, before its unitarity check
                     judged = []
@@ -369,13 +372,12 @@ def test_family_kernels_equal_the_per_operator_expressions(n, monkeypatch):
                     phase_superpose_projectors(opset, phases)
                     np.testing.assert_array_equal(judged.pop(), phase_sum, strict=True)
                 report = verify_probability_preservation(u, opset, psi)
-            if isinstance(povm, Povm):
-                assert isinstance(expected_povm, Povm)
-                np.testing.assert_array_equal(povm._stack, np.array(elements), strict=True)
-                assert all(not e.flags.writeable and e.base is povm._stack for e in povm.elements)
-                assert povm.residuals == expected_povm.residuals
-            else:
-                assert povm == expected_povm
+            if isinstance(formed, Povm):  # proved, or judged as the POVM of its elements
+                np.testing.assert_array_equal(formed._stack, np.array(elements), strict=True)
+                assert all(not e.flags.writeable and e.base is formed._stack for e in formed.elements)
+            else:  # unproved and refused as the POVM of its elements
+                assert formed == expected_povm
+            assert povm == gated  # no Gaussian family is complete: the gate alone refuses it
             np.testing.assert_array_equal(report.probabilities_before, preserved[:, 0], strict=True)
             np.testing.assert_array_equal(report.probabilities_after, preserved[:, 1], strict=True)
 
@@ -390,7 +392,6 @@ def test_povm_from_operators_takes_the_completeness_the_set_passed(n):
         opset = MeasurementOperatorSet([random_unitary(rng, n) / math.sqrt(count)
                                         for _ in range(count)])
         povm = povm_from_operators(opset)
-        assert "completeness" in vars(povm._judged)
         summed = OperatorResiduals(povm._stack).completeness
         assert povm.residuals["completeness"] == summed == Povm(povm.elements).residuals[
             "completeness"]
@@ -405,7 +406,6 @@ def test_irm_povm_takes_the_completeness_the_unitary_passed(n):
     for _ in range(5):
         u = random_unitary(rng, n)
         povm = irm_povm(u)
-        assert "completeness" in vars(povm._judged)
         left = UnitaryOperator(u).residuals["unitarity_left"]
         assert np.float64(povm.residuals["completeness"]).tobytes() == np.float64(left).tobytes()
         assert left == OperatorResiduals(povm._stack).completeness == Povm(povm.elements).residuals[

@@ -97,6 +97,8 @@ def test_state_rejects_anything_but_a_nonempty_vector(amps, shape):
     ([1.0, 1.0], 1e308),              # plain norm overflows
     ([1.7 + 1.7j, 1.7], 1e308),       # |a_0| alone overflows
     ([1.0, 1.0j], 1e-200),            # plain norm underflows to 0
+    ([1.0, 1.0j], 1e-320),            # largest part subnormal: 1 / peak overflows
+    ([1.0, 0.0], 5e-324),             # the smallest subnormal
 ])
 def test_state_normalize_survives_extreme_amplitudes(base, scale):
     base = np.array(base, dtype=complex)
@@ -428,7 +430,7 @@ def test_sample_histogram_rejects_bad_shots():
 # projector sets
 
 def test_projector_set_rejects_non_hermitian():
-    with pytest.raises(InvalidProjectorSet):
+    with pytest.raises(NotHermitian):
         ProjectorSet((np.array([[0, 1], [0, 0]], dtype=complex),
                       np.array([[1, -1], [0, 0]], dtype=complex)))
 
@@ -448,7 +450,7 @@ def test_projector_set_rejects_non_orthogonal():
 
 def test_projector_set_rejects_incomplete():
     p0 = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(InvalidProjectorSet):
+    with pytest.raises(IncompleteSet):
         ProjectorSet((p0,))
 
 
@@ -465,11 +467,11 @@ def test_projector_set_names_first_violation():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(InvalidProjectorSet, match=r"\(0, 1\) violate orthogonality"):
         ProjectorSet((p0, 0.5 * np.ones((2, 2), dtype=complex)))
-    with pytest.raises(InvalidProjectorSet, match="do not sum to the identity"):
+    with pytest.raises(IncompleteSet, match="do not sum to the identity"):
         ProjectorSet((p0,))
     res = OperatorResiduals((np.array([[0, 1], [0, 0]], dtype=complex),))
     failure = res.failure(1e-10)
-    assert isinstance(failure, InvalidProjectorSet)
+    assert isinstance(failure, NotHermitian)
     assert "projector 0 is not Hermitian" in str(failure)
     assert "pairs" not in vars(res)  # no pair products once hermiticity fails
     assert failure.residuals == {"hermiticity_max": math.sqrt(2.0), "completeness": math.sqrt(3.0)}
@@ -516,6 +518,11 @@ def test_spectral_decompose_merges_degenerate_eigenvalues():
     assert len(obs.spectrum) == 2
     assert obs.eigenvalues == pytest.approx([2.0, 5.0])
     assert np.allclose(obs.spectrum[0][1], np.diag([1.0, 1.0, 0.0]))
+
+
+def test_an_observable_has_the_dim_of_its_matrix():
+    obs = spectral_decompose(np.diag([2.0, 2.0, 5.0]).astype(complex))
+    assert obs.dim == obs.projector_set().dim == 3
 
 
 def test_spectral_decompose_identity_is_single_eigenspace():

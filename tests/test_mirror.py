@@ -12,7 +12,6 @@ from qmeasure import linalg, measurement, mirror
 from qmeasure.errors import (
     DimensionMismatch,
     IncompleteSet,
-    NotBellCompatible,
     NotMirror,
     NotUnitary,
     PhaseNotUnimodular,
@@ -311,11 +310,9 @@ def test_bell_comparison_rejects_wrong_dimension():
 
 
 def test_bell_comparison_rejects_non_mirror():
-    with pytest.raises(NotBellCompatible) as exc:
+    with pytest.raises(NotMirror) as exc:  # is_mirror's own error
         bell_comparison(0, UnitaryOperator(BELL_CIRCUIT))
-    worst = exc.value.residuals["commutation_max"]
-    assert str(exc.value) == ("operator does not commute with the computational projectors "
-                              f"(worst residual {worst:.3e})")
+    assert str(exc.value) == "commutator 2 exceeds tolerance 1e-10"
     assert len(exc.value.residuals) == 5  # commutator_0..3, then commutation_max
 
 
@@ -328,13 +325,7 @@ def per_call_bell_report(bell_index, mirror_, tol):
     else:
         unit = UnitaryOperator(mirror_, tol=tol)
     comp = computational_projector_set(4)
-    try:
-        is_mirror(unit, comp, tol)
-    except NotMirror as exc:
-        raise NotBellCompatible(
-            f"operator does not commute with the computational projectors "
-            f"(worst residual {exc.residuals['commutation_max']:.3e})", exc.residuals
-        ) from None
+    is_mirror(unit, comp, tol)
     bell = BELL_STATES[bell_index]
     p = comp.projectors
     e0 = p[0] + p[3]
@@ -406,14 +397,14 @@ def test_bell_comparison_rejections_are_unchanged_once_the_references_exist():
     bell_comparison(0, certified)  # the references are built
     with pytest.raises(NotMirror) as judged:
         is_mirror(UnitaryOperator(BELL_CIRCUIT), computational_projector_set(4))
-    with pytest.raises(NotBellCompatible) as exc:
+    with pytest.raises(NotMirror) as exc:
         bell_comparison(1, BELL_CIRCUIT)
     assert exc.value.residuals == judged.value.residuals
     wrong_dim = r"^dims differ: mirror 2, bell_state 4$"
     with pytest.raises(DimensionMismatch, match=wrong_dim):
         bell_comparison(2, PAULI_Z)
     for bad in (math.nan, -1e-10, math.inf):
-        with pytest.raises(NotBellCompatible):
+        with pytest.raises(NotMirror):
             bell_comparison(3, certified, tol=bad)
         with pytest.raises(NotUnitary):
             bell_comparison(3, certified.unitary.matrix, tol=bad)
@@ -450,9 +441,9 @@ def test_bell_references_are_read_only_and_built_once(monkeypatch):
         assert all(not p.flags.writeable for p in shared.projectors)
     assert computational_projector_set(4) is not computational_projector_set(4)  # public, uncached
     built = {cls: 0 for cls in (ProjectorSet, Povm, DensityMatrix)}
-    # a Povm is admitted by _admit, from __post_init__ or, built from products M^dag M, from
+    # a Povm is held by _hold, from __post_init__ or, built from products M^dag M, from
     # povm_from_operators, proved or not
-    hooks = [(ProjectorSet, "__post_init__"), (Povm, "_admit"), (DensityMatrix, "__post_init__")]
+    hooks = [(ProjectorSet, "__post_init__"), (Povm, "_hold"), (DensityMatrix, "__post_init__")]
     for cls, hook in hooks:
         def counted(self, *args, _cls=cls, _init=getattr(cls, hook), **kwargs):
             built[_cls] += 1

@@ -92,6 +92,14 @@ def test_phase_vector_rejects_non_unimodular():
         PhaseVector([1.0, 0.5])
 
 
+@pytest.mark.parametrize("phases", [[1e200], [1.0, 1e200 + 1e200j]])
+def test_phase_vector_rejects_a_huge_modulus_without_a_warning(phases):
+    with pytest.raises(PhaseNotUnimodular) as exc:  # RuntimeWarning is an error in this suite
+        PhaseVector(phases)
+    assert str(exc.value) == "phases deviate from the unit circle by inf"
+    assert exc.value.residuals == {"unimodularity_max": math.inf}
+
+
 def test_phase_vector_from_angles():
     pv = PhaseVector.from_angles([0.0, math.pi / 2])
     assert np.allclose(pv.phases, [1.0, 1j], atol=1e-15)

@@ -11,14 +11,24 @@ import pytest
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_python(*args):
     path = [str(REPO_ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(REPO_ROOT / "scripts" / name),
-         *args],
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
         cwd=REPO_ROOT, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         capture_output=True, text=True, timeout=120,
     )
+
+
+def run_script(name, *args):
+    return run_python(str(REPO_ROOT / "scripts" / name), *args)
+
+
+@pytest.mark.parametrize("module", ["qmeasure", "qmeasure.cli"])
+def test_the_cli_runs_as_a_module(module, golden_dir):
+    proc = run_python("-m", module, "validate", "corpus/projectors_n2.json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (golden_dir / "validate_projectors_n2.txt").read_text(encoding="utf-8")
 
 
 def test_make_corpus_reproduces_bundled_corpus(tmp_path, corpus):
