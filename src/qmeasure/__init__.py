@@ -21,9 +21,8 @@ from .errors import (
     UnknownOutcome,
     ZeroProbabilityOutcome,
 )
-from .linalg import DEFAULT_TOL, adjoint
+from .linalg import DEFAULT_TOL, Judgement, adjoint
 from .measurement import (
-    CompletenessReport,
     DensityMatrix,
     MeasurementKind,
     MeasurementOperatorSet,
@@ -75,10 +74,10 @@ __all__ = [
     "IncompleteSet", "ZeroProbabilityOutcome",
     "UnknownOutcome", "NotUnitary", "OrthogonalityViolation",
     "PhaseNotUnimodular", "InvalidProjectorSet", "NotMirror", "ParseError",
-    "DEFAULT_TOL", "adjoint",
+    "DEFAULT_TOL", "Judgement", "adjoint",
     "QuantumState", "DensityMatrix", "MeasurementOperatorSet",
     "ProjectorSet", "Observable", "Povm", "MeasurementRecord",
-    "MeasurementKind", "CompletenessReport", "validate_completeness",
+    "MeasurementKind", "validate_completeness",
     "outcome_probabilities", "apply_outcome", "sample_measurement",
     "sample_histogram", "spectral_decompose", "povm_from_operators",
     "povm_probabilities", "classify_measurement", "fidelity",

@@ -38,7 +38,7 @@ from .fileio import (
     load_state_file,
     save_operator_file,
 )
-from .linalg import DEFAULT_TOL, _require_same_dims, vector_norm, within_tol
+from .linalg import DEFAULT_TOL, _require_same_dims, judge, vector_norm
 from .measurement import (
     NORM_TOL,
     MeasurementOperatorSet,
@@ -159,7 +159,7 @@ def _finish(report: dict, details: list[str]) -> dict:
 # validate
 
 # The library's judge of each kind returns the judged object (a measurement
-# set's CompletenessReport holds its verdict in ``passed``) or raises the
+# set's completeness record holds its verdict in ``passed``) or raises the
 # QmeasureError that rejects it; both carry the ``residuals`` printed.
 _JUDGES = {
     "measurement_set": lambda mats, tol: validate_completeness(MeasurementOperatorSet(mats), tol),
@@ -225,17 +225,15 @@ def cmd_measure(args) -> dict:
     # apply_outcome checks the dims and the label before it judges the set
     record = None if args.outcome is None else apply_outcome(opset, psi, args.outcome, tol=args.tol)
     probs = outcome_probabilities(opset, psi, tol=args.tol)
-    prob_sum = float(abs(probs.sum() - 1.0))
-    passed = within_tol(prob_sum, args.tol)
-    if not passed:
+    summed = judge("probability_sum", float(abs(probs.sum() - 1.0)), args.tol, n=opset.dim)
+    if not summed.passed:
         warnings.append(f"probability_sum exceeds tolerance {format_float(args.tol)}")
     report = {
         "command": "measure",
-        "verdict": "pass" if passed else "fail",
+        "verdict": "pass" if summed.passed else "fail",
         "dim": opset.dim,
         "n_operators": len(opset),
-        "residuals": {"completeness": opset.completeness_residual,
-                      "probability_sum": prob_sum},
+        "residuals": {"completeness": opset.completeness_residual, **summed.residuals},
         "probabilities": [float(p) for p in probs],
     }
     if record is not None:

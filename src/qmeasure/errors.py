@@ -6,13 +6,15 @@ CLI) can distinguish semantic failures from genuine bugs.
 
 
 class QmeasureError(Exception):
-    """Base class for all toolkit errors. A failed check's error carries
-    ``residuals``: each residual it computed, by the name a report prints,
-    in report order (empty for a dimension mismatch, unknown outcome or parse error)."""
+    """Base class for all toolkit errors. A failed check's error carries ``records``: the
+    ``linalg.Judgement`` of each check it judged, in report order, and ``residuals``: each
+    residual by the name a report prints, the records' own unless the judged object it rejects
+    prints more (all empty for a dimension mismatch, unknown outcome or parse error)."""
 
-    def __init__(self, message: str = "", residuals: dict | None = None):
+    def __init__(self, message: str = "", records: tuple = (), residuals: dict | None = None):
         super().__init__(message)
-        self.residuals = {} if residuals is None else residuals
+        self.records = records
+        self.residuals = {r.quantity: r.residual for r in records} if residuals is None else residuals
 
 
 class DimensionMismatch(QmeasureError):

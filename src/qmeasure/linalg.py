@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,7 +126,8 @@ def within_tol(residual, tol: float, scale=1.0):
     ``tol`` all finite, so NaN or infinite residuals, overflowed scales and
     an infinite tol fail, while a product ``tol * scale`` that alone
     overflows passes every finite residual. ``scale`` is the Frobenius norm
-    of the reference (sqrt(n) for the identity); elementwise when it is an array."""
+    of the reference (sqrt(n) for the identity); elementwise when it is an array.
+    Only :func:`judge` asks it."""
     if isinstance(scale, np.ndarray):
         with np.errstate(over="ignore"):
             passed = residual <= tol * np.maximum(scale, 1.0)
@@ -134,10 +136,51 @@ def within_tol(residual, tol: float, scale=1.0):
     return finite and residual <= tol * max(scale, 1.0)
 
 
-def residual_note(residual: float, scale: float) -> str:
-    """A failed check's residual, naming an overflowed scale (threshold inf)."""
-    overflow = "" if math.isfinite(scale) else "; its norm overflowed, so the threshold is inf"
-    return f"residual {residual:.3e}{overflow}"
+def _rounding_allowance(n: int) -> float:
+    """eps_n = 4 n^(3/2) eps: the rounding of an n x n product, relative to its scale."""
+    return 4.0 * n ** 1.5 * 2.0 ** -52  # eps = np.finfo(float).eps, folded when compiled
+
+
+class Judgement(NamedTuple):
+    """One verdict of :func:`judge`: the ``quantity`` and its ``residual`` (when ``proved``, a
+    bound on it), judged at ``tol`` against ``scale`` for n x n operands, ``where`` the deciding
+    entry sits, whether it ``passed``, and the ``threshold``, ``floor`` and ``overflowed`` of that."""
+
+    quantity: str
+    residual: float
+    tol: float
+    scale: float
+    n: int
+    where: tuple | None
+    passed: bool
+    proved: bool
+
+    threshold = property(lambda self: self.tol * max(self.scale, 1.0))
+    floor = property(lambda self: _rounding_allowance(self.n) * self.scale)  # eps_n * scale
+    overflowed = property(lambda self: not math.isfinite(self.scale))  # so the threshold is inf
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        return {self.quantity: self.residual}
+
+    @property
+    def note(self) -> str:  # as a failure message names the residual
+        overflow = "; its norm overflowed, so the threshold is inf" if self.overflowed else ""
+        return f"residual {self.residual:.3e}{overflow}"
+
+
+def judge(quantity: str, value, tol: float, scale=1.0, *, n: int, where=None,
+          proved: bool = False) -> Judgement:
+    """The one judge of every verdict: :func:`within_tol` of ``value`` (a residual, or a bound on
+    one, ``proved``) at ``tol`` against ``scale``, for n x n operands. An array is judged entry by
+    entry against ``scale`` (an array or a float): its first failing entry decides, else its largest."""
+    if isinstance(value, np.ndarray):
+        fails = ~within_tol(value, tol, scale)
+        where = np.unravel_index(int(fails.argmax() if fails.any() else value.argmax()), value.shape)
+        where, value = tuple(int(k) for k in where), float(value[where])
+        scale = float(scale[where]) if isinstance(scale, np.ndarray) else scale
+    passed = within_tol(value, tol, scale)
+    return tuple.__new__(Judgement, (quantity, value, tol, scale, n, where, passed, proved))
 
 
 def _require_square(a: np.ndarray) -> None:
@@ -164,15 +207,14 @@ def _require_same_dims(**dims: int) -> None:
 
 
 @np.errstate(over="ignore")
-def _require_hermitian(a, tol: float) -> tuple[float, float]:
-    """The hermiticity rule of every single matrix: raise ``NotHermitian`` unless
-    ``within_tol(||a - a^dag||_F, tol, ||a||_F)`` of an ``as_matrix`` array; return both."""
+def _require_hermitian(a, tol: float) -> tuple[Judgement, float]:
+    """The hermiticity rule of every single matrix: raise ``NotHermitian`` unless ||a - a^dag||_F
+    of an ``as_matrix`` array passes against ||a||_F; return its record and that scale."""
     _require_square(a)
-    resid, scale = _norm(a - a.conj().T), _norm(a)
-    if not within_tol(resid, tol, scale):
-        raise NotHermitian(f"matrix is not Hermitian within {tol:g} "
-                           f"({residual_note(resid, scale)})", {"hermiticity": resid})
-    return resid, scale
+    scale = _norm(a)
+    if not (herm := judge("hermiticity", _norm(a - a.conj().T), tol, scale, n=len(a))).passed:
+        raise NotHermitian(f"matrix is not Hermitian within {tol:g} ({herm.note})", (herm,))
+    return herm, scale
 
 
 def _unitarity_residuals(u: np.ndarray) -> dict[str, float]:
@@ -182,24 +224,24 @@ def _unitarity_residuals(u: np.ndarray) -> dict[str, float]:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _require_unitary(u: np.ndarray, tol: float) -> dict[str, float]:
+def _require_unitary(u: np.ndarray, tol: float) -> tuple[Judgement, Judgement]:
     """The unitarity rule of every single matrix: raise ``NotUnitary`` unless both
-    :func:`_unitarity_residuals` of an ``as_matrix`` array pass ``within_tol`` against sqrt(n)."""
+    :func:`_unitarity_residuals` of an ``as_matrix`` array pass against sqrt(n); return their records."""
     _require_square(u)
-    left, right = (residuals := _unitarity_residuals(u)).values()
-    scale = math.sqrt(u.shape[0])
-    if not (within_tol(left, tol, scale) and within_tol(right, tol, scale)):
+    scale, (left, right) = math.sqrt(n := len(u)), _unitarity_residuals(u).items()
+    records = left, right = judge(*left, tol, scale, n=n), judge(*right, tol, scale, n=n)
+    if not (left.passed and right.passed):
         raise NotUnitary(f"matrix is not unitary within {tol:g} "
-                         f"(residuals {left:.3e}, {right:.3e})", residuals)
-    return residuals
+                         f"(residuals {left.residual:.3e}, {right.residual:.3e})", records)
+    return records
 
 
 def guarded_eigh(a: np.ndarray,
-                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, float, float]:
+                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, Judgement, float]:
     """Ascending eigenvalues and orthonormal eigenvectors (columns) of the
     Hermitian part (a + a^dag)/2 of an ``as_matrix`` array, by LAPACK
     (``numpy.linalg.eigh``), after :func:`_require_hermitian`, and the
-    hermiticity residual it judged and the scale ||a||_F it judged against."""
+    hermiticity it judged and the scale ||a||_F it judged against."""
     hermiticity, scale = _require_hermitian(a, tol)
     vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
     return vals, vecs, hermiticity, scale

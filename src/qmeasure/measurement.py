@@ -30,7 +30,7 @@ from .errors import (
     UnknownOutcome,
     ZeroProbabilityOutcome,
 )
-from .linalg import DEFAULT_TOL, _adjoint, as_matrix, as_vector, freeze
+from .linalg import DEFAULT_TOL, _adjoint, _rounding_allowance, as_matrix, as_vector, freeze
 
 NORM_TOL = 1e-12  # |<psi|psi> - 1| admitted by the strict state constructor
 PROB_FLOOR = 1e-12  # outcomes below this probability are unrealizable
@@ -94,12 +94,12 @@ class DensityMatrix(linalg._Frozen):
         mat = as_matrix(self.matrix)
         _, scale = linalg._require_hermitian(mat, tol)
         trace = complex(np.trace(mat))
-        if not linalg.within_tol(off := abs(trace - 1.0), tol):
-            raise QmeasureError(f"density matrix trace {trace!r} is not 1", {"trace": off})
+        if not (off := linalg.judge("trace", abs(trace - 1.0), tol, n=len(mat))).passed:
+            raise QmeasureError(f"density matrix trace {trace!r} is not 1", (off,))
         lowest = float(linalg.lowest_eigenvalue(mat))
-        if not linalg.within_tol(-lowest, tol, scale):
+        if not (negativity := linalg.judge("negativity", -lowest, tol, scale, n=len(mat))).passed:
             raise NotPositive(f"density matrix has negative eigenvalue {lowest:.3e}",
-                              {"min_eigenvalue": lowest})
+                              (negativity,), {"min_eigenvalue": lowest})
         object.__setattr__(self, "matrix", freeze(mat))
 
     @property
@@ -140,17 +140,20 @@ class _Family:
 
     def _admit(self, tol: float, povm: bool = False):
         """Raise the first requirement the held stack fails as a projector set (a POVM with
-        ``povm``). A stack the library made is held uncopied."""
-        if (failure := self._judged.failure(tol, povm)) is not None:
+        ``povm``), or keep the ``records`` it passed. A stack the library made is held uncopied."""
+        records, failure = self._judged.judge(tol, povm)
+        if failure is not None:
             raise failure
+        vars(self)["records"] = records
         return self
 
     def __getstate__(self) -> dict:  # pickle and deepcopy: the stack or a factor and its g, no cache
-        return {k: v for k, v in vars(self).items() if k in ("_stack", "_factor", "_gram")}
+        return {k: v for k, v in vars(self).items() if k in ("_stack", "_factor", "_gram", "records")}
 
     def __setstate__(self, state: dict) -> None:  # arrays come back writable, views as copies
+        vars(self).update({k: state[k] for k in ("_gram", "records") if k in state})
         if "_factor" in state:  # its stack stays unformed unless it came formed
-            vars(self).update(_factor=tuple(freeze(p) for p in state["_factor"]), _gram=state["_gram"])
+            vars(self)["_factor"] = tuple(freeze(p) for p in state["_factor"])
         if "_stack" in state:
             self._hold(fields(self)[0].name, freeze(state["_stack"]))
 
@@ -165,14 +168,13 @@ class _Family:
     def _judged(self) -> OperatorResiduals:  # formed on first read
         return OperatorResiduals(self._stack)
 
-    def _proves_mirror(self, phases, tol: float) -> bool:
-        """Whether g proves each phase sum U = V D V^dag a unitary mirror of the set at ``tol``, for
-        delta = ``phases.unimodularity_max``: with V^dag V = I + E and ||E||_F = g, (1 + g)(sqrt(n)
-        delta + (2 + delta) g) bounds both unitarity residuals and each ||[U, P_m]||_F (at most
-        2 (1 + g) sqrt(1 + delta) g), plus 5 eps_n sqrt(n) of rounding (README, Tolerances)."""
+    def _proves_mirror(self, phases, tol: float) -> linalg.Judgement:
+        """The record of whether g proves each phase sum U = V D V^dag a unitary mirror of the set
+        at ``tol``: (1 + g)(sqrt(n) delta + (2 + delta) g) + 5 eps_n sqrt(n), delta the phases'
+        ``unimodularity_max``, bounds both unitarity residuals and every commutator (README)."""
         n, g, delta = self.dim, self._gram, phases.unimodularity_max
-        bound = (1 + g) * (math.sqrt(n) * delta + (2 + delta) * g)
-        return linalg.within_tol(bound + 5 * _rounding_allowance(n) * math.sqrt(n), tol, math.sqrt(n))
+        bound = (1 + g) * (math.sqrt(n) * delta + (2 + delta) * g) + 5 * _rounding_allowance(n) * math.sqrt(n)
+        return linalg.judge("mirror_bound", bound, tol, math.sqrt(n), n=n, proved=True)
 
     def _phase_sum(self, alphas: np.ndarray) -> np.ndarray:
         """sum_m alpha_m M_m, one ``np.tensordot`` per 128 KiB stack."""
@@ -214,28 +216,17 @@ class MeasurementOperatorSet(_Family):
         return math.inf if math.isnan(residual) else residual
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
-    passed: bool
-    residual: float
-
-    @property
-    def residuals(self) -> dict[str, float]:
-        return {"completeness": self.residual}
-
-
 def validate_completeness(opset: MeasurementOperatorSet,
-                          tol: float = DEFAULT_TOL) -> CompletenessReport:
-    """Check the identity resolution sum_m M_m^dag M_m = I."""
-    residual = opset.completeness_residual
-    passed = linalg.within_tol(residual, tol, math.sqrt(opset.dim))
-    return CompletenessReport(passed=passed, residual=residual)
+                          tol: float = DEFAULT_TOL) -> linalg.Judgement:
+    """The ``completeness`` record of the identity resolution sum_m M_m^dag M_m = I."""
+    n = opset.dim
+    return linalg.judge("completeness", opset.completeness_residual, tol, math.sqrt(n), n=n)
 
 
 def _require_complete(opset: MeasurementOperatorSet, tol: float) -> None:
-    if not linalg.within_tol(residual := opset.completeness_residual, tol, math.sqrt(opset.dim)):
-        raise IncompleteSet(f"operator set fails completeness (residual {residual:.3e}); "
-                            "it cannot be measured", {"completeness": residual})
+    if not (complete := validate_completeness(opset, tol)).passed:
+        raise IncompleteSet(f"operator set fails completeness (residual {complete.residual:.3e}); "
+                            "it cannot be measured", (complete,))
 
 
 def outcome_probabilities(opset: MeasurementOperatorSet, psi: QuantumState,
@@ -268,9 +259,9 @@ def apply_outcome(opset: MeasurementOperatorSet, psi: QuantumState, m: int,
     _require_complete(opset, tol)
     mapped = opset.operators[m] @ psi.amplitudes
     p = float(np.float64(linalg._norm(mapped)) ** 2)  # inf, not OverflowError, past the range
-    if p <= PROB_FLOOR:
+    if (zero := linalg.judge("probability", p, PROB_FLOOR, n=len(mapped))).passed:  # zero within it
         raise ZeroProbabilityOutcome(f"outcome {m} has probability {p:.3e} <= {PROB_FLOOR:g}; "
-                                     "its post-measurement state is undefined", {"probability": p})
+                                     "its post-measurement state is undefined", (zero,))
     post = QuantumState(mapped / math.sqrt(p), normalize=True)
     # completeness at tol admits p slightly above 1
     return MeasurementRecord(outcome=m, probability=min(p, 1.0), post_state=post)
@@ -306,11 +297,8 @@ def sample_histogram(opset: MeasurementOperatorSet, psi: QuantumState,
 @dataclass(frozen=True, eq=False)
 class OperatorResiduals:
     """Every residual a projector set or a POVM is judged on, each computed once, when first read
-    (norms and hermiticity together): under the errstate of :meth:`failure`, or by ``residuals``
-    for POVM elements that :func:`povm_from_operators` proved. Norms come from 128 KiB stacks and
-    equal a per-matrix ``np.linalg.norm`` bit for bit. Each passes :func:`linalg.within_tol` at
-    ``tol`` against its own scale: ``pair_scales`` for ``pairs``, ||P_k||_F for hermiticity and for
-    the negated ``lowest`` eigenvalue (positivity), and sqrt(dim) for completeness."""
+    (norms and hermiticity together) under the errstate of :meth:`judge`, or by ``residuals``.
+    Norms come from 128 KiB stacks and equal a per-matrix ``np.linalg.norm`` bit for bit."""
 
     operators: np.ndarray  # a stack (or a sequence) of square matrices of one dimension
 
@@ -358,32 +346,34 @@ class OperatorResiduals:
         return out
 
     @np.errstate(over="ignore", invalid="ignore")
-    def failure(self, tol: float, povm: bool = False) -> QmeasureError | None:
-        """The error for the first requirement the operators violate at
-        ``tol`` as a projector set, or with ``povm`` as a POVM, carrying
-        :meth:`residuals`; None when they pass. Hermiticity is judged first,
-        and only Hermitian operators get their pair products (projectors)
-        or eigenvalues (POVM elements) formed and judged; completeness is
-        judged last. Each condition raises its one class, whatever the kind."""
-        what = "POVM element" if povm else "projector"
-        if not (passed := linalg.within_tol(self.hermiticity, tol, self.norms)).all():
-            k = int(passed.argmin())  # the first that fails
-            note = linalg.residual_note(self.hermiticity[k], self.norms[k])
-            return NotHermitian(f"{what} {k} is not Hermitian ({note})",
-                                self.residuals(povm, hermitian=False))
-        if povm and (bad := np.flatnonzero(~linalg.within_tol(-self.lowest, tol, self.norms))).size:
-            return NotPositive(f"POVM element {bad[0]} has negative eigenvalue "
-                               f"{self.lowest[bad[0]]:.3e}", self.residuals(povm))
-        if not povm and (bad := np.argwhere(
-                ~linalg.within_tol(self.pairs, tol, self.pair_scales))).size:
-            i, j = (int(x) for x in bad[0])
-            kind = "idempotence" if i == j else "orthogonality"
-            return InvalidProjectorSet(f"projectors ({i}, {j}) violate {kind} "
-                                       f"(residual {self.pairs[i, j]:.3e})", self.residuals())
-        if not linalg.within_tol(self.completeness, tol, math.sqrt(len(self.operators[0]))):
-            return IncompleteSet(f"{what}s do not sum to the identity "
-                                 f"(residual {self.completeness:.3e})", self.residuals(povm))
-        return None
+    def judge(self, tol: float, povm: bool = False) -> tuple[tuple, QmeasureError | None]:
+        """The records of the requirements judged at ``tol`` as a projector set (a POVM with
+        ``povm``), up to the first that fails, and its error (carrying them and :meth:`residuals`)
+        or None: ``hermiticity`` against ||P_k||_F; for Hermitian operators only, the ``pairs``
+        against ``pair_scales``, or the ``negativity`` -``lowest`` against ||P_k||_F; then
+        ``completeness`` against sqrt(n). Each condition raises its one class, whatever the kind."""
+        n, what = len(self.operators[0]), "POVM element" if povm else "projector"
+        records = (herm := linalg.judge("hermiticity", self.hermiticity, tol, self.norms, n=n),)
+        if not herm.passed:
+            return records, NotHermitian(f"{what} {herm.where[0]} is not Hermitian ({herm.note})",
+                                         records, self.residuals(povm, hermitian=False))
+        if povm:
+            records += (leg := linalg.judge("negativity", -self.lowest, tol, self.norms, n=n),)
+            if not leg.passed:
+                return records, NotPositive(f"POVM element {leg.where[0]} has negative eigenvalue "
+                                            f"{-leg.residual:.3e}", records, self.residuals(povm))
+        else:
+            records += (leg := linalg.judge("pairs", self.pairs, tol, self.pair_scales, n=n),)
+            if not leg.passed:
+                i, j = leg.where
+                kind = "idempotence" if i == j else "orthogonality"
+                return records, InvalidProjectorSet(f"projectors ({i}, {j}) violate {kind} "
+                                                    f"(residual {leg.residual:.3e})", records, self.residuals())
+        records += (complete := linalg.judge("completeness", self.completeness, tol, math.sqrt(n), n=n),)
+        if not complete.passed:
+            return records, IncompleteSet(f"{what}s do not sum to the identity ({complete.note})",
+                                          records, self.residuals(povm))
+        return records, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,21 +436,18 @@ class Observable(linalg._Frozen):
 
     ``eigenvalues`` are the distinct eigenvalues, ascending, and ``spectrum``
     pairs each with the projector onto its eigenspace, formed when first read.
-    It is judged with ``hermiticity_residual`` ||A - A^dag||_F and
-    ``reconstruction_residual`` ||A - sum_m lambda_m P_m||_F.
+    Its ``records`` judge ``hermiticity`` ||A - A^dag||_F and ``reconstruction``
+    ||A - sum_m lambda_m P_m||_F.
     """
 
     matrix: np.ndarray
     eigenvalues: tuple[float, ...]
-    hermiticity_residual: float
-    reconstruction_residual: float
+    records: tuple[linalg.Judgement, linalg.Judgement] = field(repr=False)
     _projector_set: ProjectorSet = field(repr=False)
 
     @property
     def residuals(self) -> dict[str, float]:
-        return {"hermiticity": self.hermiticity_residual,
-                "reconstruction": self.reconstruction_residual,
-                "n_eigenspaces": len(self.eigenvalues)}
+        return {**{r.quantity: r.residual for r in self.records}, "n_eigenspaces": len(self.eigenvalues)}
 
     @property
     def dim(self) -> int:
@@ -475,16 +462,10 @@ class Observable(linalg._Frozen):
         return self._projector_set
 
 
-def _rounding_allowance(n: int) -> float:
-    """eps_n = 4 n^(3/2) eps: the rounding of an n x n product, relative to its scale."""
-    return 4.0 * n ** 1.5 * 2.0 ** -52  # eps = np.finfo(float).eps, folded when compiled
-
-
 def _gram_threshold(n: int, tol: float) -> float:
-    """tau = b / (1 + b) for b = tol - eps_n, so tau (1 + tau) <= b:
-    an eigenvector Gram residual g <= tau certifies n-dimensional projectors
-    at ``tol`` (see :func:`spectral_decompose`). Negative for tol <= eps_n,
-    NaN for an infinite or NaN tol, so that no g passes."""
+    """tau = b / (1 + b) for b = tol - eps_n, so tau (1 + tau) <= b: a Gram residual g <= tau
+    certifies n-dimensional projectors at ``tol`` (README). Negative for tol <= eps_n, NaN for an
+    infinite or NaN tol, so that no g passes."""
     budget = tol - _rounding_allowance(n)
     return budget / (1.0 + budget)
 
@@ -514,54 +495,40 @@ def _eigenspace_stack(vecs: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
-    """Spectral decomposition of a Hermitian matrix into eigenspaces.
+    """Spectral decomposition of a Hermitian matrix into eigenspaces (README, Tolerances).
 
     :func:`linalg.guarded_eigh` judges ||A - A^dag||_F and runs LAPACK ``eigh``. Neighbours at
-    most eps_n ||A||_F apart (``eigh``'s rounding, whatever ``tol``) share an eigenspace, valued
-    at their mean, with projector P_g = V_g V_g^dag over its eigenvectors V_g.
-    ||A - sum_g lambda_g P_g||_F must pass at ``tol``; it is formed as
-    ||A - V diag(lambda[labels]) V^dag||_F, the set's own phase sum: one product that equals the
-    sum for any V (``labels[k]`` is the eigenspace of column k).
-
-    The projectors are certified by g = ||V^dag V - I||_F, not by the N^2
-    products of :class:`ProjectorSet`. As P_i P_j - delta_ij P_i =
-    V_i (G_ij - delta_ij I) V_j^dag with G = V^dag V and ||V||_2^2 <= 1 + g,
-    each pair residual is at most g (1 + g), the completeness residual
-    ||V V^dag - I||_F is g and each hermiticity residual 0, plus rounding of
-    at most eps_n = 4 n^(3/2) eps times the residual's scale s >= 1 (to first
-    order). So g <= :func:`_gram_threshold` implies that ``ProjectorSet``
-    accepts the projectors at ``tol``; ``eigh`` gives g < 1e-14 at n = 32.
-    A larger g is inconclusive: the projectors then get the ``ProjectorSet``
-    check, and ``InvalidProjectorSet`` names g, the threshold and the failure.
-    Both failures after the eigensolver carry the ``Observable``'s residuals.
-
-    Every set is held as ``_factor`` = (V, labels) with its g, and its
-    projectors formed only when read. Its phase sums and probabilities are
-    products in the basis V that equal the per-projector sums for any V, so
-    g <= tau alone certifies it, and g proves its phase sums unitary mirrors
-    of the set (``_Family._proves_mirror``); its commutators read the projectors.
+    most eps_n ||A||_F apart share an eigenspace, valued at their mean, with projector
+    P_g = V_g V_g^dag. ``reconstruction`` ||A - V diag(lambda[labels]) V^dag||_F, the set's own
+    phase sum, is judged at ``tol`` against ||A||_F. The set is held as ``_factor`` = (V, labels)
+    with its ``gram`` g = ||V^dag V - I||_F, which proves it at ``tol`` when within
+    :func:`_gram_threshold`; a larger g leaves the projectors to the ``ProjectorSet`` check, and
+    ``InvalidProjectorSet`` names g, the threshold and the failure. Both failures after the
+    eigensolver carry the ``Observable``'s records and residuals.
     """
     a = as_matrix(a)
     vals, vecs, hermiticity, scale = linalg.guarded_eigh(a, tol)
-    labels = np.zeros(len(vals), dtype=np.intp)  # the eigenspace of each column
-    (vals[1:] - vals[:-1] > _rounding_allowance(len(vals)) * scale).cumsum(out=labels[1:])
+    labels = np.zeros(n := len(vals), dtype=np.intp)  # the eigenspace of each column
+    (vals[1:] - vals[:-1] > _rounding_allowance(n) * scale).cumsum(out=labels[1:])
     lams = np.empty(labels[-1] + 1)
     for slots, cols in _eigenspace_columns(labels):  # np.mean's sum and division, bit for bit
         lams[slots] = vals[cols].sum(axis=1) / cols.shape[1]
-    gram = linalg._norm(vecs.conj().T @ vecs - linalg._identity(len(vals)))
+    gram = linalg._norm(vecs.conj().T @ vecs - linalg._identity(n))
+    certificate = linalg.judge("gram", gram, _gram_threshold(n, tol), n=n, proved=True)
     pset = object.__new__(_FactoredSet)  # certified below
-    vars(pset).update(_factor=(freeze(vecs), freeze(labels)), _gram=gram)
-    resid = linalg._norm(a - pset._phase_sum(lams))
-    obs = Observable(freeze(a), tuple(lams.tolist()), hermiticity, resid, pset)  # returned if judged
-    if not linalg.within_tol(resid, tol, scale):
-        raise QmeasureError(f"spectrum does not reconstruct the observable (residual {resid:.3e})",
-                            obs.residuals)
-    tau = _gram_threshold(len(vals), tol)
-    failure = None if gram <= tau else pset._judged.failure(tol)
-    if failure is not None:
-        raise InvalidProjectorSet(f"eigenvector Gram residual {gram:.3e} exceeds its "
-                                  f"threshold {tau:.3e} at tol {tol:g}, and {failure}",
-                                  obs.residuals)
+    vars(pset).update(_factor=(freeze(vecs), freeze(labels)), _gram=gram, records=(certificate,))
+    recon = linalg.judge("reconstruction", linalg._norm(a - pset._phase_sum(lams)), tol, scale, n=n)
+    obs = Observable(freeze(a), tuple(lams.tolist()), (hermiticity, recon), pset)  # returned if judged
+    if not recon.passed:
+        raise QmeasureError(f"spectrum does not reconstruct the observable ({recon.note})",
+                            obs.records, obs.residuals)
+    if not certificate.passed:
+        records, failure = pset._judged.judge(tol)
+        if failure is not None:
+            raise InvalidProjectorSet(f"eigenvector Gram residual {gram:.3e} exceeds its threshold "
+                                      f"{certificate.threshold:.3e} at tol {tol:g}, and {failure}",
+                                      (certificate, *records), obs.residuals)
+        vars(pset)["records"] += records
     return obs
 
 
@@ -583,15 +550,23 @@ class Povm(_Family):
 def povm_from_operators(opset: MeasurementOperatorSet,
                         tol: float = DEFAULT_TOL) -> Povm:
     """POVM elements E_m = M_m^dag M_m of a complete measurement set, the one site that admits
-    products. Each is Hermitian to 2k and >= -k, k = eps_n (n + sqrt(n) c), c the set's
-    completeness residual, the POVM's bit for bit (README): if 2k passes, none is judged again."""
+    products: one product for a family of one 128 KiB tile, else tile by tile into one array.
+    Each is Hermitian to 2k and >= -k, k = eps_n (n + sqrt(n) c), c the set's completeness
+    residual (README): if 2k passes, that proof is its record, and none is judged again."""
     _require_complete(opset, tol)
-    elems = np.empty_like(opset._stack)
-    for lo, tile in linalg.stacks(opset._stack):
-        np.matmul(_adjoint(tile), tile, out=elems[lo:lo + len(tile)])
+    stack, n = opset._stack, opset.dim
+    if len(stack) <= linalg.stack_size(n):
+        elems = _adjoint(stack) @ stack
+    else:
+        elems = np.empty_like(stack)
+        for lo, tile in linalg.stacks(stack):
+            np.matmul(_adjoint(tile), tile, out=elems[lo:lo + len(tile)])
     povm = object.__new__(Povm)._hold("elements", freeze(elems))
-    bound = _rounding_allowance(n := opset.dim) * (n + math.sqrt(n) * opset.completeness_residual)
-    return povm if linalg.within_tol(2 * bound, tol) else povm._admit(tol, povm=True)
+    bound = 2 * _rounding_allowance(n) * (n + math.sqrt(n) * opset.completeness_residual)
+    if not (proof := linalg.judge("products", bound, tol, n=n, proved=True)).passed:
+        return povm._admit(tol, povm=True)
+    vars(povm)["records"] = (proof,)
+    return povm
 
 
 def povm_probabilities(povm: Povm, rho: DensityMatrix) -> np.ndarray:
@@ -615,7 +590,7 @@ def classify_measurement(opset: MeasurementOperatorSet,
     for a lone unitary; GENERAL otherwise. A singleton {I} satisfies both
     special cases and is reported as PROJECTIVE, the stricter one."""
     _require_complete(opset, tol)
-    if opset._judged.failure(tol) is None:
+    if opset._judged.judge(tol)[1] is None:
         return MeasurementKind.PROJECTIVE
     if len(opset) == 1:
         with suppress(NotUnitary):

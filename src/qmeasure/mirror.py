@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,13 +41,19 @@ def computational_projector_set(dim: int) -> ProjectorSet:
 _computational_set = functools.cache(computational_projector_set)  # immutable, so shared
 
 
+class _Verdict:  # a report its ``records`` decide: it passed iff each of them did
+    passed = property(lambda self: all(r.passed for r in self.records))
+
+
 @dataclass(frozen=True, eq=False)
 class MirrorUnitary:
-    """Unitary certified to commute with its reference projector set; its ``commutation_residuals``
-    ||[U, P_m]||_F are formed on first read over its projectors, as :func:`is_mirror` forms them."""
+    """Unitary certified to commute with its reference projector set by its ``records`` (the
+    ``commutation_max`` :func:`is_mirror` judged, or the Gram bound that proved it); its
+    ``commutation_residuals`` ||[U, P_m]||_F are formed on first read, as :func:`is_mirror` forms them."""
 
     unitary: UnitaryOperator
     reference_projectors: ProjectorSet
+    records: tuple = field(default=(), repr=False)
 
     @functools.cached_property
     def commutation_residuals(self) -> tuple[float, ...]:
@@ -70,30 +76,31 @@ class MirrorUnitary:
 
 
 def is_mirror(u, pset: ProjectorSet, tol: float = DEFAULT_TOL) -> MirrorUnitary:
-    """Certify a unitary as a mirror for ``pset``.
-
-    Accepts iff every commutator residual ||[U, P_m]||_F, formed as a new
-    :class:`MirrorUnitary` reads its ``commutation_residuals``, is within
-    tolerance against sqrt(n), returning that mirror; otherwise raises
-    ``NotMirror`` naming the worst projector, with the same ``residuals``.
-    """
+    """Certify a unitary as a mirror for ``pset``: the worst ``commutation_residuals``
+    ||[U, P_m]||_F of a new :class:`MirrorUnitary` is judged against sqrt(n), which returns that
+    mirror or raises ``NotMirror`` naming the worst projector, with the same ``residuals``."""
     unit = _as_unitary(u, tol, projectors=pset.dim)
     mirror = MirrorUnitary(unit, pset)  # returned only if judged
     worst = int(np.argmax(mirror.commutation_residuals))
-    if not linalg.within_tol(mirror.commutation_residuals[worst], tol, math.sqrt(unit.dim)):
-        raise NotMirror(f"commutator {worst} exceeds tolerance {tol:.17g}", mirror.residuals)
+    vars(mirror)["records"] = (linalg.judge("commutation_max", mirror.commutation_residuals[worst],
+                                            tol, math.sqrt(unit.dim), n=unit.dim, where=(worst,)),)
+    if not mirror.records[0].passed:
+        raise NotMirror(f"commutator {worst} exceeds tolerance {tol:.17g}", mirror.records, mirror.residuals)
     return mirror
 
 
 @dataclass(frozen=True, eq=False)
-class PreservationReport:
-    """Projective probabilities before and after a unitary; ``passed`` iff
-    ``max_deviation`` is within the tol of the call that made the report."""
+class PreservationReport(_Verdict):
+    """Projective probabilities before and after a unitary; its one record judges their largest
+    deviation, ``max_deviation`` (``preservation_max``), at the tol of the call that made it."""
 
     probabilities_before: tuple[float, ...]
     probabilities_after: tuple[float, ...]
-    max_deviation: float
-    passed: bool
+    records: tuple[linalg.Judgement]
+
+    @property
+    def max_deviation(self) -> float:
+        return self.records[0].residual
 
 
 def verify_probability_preservation(u, pset: ProjectorSet, psi: QuantumState,
@@ -101,23 +108,17 @@ def verify_probability_preservation(u, pset: ProjectorSet, psi: QuantumState,
     """State-level check that U preserves the probabilities of ``pset``.
 
     Computes p(m) = <psi|P_m|psi> and p'(m) = <U psi|P_m|U psi> (from the factor of a spectral
-    set) and reports the largest |p'(m) - p(m)|, which ``passed`` judges at ``tol`` (scale 1);
-    it never raises on large deviations. Each, <psi|U^dag [P_m, U]|psi>, is at most ||[U, P_m]||_F:
-    tol * sqrt(n), not ``tol``, for a mirror :func:`is_mirror` certifies at ``tol``, so its report
-    can still fail; 2 (1 + g) sqrt(1 + delta) g plus rounding for a spectral mirror
-    :func:`extend_mirror` proves (about 4.5e-12 at n = 32 for the g of ``eigh``, against 1e-10).
+    set) and judges the largest |p'(m) - p(m)| at ``tol`` (scale 1); it never raises on large
+    deviations. Each is at most ||[U, P_m]||_F, so a mirror :func:`is_mirror` certifies at ``tol``
+    (against sqrt(n)) can still fail here (README, Tolerances).
     """
     unit = _as_unitary(u, tol, projectors=pset.dim, state=psi.dim)
     states = np.empty((psi.dim, 2), complex)  # column 0 psi, column 1 U psi
     states[:, 0], states[:, 1] = psi.amplitudes, unit.matrix @ psi.amplitudes
     before, after = pset._expectations(states)  # p(m) and p'(m)
     deviation = float(np.abs(after - before).max())
-    return PreservationReport(
-        probabilities_before=tuple(before.tolist()),
-        probabilities_after=tuple(after.tolist()),
-        max_deviation=deviation,
-        passed=linalg.within_tol(deviation, tol),
-    )
+    return PreservationReport(tuple(before.tolist()), tuple(after.tolist()),
+                              (linalg.judge("preservation_max", deviation, tol, n=psi.dim),))
 
 
 def build_qubit_mirror(theta: float, alpha: complex,
@@ -137,22 +138,18 @@ def build_qubit_mirror(theta: float, alpha: complex,
 
 def extend_mirror(phases: PhaseVector, pset: ProjectorSet,
                   tol: float = DEFAULT_TOL) -> MirrorUnitary:
-    """Mirror from unimodular phases over any complete projector set.
-
-    Builds U = sum_m alpha_m P_m, which commutes with each P_m by construction. When a spectral
-    set's Gram residual proves U a mirror at ``tol`` (``_Family._proves_mirror``), U is returned
-    unjudged, its ``residuals`` unformed; otherwise :func:`is_mirror` certifies it, which can only
-    fail (``NotMirror``) on numerically broken input.
-    """
+    """Mirror from unimodular phases over any complete projector set: U = sum_m alpha_m P_m,
+    which commutes with each P_m by construction. The proof of a spectral set's Gram residual
+    (``_Family._proves_mirror``) is its record; otherwise :func:`is_mirror` certifies it."""
     unit = phase_superpose_projectors(pset, phases, tol)
-    return MirrorUnitary(unit, pset) if "residuals" not in vars(unit) else is_mirror(unit, pset, tol)
+    return MirrorUnitary(unit, pset, unit.records) if unit.records[0].proved else is_mirror(unit, pset, tol)
 
 
 @dataclass(frozen=True, eq=False)
-class BellComparisonReport:
+class BellComparisonReport(_Verdict):
     """External two-element view of a Bell state beside the internal
-    single-observable view of a mirror acting on it; ``passed`` iff the
-    internal probability is within tol of 1 and ``preservation`` passed."""
+    single-observable view of a mirror acting on it; its records judge the
+    internal probability's ``internal_deviation`` from 1 and then ``preservation``'s."""
 
     bell_index: int
     bell_label: str
@@ -162,11 +159,10 @@ class BellComparisonReport:
     internal_probability: float
     internal_identity_residual: float
     preservation: PreservationReport
-    passed: bool
+    records: tuple[linalg.Judgement, linalg.Judgement]
 
     @property
     def residuals(self) -> dict[str, float]:
-        """The external sum, internal probability, internal identity and ``preservation_max``."""
         return {"external_sum_residual": self.external_sum_residual,
                 "internal_probability": self.internal_probability,
                 "internal_identity_residual": self.internal_identity_residual,
@@ -190,15 +186,11 @@ def bell_comparison(bell_index: int, mirror,
                     tol: float = DEFAULT_TOL) -> BellComparisonReport:
     """Compare the external and internal measurement views of a Bell state.
 
-    External: the two-element POVM {E_0, E_1} from the parity grouping of
-    the computational projectors, with its probability pair. Internal: the
-    singleton POVM {U^dag U} of the mirror, probability one. The report
-    also carries the before/after preservation check over the four
-    computational outcomes.
-
-    ``mirror`` may be a certified :class:`MirrorUnitary` or any unitary;
-    either way :func:`is_mirror` (re)checks it against the computational projectors and
-    raises its ``NotMirror``, with its residuals, when it fails to commute.
+    External: the two-element POVM {E_0, E_1} from the parity grouping of the computational
+    projectors, with its probability pair. Internal: the singleton POVM {U^dag U} of the mirror,
+    probability one. The report also carries the preservation check over the four computational
+    outcomes. ``mirror`` may be a certified :class:`MirrorUnitary` or any unitary; either way
+    :func:`is_mirror` (re)checks it against the computational projectors, raising its ``NotMirror``.
     """
     if not 0 <= bell_index <= 3:
         raise ValueError(f"bell_index must be 0..3, got {bell_index}")
@@ -218,25 +210,25 @@ def bell_comparison(bell_index: int, mirror,
         internal_probability=internal,
         internal_identity_residual=unit.residuals["unitarity_left"],
         preservation=preservation,
-        passed=linalg.within_tol(abs(internal - 1.0), tol) and preservation.passed,
+        records=(linalg.judge("internal_deviation", abs(internal - 1.0), tol, n=4),
+                 *preservation.records),
     )
 
 
 @dataclass(frozen=True, eq=False)
-class TruthProtocolTranscript:
-    """Record of one compute/uncompute round trip; ``passed`` iff the
-    fidelity deficit 1 - fidelity is within the tol of the call."""
+class TruthProtocolTranscript(_Verdict):
+    """Record of one compute/uncompute round trip; its one record judges the
+    fidelity deficit max(0, 1 - fidelity) at the tol of the call."""
 
     computed: QuantumState
     restored: QuantumState
     fidelity: float
     identity_residual: float
-    passed: bool
+    records: tuple[linalg.Judgement]
 
     @property
     def residuals(self) -> dict[str, float]:
-        """``fidelity``, ``fidelity_deficit`` max(0, 1 - fidelity) and ``identity_residual``."""
-        return {"fidelity": self.fidelity, "fidelity_deficit": max(0.0, 1.0 - self.fidelity),
+        return {"fidelity": self.fidelity, **self.records[0].residuals,
                 "identity_residual": self.identity_residual}
 
 
@@ -258,5 +250,5 @@ def truth_protocol(u, psi: QuantumState,
         restored=restored,
         fidelity=fid,
         identity_residual=unit.residuals["unitarity_left"],
-        passed=linalg.within_tol(1.0 - fid, tol),
+        records=(linalg.judge("fidelity_deficit", max(0.0, 1.0 - fid), tol, n=psi.dim),),
     )

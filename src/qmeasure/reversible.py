@@ -20,15 +20,15 @@ import numpy as np
 
 from . import linalg
 from .errors import NotUnitary, OrthogonalityViolation, PhaseNotUnimodular
-from .linalg import DEFAULT_TOL, _adjoint, as_matrix, freeze, within_tol
+from .linalg import DEFAULT_TOL, _adjoint, _rounding_allowance, as_matrix, freeze, judge
 from .measurement import (
     MeasurementOperatorSet,
     Observable,
     Povm,
     ProjectorSet,
     _require_complete,
-    _rounding_allowance,
     povm_from_operators,
+    validate_completeness,
 )
 
 UNIMODULAR_TOL = 1e-12  # ||alpha|^2 - 1| admitted for phase coefficients
@@ -36,25 +36,26 @@ UNIMODULAR_TOL = 1e-12  # ||alpha|^2 - 1| admitted for phase coefficients
 
 @dataclass(frozen=True, eq=False)
 class UnitaryOperator(linalg._Frozen):
-    """Square matrix with U^dag U = U U^dag = I within tolerance, judged with ``residuals``
-    ``unitarity_left`` ||U^dag U - I||_F and ``unitarity_right`` ||U U^dag - I||_F, formed as
-    it is judged or, once a Gram bound proved it unitary, on first read."""
+    """Square matrix with U^dag U = U U^dag = I within tolerance: its ``records`` judge its
+    ``residuals`` ||U^dag U - I||_F and ||U U^dag - I||_F, or hold the Gram bound that proved
+    it unitary, and then its ``residuals`` are formed on first read, as the judge forms them."""
 
     matrix: np.ndarray
     tol: InitVar[float] = DEFAULT_TOL
+    records: tuple = field(init=False, repr=False)
 
     def __post_init__(self, tol: float):
         self._judge(freeze(as_matrix(self.matrix)), tol)
 
-    def _judge(self, mat: np.ndarray, tol: float, proved: bool = False) -> "UnitaryOperator":
-        vars(self)["matrix"] = mat  # a frozen as_matrix array; judged unless ``proved`` unitary
-        if not proved:
-            vars(self)["residuals"] = linalg._require_unitary(mat, tol)
+    def _judge(self, mat: np.ndarray, tol: float) -> "UnitaryOperator":  # a frozen as_matrix array
+        vars(self).update(matrix=mat, records=linalg._require_unitary(mat, tol))
         return self
 
     @cached_property
-    def residuals(self) -> dict[str, float]:  # of a proved unitary, by the judge's expressions
-        return linalg._unitarity_residuals(self.matrix)
+    def residuals(self) -> dict[str, float]:
+        if self.records[0].proved:
+            return linalg._unitarity_residuals(self.matrix)
+        return {r.quantity: r.residual for r in self.records}
 
     @property
     def dim(self) -> int:
@@ -86,9 +87,9 @@ class PhaseVector(linalg._Frozen):
         if not np.isfinite(arr).all():
             raise ValueError("phases must be finite")
         worst = float(np.abs(np.abs(arr) ** 2 - 1.0).max())
-        if worst > UNIMODULAR_TOL:
+        if not (unimodular := judge("unimodularity_max", worst, UNIMODULAR_TOL, n=1)).passed:
             raise PhaseNotUnimodular(f"phases deviate from the unit circle by {worst:.3e}",
-                                     {"unimodularity_max": worst})
+                                     (unimodular,))
         vars(self).update(phases=freeze(arr), unimodularity_max=worst)
         return self
 
@@ -102,34 +103,30 @@ class PhaseVector(linalg._Frozen):
 
 
 def unitary_as_measurement(u, tol: float = DEFAULT_TOL) -> MeasurementOperatorSet:
-    """Read a unitary as the singleton measurement collection {U}.
-
-    The set is complete by unitarity (its completeness residual is ``unitarity_left``, bit for
-    bit), every state yields the unique outcome with probability one, and the post-state is U|psi>.
-    """
-    unit = _as_unitary(u, tol)
-    opset = object.__new__(MeasurementOperatorSet)._hold("operators", unit.matrix[None])
-    vars(opset)["completeness_residual"] = unit.residuals["unitarity_left"]
-    return opset
+    """Read a unitary as the singleton measurement collection {U}: complete by unitarity (its
+    completeness residual, formed when read, is ``unitarity_left``), every state yields the unique
+    outcome with probability one, and the post-state is U|psi>."""
+    return object.__new__(MeasurementOperatorSet)._hold("operators", _as_unitary(u, tol).matrix[None])
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _require_superposable(opset: MeasurementOperatorSet, tol: float) -> tuple[float, bool]:
-    """(a, banded): raise ``OrthogonalityViolation`` (naming a and the worst pair) unless
-    a = sum_{i != j} ||M_i^dag M_j||_F (+ c, the completeness residual, if it passes) passes
-    ``tol`` against sqrt(n), then unless c passes; ``banded`` if a + eps_n (n + sqrt(n) a) fails."""
+def _require_superposable(opset: MeasurementOperatorSet, tol: float) -> tuple:
+    """The records of a and of its band: raise ``OrthogonalityViolation`` (naming a and the worst
+    pair) unless a = sum_{i != j} ||M_i^dag M_j||_F (+ c, the completeness residual, if it passes)
+    passes ``tol`` against sqrt(n), then unless c passes. The band a + eps_n (n + sqrt(n) a)
+    bounds the sum's unitarity residuals with their rounding."""
     pairs = linalg.orthogonality_residuals(_adjoint(opset._stack), opset._stack)
     np.fill_diagonal(pairs, 0.0)  # ||M_i^dag M_i - M_i^dag||_F is no pair
-    scale, c = math.sqrt(n := opset.dim), opset.completeness_residual
-    aggregate = float(pairs.sum()) + (c if within_tol(c, tol, scale) else 0.0)
-    if not within_tol(aggregate, tol, scale):
-        i, j = np.unravel_index(np.argmax(pairs), pairs.shape)  # a NaN pair first
+    scale, complete = math.sqrt(n := opset.dim), validate_completeness(opset, tol)
+    aggregate = float(pairs.sum()) + (complete.residual if complete.passed else 0.0)
+    worst = tuple(int(k) for k in np.unravel_index(np.argmax(pairs), pairs.shape))  # a NaN pair first
+    if not (orth := judge("orthogonality", aggregate, tol, scale, n=n, where=worst)).passed:
         raise OrthogonalityViolation(f"operators are not orthogonal within {tol:g}: aggregate "
-                                     f"{aggregate:.3e} exceeds {tol * scale:.3e} (worst pair ({i}, {j}), "
-                                     f"residual {pairs[i, j]:.3e})", {"orthogonality": aggregate})
+                                     f"{aggregate:.3e} exceeds {orth.threshold:.3e} (worst pair {worst}, "
+                                     f"residual {pairs[worst]:.3e})", (orth,))
     _require_complete(opset, tol)
     bound = aggregate + _rounding_allowance(n) * (n + scale * aggregate)
-    return aggregate, not within_tol(bound, tol, scale)
+    return orth, judge("orthogonality_band", bound, tol, scale, n=n, proved=True)
 
 
 def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,
@@ -137,39 +134,36 @@ def superpose_operators(opset: MeasurementOperatorSet, phases: PhaseVector,
     """The unitary M = sum_m alpha_m M_m of a complete family with M_i^dag M_j = 0 (i != j).
 
     Preconditions are enforced hard: one phase per operator, then the aggregate a of
-    :func:`_require_superposable`, then completeness. M^dag M - I = (sum_m M_m^dag M_m - I) +
-    sum_{i != j} conj(alpha_i) alpha_j M_i^dag M_j, so ||M^dag M - I||_F <= a for every phase
-    vector; M M^dag - I has the same singular values (M is square), and the mean over the phases
-    of conj(alpha_i) alpha_j (M M^dag - I) is M_i M_j^dag, so ||M_i M_j^dag||_F <= a: the right
-    pairs are implied. eps_n (n + sqrt(n) a) bounds the rounding of the sum's unitarity judge,
-    which still runs: when a passed by less than that, its failure is raised as the violation.
+    :func:`_require_superposable`, which bounds both unitarity residuals of M for every phase
+    vector (README, Operator superposition), then completeness. The sum's unitarity judge still
+    runs; when a passed within its band, that judge's failure is raised as the violation.
     """
     linalg._require_same_dims(phases=len(phases), operators=len(opset))
-    aggregate, banded = _require_superposable(opset, tol)
+    orth, band = _require_superposable(opset, tol)
     try:
         return object.__new__(UnitaryOperator)._judge(freeze(opset._phase_sum(phases.phases)), tol)
     except NotUnitary as exc:
-        if not banded:  # a failure a does not explain: the phases are off the unit circle
+        if band.passed:  # a failure a does not explain: the phases are off the unit circle
             raise
         raise OrthogonalityViolation(
-            f"operators are not orthogonal within {tol:g}: aggregate {aggregate:.3e} passes by less "
-            f"than the rounding of their sum, which failed: {exc}",
-            {"orthogonality": aggregate, **exc.residuals}) from exc
+            f"operators are not orthogonal within {tol:g}: aggregate {orth.residual:.3e} passes by "
+            f"less than the rounding of their sum, which failed: {exc}", (orth, *exc.records)) from exc
 
 
 def phase_superpose_projectors(pset: ProjectorSet, phases: PhaseVector,
                                tol: float = DEFAULT_TOL) -> UnitaryOperator:
-    """Unitary P_hat = sum_m alpha_m P_m over a complete orthogonal
-    projector set; diagonal in the eigenbasis of the generating observable.
-    When the set's Gram bound proves P_hat unitary, its ``residuals`` are formed on first read."""
+    """Unitary P_hat = sum_m alpha_m P_m over a complete orthogonal projector set, judged unless
+    the set's Gram bound proves it unitary (its record), when its ``residuals`` are formed on read."""
     linalg._require_same_dims(phases=len(phases), projectors=len(pset))
-    proved = pset._proves_mirror(phases, tol)  # else P_hat is judged
-    return object.__new__(UnitaryOperator)._judge(freeze(pset._phase_sum(phases.phases)), tol, proved)
+    unit, mat = object.__new__(UnitaryOperator), freeze(pset._phase_sum(phases.phases))
+    if not (proof := pset._proves_mirror(phases, tol)).passed:  # then P_hat is judged
+        return unit._judge(mat, tol)
+    vars(unit).update(matrix=mat, records=(proof,))
+    return unit
 
 
 def exp_observable(obs: Observable, tol: float = DEFAULT_TOL) -> UnitaryOperator:
-    """e^{iA} assembled from the spectrum: sum_m e^{i lambda_m} P_m, its ``residuals`` formed
-    on first read when the Gram bound of :func:`phase_superpose_projectors` proves it unitary."""
+    """e^{iA} assembled from the spectrum: :func:`phase_superpose_projectors` of e^{i lambda_m}."""
     return phase_superpose_projectors(
         obs.projector_set(), PhaseVector.from_angles(obs.eigenvalues), tol
     )
@@ -177,9 +171,6 @@ def exp_observable(obs: Observable, tol: float = DEFAULT_TOL) -> UnitaryOperator
 
 def irm_povm(u, tol: float = DEFAULT_TOL) -> Povm:
     """Singleton POVM {U^dag U} of a reversible measurement: the POVM of {U}, which
-    :func:`povm_from_operators` forms and admits.
-
-    The lone element equals the identity (within tolerance), so every state produces the unique
-    outcome with probability one. Its completeness residual is ``unitarity_left``, bit for bit.
-    """
+    :func:`povm_from_operators` forms and admits. Its lone element is the identity within
+    tolerance, so every state produces the unique outcome with probability one."""
     return povm_from_operators(unitary_as_measurement(u, tol), tol)

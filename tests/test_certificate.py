@@ -56,9 +56,9 @@ def observable(rng, n, degenerate, scale):
 
 
 def judged_densely(mat, tol):
-    """What ``linalg._require_unitary`` gives the matrix: its residuals, or its error."""
+    """What ``linalg._require_unitary`` gives the matrix: its records' residuals, or its error."""
     try:
-        return linalg._require_unitary(mat, tol)
+        return {r.quantity: r.residual for r in linalg._require_unitary(mat, tol)}
     except NotUnitary as exc:
         return exc
 
@@ -67,14 +67,14 @@ def check_against_the_dense_judge(pset, phases, tol, build):
     """``build()`` over the factored ``pset`` is proved exactly when the set says
     so; proved, it passes the dense judge with its residuals; else it is that judge."""
     expected = judged_densely(pset._phase_sum(phases.phases), tol)
-    proved = pset._proves_mirror(phases, tol)
+    proved = pset._proves_mirror(phases, tol).passed
     try:
         unit = build()
     except NotUnitary as exc:
         assert not proved and isinstance(expected, NotUnitary)
         assert (str(exc), exc.residuals) == (str(expected), expected.residuals)
         return proved
-    assert ("residuals" not in vars(unit)) is proved  # proved: formed on first read
+    assert unit.records[0].proved is proved  # proved: its residuals are formed on first read
     assert not isinstance(expected, NotUnitary)
     assert unit.residuals == expected  # float equality: bit for bit
     return proved
@@ -143,8 +143,8 @@ def test_the_phase_deviation_keeps_a_failing_sum_unproved(pinned):
     assert exc.value.residuals == passing.residuals
     # at 8.5e-13 the dense judge fails it (5.089e-12 > 8.5e-13 sqrt(32) = 4.808e-12), and
     # a bound without the sqrt(n) delta term would have proved it
-    assert pset._proves_mirror(PhaseVector(np.ones(len(pset))), 8.5e-13)  # delta = 0
-    assert not pset._proves_mirror(phases, 8.5e-13)
+    assert pset._proves_mirror(PhaseVector(np.ones(len(pset))), 8.5e-13).passed  # delta = 0
+    assert not pset._proves_mirror(phases, 8.5e-13).passed
     assert check_against_the_dense_judge(
         pset, phases, 8.5e-13, lambda: phase_superpose_projectors(pset, phases, 8.5e-13)) is False
 
@@ -153,7 +153,7 @@ def test_the_phase_deviation_keeps_a_failing_sum_unproved(pinned):
 def test_a_tol_that_is_not_finite_and_positive_proves_nothing(pinned, tol):
     pset, _ = pinned
     phases = PhaseVector(random_phases(np.random.default_rng(7), len(pset)))
-    assert not pset._proves_mirror(phases, tol)
+    assert not pset._proves_mirror(phases, tol).passed
     assert check_against_the_dense_judge(
         pset, phases, tol, lambda: phase_superpose_projectors(pset, phases, tol)) is False
     mirror = outcome(lambda: extend_mirror(phases, pset, tol))
@@ -207,7 +207,7 @@ def test_a_file_set_is_still_judged_once(monkeypatch, tmp_path):
     pset = ProjectorSet(load_operator_file(path).matrices)
     calls, commutators = count_judges(monkeypatch), count_commutators(monkeypatch)
     mirror = extend_mirror(PhaseVector(random_phases(rng, len(pset))), pset)
-    assert calls == [1e-10] and "residuals" in vars(mirror.unitary)
+    assert calls == [1e-10] and not mirror.unitary.records[0].proved
     assert commutators == [ProjectorSet] and "commutation_residuals" in vars(mirror)
 
 
@@ -217,7 +217,7 @@ def test_a_file_set_is_still_judged_once(monkeypatch, tmp_path):
 def test_a_proved_unitary_keeps_its_residuals_through_pickle_and_deepcopy(round_trip, read_first):
     obs = spectral_decompose(observable(np.random.default_rng(11), 16, False, 1.0))
     unit = exp_observable(obs)
-    assert "residuals" not in vars(unit)
+    assert unit.records[0].proved and "residuals" not in vars(unit)
     if read_first:
         unit.residuals
     back = round_trip(unit)
@@ -226,8 +226,7 @@ def test_a_proved_unitary_keeps_its_residuals_through_pickle_and_deepcopy(round_
     assert back.residuals == unit.residuals == judged_densely(unit.matrix, 1e-10)
     pset = round_trip(obs.projector_set())  # its Gram residual comes along, so it still proves
     assert pset._gram == obs.projector_set()._gram
-    assert "residuals" not in vars(phase_superpose_projectors(
-        pset, PhaseVector.from_angles(obs.eigenvalues)))
+    assert phase_superpose_projectors(pset, PhaseVector.from_angles(obs.eigenvalues)).records[0].proved
 
 
 def gram_bounds(pset, delta):
@@ -273,14 +272,14 @@ def test_a_proved_mirror_passes_is_mirror_with_its_residuals_bit_for_bit(
     tol = 10.0 ** tol_exp if near is None else worst / math.sqrt(n) * 10.0 ** near
     expected = judged_by_is_mirror(pset, phases, tol)
     assert outcome(lambda: extend_mirror(phases, pset, tol)) == expected
-    if not pset._proves_mirror(phases, tol):
+    if not pset._proves_mirror(phases, tol).passed:
         return
     mirror = extend_mirror(phases, pset, tol)
     assert "commutation_residuals" not in vars(mirror)  # formed on first read
     judged = is_mirror(mirror.unitary, pset, tol)
     assert mirror.commutation_residuals == judged.commutation_residuals  # floats: bit for bit
     assert mirror.residuals == judged.residuals and mirror.worst_residual == judged.worst_residual
-    assert mirror.unitary.residuals == linalg._require_unitary(u, tol)  # the dense judges pass
+    assert mirror.unitary.residuals == judged_densely(u, tol)  # the dense judges pass
     dense = is_mirror(mirror.unitary, ProjectorSet(pset.projectors), tol)
     assert dense.commutation_residuals == judged.commutation_residuals
 
@@ -292,14 +291,14 @@ def test_a_tol_just_below_the_bound_falls_back_to_is_mirror(pinned, monkeypatch)
     lo, hi = 1e-16, 1e-3  # bisect for the smallest tol the certificate passes
     for _ in range(200):
         mid = math.sqrt(lo * hi)
-        lo, hi = (lo, mid) if pset._proves_mirror(phases, mid) else (mid, hi)
+        lo, hi = (lo, mid) if pset._proves_mirror(phases, mid).passed else (mid, hi)
     unitarity, commutators, rounding = gram_bounds(pset, delta)
     n, g = pset.dim, pset._gram
     bound = (1 + g) * (math.sqrt(n) * delta + (2 + delta) * g)  # one bound covers both
     assert bound >= max(unitarity, commutators)
     assert hi == pytest.approx((bound + rounding) / math.sqrt(n), rel=1e-12, abs=0.0)
     tol = hi * (1 - 1e-9)
-    assert not pset._proves_mirror(phases, tol)
+    assert not pset._proves_mirror(phases, tol).passed
     calls = count_commutators(monkeypatch)
     got = outcome(lambda: extend_mirror(phases, pset, tol))
     assert calls == [_FactoredSet]  # judged by is_mirror
@@ -323,7 +322,7 @@ def test_the_rounding_term_keeps_a_failing_mirror_unproved():
         assert n == 2 and worst > factor * commutators
         tol = 0.9 * worst / math.sqrt(n)  # is_mirror fails; the exact bound alone would pass
         assert commutators <= tol * math.sqrt(n) < commutators + rounding
-        assert not pset._proves_mirror(phases, tol)
+        assert not pset._proves_mirror(phases, tol).passed
         got = outcome(lambda: extend_mirror(phases, pset, tol))
         assert got[0] is not MirrorUnitary and got == judged_by_is_mirror(pset, phases, tol)
     # delta = 0, so the commutator bound is the certificate's: a hundredth of its rounding proves it

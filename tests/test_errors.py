@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from qmeasure import errors
+from qmeasure import errors, linalg
 from qmeasure.measurement import (
     DensityMatrix,
     MeasurementOperatorSet,
@@ -23,7 +23,8 @@ CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
 
 
 def instance(cls):
-    return cls("residual 1.000e+00 exceeds tolerance", {"hermiticity": 1.0, "n_eigenspaces": 2})
+    records = (linalg.judge("hermiticity", 1.0, 1e-10, n=2),)
+    return cls("residual 1.000e+00 exceeds tolerance", records, {"hermiticity": 1.0, "n_eigenspaces": 2})
 
 
 def test_every_exception_class_is_covered():
@@ -37,7 +38,7 @@ def test_exceptions_pickle_with_message_and_residuals(cls):
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is cls
     assert str(back) == str(exc)
-    assert back.residuals == exc.residuals
+    assert back.residuals == exc.residuals and back.records == exc.records
     assert vars(back) == vars(exc)
 
 
@@ -69,4 +70,5 @@ def test_a_failing_check_carries_its_residuals(trigger, cls, message, residuals)
         trigger()
     assert type(exc.value) is cls and str(exc.value) == message
     assert exc.value.residuals == residuals
+    assert exc.value.records and all(type(r) is linalg.Judgement for r in exc.value.records)
     assert all(type(v) is float for v in exc.value.residuals.values())

@@ -100,7 +100,7 @@ def check_the_factored_values(rng, a, obs, from_eigh):
     tol = eps_n(n)
 
     recon = frobenius_norm(a - sum(lam * p for lam, p in obs.spectrum))
-    assert abs(obs.reconstruction_residual - recon) <= tol * max(1.0, np.linalg.norm(a))
+    assert abs(obs.residuals["reconstruction"] - recon) <= tol * max(1.0, np.linalg.norm(a))
 
     phases = PhaseVector(random_phases(rng, len(factored)))
     mirror = phase_superpose_projectors(factored, phases)
@@ -162,9 +162,9 @@ def test_a_gram_residual_above_the_rounding_allowance_keeps_the_per_projector_va
     a = (vecs * vals) @ vecs.conj().T
     labels = np.repeat(np.arange(len(pset)), [round(np.trace(p).real) for p in pset.projectors])
     recon = (vecs * np.array(obs.eigenvalues)[labels]) @ vecs.conj().T
-    assert obs.reconstruction_residual == np.linalg.norm(a - recon)
+    assert obs.residuals["reconstruction"] == np.linalg.norm(a - recon)
     summed = sum(lam * p for lam, p in obs.spectrum)
-    assert abs(obs.reconstruction_residual - np.linalg.norm(a - summed)) <= eps_n(n) * max(
+    assert abs(obs.residuals["reconstruction"] - np.linalg.norm(a - summed)) <= eps_n(n) * max(
         1.0, np.linalg.norm(a))
     phases = PhaseVector(random_phases(rng, len(pset)))
     summed = stacked_phase_sum(pset.projectors, phases.phases)

@@ -464,21 +464,23 @@ def test_a_non_finite_array_is_written_with_quoted_strings():
     assert json.loads(text) == {"a": [[1.5, "nan"], ["inf", "-inf"]]}
 
 
-def seed1_projectors(n=32):
-    """The rank-1 projectors of a seed-1 Haar unitary (QR of a complex
-    Gaussian, the phases of diag(R) moved into Q), the benchmark's n = 32 file."""
+def seed1_matrices(n=32):
+    """n matrices of n x n entries whose real and imaginary parts are seed-1 integers below
+    2^53 in size times powers of two from 2^-60 to 2^4: exact floats, most of which need all
+    17 digits, formed by elementwise operations alone, so that no BLAS kernel moves a bit."""
     rng = np.random.default_rng(1)
-    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    basis = q * (np.diag(r) / np.abs(np.diag(r)))
-    return [np.outer(basis[:, k], basis[:, k].conj()) for k in range(n)]
+    mantissas = rng.integers(-2**53, 2**53, size=(2, n, n, n)).astype(float)  # exact below 2^53
+    mats = np.empty((n, n, n), dtype=complex)
+    mats.real, mats.imag = np.ldexp(mantissas, rng.integers(-60, 5, size=(2, n, n, n)))
+    return mats
 
 
 def test_the_seed1_n32_projector_file_keeps_its_bytes(tmp_path):
     """The SHA-256 of the 65,536-float file as the per-float list walk wrote it."""
     path = tmp_path / "projectors.json"
-    save_operator_file(path, "projector_set", seed1_projectors())
+    save_operator_file(path, "projector_set", list(seed1_matrices()))
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "bbf90bf5e4756e05407ad3bce45b773e8e66e949f0dc027434864381262f7473"
+    assert digest == "b7ec8275c568a5246d8854c620da146a939538b42d8c6de14419f52f6556ceac"
 
 
 @pytest.mark.parametrize("matrices", [

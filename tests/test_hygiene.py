@@ -7,7 +7,8 @@ them, not the caller), every private top-level name is read somewhere in
 the package, ``qmeasure.__all__`` is exactly what ``__init__.py``
 imports, each name resolving, and every exception class of ``errors.py`` is
 raised (constructed) somewhere else in the package, each judging error with
-its residuals. Only ``measurement.py``, which stores a projector set, reads
+its records, and only ``linalg.judge`` asks ``within_tol``: every verdict is a
+record of that one judge. Only ``measurement.py``, which stores a projector set, reads
 its spectral factor ``_factor``. The package stays within
 its line cap, a ratchet: lower ``LINE_CAP`` when the package shrinks, so that
 growth needs a visible edit here. ``ERRSTATE_CAP`` is the same ratchet on its
@@ -32,7 +33,7 @@ PACKAGE = pathlib.Path(qmeasure.__file__).resolve().parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 RECEIVERS = {"self", "cls"}
-LINE_CAP = 2208  # lines in src/qmeasure/*.py, as ``wc -l`` counts them
+LINE_CAP = 2207  # lines in src/qmeasure/*.py, as ``wc -l`` counts them
 ERRSTATE_CAP = 9  # np.errstate calls in src/qmeasure/*.py, decorators and with blocks alike
 # the module-level float literals whose judges take no tol (README, Tolerances)
 FIXED_FLOATS = {"DEFAULT_TOL", "NORM_TOL", "PROB_FLOOR", "UNIMODULAR_TOL"}
@@ -139,38 +140,73 @@ def test_every_exception_class_is_constructed_outside_errors():
     assert sorted(classes - constructed) == []
 
 
-# every QmeasureError but these judges a residual, so its construction passes ``residuals``
+# every QmeasureError but these judges a residual, so its construction passes its ``records``
 UNJUDGING_ERRORS = {"DimensionMismatch", "UnknownOutcome", "ParseError"}
 
 
-def constructions_without_residuals(tree: ast.AST, judging: set[str]) -> list[str]:
-    """``line:call`` for each call constructing a judging error (by name, or by
-    either branch of a conditional) with neither a second argument nor ``residuals=``."""
+def constructions_without_records(tree: ast.AST, judging: set[str]) -> list[str]:
+    """``line:call`` for each call constructing a judging error (by name, or by either
+    branch of a conditional) with neither a second argument nor ``records=``: its residuals
+    are its records' own, or the judged object's map beside them."""
     missing = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             called = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.func)
                       if isinstance(n, (ast.Name, ast.Attribute))}
-            passes = len(node.args) >= 2 or any(k.arg == "residuals" for k in node.keywords)
+            passes = len(node.args) >= 2 or any(k.arg == "records" for k in node.keywords)
             if called & judging and not passes:
                 missing.append(f"{node.lineno}:{ast.unparse(node.func)}")
     return missing
 
 
 def test_constructions_without_residuals_are_found():
-    tree = ast.parse("NotMirror('m')\n(IncompleteSet if p else NotPositive)('m', {})\n"
-                     "errors.NotHermitian('m', residuals={})\nParseError('m')\n")
-    judging = {"NotMirror", "IncompleteSet", "NotPositive", "NotHermitian"}
-    assert constructions_without_residuals(tree, judging) == ["1:NotMirror"]
+    tree = ast.parse("NotMirror('m')\n(IncompleteSet if p else NotPositive)('m', ())\n"
+                     "errors.NotHermitian('m', records=())\nParseError('m')\n"
+                     "NotUnitary('m', residuals={})\n")
+    judging = {"NotMirror", "IncompleteSet", "NotPositive", "NotHermitian", "NotUnitary"}
+    assert constructions_without_records(tree, judging) == ["1:NotMirror", "5:NotUnitary"]
 
 
 @pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "errors.py"])
 def test_every_judging_error_is_constructed_with_its_residuals(module):
+    """Every judging error carries the records it was judged with."""
     judging = {name for name, cls in vars(qmeasure.errors).items() if isinstance(cls, type)
                and issubclass(cls, qmeasure.errors.QmeasureError)} - UNJUDGING_ERRORS
     assert "QmeasureError" in judging and len(judging) == 10
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-    assert constructions_without_residuals(tree, judging) == []
+    assert constructions_without_records(tree, judging) == []
+
+
+def within_tol_calls(tree: ast.AST) -> list[str]:
+    """``line:function`` for each call of ``within_tol`` (by name or as an attribute) made
+    outside a function named ``judge``."""
+    calls = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            func = getattr(child, "func", None)
+            if isinstance(child, ast.Call) and getattr(func, "id", getattr(func, "attr", None)) \
+                    == "within_tol" and owner != "judge":
+                calls.append(f"{child.lineno}:{owner}")
+            visit(child, owner)
+    visit(tree, None)
+    return calls
+
+
+def test_within_tol_calls_are_found():
+    tree = ast.parse("def judge(v):\n    return within_tol(v, 1.0)\n"
+                     "def f(v):\n    return linalg.within_tol(v, 1.0)\n"
+                     "ok = within_tol(1.0, 1.0)\n"
+                     "def g():\n    def judge():\n        within_tol(0, 1)\n    within_tol(0, 1)\n")
+    assert within_tol_calls(tree) == ["4:f", "5:None", "9:g"]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_only_the_judge_asks_within_tol(module):
+    assert within_tol_calls(ast.parse((PACKAGE / module).read_text(encoding="utf-8"))) == []
 
 
 def factor_reads(tree: ast.AST) -> list[int]:

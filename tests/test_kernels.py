@@ -279,7 +279,7 @@ def test_residuals_of_a_32_projector_family_stay_within_budget():
     tracemalloc.start()
     try:
         res = OperatorResiduals(projs)
-        assert res.failure(1e-10) is None
+        assert res.judge(1e-10)[1] is None
         res.lowest
         commutation_residuals(unit, pset)
         superpose_operators(opset, phases)
@@ -464,7 +464,7 @@ def test_judges_equal_the_per_matrix_expressions_on_one_and_several_tiles(n):
                     pairs = loop_pairs(mats) if small else None
                 for povm in (True, False):
                     res = OperatorResiduals(mats)
-                    failure = res.failure(1e-10, povm)
+                    failure = res.judge(1e-10, povm)[1]
                     assert failure is not None  # neither Gaussian nor Hermitian parts pass
                     np.testing.assert_array_equal(res.norms, norms, strict=True)
                     np.testing.assert_array_equal(res.hermiticity, hermiticity, strict=True)
@@ -504,6 +504,26 @@ def test_family_calls_stay_within_budget():
     budget = {name: 1 << 20 for name in calls}
     budget["povm_from_operators"] += stack_bytes
     assert {name: peak <= budget[name] for name, peak in peaks.items()} == dict.fromkeys(calls, True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 32])
+def test_povm_elements_equal_the_tiled_products_bit_for_bit(n):
+    """A family of one tile forms its elements as one product of the whole stack, a larger
+    one tile by tile into one array: either way each element is, bit for bit, the product
+    ``matmul(_adjoint(tile), tile, out=...)`` forms on its tile, and the adjoint's product
+    with the matrix. One operator, a full tile and a tile plus one."""
+    rng = np.random.default_rng(100 + n)
+    for count in family_counts(n):
+        opset = MeasurementOperatorSet([random_unitary(rng, n) / math.sqrt(count)
+                                        for _ in range(count)])
+        tiled = np.empty_like(opset._stack)
+        for lo, tile in linalg.stacks(opset._stack):
+            np.matmul(linalg._adjoint(tile), tile, out=tiled[lo:lo + len(tile)])
+        povm = povm_from_operators(opset)
+        np.testing.assert_array_equal(povm._stack, tiled, strict=True)
+        for element, m in zip(povm.elements, opset.operators):
+            np.testing.assert_array_equal(element, linalg._adjoint(m) @ m, strict=True)
+        assert povm.records[0].proved and povm.records[0].passed
 
 
 def test_library_sets_are_not_stacked_again(corpus, monkeypatch):

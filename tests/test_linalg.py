@@ -49,7 +49,7 @@ def test_commutator_of_commuting_matrices_is_zero():
 
 def test_hermitian_eig_pauli_x_oracle():
     vals, vecs, hermiticity, scale = linalg.guarded_eigh(PAULI_X)
-    assert hermiticity == 0.0 and scale == math.sqrt(2.0)
+    assert hermiticity.residual == 0.0 and hermiticity.passed and scale == math.sqrt(2.0)
     assert vals == pytest.approx([-1.0, 1.0], abs=1e-12)
     minus = np.array([RT2, -RT2])
     plus = np.array([RT2, RT2])
@@ -198,13 +198,33 @@ def test_expm_oracle_scales_the_largest_finite_norm():
 
 
 def test_unitarity_residuals_detects_both_sides():
-    assert linalg._require_unitary(linalg.as_matrix(np.eye(3)), 1e-10) == {
-        "unitarity_left": 0.0, "unitarity_right": 0.0}
+    left, right = linalg._require_unitary(linalg.as_matrix(np.eye(3)), 1e-10)
+    assert left.residuals | right.residuals == {"unitarity_left": 0.0, "unitarity_right": 0.0}
     # (2I)^dag (2I) - I = 3I, so both residuals are 3*sqrt(2)
     with pytest.raises(NotUnitary) as info:
         linalg._require_unitary(linalg.as_matrix(2 * np.eye(2)), 1e-10)
     assert info.value.residuals == pytest.approx(
         {"unitarity_left": 3.0 * math.sqrt(2.0), "unitarity_right": 3.0 * math.sqrt(2.0)})
+
+
+def test_the_judge_records_its_verdict():
+    """A value, its threshold tol * max(1, scale) and floor eps_n * scale; an array's
+    first failing entry in row-major order, else its largest; a proof; an overflowed scale."""
+    record = linalg.judge("q", 2e-10, 1e-10, 4.0, n=2)
+    assert record == linalg.Judgement("q", 2e-10, 1e-10, 4.0, 2, None, True, False)
+    assert (record.threshold, record.floor) == (4e-10, linalg._rounding_allowance(2) * 4.0)
+    assert not record.overflowed and not record.proved
+    entries, scales = np.array([[0.0, 3.0], [5.0, 1.0]]), np.array([[1.0, 1.0], [100.0, 1.0]])
+    failed = linalg.judge("pairs", entries, 2.0, scales, n=2)
+    assert (failed.where, failed.residual, failed.threshold, failed.passed) == ((0, 1), 3.0, 2.0, False)
+    passed = linalg.judge("pairs", entries, 10.0, scales, n=2)
+    assert (passed.where, passed.residual, passed.threshold, passed.passed) == ((1, 0), 5.0, 1000.0, True)
+    assert type(passed.residual) is float and type(passed.where[0]) is int
+    proof = linalg.judge("bound", 1e-12, 1e-10, n=3, proved=True)
+    assert proof.proved and proof.passed and proof.residuals == {"bound": 1e-12}
+    over = linalg.judge("hermiticity", 1.0, 1e-10, math.inf, n=2)
+    assert over.overflowed and not over.passed and over.threshold == math.inf
+    assert over.note == "residual 1.000e+00; its norm overflowed, so the threshold is inf"
 
 
 NON_SQUARE = np.ones((2, 3))

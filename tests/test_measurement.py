@@ -470,7 +470,7 @@ def test_projector_set_names_first_violation():
     with pytest.raises(IncompleteSet, match="do not sum to the identity"):
         ProjectorSet((p0,))
     res = OperatorResiduals((np.array([[0, 1], [0, 0]], dtype=complex),))
-    failure = res.failure(1e-10)
+    failure = res.judge(1e-10)[1]
     assert isinstance(failure, NotHermitian)
     assert "projector 0 is not Hermitian" in str(failure)
     assert "pairs" not in vars(res)  # no pair products once hermiticity fails
@@ -492,7 +492,7 @@ def test_projector_residuals_match_pairwise_definition():
         np.linalg.norm(pi @ pj - (pi if i == j else 0.0))
         / max(1.0, np.linalg.norm(pi) * np.linalg.norm(pj))
         for i, pi in enumerate(projs) for j, pj in enumerate(projs))
-    assert res.failure(1e-10) is None
+    assert res.judge(1e-10)[1] is None
     assert np.max(res.pairs) < 1e-14
 
 
@@ -562,8 +562,8 @@ def test_family_hermiticity_names_an_overflowed_scale():
     # each ||P_k||_F overflows, so each threshold is inf
     res = OperatorResiduals((np.diag([1e308, 0.0]).astype(complex),
                              np.diag([1e308, 1.0]).astype(complex)))
-    assert str(res.failure(1e-10)) == f"projector 0 is not Hermitian ({OVERFLOW_NOTE})"
-    assert str(res.failure(1e-10, povm=True)) == f"POVM element 0 is not Hermitian ({OVERFLOW_NOTE})"
+    assert str(res.judge(1e-10)[1]) == f"projector 0 is not Hermitian ({OVERFLOW_NOTE})"
+    assert str(res.judge(1e-10, povm=True)[1]) == f"POVM element 0 is not Hermitian ({OVERFLOW_NOTE})"
 
 
 def test_observable_rejects_overflowing_hermiticity_residual():
@@ -587,7 +587,7 @@ def test_failed_reconstruction_is_a_qmeasure_error():
 def test_tiny_distinct_eigenvalues_keep_their_eigenspaces():
     """A gap of 1e-9 is far above eps_n ||A||_F, so diag(1e-9, 2e-9) keeps two eigenspaces."""
     obs = spectral_decompose(_diag(1e-9, 2e-9))
-    assert obs.eigenvalues == (1e-9, 2e-9) and obs.reconstruction_residual == 0.0
+    assert obs.eigenvalues == (1e-9, 2e-9) and obs.residuals["reconstruction"] == 0.0
 
 
 def test_observable_reconstruction_random():
@@ -599,7 +599,7 @@ def test_observable_reconstruction_random():
         vecs, labels = obs.projector_set()._factor  # eigenvectors, eigenspace of each
         recon = (vecs * np.array(obs.eigenvalues)[labels]) @ vecs.conj().T
         assert np.linalg.norm(recon - a) < 1e-10 * max(1.0, np.linalg.norm(a))
-        assert obs.reconstruction_residual == np.linalg.norm(a - recon)
+        assert obs.residuals["reconstruction"] == np.linalg.norm(a - recon)
         obs.projector_set()  # eigenprojectors form a valid complete set
 
 
@@ -645,7 +645,8 @@ def decompose_planted(vals, vecs, tol):
     """spectral_decompose of V diag(vals) V^dag with its eigensolver
     returning the planted (vals, V)."""
     a = (vecs * vals) @ vecs.conj().T
-    planted = (vals, vecs, 0.0, np.linalg.norm(a))
+    scale = np.linalg.norm(a)
+    planted = (vals, vecs, linalg.judge("hermiticity", 0.0, tol, scale, n=len(vals)), scale)
     with mock.patch.object(linalg, "guarded_eigh", return_value=planted):
         return spectral_decompose(a, tol=tol)
 
@@ -667,7 +668,7 @@ def test_gram_certificate_implies_the_generic_projector_check(n, degenerate, pla
     vals, vecs = planted_eigenpairs(np.random.default_rng(seed), n, degenerate, plant,
                                     ratio * tau)
     gram = np.linalg.norm(vecs.conj().T @ vecs - np.eye(n))
-    oracle = OperatorResiduals(planted_projectors(vals, vecs)).failure(tol)
+    oracle = OperatorResiduals(planted_projectors(vals, vecs)).judge(tol)[1]
     if gram <= tau:
         assert oracle is None
     try:
@@ -688,7 +689,7 @@ def test_gram_certificate_skips_the_pair_check_only_within_its_threshold(plant):
     tau = measurement._gram_threshold(8, tol)
     for ratio, pair_checks in ((0.9, 0), (1.1, 1)):
         vals, vecs = planted_eigenpairs(rng, 8, False, plant, ratio * tau)
-        oracle = OperatorResiduals(planted_projectors(vals, vecs)).failure(tol)
+        oracle = OperatorResiduals(planted_projectors(vals, vecs)).judge(tol)[1]
         with mock.patch.object(measurement, "OperatorResiduals",
                                wraps=OperatorResiduals) as spy:
             if oracle is None:
@@ -844,7 +845,7 @@ def test_povm_rejects_non_hermitian():
 def test_povm_first_violation_messages_and_lazy_eigenvalues():
     e = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
     res = OperatorResiduals((e, np.eye(2, dtype=complex) - e))
-    failure = res.failure(1e-10, povm=True)
+    failure = res.judge(1e-10, povm=True)[1]
     assert isinstance(failure, NotHermitian)
     assert str(failure) == "POVM element 0 is not Hermitian (residual 7.071e-01)"
     assert "lowest" not in vars(res)  # no eigenvalues once hermiticity fails
@@ -857,7 +858,7 @@ def test_povm_first_violation_messages_and_lazy_eigenvalues():
     with pytest.raises(IncompleteSet,
                        match=r"^POVM elements do not sum to the identity \(residual 7.071e-01\)$"):
         Povm((np.diag([0.5, 0.5]).astype(complex),))
-    assert OperatorResiduals((np.eye(2, dtype=complex),)).failure(1e-10, povm=True) is None
+    assert OperatorResiduals((np.eye(2, dtype=complex),)).judge(1e-10, povm=True)[1] is None
 
 
 def test_every_dimension_rule_words_one_message():

@@ -334,9 +334,9 @@ def per_call_bell_report(bell_index, mirror_, tol):
     rho = bell.density_matrix()
     ext = povm_probabilities(Povm((e0, e1), tol=tol), rho)
     left = unit.residuals["unitarity_left"]  # {U}'s completeness: a U judged at a looser tol
-    if not linalg.within_tol(left, tol, 2.0):  # is refused as an incomplete set
+    if not (complete := linalg.judge("completeness", left, tol, 2.0, n=4)).passed:  # is refused
         raise IncompleteSet(f"operator set fails completeness (residual {left:.3e}); "
-                            "it cannot be measured", {"completeness": left})
+                            "it cannot be measured", (complete,))
     internal = float(povm_probabilities(
         Povm((unit.matrix.conj().T.copy() @ unit.matrix,), tol=tol), rho)[0])
     preservation = verify_probability_preservation(unit, comp, bell, tol)
@@ -349,7 +349,8 @@ def per_call_bell_report(bell_index, mirror_, tol):
         internal_probability=internal,
         internal_identity_residual=unit.residuals["unitarity_left"],
         preservation=preservation,
-        passed=linalg.within_tol(abs(internal - 1.0), tol) and preservation.passed,
+        records=(linalg.judge("internal_deviation", abs(internal - 1.0), tol, n=4),
+                 *preservation.records),
     )
 
 

@@ -96,7 +96,7 @@ def test_a_povm_of_products_is_judged_as_the_judge_judges_its_elements(
     tol = 2 * allowance(n, c) * 10.0 ** log_ratio
     proved = proves(n, c, tol)
     if proved:  # the legs the proof skips pass the judge; only completeness may fail
-        failure = OperatorResiduals(elements).failure(tol, povm=True)
+        failure = OperatorResiduals(elements).judge(tol, povm=True)[1]
         assert failure is None or isinstance(failure, IncompleteSet)
 
     def build():
@@ -174,5 +174,5 @@ def test_the_proof_implies_the_positivity_judge():
     k = allowance(8, 0.0)
     element = np.diag([-k, 0.5] + [0.0] * 6).astype(complex)  # ||E||_F < 1: scale 1
     for tol, positive in ((2 * k, True), (k, True), (np.nextafter(k, 0.0), False)):
-        failure = OperatorResiduals(np.array([element])).failure(tol, povm=True)
+        failure = OperatorResiduals(np.array([element])).judge(tol, povm=True)[1]
         assert isinstance(failure, NotPositive) != positive
