@@ -38,7 +38,7 @@ from .fileio import (
     load_state_file,
     save_operator_file,
 )
-from .linalg import DEFAULT_TOL, _require_same_dims, judge, vector_norm
+from .linalg import DEFAULT_TOL, _require_same_dims, judge
 from .measurement import (
     NORM_TOL,
     MeasurementOperatorSet,
@@ -115,11 +115,10 @@ def _load_unitary_matrix(path: str) -> np.ndarray:
 
 
 def _load_state(path: str, warnings: list[str]) -> QuantumState:
-    vec = load_state_file(path)
-    norm = math.prod(vector_norm(vec))  # scale * norm, as QuantumState forms it
-    if abs(norm - 1.0) > NORM_TOL:
-        warnings.append(f"input state renormalized (norm was {format_float(norm)})")
-    return QuantumState(vec, normalize=True)
+    psi = QuantumState(load_state_file(path), normalize=True)
+    if abs(psi.input_norm - 1.0) > NORM_TOL:
+        warnings.append(f"input state renormalized (norm was {format_float(psi.input_norm)})")
+    return psi
 
 
 # ---------------------------------------------------------------------------

@@ -40,25 +40,27 @@ PROB_FLOOR = 1e-12  # outcomes below this probability are unrealizable
 class QuantumState(linalg._Frozen):
     """Normalized state vector |psi> in C^dim.
 
-    Strict by default: amplitudes must already have unit norm within 1e-12.
-    Pass ``normalize=True`` to rescale arbitrary nonzero input instead.
+    Strict by default: amplitudes must already have unit norm (``input_norm``, their norm
+    as given) within 1e-12. Pass ``normalize=True`` to rescale arbitrary nonzero input instead.
     """
 
     amplitudes: np.ndarray
     normalize: InitVar[bool] = False
+    input_norm: float = field(init=False, repr=False)
 
     def __post_init__(self, normalize: bool):
         amps = as_vector(self.amplitudes)
         scale, norm = linalg.vector_norm(amps)
         if scale == 0.0:
             raise ValueError("state vector must be nonzero")
+        object.__setattr__(self, "input_norm", scale * norm)
         if normalize:  # amps is a copy of the input: divided in place
             if scale != 1.0:
                 amps /= scale
             amps /= norm
-        elif abs(scale * norm - 1.0) > NORM_TOL:
+        elif abs(self.input_norm - 1.0) > NORM_TOL:
             raise ValueError(
-                f"state vector norm {scale * norm!r} differs from 1 by more than "
+                f"state vector norm {self.input_norm!r} differs from 1 by more than "
                 f"{NORM_TOL:g}; pass normalize=True to rescale"
             )
         object.__setattr__(self, "amplitudes", freeze(amps))
@@ -129,23 +131,65 @@ def _coerce_square_family(mats, what: str) -> np.ndarray:
 
 
 class _Family:
-    """A family held once, as the frozen ``(N, n, n)`` stack ``_stack``; its tuple holds views."""
+    """A family held once, as the frozen ``(N, n, n)`` stack ``_stack``; its tuple holds views. A
+    projector set or POVM judges itself (:meth:`_admit`) on residuals of that stack, each formed once,
+    when first read; norms, from 128 KiB stacks, equal a per-matrix ``np.linalg.norm`` bit for bit."""
 
     _gram = math.inf  # a factored set's eigenvector Gram residual g; a dense family has none
+    _element = "projector"  # how a failure names one operator
 
     def _hold(self, name: str, stack: np.ndarray):
         object.__setattr__(self, name, tuple(stack))
         object.__setattr__(self, "_stack", stack)
         return self
 
-    def _admit(self, tol: float, povm: bool = False):
-        """Raise the first requirement the held stack fails as a projector set (a POVM with
-        ``povm``), or keep the ``records`` it passed. A stack the library made is held uncopied."""
-        records, failure = self._judged.judge(tol, povm)
-        if failure is not None:
-            raise failure
+    @np.errstate(over="ignore", invalid="ignore")
+    def _admit(self, tol: float):
+        """Raise the first requirement the held stack fails, each condition its one class, or keep the
+        ``records`` it passed: ``hermiticity`` against ||P_k||_F; for Hermitian operators only, the
+        class's own :meth:`_leg`; then ``completeness`` against sqrt(n). Its stack is held uncopied."""
+        n, what = self.dim, self._element
+        records = (herm := linalg.judge("hermiticity", self._hermiticity, tol, self._norms, n=n),)
+        if not herm.passed:
+            raise NotHermitian(f"{what} {herm.where[0]} is not Hermitian ({herm.note})", records,
+                               self._residuals())
+        records = self._leg(tol, records)
+        records += (complete := linalg.judge("completeness", self._completeness, tol, math.sqrt(n), n=n),)
+        if not complete.passed:
+            raise IncompleteSet(f"{what}s do not sum to the identity ({complete.note})", records,
+                                self.residuals)
         vars(self)["records"] = records
         return self
+
+    @cached_property
+    def _norms_and_hermiticity(self) -> np.ndarray:  # the two rows, one frobenius_norms per tile
+        return np.concatenate([linalg.frobenius_norms(np.concatenate((s, s - s.conj().swapaxes(1, 2))))
+                               .reshape(2, -1) for _, s in linalg.stacks(self._stack)], axis=1)
+
+    _norms = property(lambda self: self._norms_and_hermiticity[0])  # ||P_k||_F
+    _hermiticity = property(lambda self: self._norms_and_hermiticity[1])  # ||P_k - P_k^dag||_F
+
+    @cached_property
+    def _pairs(self) -> np.ndarray:  # ||P_i P_j - delta_ij P_i||_F
+        return linalg.orthogonality_residuals(self._stack, self._stack)
+
+    @cached_property
+    def _pair_scales(self) -> np.ndarray:  # max(1, ||P_i||_F ||P_j||_F)
+        return np.maximum(1.0, np.outer(self._norms, self._norms))
+
+    @cached_property
+    def _completeness(self) -> float:  # ||sum_k P_k - I||_F
+        return linalg._norm(sum(self._stack) - linalg._identity(self.dim))
+
+    @cached_property
+    def _lowest(self) -> np.ndarray:  # smallest eigenvalue of each P_k
+        return np.concatenate([linalg.lowest_eigenvalue(s) for _, s in linalg.stacks(self._stack)])
+
+    def _residuals(self, **leg: float) -> dict[str, float]:
+        """What a report prints, in its order: ``hermiticity_max``, the ``leg`` of Hermitian
+        operators (a projector set's ``orthogonality_max``), ``completeness``."""
+        return {"hermiticity_max": float(np.max(self._hermiticity)), **leg,
+                "completeness": self._completeness}
 
     def __getstate__(self) -> dict:  # pickle and deepcopy: the stack or a factor and its g, no cache
         return {k: v for k, v in vars(self).items() if k in ("_stack", "_factor", "_gram", "records")}
@@ -163,10 +207,6 @@ class _Family:
 
     def __len__(self) -> int:
         return len(self._stack)
-
-    @cached_property
-    def _judged(self) -> OperatorResiduals:  # formed on first read
-        return OperatorResiduals(self._stack)
 
     def _proves_mirror(self, phases, tol: float) -> linalg.Judgement:
         """The record of whether g proves each phase sum U = V D V^dag a unitary mirror of the set
@@ -223,8 +263,9 @@ def validate_completeness(opset: MeasurementOperatorSet,
     return linalg.judge("completeness", opset.completeness_residual, tol, math.sqrt(n), n=n)
 
 
-def _require_complete(opset: MeasurementOperatorSet, tol: float) -> None:
-    if not (complete := validate_completeness(opset, tol)).passed:
+def _require_complete(opset: MeasurementOperatorSet, tol: float, complete=None) -> None:
+    """Raise ``IncompleteSet`` unless the ``completeness`` record, judged here unless given, passed."""
+    if not (complete := complete or validate_completeness(opset, tol)).passed:
         raise IncompleteSet(f"operator set fails completeness (residual {complete.residual:.3e}); "
                             "it cannot be measured", (complete,))
 
@@ -295,88 +336,6 @@ def sample_histogram(opset: MeasurementOperatorSet, psi: QuantumState,
 
 
 @dataclass(frozen=True, eq=False)
-class OperatorResiduals:
-    """Every residual a projector set or a POVM is judged on, each computed once, when first read
-    (norms and hermiticity together) under the errstate of :meth:`judge`, or by ``residuals``.
-    Norms come from 128 KiB stacks and equal a per-matrix ``np.linalg.norm`` bit for bit."""
-
-    operators: np.ndarray  # a stack (or a sequence) of square matrices of one dimension
-
-    @cached_property
-    def _norms_and_hermiticity(self) -> np.ndarray:  # the two rows, one frobenius_norms per tile
-        return np.concatenate([linalg.frobenius_norms(np.concatenate((s, s - s.conj().swapaxes(1, 2))))
-                               .reshape(2, -1) for _, s in linalg.stacks(self.operators)], axis=1)
-
-    @property
-    def norms(self) -> np.ndarray:  # ||P_k||_F
-        return self._norms_and_hermiticity[0]
-
-    @property
-    def hermiticity(self) -> np.ndarray:  # ||P_k - P_k^dag||_F
-        return self._norms_and_hermiticity[1]
-
-    @cached_property
-    def pairs(self) -> np.ndarray:  # ||P_i P_j - delta_ij P_i||_F
-        return linalg.orthogonality_residuals(self.operators, self.operators)
-
-    @cached_property
-    def pair_scales(self) -> np.ndarray:  # max(1, ||P_i||_F ||P_j||_F)
-        return np.maximum(1.0, np.outer(self.norms, self.norms))
-
-    @cached_property
-    def completeness(self) -> float:  # ||sum_k P_k - I||_F
-        return linalg._norm(sum(self.operators) - linalg._identity(len(self.operators[0])))
-
-    @cached_property
-    def lowest(self) -> np.ndarray:  # smallest eigenvalue of each P_k
-        return np.concatenate([linalg.lowest_eigenvalue(s)
-                               for _, s in linalg.stacks(self.operators)])
-
-    def residuals(self, povm: bool = False, hermitian: bool = True) -> dict[str, float]:
-        """What a report prints, in its order: ``hermiticity_max``, then
-        ``orthogonality_max`` (the largest pair residual over its scale) of
-        projectors or ``min_eigenvalue`` of POVM elements, either only for
-        ``hermitian`` operators, and ``completeness``."""
-        out = {"hermiticity_max": float(np.max(self.hermiticity))}
-        if hermitian and not povm:
-            out["orthogonality_max"] = float(np.max(self.pairs / self.pair_scales))
-        out["completeness"] = self.completeness
-        if hermitian and povm:
-            out["min_eigenvalue"] = float(np.min(self.lowest))
-        return out
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def judge(self, tol: float, povm: bool = False) -> tuple[tuple, QmeasureError | None]:
-        """The records of the requirements judged at ``tol`` as a projector set (a POVM with
-        ``povm``), up to the first that fails, and its error (carrying them and :meth:`residuals`)
-        or None: ``hermiticity`` against ||P_k||_F; for Hermitian operators only, the ``pairs``
-        against ``pair_scales``, or the ``negativity`` -``lowest`` against ||P_k||_F; then
-        ``completeness`` against sqrt(n). Each condition raises its one class, whatever the kind."""
-        n, what = len(self.operators[0]), "POVM element" if povm else "projector"
-        records = (herm := linalg.judge("hermiticity", self.hermiticity, tol, self.norms, n=n),)
-        if not herm.passed:
-            return records, NotHermitian(f"{what} {herm.where[0]} is not Hermitian ({herm.note})",
-                                         records, self.residuals(povm, hermitian=False))
-        if povm:
-            records += (leg := linalg.judge("negativity", -self.lowest, tol, self.norms, n=n),)
-            if not leg.passed:
-                return records, NotPositive(f"POVM element {leg.where[0]} has negative eigenvalue "
-                                            f"{-leg.residual:.3e}", records, self.residuals(povm))
-        else:
-            records += (leg := linalg.judge("pairs", self.pairs, tol, self.pair_scales, n=n),)
-            if not leg.passed:
-                i, j = leg.where
-                kind = "idempotence" if i == j else "orthogonality"
-                return records, InvalidProjectorSet(f"projectors ({i}, {j}) violate {kind} "
-                                                    f"(residual {leg.residual:.3e})", records, self.residuals())
-        records += (complete := linalg.judge("completeness", self.completeness, tol, math.sqrt(n), n=n),)
-        if not complete.passed:
-            return records, IncompleteSet(f"{what}s do not sum to the identity ({complete.note})",
-                                          records, self.residuals(povm))
-        return records, None
-
-
-@dataclass(frozen=True, eq=False)
 class ProjectorSet(_Family):
     """Complete set of orthogonal projectors: each P_m Hermitian and
     idempotent, P_m P_m' = delta_mm' P_m, and sum_m P_m = I."""
@@ -387,9 +346,20 @@ class ProjectorSet(_Family):
     def __post_init__(self, tol: float):
         self._hold("projectors", _coerce_square_family(self.projectors, "projector set"))._admit(tol)
 
+    def _leg(self, tol: float, records: tuple) -> tuple:
+        """``records`` and the ``pairs`` ||P_i P_j - delta_ij P_i||_F judged against
+        max(1, ||P_i||_F ||P_j||_F), or the ``InvalidProjectorSet`` of the first that fails."""
+        records += (leg := linalg.judge("pairs", self._pairs, tol, self._pair_scales, n=self.dim),)
+        if not leg.passed:
+            i, j = leg.where
+            kind = "idempotence" if i == j else "orthogonality"
+            raise InvalidProjectorSet(f"projectors ({i}, {j}) violate {kind} (residual {leg.residual:.3e})",
+                                      records, self.residuals)
+        return records
+
     @property
     def residuals(self) -> dict[str, float]:
-        return self._judged.residuals()
+        return self._residuals(orthogonality_max=float(np.max(self._pairs / self._pair_scales)))
 
     def to_operator_set(self) -> MeasurementOperatorSet:  # shares the frozen stack
         return object.__new__(MeasurementOperatorSet)._hold("operators", self._stack)
@@ -516,19 +486,21 @@ def spectral_decompose(a, tol: float = DEFAULT_TOL) -> Observable:
     gram = linalg._norm(vecs.conj().T @ vecs - linalg._identity(n))
     certificate = linalg.judge("gram", gram, _gram_threshold(n, tol), n=n, proved=True)
     pset = object.__new__(_FactoredSet)  # certified below
-    vars(pset).update(_factor=(freeze(vecs), freeze(labels)), _gram=gram, records=(certificate,))
+    vars(pset).update(_factor=(freeze(vecs), freeze(labels)), _gram=gram)
     recon = linalg.judge("reconstruction", linalg._norm(a - pset._phase_sum(lams)), tol, scale, n=n)
     obs = Observable(freeze(a), tuple(lams.tolist()), (hermiticity, recon), pset)  # returned if judged
     if not recon.passed:
         raise QmeasureError(f"spectrum does not reconstruct the observable ({recon.note})",
                             obs.records, obs.residuals)
+    records = (certificate,)
     if not certificate.passed:
-        records, failure = pset._judged.judge(tol)
-        if failure is not None:
+        try:
+            records += pset._admit(tol).records
+        except QmeasureError as failure:
             raise InvalidProjectorSet(f"eigenvector Gram residual {gram:.3e} exceeds its threshold "
                                       f"{certificate.threshold:.3e} at tol {tol:g}, and {failure}",
-                                      (certificate, *records), obs.residuals)
-        vars(pset)["records"] += records
+                                      (certificate, *failure.records), obs.residuals) from failure
+    vars(pset)["records"] = records
     return obs
 
 
@@ -538,13 +510,23 @@ class Povm(_Family):
 
     elements: tuple[np.ndarray, ...]
     tol: InitVar[float] = DEFAULT_TOL
+    _element = "POVM element"
 
     def __post_init__(self, tol: float):
-        self._hold("elements", _coerce_square_family(self.elements, "POVM"))._admit(tol, povm=True)
+        self._hold("elements", _coerce_square_family(self.elements, "POVM"))._admit(tol)
+
+    def _leg(self, tol: float, records: tuple) -> tuple:
+        """``records`` and the ``negativity`` -lambda_min(E_m) judged against ||E_m||_F, or the
+        ``NotPositive`` of the first that fails."""
+        records += (leg := linalg.judge("negativity", -self._lowest, tol, self._norms, n=self.dim),)
+        if not leg.passed:
+            raise NotPositive(f"POVM element {leg.where[0]} has negative eigenvalue {-leg.residual:.3e}",
+                              records, self.residuals)
+        return records
 
     @property
     def residuals(self) -> dict[str, float]:
-        return self._judged.residuals(povm=True)
+        return {**self._residuals(), "min_eigenvalue": float(np.min(self._lowest))}
 
 
 def povm_from_operators(opset: MeasurementOperatorSet,
@@ -564,7 +546,7 @@ def povm_from_operators(opset: MeasurementOperatorSet,
     povm = object.__new__(Povm)._hold("elements", freeze(elems))
     bound = 2 * _rounding_allowance(n) * (n + math.sqrt(n) * opset.completeness_residual)
     if not (proof := linalg.judge("products", bound, tol, n=n, proved=True)).passed:
-        return povm._admit(tol, povm=True)
+        return povm._admit(tol)
     vars(povm)["records"] = (proof,)
     return povm
 
@@ -590,7 +572,8 @@ def classify_measurement(opset: MeasurementOperatorSet,
     for a lone unitary; GENERAL otherwise. A singleton {I} satisfies both
     special cases and is reported as PROJECTIVE, the stricter one."""
     _require_complete(opset, tol)
-    if opset._judged.judge(tol)[1] is None:
+    with suppress(QmeasureError):  # its stack, held uncopied, judged as a projector set
+        object.__new__(ProjectorSet)._hold("projectors", opset._stack)._admit(tol)
         return MeasurementKind.PROJECTIVE
     if len(opset) == 1:
         with suppress(NotUnitary):

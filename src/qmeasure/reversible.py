@@ -124,7 +124,7 @@ def _require_superposable(opset: MeasurementOperatorSet, tol: float) -> tuple:
         raise OrthogonalityViolation(f"operators are not orthogonal within {tol:g}: aggregate "
                                      f"{aggregate:.3e} exceeds {orth.threshold:.3e} (worst pair {worst}, "
                                      f"residual {pairs[worst]:.3e})", (orth,))
-    _require_complete(opset, tol)
+    _require_complete(opset, tol, complete)
     bound = aggregate + _rounding_allowance(n) * (n + scale * aggregate)
     return orth, judge("orthogonality_band", bound, tol, scale, n=n, proved=True)
 

@@ -10,11 +10,13 @@ eigensolver, and its commutator norms against :func:`commutator`.
 tests read directly; no code in the package calls either.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
 from qmeasure import measurement
+from qmeasure.errors import QmeasureError
 from qmeasure.reversible import _as_unitary
 
 JACOBI_MAX_SWEEPS = 60
@@ -128,6 +130,19 @@ def commutation_residuals(u, pset):
     judged unitary."""
     unit = _as_unitary(u, projectors=pset.dim)
     return pset._commutator_norms(unit.matrix)
+
+
+def admitted(cls, ops, tol=1e-10):
+    """``(family, failure)``: a ``cls`` (``ProjectorSet`` or ``Povm``) holding the stack of
+    ``ops`` as its constructor does, and the error its admission at ``tol`` raised, or None.
+    The family comes back either way, so a test can read which residuals it formed."""
+    stack = measurement.MeasurementOperatorSet(ops)._stack  # judges nothing
+    family = object.__new__(cls)._hold(dataclasses.fields(cls)[0].name, stack)
+    try:
+        family._admit(tol)
+    except QmeasureError as exc:
+        return family, exc
+    return family, None
 
 
 def random_state(rng, n):

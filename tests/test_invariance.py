@@ -24,28 +24,34 @@ order, by its rounding alone, and keeps the first failing pair a failing
 pair. A global phase e^{i theta} U changes no residual in exact arithmetic,
 so the unitarity, mirror, preservation and truth verdicts hold wherever the
 residual lies outside eps_n times its scale of the threshold.
+
+Last, a family or unitary written by ``save_operator_file`` and loaded back
+keeps every verdict, record and residual map bit for bit.
 """
 
 import cmath
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_partition, random_phases, random_state, random_unitary
+from helpers import random_hermitian, random_partition, random_phases, random_state, random_unitary
 from qmeasure import linalg, spectral_decompose
 from qmeasure.errors import InvalidProjectorSet, NotUnitary, QmeasureError
+from qmeasure.fileio import load_operator_file, save_operator_file
 from qmeasure.measurement import (
     PROB_FLOOR,
     MeasurementOperatorSet,
-    OperatorResiduals,
+    Povm,
     ProjectorSet,
     QuantumState,
     _rounding_allowance,
     apply_outcome,
     outcome_probabilities,
+    validate_completeness,
 )
 from qmeasure.mirror import is_mirror, truth_protocol, verify_probability_preservation
 from qmeasure.reversible import UnitaryOperator
@@ -196,11 +202,10 @@ def test_relabelling_the_outcomes_permutes_every_value(seed, n):
             np.testing.assert_array_equal(apply_outcome(moved, psi, m).post_state.amplitudes,
                                           apply_outcome(opset, psi, k).post_state.amplitudes,
                                           strict=True)
-    before, after = OperatorResiduals(opset._stack), OperatorResiduals(moved._stack)
-    np.testing.assert_array_equal(after.pairs, before.pairs[np.ix_(perm, perm)], strict=True)
+    np.testing.assert_array_equal(moved._pairs, opset._pairs[np.ix_(perm, perm)], strict=True)
     band = _rounding_allowance(n) * math.sqrt(n)  # each sum's scale is sqrt(n)
     assert abs(moved.completeness_residual - opset.completeness_residual) <= band
-    assert abs(after.completeness - before.completeness) <= band
+    assert abs(moved._completeness - opset._completeness) <= band
 
 
 @settings(max_examples=100, deadline=None)
@@ -220,13 +225,14 @@ def test_relabelling_keeps_the_first_failing_pair_a_failing_pair(seed, n, bad, l
     tol = 1e-10
     with pytest.raises(InvalidProjectorSet):
         ProjectorSet(ops, tol=tol)
-    records, failure = OperatorResiduals(np.array([ops[k] for k in perm])).judge(tol)
-    assert isinstance(failure, InvalidProjectorSet) and failure.records == records
+    with pytest.raises(InvalidProjectorSet) as failure:
+        ProjectorSet([ops[k] for k in perm], tol=tol)
+    records = failure.value.records
     i, j = records[-1].where
-    before = OperatorResiduals(np.array(ops))
+    before = MeasurementOperatorSet(ops)
     a, b = perm[i], perm[j]
-    assert before.pairs[a, b] == records[-1].residual
-    assert not linalg.within_tol(before.pairs[a, b], tol, before.pair_scales[a, b])
+    assert before._pairs[a, b] == records[-1].residual
+    assert not linalg.within_tol(before._pairs[a, b], tol, before._pair_scales[a, b])
 
 
 def verdict(call):
@@ -283,3 +289,62 @@ def test_a_global_phase_keeps_the_unitarity_verdict_at_its_threshold():
         tol = max(u.residuals.values()) / math.sqrt(n)
         if max(u.residuals.values()) <= tol * math.sqrt(n):  # U passes at tol
             UnitaryOperator(cmath.exp(1j * rng.uniform(0.0, 2 * math.pi)) * u.matrix, tol=tol)
+
+
+JUDGES = {
+    "projector_set": lambda mats, tol: ProjectorSet(mats, tol=tol),
+    "povm": lambda mats, tol: Povm(mats, tol=tol),
+    "measurement_set": lambda mats, tol: validate_completeness(MeasurementOperatorSet(mats), tol),
+    "unitary": lambda mats, tol: UnitaryOperator(mats[0], tol=tol),
+    "observable": lambda mats, tol: spectral_decompose(mats[0], tol=tol),
+}
+
+
+def judged_as(kind, mats, tol):
+    """The library's judgement of ``mats`` as ``kind`` at ``tol``, pickled so that every float
+    compares bit for bit: a measurement set's completeness record, the records and residuals of
+    what it admits (an observable's with its projector set's records), or the class, message,
+    records and residuals of its refusal."""
+    try:
+        judged = JUDGES[kind](mats, tol)
+    except QmeasureError as exc:
+        return pickle.dumps((type(exc), str(exc), exc.records, exc.residuals))
+    if kind == "measurement_set":  # the completeness record itself
+        return pickle.dumps(judged)
+    spectral = judged.projector_set().records if kind == "observable" else ()
+    return pickle.dumps((judged.records + spectral, judged.residuals))
+
+
+def draw_operators(rng, kind, n, nudge):
+    """Operators of ``kind`` on C^n, exact up to rounding (eigenspace projectors of a Haar
+    basis, also as a POVM; U_m P_m for Haar U_m; a Haar unitary; a Hermitian matrix), each
+    moved by ``nudge`` times a complex Gaussian matrix, or for one draw in two its Hermitian
+    part, so that verdicts pass and fail, at hermiticity or at a later requirement."""
+    if kind == "unitary":
+        mats = [random_unitary(rng, n)]
+    elif kind == "observable":
+        mats = [random_hermitian(rng, n, degenerate=bool(rng.integers(2)))]
+    else:
+        w = random_unitary(rng, n)
+        mats = [w[:, g] @ w[:, g].conj().T for g in random_partition(rng, n, int(rng.integers(1, n + 1)))]
+        if kind == "measurement_set":
+            mats = [random_unitary(rng, n) @ p for p in mats]
+    moves = rng.normal(size=(len(mats), n, n)) + 1j * rng.normal(size=(len(mats), n, n))
+    if rng.integers(2):
+        moves = (moves + moves.conj().transpose(0, 2, 1)) / 2.0
+    return [m + nudge * move for m, move in zip(mats, moves)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, n=DIMS, kind=st.sampled_from(sorted(JUDGES)),
+       nudge=st.sampled_from([0.0, 1e-13, 1e-11, 1e-9, 1e-6]), log_tol=st.floats(-15.5, -6.0))
+def test_a_saved_and_loaded_family_keeps_every_verdict_bit_for_bit(tmp_path_factory, seed, n, kind,
+                                                                   nudge, log_tol):
+    """``save_operator_file`` then ``load_operator_file`` gives matrices that the library
+    judges exactly as it judged the originals, whichever way the verdict goes."""
+    mats, tol = draw_operators(np.random.default_rng(seed), kind, n, nudge), 10.0 ** log_tol
+    path = tmp_path_factory.mktemp("round_trip") / "family.json"
+    save_operator_file(path, kind, mats)
+    loaded = load_operator_file(path)
+    assert (loaded.kind, loaded.dim, len(loaded.matrices)) == (kind, n, len(mats))
+    assert judged_as(kind, loaded.matrices, tol) == judged_as(kind, mats, tol)

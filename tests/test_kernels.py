@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    admitted,
     commutation_residuals,
     commutator,
     orthogonal_family,
@@ -35,7 +36,6 @@ from qmeasure.errors import (
 )
 from qmeasure.measurement import (
     MeasurementOperatorSet,
-    OperatorResiduals,
     Povm,
     ProjectorSet,
     QuantumState,
@@ -121,11 +121,11 @@ def test_stacked_kernels_equal_the_per_matrix_loops(stack, seed):
         mirror = commutation_residuals(u, MeasurementOperatorSet(ops))
     adjoints = [np.conjugate(m.T, order="C") for m in ops]
     off = ~np.eye(len(ops), dtype=bool)
-    res = OperatorResiduals(ops)
+    res = MeasurementOperatorSet(ops)
     np.testing.assert_array_equal(stacked, norms, strict=True)
-    np.testing.assert_array_equal(res.norms, norms, strict=True)
-    np.testing.assert_array_equal(res.hermiticity, hermiticity, strict=True)
-    np.testing.assert_array_equal(res.pairs, pairs, strict=True)
+    np.testing.assert_array_equal(res._norms, norms, strict=True)
+    np.testing.assert_array_equal(res._hermiticity, hermiticity, strict=True)
+    np.testing.assert_array_equal(res._pairs, pairs, strict=True)
     np.testing.assert_array_equal(
         linalg.orthogonality_residuals(adjoints, ops)[off], adjoint_lefts[off], strict=True)
     np.testing.assert_array_equal(
@@ -153,7 +153,7 @@ def test_batched_lowest_eigenvalues_equal_the_per_matrix_eigvalsh(n):
             for ops in (gaussian, [random_hermitian(rng, n) * scale for _ in range(k)]):
                 ops = tuple(np.ascontiguousarray(p) for p in ops)
                 expected = loop_lowest(ops)
-                np.testing.assert_array_equal(OperatorResiduals(ops).lowest, expected, strict=True)
+                np.testing.assert_array_equal(MeasurementOperatorSet(ops)._lowest, expected, strict=True)
                 assert [linalg.lowest_eigenvalue(p) for p in ops] == expected.tolist()
 
 
@@ -219,7 +219,7 @@ def test_planted_bad_pair_gives_the_loop_violation():
         projs[n - 1] = np.outer(v, v.conj())
         pairs = loop_pairs(projs)
         bad = np.argwhere(~linalg.within_tol(
-            pairs, 1e-10, OperatorResiduals(tuple(projs)).pair_scales))
+            pairs, 1e-10, MeasurementOperatorSet(projs)._pair_scales))
         i, j = bad[0]
         assert (i, j) == (1, n - 1)
         with pytest.raises(InvalidProjectorSet) as exc:
@@ -276,11 +276,11 @@ def test_residuals_of_a_32_projector_family_stay_within_budget():
     phases = PhaseVector(random_phases(rng, 32))
     # every product of the failing family is formed before its violation is found
     failing = MeasurementOperatorSet(projs[:-1] + (projs[-1] + 1e-6 * projs[0],))
+    res = object.__new__(ProjectorSet)._hold("projectors", MeasurementOperatorSet(projs)._stack)
     tracemalloc.start()
     try:
-        res = OperatorResiduals(projs)
-        assert res.judge(1e-10)[1] is None
-        res.lowest
+        res._admit(1e-10)
+        res._lowest
         commutation_residuals(unit, pset)
         superpose_operators(opset, phases)
         with pytest.raises(OrthogonalityViolation):
@@ -297,8 +297,7 @@ def test_a_pair_larger_than_the_stack_budget_still_validates():
     p = v @ v.conj().T
     projs = (p, np.eye(128) - p)
     assert linalg.stack_size(128) == 1
-    res = OperatorResiduals(projs)
-    np.testing.assert_array_equal(res.pairs, loop_pairs(projs), strict=True)
+    np.testing.assert_array_equal(MeasurementOperatorSet(projs)._pairs, loop_pairs(projs), strict=True)
     assert len(ProjectorSet(projs)) == 2
     superpose_operators(MeasurementOperatorSet(projs), PhaseVector([1.0, -1.0]))
 
@@ -392,7 +391,7 @@ def test_povm_from_operators_takes_the_completeness_the_set_passed(n):
         opset = MeasurementOperatorSet([random_unitary(rng, n) / math.sqrt(count)
                                         for _ in range(count)])
         povm = povm_from_operators(opset)
-        summed = OperatorResiduals(povm._stack).completeness
+        summed = MeasurementOperatorSet(povm.elements)._completeness
         assert povm.residuals["completeness"] == summed == Povm(povm.elements).residuals[
             "completeness"]
         assert np.float64(summed).tobytes() == np.float64(opset.completeness_residual).tobytes()
@@ -408,8 +407,8 @@ def test_irm_povm_takes_the_completeness_the_unitary_passed(n):
         povm = irm_povm(u)
         left = UnitaryOperator(u).residuals["unitarity_left"]
         assert np.float64(povm.residuals["completeness"]).tobytes() == np.float64(left).tobytes()
-        assert left == OperatorResiduals(povm._stack).completeness == Povm(povm.elements).residuals[
-            "completeness"]
+        assert left == MeasurementOperatorSet(povm.elements)._completeness == Povm(
+            povm.elements).residuals["completeness"]
         np.testing.assert_array_equal(povm.elements[0], u.conj().T @ u, strict=True)
 
 
@@ -462,16 +461,15 @@ def test_judges_equal_the_per_matrix_expressions_on_one_and_several_tiles(n):
                     completeness = float(np.linalg.norm(sum(mats) - np.eye(n)))
                     small = count <= 16  # the loop over a full tile's pairs is slow at small n
                     pairs = loop_pairs(mats) if small else None
-                for povm in (True, False):
-                    res = OperatorResiduals(mats)
-                    failure = res.judge(1e-10, povm)[1]
+                for cls in (Povm, ProjectorSet):
+                    res, failure = admitted(cls, mats)
                     assert failure is not None  # neither Gaussian nor Hermitian parts pass
-                    np.testing.assert_array_equal(res.norms, norms, strict=True)
-                    np.testing.assert_array_equal(res.hermiticity, hermiticity, strict=True)
-                    assert np.float64(res.completeness).tobytes() == np.float64(completeness).tobytes()
-                    np.testing.assert_array_equal(res.lowest, loop_lowest(mats), strict=True)
+                    np.testing.assert_array_equal(res._norms, norms, strict=True)
+                    np.testing.assert_array_equal(res._hermiticity, hermiticity, strict=True)
+                    assert np.float64(res._completeness).tobytes() == np.float64(completeness).tobytes()
+                    np.testing.assert_array_equal(res._lowest, loop_lowest(mats), strict=True)
                     if small:
-                        np.testing.assert_array_equal(res.pairs, pairs, strict=True)
+                        np.testing.assert_array_equal(res._pairs, pairs, strict=True)
 
 
 def test_family_calls_stay_within_budget():

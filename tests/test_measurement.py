@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    admitted,
     eigenspace_groups,
     orthogonal_family,
     random_hermitian,
@@ -35,7 +36,6 @@ from qmeasure.measurement import (
     MeasurementKind,
     MeasurementOperatorSet,
     Observable,
-    OperatorResiduals,
     Povm,
     ProjectorSet,
     QuantumState,
@@ -80,6 +80,18 @@ def test_state_normalize_flag_rescales():
     psi = QuantumState(np.array([3.0, 4.0], dtype=complex), normalize=True)
     assert np.linalg.norm(psi.amplitudes) == pytest.approx(1.0)
     assert psi.amplitudes[0] == pytest.approx(0.6)
+
+
+def test_a_state_keeps_the_norm_its_input_had():
+    """``input_norm`` is scale * norm of ``linalg.vector_norm``, formed once: the value the
+    strict check judges and names, and the one the CLI's renormalization note prints."""
+    for amps in ([3.0, 4.0j], [1e-200, 1e-200], [1e200, -1e200j]):
+        v = np.array(amps, dtype=complex)
+        psi = QuantumState(v, normalize=True)
+        assert psi.input_norm == math.prod(linalg.vector_norm(v))
+        assert pickle.loads(pickle.dumps(psi)).input_norm == psi.input_norm
+        with pytest.raises(ValueError, match=rf"^state vector norm {re.escape(repr(psi.input_norm))} "):
+            QuantumState(v)
 
 
 def test_state_rejects_zero_vector():
@@ -469,11 +481,10 @@ def test_projector_set_names_first_violation():
         ProjectorSet((p0, 0.5 * np.ones((2, 2), dtype=complex)))
     with pytest.raises(IncompleteSet, match="do not sum to the identity"):
         ProjectorSet((p0,))
-    res = OperatorResiduals((np.array([[0, 1], [0, 0]], dtype=complex),))
-    failure = res.judge(1e-10)[1]
+    pset, failure = admitted(ProjectorSet, (np.array([[0, 1], [0, 0]], dtype=complex),))
     assert isinstance(failure, NotHermitian)
     assert "projector 0 is not Hermitian" in str(failure)
-    assert "pairs" not in vars(res)  # no pair products once hermiticity fails
+    assert "_pairs" not in vars(pset)  # no pair products once hermiticity fails
     assert failure.residuals == {"hermiticity_max": math.sqrt(2.0), "completeness": math.sqrt(3.0)}
 
 
@@ -481,19 +492,19 @@ def test_projector_residuals_match_pairwise_definition():
     rng = np.random.default_rng(8)
     u = random_unitary(rng, 5)
     projs = [np.outer(u[:, k], u[:, k].conj()) for k in range(5)]
-    res = OperatorResiduals(tuple(projs))
+    res, failure = admitted(ProjectorSet, tuple(projs))
     for i, pi in enumerate(projs):
-        assert res.hermiticity[i] == np.linalg.norm(pi - pi.conj().T)
+        assert res._hermiticity[i] == np.linalg.norm(pi - pi.conj().T)
         for j, pj in enumerate(projs):
             delta = pi @ pj - (pi if i == j else 0.0)
-            assert res.pairs[i, j] == np.linalg.norm(delta)
-    assert res.completeness == np.linalg.norm(sum(projs) - np.eye(5))
-    assert np.max(res.pairs / res.pair_scales) == max(
+            assert res._pairs[i, j] == np.linalg.norm(delta)
+    assert res._completeness == np.linalg.norm(sum(projs) - np.eye(5))
+    assert np.max(res._pairs / res._pair_scales) == max(
         np.linalg.norm(pi @ pj - (pi if i == j else 0.0))
         / max(1.0, np.linalg.norm(pi) * np.linalg.norm(pj))
         for i, pi in enumerate(projs) for j, pj in enumerate(projs))
-    assert res.judge(1e-10)[1] is None
-    assert np.max(res.pairs) < 1e-14
+    assert failure is None
+    assert np.max(res._pairs) < 1e-14
 
 
 def test_identity_alone_is_a_valid_projector_set():
@@ -560,10 +571,9 @@ def test_hermiticity_guard_names_an_overflowed_scale(build):
 
 def test_family_hermiticity_names_an_overflowed_scale():
     # each ||P_k||_F overflows, so each threshold is inf
-    res = OperatorResiduals((np.diag([1e308, 0.0]).astype(complex),
-                             np.diag([1e308, 1.0]).astype(complex)))
-    assert str(res.judge(1e-10)[1]) == f"projector 0 is not Hermitian ({OVERFLOW_NOTE})"
-    assert str(res.judge(1e-10, povm=True)[1]) == f"POVM element 0 is not Hermitian ({OVERFLOW_NOTE})"
+    ops = (np.diag([1e308, 0.0]).astype(complex), np.diag([1e308, 1.0]).astype(complex))
+    assert str(admitted(ProjectorSet, ops)[1]) == f"projector 0 is not Hermitian ({OVERFLOW_NOTE})"
+    assert str(admitted(Povm, ops)[1]) == f"POVM element 0 is not Hermitian ({OVERFLOW_NOTE})"
 
 
 def test_observable_rejects_overflowing_hermiticity_residual():
@@ -575,12 +585,19 @@ def test_observable_rejects_overflowing_hermiticity_residual():
 
 def test_failed_reconstruction_is_a_qmeasure_error():
     """Q diag(0, ..., 31) Q^dag reconstructs to about 1.8e-13, above tol ||A||_F = 1.02e-13 at
-    tol = 1e-15: ``eigh``'s own rounding, which no grouping removes, fails the check."""
+    tol = 1e-15: ``eigh``'s own rounding, which no grouping removes, fails the check. That
+    residual, ||A - V diag(lambda) V^dag||_F of ``eigh``'s (lambda, V), differs between BLAS
+    kernels, so it is formed here from the same ``eigh`` call."""
     q = random_unitary(np.random.default_rng(0), 32)
+    a = (q * np.arange(32.0)) @ q.conj().T
+    vals, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+    residual = np.linalg.norm(a - (vecs * vals) @ vecs.conj().T)
+    assert 1e-15 * np.linalg.norm(a) < residual < 1e-12
     with pytest.raises(QmeasureError) as exc:
-        spectral_decompose((q * np.arange(32.0)) @ q.conj().T, tol=1e-15)
+        spectral_decompose(a, tol=1e-15)
     assert type(exc.value) is QmeasureError
-    assert str(exc.value) == "spectrum does not reconstruct the observable (residual 1.760e-13)"
+    assert str(exc.value) == f"spectrum does not reconstruct the observable (residual {residual:.3e})"
+    assert exc.value.residuals["reconstruction"] == residual
     assert exc.value.residuals["n_eigenspaces"] == 32
 
 
@@ -668,7 +685,7 @@ def test_gram_certificate_implies_the_generic_projector_check(n, degenerate, pla
     vals, vecs = planted_eigenpairs(np.random.default_rng(seed), n, degenerate, plant,
                                     ratio * tau)
     gram = np.linalg.norm(vecs.conj().T @ vecs - np.eye(n))
-    oracle = OperatorResiduals(planted_projectors(vals, vecs)).judge(tol)[1]
+    oracle = admitted(ProjectorSet, planted_projectors(vals, vecs), tol)[1]
     if gram <= tau:
         assert oracle is None
     try:
@@ -689,9 +706,9 @@ def test_gram_certificate_skips_the_pair_check_only_within_its_threshold(plant):
     tau = measurement._gram_threshold(8, tol)
     for ratio, pair_checks in ((0.9, 0), (1.1, 1)):
         vals, vecs = planted_eigenpairs(rng, 8, False, plant, ratio * tau)
-        oracle = OperatorResiduals(planted_projectors(vals, vecs)).judge(tol)[1]
-        with mock.patch.object(measurement, "OperatorResiduals",
-                               wraps=OperatorResiduals) as spy:
+        oracle = admitted(ProjectorSet, planted_projectors(vals, vecs), tol)[1]
+        with mock.patch.object(linalg, "orthogonality_residuals",
+                               wraps=linalg.orthogonality_residuals) as spy:
             if oracle is None:
                 decompose_planted(vals, vecs, tol)
             else:
@@ -736,7 +753,8 @@ def test_spectral_decompose_judges_hermiticity_once_and_forms_no_pairs(monkeypat
         raise AssertionError("the factored path runs no generic family check")
 
     monkeypatch.setattr(linalg, "_require_hermitian", counted)
-    monkeypatch.setattr(measurement, "OperatorResiduals", forbidden)
+    monkeypatch.setattr(linalg, "orthogonality_residuals", forbidden)
+    monkeypatch.setattr(measurement._Family, "_admit", forbidden)
     monkeypatch.setattr(measurement, "_coerce_square_family", forbidden)
     spectral_decompose(random_hermitian(np.random.default_rng(37), 8, degenerate=True))
     assert len(calls) == 1
@@ -844,11 +862,10 @@ def test_povm_rejects_non_hermitian():
 
 def test_povm_first_violation_messages_and_lazy_eigenvalues():
     e = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
-    res = OperatorResiduals((e, np.eye(2, dtype=complex) - e))
-    failure = res.judge(1e-10, povm=True)[1]
+    povm, failure = admitted(Povm, (e, np.eye(2, dtype=complex) - e))
     assert isinstance(failure, NotHermitian)
     assert str(failure) == "POVM element 0 is not Hermitian (residual 7.071e-01)"
-    assert "lowest" not in vars(res)  # no eigenvalues once hermiticity fails
+    assert "_lowest" not in vars(povm)  # no eigenvalues once hermiticity fails
     assert list(failure.residuals) == ["hermiticity_max", "completeness"]
     with pytest.raises(NotPositive,
                        match=r"^POVM element 1 has negative eigenvalue -5.000e-01$") as exc:
@@ -858,7 +875,7 @@ def test_povm_first_violation_messages_and_lazy_eigenvalues():
     with pytest.raises(IncompleteSet,
                        match=r"^POVM elements do not sum to the identity \(residual 7.071e-01\)$"):
         Povm((np.diag([0.5, 0.5]).astype(complex),))
-    assert OperatorResiduals((np.eye(2, dtype=complex),)).judge(1e-10, povm=True)[1] is None
+    assert admitted(Povm, (np.eye(2, dtype=complex),))[1] is None
 
 
 def test_every_dimension_rule_words_one_message():

@@ -20,19 +20,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_partition, random_unitary
+from helpers import admitted, random_partition, random_unitary
 from qmeasure import linalg
 from qmeasure.errors import IncompleteSet, NotPositive, NotUnitary, QmeasureError
 from qmeasure.measurement import (
     MeasurementOperatorSet,
-    OperatorResiduals,
     Povm,
     povm_from_operators,
 )
 from qmeasure.reversible import irm_povm
 
 EPS = 2.0 ** -52  # np.finfo(float).eps
-FORMED = ("_norms_and_hermiticity", "lowest")  # what the two proved legs would form
+FORMED = ("_norms_and_hermiticity", "_lowest")  # what the two proved legs would form
 
 
 def allowance(n, c):
@@ -56,7 +55,7 @@ def expected_outcome(opset, elements, tol):
 
 
 def unformed(povm):
-    return not any(name in vars(povm._judged) for name in FORMED)
+    return not any(name in vars(povm) for name in FORMED)
 
 
 def outcome(build):
@@ -96,7 +95,7 @@ def test_a_povm_of_products_is_judged_as_the_judge_judges_its_elements(
     tol = 2 * allowance(n, c) * 10.0 ** log_ratio
     proved = proves(n, c, tol)
     if proved:  # the legs the proof skips pass the judge; only completeness may fail
-        failure = OperatorResiduals(elements).judge(tol, povm=True)[1]
+        failure = admitted(Povm, elements, tol)[1]
         assert failure is None or isinstance(failure, IncompleteSet)
 
     def build():
@@ -154,7 +153,7 @@ def test_the_proof_is_the_documented_bound(n, s, tol, proved):
     opset = MeasurementOperatorSet([math.sqrt(s) * np.eye(n, dtype=complex)])
     elements = [linalg._adjoint(opset.operators[0]) @ opset.operators[0]]
     c = opset.completeness_residual
-    assert c == OperatorResiduals(np.array(elements)).completeness
+    assert c == MeasurementOperatorSet(elements)._completeness
     k = allowance(n, c)
     tol = {"2k": 2 * k, "2k-": np.nextafter(2 * k, 0.0), "1.5k": 1.5 * k}.get(tol, tol)
     assert proves(n, c, tol) == proved
@@ -174,5 +173,5 @@ def test_the_proof_implies_the_positivity_judge():
     k = allowance(8, 0.0)
     element = np.diag([-k, 0.5] + [0.0] * 6).astype(complex)  # ||E||_F < 1: scale 1
     for tol, positive in ((2 * k, True), (k, True), (np.nextafter(k, 0.0), False)):
-        failure = OperatorResiduals(np.array([element])).judge(tol, povm=True)[1]
+        failure = admitted(Povm, [element], tol)[1]
         assert isinstance(failure, NotPositive) != positive

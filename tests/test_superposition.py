@@ -27,6 +27,7 @@ from helpers import (
     random_phases,
     superposition_aggregate,
     superposition_rounding,
+    unitarity_residuals,
 )
 from qmeasure.errors import IncompleteSet, NotUnitary, OrthogonalityViolation
 from qmeasure.measurement import MeasurementOperatorSet
@@ -103,18 +104,24 @@ def test_a_superposable_family_sums_to_a_unitary_within_its_aggregate(seed, kind
 
 
 def test_a_passing_aggregate_inside_the_band_is_refused_not_judged_unitary():
-    """The pair sum plus c of this family, 1.41421322e-10, is under tol sqrt(2) =
-    1.41421356e-10 by less than the rounding of the unitarity judge, and its sum is off
-    unitary by more than tol sqrt(2): that judge's failure is raised as the violation, with
-    a and both unitarity residuals, not as ``NotUnitary``."""
-    ops, phases = draw_family(164, "stretch", 2, 1e-10, 0.999999)
-    aggregate, _, _ = superposition_aggregate(ops, 1e-10)
-    assert aggregate < 1e-10 * math.sqrt(2) < aggregate + superposition_rounding(aggregate, 2)
+    """A family whose pair sum plus c is under tol sqrt(2) by less than the rounding of the
+    unitarity judge, and whose sum is off unitary by more than tol sqrt(2): that judge's failure
+    is raised as the violation, with a and both unitarity residuals, not as ``NotUnitary``.
+    Such draws sit inside a rounding band, so they are searched for (about one in 15)."""
+    rng, tol = np.random.default_rng(164), 1e-10
+    for _ in range(300):
+        ops, phases = draw_family(int(rng.integers(2 ** 32)), "stretch", 2, tol, 0.999999)
+        aggregate, _, _ = superposition_aggregate(ops, tol)
+        if aggregate < tol * math.sqrt(2) < aggregate + superposition_rounding(aggregate, 2) \
+                and max(unitarity_residuals(np.tensordot(phases.phases, ops, axes=1))) > tol * math.sqrt(2):
+            break
+    else:
+        pytest.fail("no draw inside the band")
     with pytest.raises(OrthogonalityViolation, match="by less than the rounding") as exc:
-        superpose_operators(MeasurementOperatorSet(tuple(ops)), phases, 1e-10)
+        superpose_operators(MeasurementOperatorSet(tuple(ops)), phases, tol)
     assert exc.value.residuals.keys() == {"orthogonality", "unitarity_left", "unitarity_right"}
     assert exc.value.residuals["orthogonality"] == aggregate
-    assert max(exc.value.residuals.values()) > 1e-10 * math.sqrt(2)
+    assert max(exc.value.residuals.values()) > tol * math.sqrt(2)
 
 
 @pytest.mark.parametrize("n, tol", [(4, 1e-14), (16, 1e-13), (34, 1e-12)])
