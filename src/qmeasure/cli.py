@@ -103,17 +103,6 @@ def _load_kind(path: str, kinds: tuple[str, ...]) -> OperatorFile:
     return doc
 
 
-def _single_matrix(doc: OperatorFile, path: str) -> np.ndarray:
-    if len(doc.matrices) != 1:
-        raise ParseError(f"{path}: expected exactly one operator, found {len(doc.matrices)}")
-    return doc.matrices[0]
-
-
-def _load_unitary_matrix(path: str) -> np.ndarray:
-    """The one matrix of a unitary file, parsed but not yet judged."""
-    return _single_matrix(_load_kind(path, ("unitary",)), path)
-
-
 def _load_state(path: str, warnings: list[str]) -> QuantumState:
     psi = QuantumState(load_state_file(path), normalize=True)
     if abs(psi.input_norm - 1.0) > NORM_TOL:
@@ -171,8 +160,6 @@ _JUDGES = {
 
 def cmd_validate(args) -> dict:
     doc = load_operator_file(args.file)
-    if doc.kind in ("unitary", "observable"):
-        _single_matrix(doc, args.file)  # raises unless the file holds one matrix
     try:
         judged, details = _JUDGES[doc.kind](doc.matrices, args.tol), []
     except QmeasureError as exc:
@@ -292,7 +279,7 @@ def cmd_mirror_build(args) -> dict:
 
 
 def cmd_mirror_check(args) -> dict:
-    matrix = _load_unitary_matrix(args.unitary)
+    matrix = _load_kind(args.unitary, ("unitary",)).matrices[0]
     pdoc = _load_kind(args.projectors, ("projector_set",))
     details: list[str] = []
     dims = {"unitary": len(matrix), "projectors": pdoc.dim}
@@ -324,7 +311,7 @@ def cmd_mirror_check(args) -> dict:
 # truth / bell
 
 def cmd_truth(args) -> dict:
-    matrix = _load_unitary_matrix(args.unitary)
+    matrix = _load_kind(args.unitary, ("unitary",)).matrices[0]
     details: list[str] = []
     psi = _load_state(args.state, details)
     transcript = truth_protocol(matrix, psi, tol=args.tol)
@@ -340,7 +327,7 @@ def cmd_truth(args) -> dict:
 
 
 def cmd_bell(args) -> dict:
-    mirror = _load_unitary_matrix(args.mirror)
+    mirror = _load_kind(args.mirror, ("unitary",)).matrices[0]
     comparison = bell_comparison(args.index, mirror, tol=args.tol)
     return {
         "command": "bell",

@@ -29,6 +29,7 @@ from .errors import ParseError
 
 SCHEMA_VERSION = "1"
 OPERATOR_KINDS = ("measurement_set", "projector_set", "povm", "unitary", "observable")
+SINGLE_OPERATOR_KINDS = ("unitary", "observable")  # a file of either kind holds one operator
 
 
 @dataclass(frozen=True)
@@ -188,6 +189,8 @@ def load_operator_file(path: str) -> OperatorFile:
         seen[label] = _parse_pairs(matrix, (dim, dim), what, booleans)
     if sorted(seen) != list(range(len(seen))):
         raise ParseError(f"{path}: labels must be the consecutive integers 0..N-1")
+    if kind in SINGLE_OPERATOR_KINDS and len(seen) != 1:
+        raise ParseError(f"{path}: expected exactly one operator, found {len(seen)}")
     return OperatorFile(kind=kind, dim=dim, matrices=tuple(seen[k] for k in range(len(seen))))
 
 
@@ -220,6 +223,8 @@ def operator_document(kind: str, matrices) -> dict:
     if (stack.ndim != 3 or not stack.size or stack.shape[1] != stack.shape[2]
             or not np.isfinite(stack).all()):
         raise ValueError(f"operators must be a nonempty finite (N, n, n) stack, got {stack.shape}")
+    if kind in SINGLE_OPERATOR_KINDS and len(stack) != 1:
+        raise ValueError(f"expected exactly one operator, found {len(stack)}")
     pairs = complex_pairs(stack)
     return {
         "schema_version": SCHEMA_VERSION,

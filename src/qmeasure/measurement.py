@@ -532,17 +532,14 @@ class Povm(_Family):
 def povm_from_operators(opset: MeasurementOperatorSet,
                         tol: float = DEFAULT_TOL) -> Povm:
     """POVM elements E_m = M_m^dag M_m of a complete measurement set, the one site that admits
-    products: one product for a family of one 128 KiB tile, else tile by tile into one array.
+    products, formed tile by tile (128 KiB each) into one array.
     Each is Hermitian to 2k and >= -k, k = eps_n (n + sqrt(n) c), c the set's completeness
     residual (README): if 2k passes, that proof is its record, and none is judged again."""
     _require_complete(opset, tol)
     stack, n = opset._stack, opset.dim
-    if len(stack) <= linalg.stack_size(n):
-        elems = _adjoint(stack) @ stack
-    else:
-        elems = np.empty_like(stack)
-        for lo, tile in linalg.stacks(stack):
-            np.matmul(_adjoint(tile), tile, out=elems[lo:lo + len(tile)])
+    elems = np.empty_like(stack)
+    for lo, tile in linalg.stacks(stack):
+        np.matmul(_adjoint(tile), tile, out=elems[lo:lo + len(tile)])
     povm = object.__new__(Povm)._hold("elements", freeze(elems))
     bound = 2 * _rounding_allowance(n) * (n + math.sqrt(n) * opset.completeness_residual)
     if not (proof := linalg.judge("products", bound, tol, n=n, proved=True)).passed:

@@ -11,7 +11,9 @@ tests read directly; no code in the package calls either.
 """
 
 import dataclasses
+import json
 import math
+import pathlib
 
 import numpy as np
 
@@ -143,6 +145,15 @@ def admitted(cls, ops, tol=1e-10):
     except QmeasureError as exc:
         return family, exc
     return family, None
+
+
+def write_operator_json(path, kind, matrices):
+    """Write an operator file as raw JSON, labeled 0..N-1, past the checks of the
+    package's writer: for files that the loader must refuse."""
+    ops = [{"label": k, "matrix": [[[z.real, z.imag] for z in row] for row in np.asarray(m, complex)]}
+           for k, m in enumerate(matrices)]
+    doc = {"schema_version": "1", "kind": kind, "dim": len(matrices[0]), "operators": ops}
+    pathlib.Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def random_state(rng, n):

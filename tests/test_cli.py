@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_unitary
+from helpers import random_unitary, write_operator_json
 from qmeasure import cli, linalg, measurement
 from qmeasure.cli import build_parser, main, parse_complex, parse_complex_list, render_human
 from qmeasure.errors import NotMirror, ParseError, QmeasureError
@@ -228,10 +228,33 @@ def test_exit_2_on_povm_where_measurement_expected(capsys):
 @pytest.mark.parametrize("kind", ["unitary", "observable"])
 def test_exit_2_on_more_than_one_operator_in_a_single_operator_file(kind, tmp_path, capsys):
     path = tmp_path / "two.json"
-    save_operator_file(path, kind, [np.eye(2), np.eye(2)])
+    write_operator_json(path, kind, [np.eye(2), np.eye(2)])  # the package's writer refuses it
     code, out, err = run_cli(["validate", str(path)], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: {path}: expected exactly one operator, found 2\n"
+
+
+TWO_OPERATORS = "{tmp}/two_operators.json"  # I/sqrt(2) twice, in a file of the given kind
+
+
+@pytest.mark.parametrize("kind,argv", [
+    ("unitary", ["validate", TWO_OPERATORS]),
+    ("unitary", ["classify", TWO_OPERATORS]),
+    ("unitary", ["measure", TWO_OPERATORS, "corpus/state_plus.json"]),
+    ("unitary", ["truth", TWO_OPERATORS, "corpus/state_plus.json"]),
+    ("unitary", ["bell", "--index", "0", "--mirror", TWO_OPERATORS]),
+    ("unitary", ["mirror", "check", TWO_OPERATORS, "corpus/projectors_n2.json"]),
+    ("observable", ["truth", TWO_OPERATORS, "corpus/state_plus.json"]),
+], ids=["validate", "classify", "measure", "truth", "bell", "mirror_check",
+        "truth_wrong_kind_too"])
+def test_every_subcommand_refuses_a_single_operator_file_of_two(kind, argv, tmp_path, capsys):
+    """The loader holds the one-operator rule, so no subcommand reads such a file as a
+    two-outcome set (classify and measure once did), none judges it, and the count is
+    reported before a subcommand asks for its kind."""
+    path = TWO_OPERATORS.format(tmp=tmp_path)
+    write_operator_json(path, kind, [np.eye(2) / math.sqrt(2)] * 2)
+    code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
+    assert (code, out, err) == (2, "", f"error: {path}: expected exactly one operator, found 2\n")
 
 
 def test_mirror_build_writes_reparsable_unitary(tmp_path, capsys):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 import tempfile
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import write_operator_json
 from qmeasure import fileio
 from qmeasure.errors import ParseError
 from qmeasure.fileio import (
@@ -522,3 +524,18 @@ def test_save_operator_file_rejects_an_unknown_kind(tmp_path):
     with pytest.raises(ValueError):
         save_operator_file(tmp_path / "ops.json", "mystery", [np.eye(2)])
     assert not (tmp_path / "ops.json").exists()
+
+
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("kind", ["unitary", "observable"])
+def test_a_single_operator_kind_holds_exactly_one_operator(kind, count, tmp_path):
+    """A unitary or observable file holds one operator: the loader refuses more, and the
+    writer refuses to write them."""
+    raw, written = tmp_path / "raw.json", tmp_path / "written.json"
+    write_operator_json(raw, kind, [np.eye(2)] * count)
+    with pytest.raises(ParseError, match=f"^{re.escape(str(raw))}: expected exactly one "
+                                         f"operator, found {count}$"):
+        load_operator_file(raw)
+    with pytest.raises(ValueError, match=f"^expected exactly one operator, found {count}$"):
+        save_operator_file(written, kind, [np.eye(2)] * count)
+    assert not written.exists()

@@ -506,10 +506,9 @@ def test_family_calls_stay_within_budget():
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 32])
 def test_povm_elements_equal_the_tiled_products_bit_for_bit(n):
-    """A family of one tile forms its elements as one product of the whole stack, a larger
-    one tile by tile into one array: either way each element is, bit for bit, the product
-    ``matmul(_adjoint(tile), tile, out=...)`` forms on its tile, and the adjoint's product
-    with the matrix. One operator, a full tile and a tile plus one."""
+    """Every family forms its elements tile by tile into one array: each element is, bit for
+    bit, the product ``matmul(_adjoint(tile), tile, out=...)`` forms on its tile, and the
+    adjoint's product with the matrix. One operator, a full tile and a tile plus one."""
     rng = np.random.default_rng(100 + n)
     for count in family_counts(n):
         opset = MeasurementOperatorSet([random_unitary(rng, n) / math.sqrt(count)
